@@ -187,26 +187,28 @@ def _assemble(a: Polynomial, basis: SquareBasis, dec, keep: int, error: float,
 
 
 def _free_routes(a: Polynomial, basis: SquareBasis, dec, eps: float,
-                 sos_value: float, iterations: int) -> SosCertificate:
+                 sos_value: float, iterations: int, residual: float = 0.0) -> SosCertificate:
     """Both certified truncation routes; fewest squares meeting eps wins.
 
     Schatten-2 with the proof's exact count always meets eps in the
     coefficient 2-norm (the Gram map is an isometry there); the deeper
     Schatten-inf truncation is used only when its measured coefficient
-    error still fits.
+    error still fits.  `residual` is the coefficient 2-norm of
+    a - gram_map(M); the truncation gets what is left of eps after it.
     """
     w = dec.eigenvalues
     trace = float(w.sum())
     npos = int((w > 0).sum())
-    k2 = min(linalg.truncation_count(trace, eps, 2.0), npos)
-    kinf = linalg.count_above(w, eps)
+    budget = eps - residual
+    k2 = min(linalg.truncation_count(trace, budget, 2.0), npos)
+    kinf = linalg.count_above(w, budget)
     tail = np.sqrt(np.cumsum((w ** 2)[::-1])[::-1])  # tail[i] = ||w[i:]||_2
 
     def tail_err(k: int) -> float:
-        return float(tail[k]) if k < len(w) else 0.0
+        return (float(tail[k]) if k < len(w) else 0.0) + residual
 
     err2, errinf = tail_err(k2), tail_err(kinf)
-    bound = (sos_value / eps) ** 2
+    bound = (sos_value / budget) ** 2
     if errinf <= eps and kinf < k2:
         return _assemble(a, basis, dec, kinf, errinf, COEFF_2_NORM, eps,
                          bound, sos_value, math.inf, iterations)
@@ -226,8 +228,8 @@ def approximate(a: Polynomial, basis: SquareBasis, eps: float,
     if eps <= 0:
         raise ValueError("eps must be positive")
     opnorm = operator_norm_bound(basis)
-    # membership and the trace minimum come from one solve: the solver runs
-    # the same feasibility phase and carries the separating certificate
+    # membership and the trace minimum come from one solve: the splitting
+    # solver detects infeasibility itself and carries the separating certificate
     value, sol = sos_norm(a, basis, options)
     if sol.status is SolveStatus.INFEASIBLE:
         raise NotSosError("input is not a sum of squares from this basis",
@@ -235,12 +237,21 @@ def approximate(a: Polynomial, basis: SquareBasis, eps: float,
     if sol.status is not SolveStatus.OPTIMAL:
         raise SolverError("sos-norm solve failed: " + sol.message, sol)
     dec = linalg.clipped_spectrum(sol.matrix)
-    if basis.flavor == FREE:
-        return _free_routes(a, basis, dec, eps, value, sol.iterations)
+    # the declared error must cover the residual a - gram_map(M) the solver
+    # leaves: in the coefficient 2-norm for free inputs; on the unit sphere
+    # every monomial is at most 1 in modulus, so the coefficient 1-norm
+    # bounds its sup for commutative ones
+    residual = a - gram_map(dec.reconstruct(), basis)
+    free = basis.flavor == FREE
+    r = residual.coeff_two_norm() if free else sum(abs(c) for _, c in residual.items())
+    if r >= eps:
+        raise SolverError(f"solver residual {r:.3e} leaves no room for eps {eps:.3e}", sol)
+    if free:
+        return _free_routes(a, basis, dec, eps, value, sol.iterations, r)
     w = dec.eigenvalues
-    keep = linalg.count_above(w, eps / opnorm)
-    error = float(w[keep]) * opnorm if keep < len(w) else 0.0
-    bound = opnorm * value / eps
+    keep = linalg.count_above(w, (eps - r) / opnorm)
+    error = (float(w[keep]) * opnorm if keep < len(w) else 0.0) + r
+    bound = opnorm * value / (eps - r)
     return _assemble(a, basis, dec, keep, error, SUP_SPHERE, eps, bound,
                      value, math.inf, sol.iterations)
 

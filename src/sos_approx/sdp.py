@@ -4,9 +4,11 @@ The solver is a first-order operator-splitting scheme: each iteration
 projects onto the affine subspace {tr(A_l M) = lambda_l} (exactly, through
 the cached constraint Gram system) and onto the PSD cone (one Hermitian
 eigendecomposition), with the trace objective folded into the augmented
-splitting.  A plain alternating-projection phase handles feasibility
-testing and produces Farkas-type infeasibility certificates from the
-displacement vector between the two sets.
+splitting.  The same loop detects infeasibility: when the fiber misses the
+cone, the change in the scaled dual between checks converges to a Farkas
+ray (Banjac, Goulart, Stellato, Boyd 2019), which is eigenvalue-checked
+before it is returned as a certificate.  Only `sos_feasible` runs a plain
+alternating-projection phase first, for a cheap witness.
 """
 
 from __future__ import annotations
@@ -270,6 +272,7 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     Z = (warm / s if warm is not None else np.zeros((D, D))).astype(complex)
     U = np.zeros((D, D), dtype=complex)
     mu = np.zeros(constraints.k)
+    U_prev = None
     tol_primal = options.tol_primal * (1.0 + bnorm)
     y_out = np.zeros(constraints.k)
     dval = 0.0
@@ -298,13 +301,28 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
                     matrix=s * Z, objective=pval, dual=y_out, dual_objective=dval,
                     primal_residual=pres, gap=gap, status=SolveStatus.OPTIMAL,
                     iterations=it)
+            if pres > 50 * tol_primal and U_prev is not None:
+                cert = _certificate_from_gap(constraints, U - U_prev, options)
+                if cert is not None:
+                    return SdpSolution(
+                        matrix=np.zeros((D, D), dtype=complex), objective=math.nan,
+                        dual=cert.values, dual_objective=math.inf, primal_residual=pres,
+                        gap=math.inf, status=SolveStatus.INFEASIBLE, iterations=it,
+                        message="not a sum of squares from this basis; separating "
+                                "functional attached (its negation is an improving "
+                                "ray for the dual)",
+                        certificate=cert)
+            # a rho change rescales U, so the next difference would mix scales
+            U_prev = U.copy()
             if options.adapt_rho:
                 if r_split > 10.0 * s_dual and rho < 1e6:
                     rho *= 2.0
                     U /= 2.0
+                    U_prev = None
                 elif s_dual > 10.0 * r_split and rho > 1e-6:
                     rho /= 2.0
                     U *= 2.0
+                    U_prev = None
         else:
             Z = Z_new
     pval = s * float(np.trace(Z).real)
@@ -333,29 +351,8 @@ def sos_norm(a: Polynomial, basis: SquareBasis,
         sol = SdpSolution(zero, 0.0, np.zeros(constraints.k), 0.0, 0.0, 0.0,
                           SolveStatus.OPTIMAL, 0, message="zero polynomial")
         return 0.0, sol
-    # cheap warm start; also catches strong infeasibility early
-    phase = _feasibility_phase(constraints, options,
-                               cap=min(2000, options.feas_max_iter))
-    if phase.verdict == "infeasible":
-        return math.nan, _infeasible_solution(basis, phase)
-    sol = _trace_min(constraints, options, warm=phase.matrix)
-    if sol.status is SolveStatus.MAX_ITER:
-        # a stalled splitting solve may mean the fiber misses the cone
-        phase = _feasibility_phase(constraints, options, cap=options.feas_max_iter)
-        if phase.verdict == "infeasible":
-            return math.nan, _infeasible_solution(basis, phase)
+    sol = _trace_min(constraints, options)
     return sol.objective, sol
-
-
-def _infeasible_solution(basis: SquareBasis, phase: _PhaseResult) -> SdpSolution:
-    return SdpSolution(
-        matrix=np.zeros((basis.size, basis.size), dtype=complex),
-        objective=math.nan, dual=phase.certificate.values,
-        dual_objective=math.inf, primal_residual=phase.residual, gap=math.inf,
-        status=SolveStatus.INFEASIBLE, iterations=phase.iterations,
-        message="not a sum of squares from this basis; separating functional "
-                "attached (its negation is an improving ray for the dual)",
-        certificate=phase.certificate)
 
 
 def sos_feasible(a: Polynomial, basis: SquareBasis,
@@ -380,8 +377,10 @@ def sos_feasible(a: Polynomial, basis: SquareBasis,
                                  phase.iterations)
     # thin intersection: fall back to the splitting solver for a witness
     sol = _trace_min(constraints, options, warm=phase.matrix)
-    if sol.status is SolveStatus.OPTIMAL:
-        return FeasibilityResult(True, sol.matrix, None, sol.primal_residual,
+    if sol.status is not SolveStatus.MAX_ITER:
+        feasible = sol.status is SolveStatus.OPTIMAL
+        return FeasibilityResult(feasible, sol.matrix if feasible else None,
+                                 sol.certificate, sol.primal_residual,
                                  phase.iterations + sol.iterations)
     raise SolverError(
         f"feasibility test inconclusive (projection residual {phase.residual:.3e}, "

@@ -18,7 +18,7 @@ from sos_approx.approx import (
 )
 from sos_approx.gram import NoCertifiedBoundError, SquareBasis, gram_map, square_basis
 from sos_approx.poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares, variables
-from sos_approx.sdp import sos_norm
+from sos_approx.sdp import SolverError, sos_norm
 
 
 def test_strict_cap_semantics():
@@ -117,14 +117,17 @@ def test_flat_spectrum_truncation_matches_proof_count():
 def test_approximate_generic_free_agrees_with_direct_route(rng):
     # the solver-based pipeline and the read-off pipeline share the same
     # unique Gram matrix, so the certificates must coincide
+    # (up to the solver's residual, which the declared error must cover
+    # also when every square is kept)
     a, basis = random_sos(rng, FREE, 2, 2, 2)
-    eps = 0.4 * free_trace_oracle(a, basis)
-    via_solver = approximate(a, basis, eps)
-    direct = approximate_free(a, eps)
-    assert via_solver.norm == direct.norm == "coeff-2-norm"
-    assert via_solver.rank == direct.rank
-    assert via_solver.error == pytest.approx(direct.error, abs=1e-7)
-    assert not via_solver.verify()
+    for frac in (0.4, 0.05):
+        eps = frac * free_trace_oracle(a, basis)
+        via_solver = approximate(a, basis, eps)
+        direct = approximate_free(a, eps)
+        assert via_solver.norm == direct.norm == "coeff-2-norm"
+        assert via_solver.rank == direct.rank
+        assert via_solver.error == pytest.approx(direct.error, abs=1e-7)
+        assert not via_solver.verify()
 
 
 def test_approximate_commutative_full_truncation(rng):
@@ -135,6 +138,12 @@ def test_approximate_commutative_full_truncation(rng):
     assert cert.error <= value * 1.01
     assert cert.norm == "sup-sphere"
     assert not cert.approximation
+    # keeping every square leaves only the solver's residual, which the
+    # declared error must still cover
+    cert = approximate(a, basis, eps=0.5)
+    assert not cert.verify(sample_points=2000)
+    with pytest.raises(SolverError):
+        approximate(a, basis, eps=1e-12)   # below that residual
 
 
 def test_approximate_sphere_monomial_square_sums():

@@ -50,13 +50,17 @@ def test_square_gives_rank_one_value(rng):
 
 
 def test_solution_matrix_reproduces_input(rng):
-    a, basis = random_sos(rng, COMMUTATIVE, 3, 2, 3)
-    value, sol = sos_norm(a, basis)
-    assert sol.status is SolveStatus.OPTIMAL
-    residual = (gram_map(sol.matrix, basis) - a).coeff_two_norm()
-    assert residual <= 1e-7 * (1 + a.coeff_two_norm())
-    w = linalg.eig_hermitian(sol.matrix).eigenvalues
-    assert w.min() >= -1e-8 * (1 + abs(w).max())
+    # low ranks give thin intersections (no Slater point): the infeasibility
+    # test inside the solver must not fire on them
+    for d in (1, 2, 3):
+        for r in (1, 2, 3):
+            a, basis = random_sos(rng, COMMUTATIVE, 3, d, r)
+            value, sol = sos_norm(a, basis)
+            assert sol.status is SolveStatus.OPTIMAL, (d, r, sol.message)
+            residual = (gram_map(sol.matrix, basis) - a).coeff_two_norm()
+            assert residual <= 1e-7 * (1 + a.coeff_two_norm())
+            w = linalg.eig_hermitian(sol.matrix).eigenvalues
+            assert w.min() >= -1e-8 * (1 + abs(w).max())
 
 
 def test_zero_polynomial():
@@ -87,7 +91,12 @@ def test_feasible_monomial_square_sums():
         assert linalg.eig_hermitian(result.witness).eigenvalues.min() >= -1e-10
 
 
-def test_indefinite_rejected_with_certificate():
+MOTZKIN = {(4, 2, 0): 1, (2, 4, 0): 1, (0, 0, 6): 1, (2, 2, 2): -3}
+ROBINSON = {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1, (4, 2, 0): -1, (2, 4, 0): -1,
+            (4, 0, 2): -1, (2, 0, 4): -1, (0, 4, 2): -1, (0, 2, 4): -1, (2, 2, 2): 3}
+
+
+def test_indefinite_rejected_with_certificate(monkeypatch):
     x1, x2, _ = variables(COMMUTATIVE, 3)
     a = x1 * x1 - x2 * x2
     basis = square_basis(COMMUTATIVE, 3, 1)
@@ -101,8 +110,33 @@ def test_indefinite_rejected_with_certificate():
     assert cert.objective < -1e-8
     value, sol = sos_norm(a, basis)
     assert sol.status is SolveStatus.INFEASIBLE and math.isnan(value)
+    # a projection phase too short to conclude leaves the answer to the solver
+    short = sos_feasible(a, basis, SolverOptions(feas_max_iter=10))
+    assert not short.feasible and short.certificate.objective < 0
     # the improving ray makes the dual unbounded
     assert dual_bound(a, basis) == math.inf
+    # nonnegative forms that are not sums of squares: the splitting solver
+    # must find the separating functional itself, well before its cap
+    eig_calls = [0]
+    eig = linalg.eig_hermitian
+
+    def counted(M):
+        eig_calls[0] += 1
+        return eig(M)
+
+    monkeypatch.setattr(linalg, "eig_hermitian", counted)
+    basis3 = square_basis(COMMUTATIVE, 3, 3)
+    for coeffs in (MOTZKIN, ROBINSON):
+        form = Polynomial(COMMUTATIVE, 3, coeffs)
+        eig_calls[0] = 0
+        value, sol = sos_norm(form, basis3)
+        assert sol.status is SolveStatus.INFEASIBLE and math.isnan(value)
+        assert eig_calls[0] < 5000
+        cons = build_constraints(form, basis3)
+        y = sol.certificate.values
+        w = np.linalg.eigvalsh(cons.adjoint(y))
+        assert w.min() >= -1e-8 * np.abs(w).max()
+        assert cons.targets @ y < 0
 
 
 def test_scaling_homogeneity(rng):

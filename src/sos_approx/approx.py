@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
+from .linalg import strict_cap
 from .gram import (
     SquareBasis,
     build_constraints,
@@ -50,20 +51,26 @@ class NotSosError(ValueError):
         self.certificate = certificate
 
 
-def strict_cap(bound: float) -> int:
-    """Largest integer strictly below `bound` (values snapped to nearby integers).
+class _Squares:
+    """Squares q_i stored as coefficient vectors over `basis`, and their sum."""
 
-    "fewer than bound" bounds become this integer cap; -1 means even zero
-    squares are not covered by the bound (only possible for bound <= 0).
-    """
-    snapped = round(bound)
-    if abs(bound - snapped) <= 1e-9 * max(1.0, abs(snapped)):
-        bound = float(snapped)
-    return math.ceil(bound) - 1
+    def square_polynomials(self) -> list[Polynomial]:
+        out = []
+        for c in self.squares:
+            coeffs = {t: v for t, v in zip(self.basis.terms, c) if v != 0}
+            out.append(Polynomial(self.basis.flavor, self.basis.n_vars, coeffs))
+        return out
+
+    def reassembled(self) -> Polynomial:
+        """sum_i q_i* q_i."""
+        total = Polynomial.zero(self.basis.flavor, self.basis.n_vars)
+        for q in self.square_polynomials():
+            total = total + q.involution() * q
+        return total
 
 
 @dataclass
-class SosCertificate:
+class SosCertificate(_Squares):
     """An approximate decomposition a' = sum q_i* q_i near a, with guarantees."""
 
     input: Polynomial
@@ -82,19 +89,6 @@ class SosCertificate:
     @property
     def rank(self) -> int:
         return len(self.squares)
-
-    def square_polynomials(self) -> list[Polynomial]:
-        out = []
-        for c in self.squares:
-            coeffs = {t: v for t, v in zip(self.basis.terms, c) if v != 0}
-            out.append(Polynomial(self.basis.flavor, self.basis.n_vars, coeffs))
-        return out
-
-    def reassembled(self) -> Polynomial:
-        total = Polynomial.zero(self.basis.flavor, self.basis.n_vars)
-        for q in self.square_polynomials():
-            total = total + q.involution() * q
-        return total
 
     def verify(self, sample_points: int = 0) -> list[str]:
         """Re-check every certificate invariant; returns a list of violations."""
@@ -295,7 +289,7 @@ def approximate_sphere(p: Polynomial, eps: float,
 
 
 @dataclass
-class PythagorasWitness:
+class PythagorasWitness(_Squares):
     """An exact decomposition with at most ceil(sqrt(dim V*V)) squares."""
 
     count: int
@@ -304,13 +298,6 @@ class PythagorasWitness:
     bound: int
     residual: float
     message: str = ""
-
-    def square_polynomials(self) -> list[Polynomial]:
-        out = []
-        for c in self.squares:
-            coeffs = {t: v for t, v in zip(self.basis.terms, c) if v != 0}
-            out.append(Polynomial(self.basis.flavor, self.basis.n_vars, coeffs))
-        return out
 
 
 def pythagoras_upper_bound(a: Polynomial, basis: SquareBasis,
@@ -351,15 +338,8 @@ def pythagoras_upper_bound(a: Polynomial, basis: SquareBasis,
             message = f"rank reduction stalled at rank {exc.achieved_rank}: {exc}"
         squares = [c.conj() for c in linalg.low_rank_factor(M0)]
     witness = PythagorasWitness(len(squares), squares, basis, bound, 0.0, message)
-    witness.residual = (witness_reassembly(witness) - a).coeff_two_norm()
+    witness.residual = (witness.reassembled() - a).coeff_two_norm()
     return witness
-
-
-def witness_reassembly(witness: PythagorasWitness) -> Polynomial:
-    total = Polynomial.zero(witness.basis.flavor, witness.basis.n_vars)
-    for q in witness.square_polynomials():
-        total = total + q.involution() * q
-    return total
 
 
 @dataclass

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import approx as approx_mod
 from . import linalg, poly, sdp
-from .gram import square_basis
+from .gram import free_gram_trace, square_basis
 from .poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares
 
 EXIT_OK = 0
@@ -96,10 +96,6 @@ def solver_options(args: argparse.Namespace) -> sdp.SolverOptions:
         raise CliError(EXIT_USAGE, str(exc)) from exc
 
 
-def _free_closed_form(p: Polynomial, basis) -> float:
-    return float(sum(p.coefficient(w[::-1] + w) for w in basis.terms).real)
-
-
 def cmd_sos_norm(args: argparse.Namespace) -> int:
     p = _load_polynomial(args.input)
     basis = _homogeneous_basis(p)
@@ -115,7 +111,7 @@ def cmd_sos_norm(args: argparse.Namespace) -> int:
         "method": "sdp",
     }
     if p.flavor == FREE and sol.status is not sdp.SolveStatus.INFEASIBLE:
-        closed = _free_closed_form(p, basis)
+        closed = free_gram_trace(p, basis)
         report.update(value=closed, method="closed-form (free)",
                       solver_value=value)
     if sol.status is sdp.SolveStatus.INFEASIBLE:

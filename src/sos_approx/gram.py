@@ -10,7 +10,6 @@ inverts it by splitting each word in the middle.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,8 +17,6 @@ from itertools import product as _iproduct
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
 
 from .poly import (
     COMMUTATIVE,
@@ -186,6 +183,12 @@ def gram_preimage_free(p: Polynomial, d: int) -> np.ndarray:
     return M
 
 
+def free_gram_trace(p: Polynomial, basis: SquareBasis) -> float:
+    """Closed-form sos-norm of a free polynomial: the trace of its unique Gram
+    matrix, i.e. the sum of its coefficients on the words w* w."""
+    return float(sum(p.coefficient(w[::-1] + w) for w in basis.terms).real)
+
+
 # -- constraint form ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -213,9 +216,9 @@ class HermitianBasisElement:
 class GramConstraints:
     """Trace equations tr(A_l M) = lambda_l encoding G_v(M) = a.
 
-    The A_l are Hermitian with pairwise disjoint or orthogonal supports, so
-    the normal system <A_l, A_m> is diagonal for canonical bases; a Cholesky
-    fallback covers externally supplied systems.
+    The A_l are Hermitian with pairwise disjoint supports, or share one
+    support pair with purely imaginary overlap ("re" and "im" of one term),
+    so the real normal system Re<A_l, A_m> is diagonal for every basis.
     """
 
     def __init__(self, basis: SquareBasis, omegas: tuple[HermitianBasisElement, ...],
@@ -258,94 +261,17 @@ class GramConstraints:
         return float(np.linalg.norm(self.apply(M) - self.targets))
 
     @cached_property
-    def _normal_solver(self):
-        S = sp.csr_matrix(
-            (self.vals, (self.seg, self.rows * self.dim + self.cols)),
-            shape=(self.k, self.dim * self.dim))
-        G = (S @ S.conj().T).toarray().real
-        diag = np.diag(G).copy()
-        off = G - np.diag(diag)
-        if np.abs(off).max(initial=0.0) <= 1e-12 * max(diag.max(initial=1.0), 1.0):
-            return ("diag", diag)
-        return ("chol", cho_factor(G))
+    def _normal_diag(self) -> np.ndarray:
+        return np.bincount(self.seg, weights=np.abs(self.vals) ** 2, minlength=self.k)
 
     def solve_normal(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve <A, A*> mu = rhs (the constraint Gram system)."""
-        kind, data = self._normal_solver
-        if kind == "diag":
-            return rhs / data
-        return cho_solve(data, rhs)
+        """Solve <A, A*> mu = rhs (the constraint Gram system, diagonal)."""
+        return rhs / self._normal_diag
 
     def project_affine(self, W: np.ndarray) -> np.ndarray:
         """Orthogonal projection of Hermitian W onto {M : tr(A_l M) = lambda_l}."""
         mu = self.solve_normal(self.apply(W) - self.targets)
         return W - self.adjoint(mu)
-
-    # -- JSON interchange (matrices in coordinate form) -----------------------
-
-    def to_dict(self) -> dict:
-        groups: list[dict] = []
-        for l in range(self.k):
-            sel = self.seg == l
-            entries = [[int(r), int(c), v.real, v.imag]
-                       for r, c, v in zip(self.rows[sel], self.cols[sel], self.vals[sel])]
-            om = self.omegas[l]
-            groups.append({
-                "omega": {"kind": om.kind, "term": _encode_term(self.basis.flavor, om.term)},
-                "target": float(self.targets[l]),
-                "entries": entries,
-            })
-        return {
-            "flavor": self.basis.flavor,
-            "n_vars": self.basis.n_vars,
-            "degree": self.basis.degree,
-            "dim": self.dim,
-            "scale": self.basis.scale,
-            "constraints": groups,
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GramConstraints":
-        basis = SquareBasis(
-            data["flavor"], int(data["n_vars"]), int(data["degree"]),
-            _enumerate_terms(data["flavor"], int(data["n_vars"]), int(data["degree"])),
-            float(data.get("scale", 1.0)))
-        if basis.size != int(data["dim"]):
-            raise ValueError("dim does not match the canonical basis size")
-        omegas, targets = [], []
-        rows, cols, vals, seg = [], [], [], []
-        for l, group in enumerate(data["constraints"]):
-            om = group["omega"]
-            omegas.append(HermitianBasisElement(
-                om["kind"], _decode_term(basis.flavor, om["term"])))
-            targets.append(float(group["target"]))
-            for r, c, re, im in group["entries"]:
-                rows.append(int(r))
-                cols.append(int(c))
-                vals.append(complex(re, im))
-                seg.append(l)
-        return cls(basis, tuple(omegas), np.array(targets, dtype=float),
-                   np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                   np.array(vals, dtype=complex), np.array(seg, dtype=np.int64))
-
-    @classmethod
-    def from_json(cls, text: str) -> "GramConstraints":
-        return cls.from_dict(json.loads(text))
-
-
-def _encode_term(flavor: str, term: Term):
-    if flavor == COMMUTATIVE:
-        return list(term)
-    return " ".join(f"z{s + 1}" for s in term)
-
-
-def _decode_term(flavor: str, enc) -> Term:
-    if flavor == COMMUTATIVE:
-        return tuple(int(e) for e in enc)
-    return tuple(int(tok[1:]) - 1 for tok in enc.split())
 
 
 def build_constraints(a: Polynomial, basis: SquareBasis,

@@ -1,14 +1,12 @@
 """Hermitian eigendecomposition, Schatten norms, PSD checks, spectral truncation.
 
-The default eigensolver is LAPACK via numpy; a pure-numpy cyclic Jacobi
-implementation is kept as a reference backend (env SOS_APPROX_EIG_BACKEND=jacobi
-or backend="jacobi") and is cross-validated against it in the test suite.
+Eigendecompositions go through LAPACK via numpy; the test suite
+cross-validates it against an independent cyclic Jacobi solver.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,75 +58,19 @@ class SpectralDecomposition:
         return (V * lam) @ V.conj().T
 
 
-def eig_hermitian(M: np.ndarray, backend: str | None = None) -> SpectralDecomposition:
+def eig_hermitian(M: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending.
 
-    Ties keep the solver's eigenvector order (stable sort), so truncation is
-    deterministic for a fixed backend.
+    Ties keep LAPACK's eigenvector order (stable sort), so truncation is
+    deterministic.
     """
     H = require_hermitian(M)
-    backend = backend or os.environ.get("SOS_APPROX_EIG_BACKEND", "lapack")
-    if backend == "lapack":
-        try:
-            w, V = np.linalg.eigh(H)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergenceError(f"eigh did not converge: {exc}") from exc
-    elif backend == "jacobi":
-        w, V = jacobi_eigh(H)
-    else:
-        raise ValueError(f"unknown eigensolver backend {backend!r}")
+    try:
+        w, V = np.linalg.eigh(H)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"eigh did not converge: {exc}") from exc
     order = np.argsort(-w, kind="stable")
     return SpectralDecomposition(w[order].astype(float), np.ascontiguousarray(V[:, order]))
-
-
-def jacobi_eigh(H: np.ndarray, tol: float = 1e-14,
-                max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic complex Jacobi eigensolver (reference implementation).
-
-    Rotates away off-diagonal entries in row-major cyclic order until the
-    off-diagonal Frobenius mass falls below tol * ||H||_F.  Deterministic;
-    quadratically convergent once nearly diagonal.
-    """
-    A = np.array(H, dtype=complex)
-    n = A.shape[0]
-    V = np.eye(n, dtype=complex)
-    norm = np.linalg.norm(A)
-    if n == 1 or norm == 0.0:
-        return np.diag(A).real.copy(), V
-    for _ in range(max_sweeps):
-        # direct off-diagonal mass; the norm(A)^2 - norm(diag)^2 form cancels
-        # catastrophically once nearly diagonal
-        off = float(np.linalg.norm(A - np.diag(np.diag(A))))
-        if off <= tol * norm:
-            return np.diag(A).real.copy(), V
-        # skipped entries leave off(A) well under tol*norm
-        threshold = 0.1 * tol * norm / n
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= threshold:
-                    continue
-                app = A[p, p].real
-                aqq = A[q, q].real
-                # unitary 2x2 rotation diagonalizing [[app, apq], [apq*, aqq]]
-                phase = apq / abs(apq)
-                tau = (aqq - app) / (2.0 * abs(apq))
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c * phase
-                rot_p = c * A[:, p] - np.conj(s) * A[:, q]
-                rot_q = s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = rot_p, rot_q
-                rot_p = c * A[p, :] - s * A[q, :]
-                rot_q = np.conj(s) * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = rot_p, rot_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                rot_p = c * V[:, p] - np.conj(s) * V[:, q]
-                rot_q = s * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = rot_p, rot_q
-    raise NonConvergenceError(
-        f"Jacobi sweeps did not converge after {max_sweeps} sweeps")
 
 
 def schatten_norm(M: np.ndarray, p: float) -> float:
@@ -161,6 +103,18 @@ def clipped_spectrum(M: np.ndarray, noise_rel: float = PSD_NOISE_REL) -> Spectra
     return SpectralDecomposition(np.maximum(w, 0.0), dec.eigenvectors)
 
 
+def strict_cap(bound: float) -> int:
+    """Largest integer strictly below `bound` (values snapped to nearby integers).
+
+    "fewer than bound" bounds become this integer cap; -1 means even zero
+    squares are not covered by the bound (only possible for bound <= 0).
+    """
+    snapped = round(bound)
+    if abs(bound - snapped) <= 1e-9 * max(1.0, abs(snapped)):
+        bound = float(snapped)
+    return math.ceil(bound) - 1
+
+
 def truncation_count(trace: float, eps: float, p: float) -> int:
     """Number of leading eigenvalues the rank-reduction proof keeps (p < inf).
 
@@ -177,11 +131,7 @@ def truncation_count(trace: float, eps: float, p: float) -> int:
     log_x = (p / (p - 1.0)) * (math.log(trace) - math.log(eps))
     if log_x > 100:          # far beyond any representable dimension
         return 2 ** 63 - 1
-    x = math.exp(log_x)
-    snapped = round(x)
-    if abs(x - snapped) <= 1e-9 * max(1.0, abs(snapped)):
-        x = float(snapped)
-    return max(0, math.ceil(x) - 1)
+    return max(0, strict_cap(math.exp(log_x)))
 
 
 def count_above(values: np.ndarray, eps: float) -> int:

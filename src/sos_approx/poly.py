@@ -10,6 +10,7 @@ estimates) used for commutative polynomials.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from itertools import product as _iproduct
@@ -93,6 +94,8 @@ class Polynomial:
         clean: dict[Term, complex] = {}
         for term, c in (coeffs or {}).items():
             c = complex(c)
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient {c} of term {term} is not finite")
             if c != 0:
                 clean[_validate_term(flavor, n_vars, term)] = c
         object.__setattr__(self, "flavor", flavor)

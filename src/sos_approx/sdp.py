@@ -60,7 +60,6 @@ class SolverOptions:
     check_every: int = 25
     rho: float = 1.0
     over_relax: float = 1.6
-    adapt_rho: bool = True
     stall_window: int = 400         # feasibility iterations before testing a certificate
     certificate_psd_tol: float = 1e-8
     certificate_value_tol: float = 1e-6
@@ -74,13 +73,7 @@ class SolverOptions:
             if name not in valid:
                 raise ValueError(f"unknown solver option {key!r}")
             current = getattr(opts, name)
-            if isinstance(current, bool):
-                value: object = str(raw).strip().lower() in ("1", "true", "yes", "on")
-            elif isinstance(current, int):
-                value = int(raw)
-            else:
-                value = float(raw)
-            setattr(opts, name, value)
+            setattr(opts, name, int(raw) if isinstance(current, int) else float(raw))
         return opts
 
 
@@ -106,7 +99,6 @@ class DualFunctional:
     values: np.ndarray
     objective: float            # phi(a) = targets . values
     psd_margin: float           # lambda_min(I - Phi); >= 0 means feasible for (D)
-    sample_margin: float        # min over sampled unit v of |v|^2 - phi(v* v)
 
 
 @dataclass
@@ -147,35 +139,22 @@ class FeasibilityResult:
         return self.feasible
 
 
-def _validate_input(a: Polynomial, basis: SquareBasis) -> None:
-    if a and (not a.is_homogeneous() or a.degree() != 2 * basis.degree):
-        raise ValueError(f"polynomial must be homogeneous of degree {2 * basis.degree}")
-
-
-def _dual_shifted(constraints: GramConstraints, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Scale y so that sum_l y_l A_l <= I holds, then evaluate the bound."""
+def _dual_shifted(constraints: GramConstraints, targets: np.ndarray,
+                  y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Scale y so that sum_l y_l A_l <= I holds, then evaluate the bound at targets."""
     if not np.any(y):
         return y, 0.0
     Phi = constraints.adjoint(y)
     top = float(linalg.eig_hermitian(Phi).eigenvalues[0])
     if top > 1.0:
         y = y / top
-    return y, float(constraints.targets @ y)
+    return y, float(targets @ y)
 
 
-def _functional_margins(constraints: GramConstraints, y: np.ndarray,
-                        samples: int = 64) -> tuple[float, float]:
-    Phi = constraints.adjoint(y)
-    w = linalg.eig_hermitian(Phi).eigenvalues
-    psd_margin = 1.0 - float(w[0]) if len(w) else 1.0
-    rng = np.random.default_rng(20240901)
-    D = constraints.dim
-    worst = math.inf
-    for _ in range(samples):
-        c = rng.standard_normal(D) + 1j * rng.standard_normal(D)
-        c /= np.linalg.norm(c)
-        worst = min(worst, 1.0 - float((c.conj() @ Phi @ c).real))
-    return psd_margin, worst
+def _functional_margins(constraints: GramConstraints, y: np.ndarray) -> float:
+    """lambda_min(I - sum_l y_l A_l); >= 0 means y is feasible for the dual."""
+    w = linalg.eig_hermitian(constraints.adjoint(y)).eigenvalues
+    return 1.0 - float(w[0]) if len(w) else 1.0
 
 
 def _certificate_from_gap(constraints: GramConstraints, v: np.ndarray,
@@ -202,8 +181,7 @@ def _certificate_from_gap(constraints: GramConstraints, v: np.ndarray,
         return None
     if value > -options.certificate_value_tol * scale * (1.0 + np.linalg.norm(constraints.targets)):
         return None
-    return DualFunctional(values=y, objective=value,
-                          psd_margin=float(w[-1]), sample_margin=float(w[-1]))
+    return DualFunctional(values=y, objective=value, psd_margin=float(w[-1]))
 
 
 @dataclass
@@ -259,11 +237,6 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     bnorm = float(np.linalg.norm(b))
     s = bnorm if bnorm > 1e-300 else 1.0
     bh = b / s
-    scaled = GramConstraints(constraints.basis, constraints.omegas, bh,
-                             constraints.rows, constraints.cols,
-                             constraints.vals, constraints.seg)
-    # reuse the cached normal-system factorization; only targets differ
-    scaled.__dict__["_normal_solver"] = constraints._normal_solver
 
     D = constraints.dim
     eye = np.eye(D, dtype=complex)
@@ -281,8 +254,8 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     it = 0
     for it in range(1, options.max_iter + 1):
         V = Z - U - eye / rho
-        mu = scaled.solve_normal(scaled.apply(V) - bh)
-        X = V - scaled.adjoint(mu)
+        mu = constraints.solve_normal(constraints.apply(V) - bh)
+        X = V - constraints.adjoint(mu)
         Xr = alpha * X + (1.0 - alpha) * Z
         dec = linalg.eig_hermitian(Xr + U)
         Z_new = dec.matrix_from(dec.eigenvalues > 0.0)
@@ -291,9 +264,9 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
             r_split = float(np.linalg.norm(X - Z_new))
             s_dual = rho * float(np.linalg.norm(Z_new - Z))
             Z = Z_new
-            pres = s * float(np.linalg.norm(scaled.apply(Z) - bh))
+            pres = s * float(np.linalg.norm(constraints.apply(Z) - bh))
             pval = s * float(np.trace(Z).real)
-            y_out, dval_h = _dual_shifted(scaled, -rho * mu)
+            y_out, dval_h = _dual_shifted(constraints, bh, -rho * mu)
             dval = s * dval_h
             gap = pval - dval
             if pres <= tol_primal and abs(gap) <= options.tol_gap * (1.0 + abs(pval)):
@@ -314,15 +287,14 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
                         certificate=cert)
             # a rho change rescales U, so the next difference would mix scales
             U_prev = U.copy()
-            if options.adapt_rho:
-                if r_split > 10.0 * s_dual and rho < 1e6:
-                    rho *= 2.0
-                    U /= 2.0
-                    U_prev = None
-                elif s_dual > 10.0 * r_split and rho > 1e-6:
-                    rho /= 2.0
-                    U *= 2.0
-                    U_prev = None
+            if r_split > 10.0 * s_dual and rho < 1e6:
+                rho *= 2.0
+                U /= 2.0
+                U_prev = None
+            elif s_dual > 10.0 * r_split and rho > 1e-6:
+                rho /= 2.0
+                U *= 2.0
+                U_prev = None
         else:
             Z = Z_new
     pval = s * float(np.trace(Z).real)
@@ -344,7 +316,6 @@ def sos_norm(a: Polynomial, basis: SquareBasis,
     reported with residuals, never silently coerced.
     """
     options = options or SolverOptions()
-    _validate_input(a, basis)
     constraints = build_constraints(a, basis)
     if not np.any(constraints.targets):
         zero = np.zeros((basis.size, basis.size), dtype=complex)
@@ -363,7 +334,6 @@ def sos_feasible(a: Polynomial, basis: SquareBasis,
     an unresolved solve raises SolverError instead of guessing.
     """
     options = options or SolverOptions()
-    _validate_input(a, basis)
     constraints = build_constraints(a, basis)
     if not np.any(constraints.targets):
         return FeasibilityResult(
@@ -411,9 +381,8 @@ def dual_functional(a: Polynomial, basis: SquareBasis,
     if sol.status is not SolveStatus.OPTIMAL:
         raise SolverError("no dual functional: " + sol.message, sol)
     constraints = build_constraints(a, basis)
-    psd_margin, sample_margin = _functional_margins(constraints, sol.dual)
     return DualFunctional(values=sol.dual, objective=sol.dual_objective,
-                          psd_margin=psd_margin, sample_margin=sample_margin)
+                          psd_margin=_functional_margins(constraints, sol.dual))
 
 
 # -- rank reduction -------------------------------------------------------------

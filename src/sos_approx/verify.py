@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import approx, linalg, sdp
-from .gram import build_constraints, gram_map, gram_preimage_free, square_basis
+from .gram import build_constraints, free_gram_trace, gram_map, gram_preimage_free, square_basis
 from .poly import COMMUTATIVE, FREE, Polynomial, sphere_lattice, sum_of_monomial_squares, sup_norm_sphere
 
 
@@ -155,7 +155,7 @@ def run_property_suite(seed: int, options: sdp.SolverOptions | None = None,
     worst = 0.0
     for _ in range(10):
         a, basis = random_sos(rng, FREE, 2, 2, 2)
-        closed = float(sum(a.coefficient(w[::-1] + w) for w in basis.terms).real)
+        closed = free_gram_trace(a, basis)
         value, _sol = sdp.sos_norm(a, basis, options)
         worst = max(worst, abs(value - closed) / max(1.0, closed))
     record("free_closed_form", worst, 1e-6)
@@ -195,7 +195,7 @@ def run_property_suite(seed: int, options: sdp.SolverOptions | None = None,
     worst = 0.0
     for _ in range(3):
         a, basis = random_sos(rng, FREE, 2, 2, 2)
-        trace = float(sum(a.coefficient(w[::-1] + w) for w in basis.terms).real)
+        trace = free_gram_trace(a, basis)
         cert = approx.approximate_free(a, 0.25 * trace)
         worst = max(worst, float(len(cert.verify())))
         b, basis_c = random_sos(rng, COMMUTATIVE, 3, 2, 2)

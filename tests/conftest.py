@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sos_approx.gram import square_basis
 from sos_approx.poly import Polynomial
+from sos_approx.verify import random_hermitian, random_psd, random_sos  # noqa: F401
 
 
 @pytest.fixture
@@ -10,31 +10,10 @@ def rng():
     return np.random.default_rng(20240901)
 
 
-def random_hermitian(rng, dim):
-    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (A + A.conj().T) / 2.0
-
-
-def random_psd(rng, dim, rank=None):
-    rank = rank or dim
-    A = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    return A @ A.conj().T
-
-
 def random_square(rng, basis):
     c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     return Polynomial(basis.flavor, basis.n_vars,
                       {t: v for t, v in zip(basis.terms, c)})
-
-
-def random_sos(rng, flavor, n, d, r):
-    """Sum of r random squares from the canonical degree-d basis."""
-    basis = square_basis(flavor, n, d)
-    total = Polynomial.zero(flavor, n)
-    for _ in range(r):
-        q = random_square(rng, basis)
-        total = total + q.involution() * q
-    return total, basis
 
 
 def free_trace_oracle(p, basis):

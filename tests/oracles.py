@@ -1,12 +1,16 @@
 """Independent desk-scale oracles used only by the test suite.
 
 These recompute expected values through routes the library does not take:
-exhaustive grid scans of tiny Gram spectrahedra and direct coefficient sums.
+exhaustive grid scans of tiny Gram spectrahedra, direct coefficient sums and
+a cyclic Jacobi eigensolver checked against LAPACK.
 """
+
+import math
 
 import numpy as np
 
 from sos_approx.gram import gram_preimage_free
+from sos_approx.linalg import NonConvergenceError
 
 
 def min_rank_two_vars_degree_one(a, grid=2001, span=3.0, psd_tol=1e-12,
@@ -44,3 +48,53 @@ def free_pythagoras_number(p, d):
     if w.min() < -1e-9 * max(abs(w).max(), 1e-30):
         return None
     return int((w > 1e-9 * max(w.max(), 1e-30)).sum())
+
+
+def jacobi_eigh(H: np.ndarray, tol: float = 1e-14,
+                max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic complex Jacobi eigensolver (reference implementation).
+
+    Rotates away off-diagonal entries in row-major cyclic order until the
+    off-diagonal Frobenius mass falls below tol * ||H||_F.  Deterministic;
+    quadratically convergent once nearly diagonal.
+    """
+    A = np.array(H, dtype=complex)
+    n = A.shape[0]
+    V = np.eye(n, dtype=complex)
+    norm = np.linalg.norm(A)
+    if n == 1 or norm == 0.0:
+        return np.diag(A).real.copy(), V
+    for _ in range(max_sweeps):
+        # direct off-diagonal mass; the norm(A)^2 - norm(diag)^2 form cancels
+        # catastrophically once nearly diagonal
+        off = float(np.linalg.norm(A - np.diag(np.diag(A))))
+        if off <= tol * norm:
+            return np.diag(A).real.copy(), V
+        # skipped entries leave off(A) well under tol*norm
+        threshold = 0.1 * tol * norm / n
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) <= threshold:
+                    continue
+                app = A[p, p].real
+                aqq = A[q, q].real
+                # unitary 2x2 rotation diagonalizing [[app, apq], [apq*, aqq]]
+                phase = apq / abs(apq)
+                tau = (aqq - app) / (2.0 * abs(apq))
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c * phase
+                rot_p = c * A[:, p] - np.conj(s) * A[:, q]
+                rot_q = s * A[:, p] + c * A[:, q]
+                A[:, p], A[:, q] = rot_p, rot_q
+                rot_p = c * A[p, :] - s * A[q, :]
+                rot_q = np.conj(s) * A[p, :] + c * A[q, :]
+                A[p, :], A[q, :] = rot_p, rot_q
+                A[p, q] = 0.0
+                A[q, p] = 0.0
+                rot_p = c * V[:, p] - np.conj(s) * V[:, q]
+                rot_q = s * V[:, p] + c * V[:, q]
+                V[:, p], V[:, q] = rot_p, rot_q
+    raise NonConvergenceError(
+        f"Jacobi sweeps did not converge after {max_sweeps} sweeps")

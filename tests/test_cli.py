@@ -60,6 +60,12 @@ def test_parse_error_exit_codes(tmp_path):
     assert cli.main(["sos-norm", "--input", str(missing)]) == 2
     odd = write_poly(tmp_path, Polynomial.variable(COMMUTATIVE, 2, 0), "odd.json")
     assert cli.main(["sos-norm", "--input", odd]) == 2
+    for literal in ("Infinity", "NaN"):
+        non_finite = tmp_path / "non_finite.json"
+        non_finite.write_text('{"flavor": "commutative", "n_vars": 2, "terms": '
+                              '[{"term": [2, 0], "re": %s}, {"term": [0, 2], "re": 1}]}'
+                              % literal)
+        assert cli.main(["sos-norm", "--input", str(non_finite), "--max-iter", "50"]) == 2
 
 
 def test_approx_command_roundtrip(tmp_path, rng):

@@ -6,7 +6,6 @@ import pytest
 from conftest import random_hermitian, random_sos
 from sos_approx.gram import (
     BasisSizeError,
-    GramConstraints,
     NoCertifiedBoundError,
     NotHermitianError,
     SquareBasis,
@@ -224,11 +223,16 @@ def test_gram_evaluation_bounded_by_spectral_norm(rng):
         assert vals.max() <= schatten_norm(M, math.inf) + 1e-9
 
 
-def test_constraints_json_roundtrip(rng):
-    a, basis = random_sos(rng, FREE, 2, 2, 2)
-    cons = build_constraints(a, basis)
-    clone = GramConstraints.from_json(cons.to_json())
-    assert clone.k == cons.k
-    M = random_hermitian(rng, basis.size)
-    assert np.allclose(clone.apply(M), cons.apply(M), atol=1e-12)
-    assert np.allclose(clone.targets, cons.targets, atol=0)
+def test_solve_normal_exact_for_noncanonical_bases(rng):
+    # the normal system is diagonal for every basis, so apply o adjoint is
+    # inverted exactly also off the canonical one
+    for flavor, n, d in ((COMMUTATIVE, 3, 2), (FREE, 2, 2)):
+        canonical = square_basis(flavor, n, d)
+        subset = canonical.terms[::2]
+        for basis in (SquareBasis(flavor, n, d, canonical.terms, scale=1.7),
+                      SquareBasis(flavor, n, d, subset)):
+            M = random_hermitian(rng, basis.size)
+            cons = build_constraints(gram_map(M, basis), basis)
+            r = rng.standard_normal(cons.k)
+            back = cons.apply(cons.adjoint(cons.solve_normal(r)))
+            assert np.abs(back - r).max() <= 1e-12 * np.abs(r).max()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian, random_psd
+from oracles import jacobi_eigh
 from sos_approx.gram import gram_map, square_basis
 from sos_approx.linalg import (
     NotPsdError,
@@ -11,7 +12,6 @@ from sos_approx.linalg import (
     eig_hermitian,
     hermitian_from_dict,
     hermitian_to_dict,
-    jacobi_eigh,
     low_rank_factor,
     numerical_rank,
     psd_part,
@@ -63,15 +63,6 @@ def test_jacobi_matches_lapack(rng):
         assert np.allclose(np.sort(w_j), w_l, atol=1e-10 * max(1, np.abs(w_l).max()))
         assert np.abs(V_j.conj().T @ V_j - np.eye(dim)).max() <= 1e-10
         assert np.abs((V_j * w_j) @ V_j.conj().T - M).max() <= 1e-9
-
-
-def test_jacobi_backend_selectable(rng):
-    M = random_hermitian(rng, 6)
-    a = eig_hermitian(M, backend="lapack").eigenvalues
-    b = eig_hermitian(M, backend="jacobi").eigenvalues
-    assert np.allclose(a, b, atol=1e-10)
-    with pytest.raises(ValueError):
-        eig_hermitian(M, backend="qr")
 
 
 def test_schatten_examples():

@@ -165,6 +165,17 @@ def test_json_malformed_rejected():
         from_json('{"flavor": "weird", "n_vars": 2, "terms": []}')
 
 
+def test_non_finite_coefficients_rejected():
+    for c in (math.inf, -math.inf, math.nan, complex(1.0, math.nan)):
+        with pytest.raises(ValueError, match=r"\(2, 0\) is not finite"):
+            Polynomial(COMMUTATIVE, 2, {(2, 0): c, (0, 2): 1.0})
+    # json.loads accepts these literals, so the file format reaches the check too
+    for literal in ("Infinity", "-Infinity", "NaN"):
+        with pytest.raises(ValueError, match="not finite"):
+            from_json('{"flavor": "free", "n_vars": 2, '
+                      '"terms": [{"term": "z1 z2", "re": %s}]}' % literal)
+
+
 def test_zero_coefficients_dropped_after_arithmetic():
     x1, x2 = variables(COMMUTATIVE, 2)
     p = x1 + x2

@@ -175,7 +175,6 @@ def test_dual_functional_margins(rng):
     a, basis = random_sos(rng, COMMUTATIVE, 3, 1, 3)
     phi = dual_functional(a, basis)
     assert phi.psd_margin >= -1e-7
-    assert phi.sample_margin >= phi.psd_margin - 1e-9
 
 
 def test_rank_reduce_p32_constraints(rng):
@@ -230,12 +229,11 @@ def test_rank_reduce_requires_feasible_start(rng):
 
 def test_solver_options_config(tmp_path):
     cfg = tmp_path / "solver.cfg"
-    cfg.write_text("tol_primal = 1e-9  # tighter\nmax-iter = 200\nadapt_rho = false\n")
+    cfg.write_text("tol_primal = 1e-9  # tighter\nmax-iter = 200\n")
     data = parse_config_file(str(cfg))
     opts = SolverOptions.from_mapping(data)
     assert opts.tol_primal == 1e-9
     assert opts.max_iter == 200
-    assert opts.adapt_rho is False
     with pytest.raises(ValueError):
         SolverOptions.from_mapping({"no_such_option": "1"})
     bad = tmp_path / "bad.cfg"

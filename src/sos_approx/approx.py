@@ -323,7 +323,7 @@ def pythagoras_upper_bound(a: Polynomial, basis: SquareBasis,
         message = "free Gram matrix is unique; rank cannot be reduced"
     else:
         # the witness residual flows straight into the reassembly residual,
-        # so ask the feasibility phase for extra digits
+        # so ask the feasibility solve for extra digits
         options = replace(options, tol_primal=min(options.tol_primal, 1e-8))
         feas = sos_feasible(a, basis, options)
         if not feas:

@@ -249,11 +249,6 @@ class GramConstraints:
         np.add.at(out, (self.rows, self.cols), self.vals * np.asarray(y)[self.seg])
         return out
 
-    def constraint_matrix(self, l: int) -> np.ndarray:
-        e = np.zeros(self.k)
-        e[l] = 1.0
-        return self.adjoint(e)
-
     def omega_polynomial(self, l: int) -> Polynomial:
         return self.omegas[l].polynomial(self.basis.flavor, self.basis.n_vars)
 
@@ -267,11 +262,6 @@ class GramConstraints:
     def solve_normal(self, rhs: np.ndarray) -> np.ndarray:
         """Solve <A, A*> mu = rhs (the constraint Gram system, diagonal)."""
         return rhs / self._normal_diag
-
-    def project_affine(self, W: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of Hermitian W onto {M : tr(A_l M) = lambda_l}."""
-        mu = self.solve_normal(self.apply(W) - self.targets)
-        return W - self.adjoint(mu)
 
 
 def build_constraints(a: Polynomial, basis: SquareBasis,

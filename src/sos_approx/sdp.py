@@ -7,8 +7,8 @@ eigendecomposition), with the trace objective folded into the augmented
 splitting.  The same loop detects infeasibility: when the fiber misses the
 cone, the change in the scaled dual between checks converges to a Farkas
 ray (Banjac, Goulart, Stellato, Boyd 2019), which is eigenvalue-checked
-before it is returned as a certificate.  Only `sos_feasible` runs a plain
-alternating-projection phase first, for a cheap witness.
+before it is returned as a certificate.  `sos_feasible` runs the same loop
+with a zero objective and stops at the first PSD point of the fiber.
 """
 
 from __future__ import annotations
@@ -56,11 +56,9 @@ class SolverOptions:
     tol_primal: float = 1e-7        # constraint residual, relative to 1 + |targets|
     tol_gap: float = 1e-6           # duality gap, relative to 1 + |objective|
     max_iter: int = 50_000
-    feas_max_iter: int = 20_000
     check_every: int = 25
     rho: float = 1.0
     over_relax: float = 1.6
-    stall_window: int = 400         # feasibility iterations before testing a certificate
     certificate_psd_tol: float = 1e-8
     certificate_value_tol: float = 1e-6
 
@@ -184,55 +182,14 @@ def _certificate_from_gap(constraints: GramConstraints, v: np.ndarray,
     return DualFunctional(values=y, objective=value, psd_margin=float(w[-1]))
 
 
-@dataclass
-class _PhaseResult:
-    """Outcome of the alternating-projection phase."""
-
-    verdict: str                     # "feasible" | "infeasible" | "inconclusive"
-    matrix: Optional[np.ndarray]     # PSD iterate (witness if feasible, else warm start)
-    certificate: Optional[DualFunctional]
-    residual: float
-    iterations: int
-
-
-def _feasibility_phase(constraints: GramConstraints, options: SolverOptions,
-                       cap: int) -> _PhaseResult:
-    """Alternating projections between the affine fiber and the PSD cone.
-
-    Converges to a point of the intersection when one exists and the sets
-    meet transversally; for strongly infeasible systems the displacement
-    vector between the sets yields a Farkas certificate.  Thin intersections
-    (no Slater point) come back inconclusive and are left to the splitting
-    solver, which handles them fine.
-    """
-    b = constraints.targets
-    tol = options.tol_primal * (1.0 + float(np.linalg.norm(b)))
-    X = np.zeros((constraints.dim, constraints.dim), dtype=complex)
-    best = math.inf
-    since_best = 0
-    res = math.inf
-    it = 0
-    for it in range(1, cap + 1):
-        Y = constraints.project_affine(X)
-        X = linalg.psd_part(Y)
-        res = constraints.residual(X)
-        if res <= tol:
-            return _PhaseResult("feasible", X, None, res, it)
-        if res < best * (1.0 - 1e-3):
-            best, since_best = res, 0
-        else:
-            since_best += 1
-        if since_best >= options.stall_window and res > 50 * tol:
-            cert = _certificate_from_gap(constraints, Y - X, options)
-            if cert is not None:
-                return _PhaseResult("infeasible", None, cert, res, it)
-            since_best = 0
-    return _PhaseResult("inconclusive", X, None, res, it)
-
-
 def _trace_min(constraints: GramConstraints, options: SolverOptions,
-               warm: Optional[np.ndarray] = None) -> SdpSolution:
-    """ADMM for min tr(M) s.t. tr(A_l M) = lambda_l, M >= 0 (normalized targets)."""
+               minimize_trace: bool = True) -> SdpSolution:
+    """ADMM for min tr(M) s.t. tr(A_l M) = lambda_l, M >= 0 (normalized targets).
+
+    With minimize_trace=False the objective is zero, which makes the loop a
+    Douglas-Rachford feasibility solve: it stops at the first check where the
+    PSD iterate meets the primal tolerance, and it has no dual bound.
+    """
     b = constraints.targets
     bnorm = float(np.linalg.norm(b))
     s = bnorm if bnorm > 1e-300 else 1.0
@@ -242,7 +199,7 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     eye = np.eye(D, dtype=complex)
     rho = options.rho
     alpha = options.over_relax
-    Z = (warm / s if warm is not None else np.zeros((D, D))).astype(complex)
+    Z = np.zeros((D, D), dtype=complex)
     U = np.zeros((D, D), dtype=complex)
     mu = np.zeros(constraints.k)
     U_prev = None
@@ -250,15 +207,14 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     y_out = np.zeros(constraints.k)
     dval = 0.0
     pres = math.inf
-    gap = math.inf
+    gap = math.inf if minimize_trace else math.nan
     it = 0
     for it in range(1, options.max_iter + 1):
-        V = Z - U - eye / rho
+        V = Z - U - eye / rho if minimize_trace else Z - U
         mu = constraints.solve_normal(constraints.apply(V) - bh)
         X = V - constraints.adjoint(mu)
         Xr = alpha * X + (1.0 - alpha) * Z
-        dec = linalg.eig_hermitian(Xr + U)
-        Z_new = dec.matrix_from(dec.eigenvalues > 0.0)
+        Z_new = linalg.psd_part(Xr + U)
         U = U + Xr - Z_new
         if it % options.check_every == 0 or it == options.max_iter:
             r_split = float(np.linalg.norm(X - Z_new))
@@ -266,10 +222,13 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
             Z = Z_new
             pres = s * float(np.linalg.norm(constraints.apply(Z) - bh))
             pval = s * float(np.trace(Z).real)
-            y_out, dval_h = _dual_shifted(constraints, bh, -rho * mu)
-            dval = s * dval_h
-            gap = pval - dval
-            if pres <= tol_primal and abs(gap) <= options.tol_gap * (1.0 + abs(pval)):
+            converged = pres <= tol_primal
+            if minimize_trace:
+                y_out, dval_h = _dual_shifted(constraints, bh, -rho * mu)
+                dval = s * dval_h
+                gap = pval - dval
+                converged = converged and abs(gap) <= options.tol_gap * (1.0 + abs(pval))
+            if converged:
                 return SdpSolution(
                     matrix=s * Z, objective=pval, dual=y_out, dual_objective=dval,
                     primal_residual=pres, gap=gap, status=SolveStatus.OPTIMAL,
@@ -298,11 +257,11 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
         else:
             Z = Z_new
     pval = s * float(np.trace(Z).real)
+    gap_note = f", gap {gap:.3e}" if minimize_trace else ""
     return SdpSolution(
         matrix=s * Z, objective=pval, dual=y_out, dual_objective=dval,
         primal_residual=pres, gap=gap, status=SolveStatus.MAX_ITER, iterations=it,
-        message=f"iteration cap {options.max_iter} reached "
-                f"(residual {pres:.3e}, gap {gap:.3e})")
+        message=f"iteration cap {options.max_iter} reached (residual {pres:.3e}{gap_note})")
 
 
 def sos_norm(a: Polynomial, basis: SquareBasis,
@@ -338,23 +297,12 @@ def sos_feasible(a: Polynomial, basis: SquareBasis,
     if not np.any(constraints.targets):
         return FeasibilityResult(
             True, np.zeros((basis.size, basis.size), dtype=complex), None, 0.0, 0)
-    phase = _feasibility_phase(constraints, options, cap=options.feas_max_iter)
-    if phase.verdict == "feasible":
-        return FeasibilityResult(True, phase.matrix, None, phase.residual,
-                                 phase.iterations)
-    if phase.verdict == "infeasible":
-        return FeasibilityResult(False, None, phase.certificate, phase.residual,
-                                 phase.iterations)
-    # thin intersection: fall back to the splitting solver for a witness
-    sol = _trace_min(constraints, options, warm=phase.matrix)
-    if sol.status is not SolveStatus.MAX_ITER:
-        feasible = sol.status is SolveStatus.OPTIMAL
-        return FeasibilityResult(feasible, sol.matrix if feasible else None,
-                                 sol.certificate, sol.primal_residual,
-                                 phase.iterations + sol.iterations)
-    raise SolverError(
-        f"feasibility test inconclusive (projection residual {phase.residual:.3e}, "
-        f"solver: {sol.message})")
+    sol = _trace_min(constraints, options, minimize_trace=False)
+    if sol.status is SolveStatus.MAX_ITER:
+        raise SolverError(f"feasibility test inconclusive: {sol.message}", sol)
+    feasible = sol.status is SolveStatus.OPTIMAL
+    return FeasibilityResult(feasible, sol.matrix if feasible else None,
+                             sol.certificate, sol.primal_residual, sol.iterations)
 
 
 def dual_bound(a: Polynomial, basis: SquareBasis,
@@ -408,6 +356,8 @@ def rank_reduce(M: np.ndarray, constraints: GramConstraints, target_r: int,
     if constraints.residual(M) > 1e-7 * bscale:
         raise ValueError("matrix does not satisfy the constraints to 1e-7")
     M = linalg.require_hermitian(M)
+    A = np.zeros((k,) + M.shape, dtype=complex)     # the stack of all A_l
+    np.add.at(A, (constraints.seg, constraints.rows, constraints.cols), constraints.vals)
     for _ in range(M.shape[0] + 1):
         dec = linalg.clipped_spectrum(M)
         w, V = dec.eigenvalues, dec.eigenvectors
@@ -424,9 +374,12 @@ def rank_reduce(M: np.ndarray, constraints: GramConstraints, target_r: int,
             return out
         Vr = V[:, live]
         lam = w[live]
-        compressed = [Vr.conj().T @ constraints.constraint_matrix(l) @ Vr
-                      for l in range(k)]
-        K = np.stack([_herm_to_real_vec(B) for B in compressed])
+        # the compressed constraints Vr* A_l Vr as rows of the isometry
+        # Her_r -> R^{r^2} (Frobenius inner product to the dot product)
+        B = Vr.conj().T @ A @ Vr
+        iu = np.triu_indices(r, k=1)
+        upper = math.sqrt(2.0) * B[:, iu[0], iu[1]]
+        K = np.concatenate([np.diagonal(B, axis1=1, axis2=2).real, upper.real, upper.imag], axis=1)
         null = scipy.linalg.null_space(K)
         if null.shape[1] == 0:
             raise RankReductionError(
@@ -451,17 +404,6 @@ def rank_reduce(M: np.ndarray, constraints: GramConstraints, target_r: int,
         M = (M + M.conj().T) / 2.0
     raise RankReductionError("rank reduction did not terminate", M,
                              linalg.numerical_rank(M))
-
-
-def _herm_to_real_vec(H: np.ndarray) -> np.ndarray:
-    """Isometry Her_r -> R^{r^2} (Frobenius inner product to the dot product)."""
-    r = H.shape[0]
-    iu = np.triu_indices(r, k=1)
-    return np.concatenate([
-        np.diag(H).real,
-        math.sqrt(2.0) * H[iu].real,
-        math.sqrt(2.0) * H[iu].imag,
-    ])
 
 
 def _real_vec_to_herm(vec: np.ndarray, r: int) -> np.ndarray:

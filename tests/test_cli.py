@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conftest import random_sos
@@ -135,6 +136,11 @@ def test_feasible_command(tmp_path, rng):
     report = json.loads(out.read_text())
     assert report["feasible"] is False
     assert report["certificate"]["objective"] < 0
+    # a rank-one input: the fiber meets the cone only at its boundary
+    thin, _ = random_sos(np.random.default_rng(3), COMMUTATIVE, 3, 2, 1)
+    thin_path = write_poly(tmp_path, thin, "thin.json")
+    assert cli.main(["feasible", "--input", thin_path]) == 0
+    assert cli.main(["feasible", "--input", thin_path, "--max-iter", "25"]) == 4
 
 
 def test_bounds_command(tmp_path, capsys):
@@ -177,7 +183,7 @@ def test_config_file_and_flag_override(tmp_path, monkeypatch, rng):
     a, _ = random_sos(rng, COMMUTATIVE, 3, 2, 2)
     path = write_poly(tmp_path, a)
     cfg = tmp_path / "solver.cfg"
-    cfg.write_text("max_iter = 2\nfeas_max_iter = 2\nstall_window = 1000000\n")
+    cfg.write_text("max_iter = 2\n")
     monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
     assert cli.main(["sos-norm", "--input", path]) == 4  # starved solver
     assert cli.main(["sos-norm", "--input", path, "--max-iter", "50000"]) == 0

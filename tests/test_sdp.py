@@ -92,6 +92,7 @@ def test_feasible_monomial_square_sums():
 
 
 MOTZKIN = {(4, 2, 0): 1, (2, 4, 0): 1, (0, 0, 6): 1, (2, 2, 2): -3}
+CHOI_LAM_S = {(4, 2, 0): 1, (0, 4, 2): 1, (2, 0, 4): 1, (2, 2, 2): -3}
 ROBINSON = {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1, (4, 2, 0): -1, (2, 4, 0): -1,
             (4, 0, 2): -1, (2, 0, 4): -1, (0, 4, 2): -1, (0, 2, 4): -1, (2, 2, 2): 3}
 
@@ -110,13 +111,11 @@ def test_indefinite_rejected_with_certificate(monkeypatch):
     assert cert.objective < -1e-8
     value, sol = sos_norm(a, basis)
     assert sol.status is SolveStatus.INFEASIBLE and math.isnan(value)
-    # a projection phase too short to conclude leaves the answer to the solver
-    short = sos_feasible(a, basis, SolverOptions(feas_max_iter=10))
-    assert not short.feasible and short.certificate.objective < 0
     # the improving ray makes the dual unbounded
     assert dual_bound(a, basis) == math.inf
     # nonnegative forms that are not sums of squares: the splitting solver
-    # must find the separating functional itself, well before its cap
+    # must find the separating functional itself, well before its cap, both
+    # with the trace objective and with the zero objective of sos_feasible
     eig_calls = [0]
     eig = linalg.eig_hermitian
 
@@ -126,17 +125,40 @@ def test_indefinite_rejected_with_certificate(monkeypatch):
 
     monkeypatch.setattr(linalg, "eig_hermitian", counted)
     basis3 = square_basis(COMMUTATIVE, 3, 3)
-    for coeffs in (MOTZKIN, ROBINSON):
+    for coeffs in (MOTZKIN, CHOI_LAM_S, ROBINSON):
         form = Polynomial(COMMUTATIVE, 3, coeffs)
+        cons = build_constraints(form, basis3)
         eig_calls[0] = 0
         value, sol = sos_norm(form, basis3)
         assert sol.status is SolveStatus.INFEASIBLE and math.isnan(value)
         assert eig_calls[0] < 5000
-        cons = build_constraints(form, basis3)
-        y = sol.certificate.values
-        w = np.linalg.eigvalsh(cons.adjoint(y))
+        eig_calls[0] = 0
+        result = sos_feasible(form, basis3)
+        assert not result.feasible and result.witness is None
+        assert eig_calls[0] < 5000
+        for y in (sol.certificate.values, result.certificate.values):
+            w = np.linalg.eigvalsh(cons.adjoint(y))
+            assert w.min() >= -1e-8 * np.abs(w).max()
+            assert cons.targets @ y < 0
+
+
+# rank-one inputs whose fiber meets the PSD cone only at its boundary
+THIN_INPUTS = ((3, 3, 2), (5, 3, 2), (5, 3, 3), (7, 3, 3))
+
+
+def test_feasible_thin_intersections():
+    for seed, n, d in THIN_INPUTS:
+        a, basis = random_sos(np.random.default_rng(seed), COMMUTATIVE, n, d, 1)
+        result = sos_feasible(a, basis)
+        assert result.feasible, (seed, n, d)
+        residual = (gram_map(result.witness, basis) - a).coeff_two_norm()
+        assert residual <= 1e-6 * (1 + a.coeff_two_norm())
+        w = np.linalg.eigvalsh(result.witness)
         assert w.min() >= -1e-8 * np.abs(w).max()
-        assert cons.targets @ y < 0
+    # a starved solve is inconclusive, never a guess
+    a, basis = random_sos(np.random.default_rng(3), COMMUTATIVE, 3, 2, 1)
+    with pytest.raises(SolverError, match="inconclusive"):
+        sos_feasible(a, basis, SolverOptions(max_iter=25))
 
 
 def test_scaling_homogeneity(rng):
@@ -244,7 +266,7 @@ def test_solver_options_config(tmp_path):
 
 def test_max_iter_reported_not_coerced(rng):
     a, basis = random_sos(rng, COMMUTATIVE, 3, 2, 3)
-    opts = SolverOptions(max_iter=3, feas_max_iter=10_000, check_every=1)
+    opts = SolverOptions(max_iter=3, check_every=1)
     value, sol = sos_norm(a, basis, opts)
     assert sol.status is SolveStatus.MAX_ITER
     assert "residual" in sol.message

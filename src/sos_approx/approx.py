@@ -332,7 +332,7 @@ def pythagoras_upper_bound(a: Polynomial, basis: SquareBasis,
         constraints = build_constraints(a, basis)
         message = ""
         try:
-            M0 = rank_reduce(feas.witness, constraints, bound, options)
+            M0 = rank_reduce(feas.witness, constraints, bound)
         except RankReductionError as exc:
             M0 = exc.matrix
             message = f"rank reduction stalled at rank {exc.achieved_rank}: {exc}"

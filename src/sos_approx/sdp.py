@@ -9,14 +9,22 @@ cone, the change in the scaled dual between checks converges to a Farkas
 ray (Banjac, Goulart, Stellato, Boyd 2019), which is eigenvalue-checked
 before it is returned as a certificate.  `sos_feasible` runs the same loop
 with a zero objective and stops at the first PSD point of the fiber.
+
+The penalty rho is balanced on scale-free residuals (Wohlberg 2017): the
+splitting residual relative to the larger iterate norm against the dual
+residual relative to the dual norm.  Each convergence check is kept in
+`SdpSolution.trace`.  `SolverOptions` rejects values the loop cannot run
+with (non-finite or non-positive tolerances and rho, over-relaxation
+outside (0, 2)) with a ValueError that names the option.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -24,6 +32,13 @@ import scipy.linalg
 from . import linalg
 from .gram import GramConstraints, build_constraints, SquareBasis
 from .poly import Polynomial
+
+# Residual balancing on scale-free residuals (Wohlberg 2017, arXiv:1704.06209):
+# rho doubles or halves when one relative residual exceeds the other by this
+# factor.  The raw residuals carry the scales of the iterates and of the dual,
+# which differ by orders of magnitude, so only their relative sizes compare.
+_RHO_BALANCE = 5.0
+_TINY = 1e-300
 
 
 class SolveStatus(Enum):
@@ -62,17 +77,38 @@ class SolverOptions:
     certificate_psd_tol: float = 1e-8
     certificate_value_tol: float = 1e-6
 
+    def __post_init__(self) -> None:
+        for name in ("max_iter", "check_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"solver option {name!r} must be an integer >= 1, got {value!r}")
+        for name in ("tol_primal", "tol_gap", "rho"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"solver option {name!r} must be finite and > 0, got {value!r}")
+        for name in ("certificate_psd_tol", "certificate_value_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"solver option {name!r} must be finite and >= 0, got {value!r}")
+        # over-relaxed ADMM converges only for 0 < alpha < 2
+        if not 0 < self.over_relax < 2:
+            raise ValueError(f"solver option 'over_relax' must lie in (0, 2), got {self.over_relax!r}")
+
     @classmethod
     def from_mapping(cls, data: dict) -> "SolverOptions":
-        opts = cls()
-        valid = {f.name: f.type for f in fields(cls)}
+        defaults = {f.name: f.default for f in fields(cls)}
+        values = {}
         for key, raw in data.items():
             name = key.replace("-", "_")
-            if name not in valid:
+            if name not in defaults:
                 raise ValueError(f"unknown solver option {key!r}")
-            current = getattr(opts, name)
-            setattr(opts, name, int(raw) if isinstance(current, int) else float(raw))
-        return opts
+            kind = int if isinstance(defaults[name], int) else float
+            try:
+                values[name] = kind(raw)
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise ValueError(f"solver option {key!r} must be {what}, got {raw!r}") from None
+        return cls(**values)
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -99,6 +135,17 @@ class DualFunctional:
     psd_margin: float           # lambda_min(I - Phi); >= 0 means feasible for (D)
 
 
+class CheckRecord(NamedTuple):
+    """The solver state at one convergence check (every check_every steps)."""
+
+    iteration: int
+    primal_residual: float      # ||gram_map(Z) - a||, in input units
+    r_split: float              # ||X - Z||, the splitting residual
+    s_dual: float               # rho ||Z - Z_prev||, the dual residual
+    rho: float                  # penalty used for the steps up to this check
+    gap: float                  # primal - dual objective; NaN without an objective
+
+
 @dataclass
 class SdpSolution:
     matrix: np.ndarray
@@ -111,6 +158,7 @@ class SdpSolution:
     iterations: int
     message: str = ""
     certificate: Optional[DualFunctional] = None
+    trace: list[CheckRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -208,6 +256,7 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     dval = 0.0
     pres = math.inf
     gap = math.inf if minimize_trace else math.nan
+    trace: list[CheckRecord] = []
     it = 0
     for it in range(1, options.max_iter + 1):
         V = Z - U - eye / rho if minimize_trace else Z - U
@@ -228,11 +277,12 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
                 dval = s * dval_h
                 gap = pval - dval
                 converged = converged and abs(gap) <= options.tol_gap * (1.0 + abs(pval))
+            trace.append(CheckRecord(it, pres, r_split, s_dual, rho, gap))
             if converged:
                 return SdpSolution(
                     matrix=s * Z, objective=pval, dual=y_out, dual_objective=dval,
                     primal_residual=pres, gap=gap, status=SolveStatus.OPTIMAL,
-                    iterations=it)
+                    iterations=it, trace=trace)
             if pres > 50 * tol_primal and U_prev is not None:
                 cert = _certificate_from_gap(constraints, U - U_prev, options)
                 if cert is not None:
@@ -243,14 +293,16 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
                         message="not a sum of squares from this basis; separating "
                                 "functional attached (its negation is an improving "
                                 "ray for the dual)",
-                        certificate=cert)
+                        certificate=cert, trace=trace)
             # a rho change rescales U, so the next difference would mix scales
             U_prev = U.copy()
-            if r_split > 10.0 * s_dual and rho < 1e6:
+            r_rel = r_split / max(float(np.linalg.norm(X)), float(np.linalg.norm(Z)), _TINY)
+            s_rel = s_dual / max(rho * float(np.linalg.norm(U)), _TINY)
+            if r_rel > _RHO_BALANCE * s_rel and rho < 1e6:
                 rho *= 2.0
                 U /= 2.0
                 U_prev = None
-            elif s_dual > 10.0 * r_split and rho > 1e-6:
+            elif s_rel > _RHO_BALANCE * r_rel and rho > 1e-6:
                 rho /= 2.0
                 U *= 2.0
                 U_prev = None
@@ -261,7 +313,8 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     return SdpSolution(
         matrix=s * Z, objective=pval, dual=y_out, dual_objective=dval,
         primal_residual=pres, gap=gap, status=SolveStatus.MAX_ITER, iterations=it,
-        message=f"iteration cap {options.max_iter} reached (residual {pres:.3e}{gap_note})")
+        message=f"iteration cap {options.max_iter} reached (residual {pres:.3e}{gap_note})",
+        trace=trace)
 
 
 def sos_norm(a: Polynomial, basis: SquareBasis,
@@ -335,8 +388,7 @@ def dual_functional(a: Polynomial, basis: SquareBasis,
 
 # -- rank reduction -------------------------------------------------------------
 
-def rank_reduce(M: np.ndarray, constraints: GramConstraints, target_r: int,
-                options: SolverOptions | None = None) -> np.ndarray:
+def rank_reduce(M: np.ndarray, constraints: GramConstraints, target_r: int) -> np.ndarray:
     """Reduce a feasible PSD solution to rank <= target_r, preserving tr(A_l M).
 
     Requires k <= target_r^2 + 2*target_r, where k counts the real-valued
@@ -345,7 +397,6 @@ def rank_reduce(M: np.ndarray, constraints: GramConstraints, target_r: int,
     compressed constraints (one exists whenever rank^2 > k), and walk to the
     nearest PSD-boundary crossing, which removes at least one eigenvalue.
     """
-    options = options or SolverOptions()
     k = constraints.k
     if target_r < 0:
         raise ValueError("target_r must be >= 0")

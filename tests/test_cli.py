@@ -179,7 +179,7 @@ def test_figure_command_deterministic(tmp_path):
     assert float(row2[2]) == pytest.approx(math.sqrt(15), abs=1e-12)
 
 
-def test_config_file_and_flag_override(tmp_path, monkeypatch, rng):
+def test_config_file_and_flag_override(tmp_path, monkeypatch, rng, capsys):
     a, _ = random_sos(rng, COMMUTATIVE, 3, 2, 2)
     path = write_poly(tmp_path, a)
     cfg = tmp_path / "solver.cfg"
@@ -187,6 +187,10 @@ def test_config_file_and_flag_override(tmp_path, monkeypatch, rng):
     monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
     assert cli.main(["sos-norm", "--input", path]) == 4  # starved solver
     assert cli.main(["sos-norm", "--input", path, "--max-iter", "50000"]) == 0
+    # a NaN tolerance is refused up front, not run to the iteration cap
+    capsys.readouterr()
+    assert cli.main(["sos-norm", "--input", path, "--tol-primal", "nan"]) == 2
+    assert "tol_primal" in capsys.readouterr().err
     cfg.write_text("unknown_knob = 1\n")
     assert cli.main(["sos-norm", "--input", path]) == 2
 

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,12 +266,29 @@ def test_solver_options_config(tmp_path):
         parse_config_file(str(bad))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("check_every", 0),          # was ZeroDivisionError
+    ("rho", 0.0),                # was "eigh did not converge"
+    ("rho", -1.0),
+    ("rho", math.inf),
+    ("over_relax", 2.5),         # was "matrix is not Hermitian"
+    ("tol_primal", math.nan),    # was 50,000 steps to max-iter
+])
+def test_solver_options_rejected(name, value):
+    with pytest.raises(ValueError, match=name):
+        SolverOptions(**{name: value})
+    with pytest.raises(ValueError, match=name):
+        SolverOptions.from_mapping({name.replace("_", "-"): str(value)})
+
+
 def test_max_iter_reported_not_coerced(rng):
     a, basis = random_sos(rng, COMMUTATIVE, 3, 2, 3)
     opts = SolverOptions(max_iter=3, check_every=1)
     value, sol = sos_norm(a, basis, opts)
     assert sol.status is SolveStatus.MAX_ITER
     assert "residual" in sol.message
+    assert [rec.iteration for rec in sol.trace] == [1, 2, 3]
+    assert sol.trace[-1].primal_residual == sol.primal_residual
     with pytest.raises(SolverError):
         dual_bound(a, basis, opts)
 
@@ -281,3 +300,25 @@ def test_solution_serialization(rng):
     M = linalg.hermitian_from_dict(data["matrix"])
     assert np.allclose(M, sol.matrix, atol=1e-12)
     assert data["status"] == "optimal"
+
+
+def test_figure_rows_have_no_iteration_cliff():
+    # with rho balanced on raw residuals the d=9 row took 13,900 steps
+    # against 575 at d=8 and 1,950 at d=10
+    seed = json.loads((Path(__file__).parents[1] / "perfbench" / "seed_commit.json")
+                      .read_text())["figure"]
+    steps = {}
+    for d in (8, 9, 10):
+        p = sum_of_monomial_squares(3, d)
+        value, sol = sos_norm(p, square_basis(COMMUTATIVE, 3, d))
+        assert sol.status is SolveStatus.OPTIMAL, (d, sol.message)
+        assert value == pytest.approx(seed[str(d)]["value"], rel=1e-6)
+        # one trace record per convergence check
+        assert len(sol.trace) == sol.iterations // SolverOptions().check_every
+        assert sol.trace[-1].iteration == sol.iterations
+        steps[d] = sol.iterations
+        if d == 9:
+            assert len({rec.rho for rec in sol.trace}) > 1
+    assert steps[9] <= 4000, steps
+    for lo, hi in ((8, 9), (9, 10)):
+        assert max(steps[lo], steps[hi]) <= 10 * min(steps[lo], steps[hi]), steps

@@ -250,8 +250,7 @@ def approximate(a: Polynomial, basis: SquareBasis, eps: float,
                      value, math.inf, sol.iterations)
 
 
-def approximate_free(p: Polynomial, eps: float,
-                     options: SolverOptions | None = None) -> SosCertificate:
+def approximate_free(p: Polynomial, eps: float) -> SosCertificate:
     """Certified approximation of a free sum of squares, no SDP involved.
 
     The unique Gram matrix is read off the coefficients; its trace equals the

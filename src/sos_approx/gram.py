@@ -3,7 +3,9 @@
 A basis v = (v_1, ..., v_D) of the homogeneous degree-d component induces the
 Gram map M |-> sum_ij m_ij v_i* v_j.  `build_constraints` rewrites the fiber
 {G(M) = a} as real-valued trace equations tr(A_l M) = lambda_l over a
-Hermitian basis of the product space, which is what the SDP layer consumes.
+Hermitian basis of the product space; their `block_system`, restricted to
+the block-diagonal matrices that keep the least trace (real ones for
+commutative inputs), is what the SDP layer iterates on.
 In the free flavor the Gram map is a bijection and `gram_preimage_free`
 inverts it by splitting each word in the middle.
 """
@@ -18,6 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import linalg
 from .poly import (
     COMMUTATIVE,
     FREE,
@@ -91,9 +94,6 @@ class SquareBasis:
     @cached_property
     def index(self) -> dict[Term, int]:
         return {t: i for i, t in enumerate(self.terms)}
-
-    def element(self, i: int) -> Polynomial:
-        return Polynomial(self.flavor, self.n_vars, {self.terms[i]: self.scale})
 
     @cached_property
     def _products(self):
@@ -219,11 +219,17 @@ class GramConstraints:
     The A_l are Hermitian with pairwise disjoint supports, or share one
     support pair with purely imaginary overlap ("re" and "im" of one term),
     so the real normal system Re<A_l, A_m> is diagonal for every basis.
+    `vals` is real when every A_l is (commutative bases); then the real part
+    of a feasible M is feasible with the same trace.  `blocks` partitions the
+    basis indices (one block by default) so that some matrix of least trace
+    in the fiber is block-diagonal over it; `block_system` is the system the
+    solver runs on.
     """
 
     def __init__(self, basis: SquareBasis, omegas: tuple[HermitianBasisElement, ...],
                  targets: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                 vals: np.ndarray, seg: np.ndarray):
+                 vals: np.ndarray, seg: np.ndarray,
+                 blocks: tuple[np.ndarray, ...] | None = None):
         self.basis = basis
         self.omegas = omegas
         self.targets = np.asarray(targets, dtype=float)
@@ -232,6 +238,7 @@ class GramConstraints:
         self.vals = vals
         self.seg = seg
         self.dim = basis.size
+        self.blocks = (np.arange(self.dim),) if blocks is None else blocks
 
     @property
     def k(self) -> int:
@@ -245,12 +252,9 @@ class GramConstraints:
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """sum_l y_l A_l for real y; Hermitian by construction."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        np.add.at(out, (self.rows, self.cols), self.vals * np.asarray(y)[self.seg])
-        return out
-
-    def omega_polynomial(self, l: int) -> Polynomial:
-        return self.omegas[l].polynomial(self.basis.flavor, self.basis.n_vars)
+        D = self.dim
+        cells = self.rows * D + self.cols
+        return _scatter(cells, self.vals * np.asarray(y)[self.seg], D * D).reshape(D, D)
 
     def residual(self, M: np.ndarray) -> float:
         return float(np.linalg.norm(self.apply(M) - self.targets))
@@ -262,6 +266,139 @@ class GramConstraints:
     def solve_normal(self, rhs: np.ndarray) -> np.ndarray:
         """Solve <A, A*> mu = rhs (the constraint Gram system, diagonal)."""
         return rhs / self._normal_diag
+
+    @cached_property
+    def block_system(self) -> "BlockSystem":
+        return BlockSystem(self)
+
+
+def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Sum the weights into `size` bins by index (np.bincount, complex weights too)."""
+    if np.iscomplexobj(weights):
+        return (np.bincount(index, weights.real, size)
+                + 1j * np.bincount(index, weights.imag, size))
+    return np.bincount(index, weights, size)
+
+
+class BlockSystem:
+    """The trace equations restricted to matrices block-diagonal over `blocks`.
+
+    A block-diagonal matrix is one flat vector: block b (basis indices
+    `index[b]`, size s) row-major at x[offsets[b]:offsets[b] + s*s], real
+    when every A_l is.  Blocks are sorted by size, so `groups` lists each run
+    of equal sizes as one stack (start, stop, count, size).  The equations
+    that touch only cells between blocks have target 0 and are dropped;
+    `keep` lists the others, in the order of their rows of the full system.
+    """
+
+    def __init__(self, cons: GramConstraints):
+        D = cons.dim
+        index = sorted(cons.blocks, key=len, reverse=True)
+        sizes = np.array([len(ix) for ix in index], dtype=np.int64)
+        offsets = np.concatenate([[0], np.cumsum(sizes ** 2)])
+        block_of = np.empty(D, dtype=np.int64)
+        pos = np.empty(D, dtype=np.int64)
+        for b, ix in enumerate(index):
+            block_of[ix] = b
+            pos[ix] = np.arange(len(ix))
+        inside = block_of[cons.rows] == block_of[cons.cols]
+        keep = np.unique(cons.seg[inside])
+        if np.isin(cons.seg[~inside], keep).any() or np.delete(cons.targets, keep).any():
+            raise ValueError("the constraints do not split over the blocks")
+        b = block_of[cons.rows[inside]]
+        r, c = pos[cons.rows[inside]], pos[cons.cols[inside]]
+        self._adj = offsets[b] + r * sizes[b] + c      # the cell A_l[r, c]
+        self._app = offsets[b] + c * sizes[b] + r      # the cell M[c, r] it meets in tr(A_l M)
+        self.vals = cons.vals[inside]
+        self.seg = np.searchsorted(keep, cons.seg[inside])
+        self.targets = cons.targets[keep]
+        self.keep = keep
+        self.k_full = cons.k
+        self.dim = D
+        self.index = tuple(index)
+        self.offsets = offsets
+        self.size = int(offsets[-1])
+        self.dtype = np.result_type(cons.vals.dtype, float)
+        self._normal = np.bincount(self.seg, np.abs(self.vals) ** 2, len(keep))
+        self.diagonal = np.concatenate(
+            [offsets[b] + np.arange(s) * (s + 1) for b, s in enumerate(sizes)])
+        self.groups = []
+        for s in sorted(set(sizes.tolist()), reverse=True):
+            run = np.flatnonzero(sizes == s)
+            self.groups.append((int(offsets[run[0]]), int(offsets[run[-1] + 1]), len(run), s))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.seg, (self.vals * x[self._app]).real, len(self.keep))
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        return _scatter(self._adj, self.vals * y[self.seg], self.size)
+
+    def solve_normal(self, rhs: np.ndarray) -> np.ndarray:
+        return rhs / self._normal
+
+    def identity(self) -> np.ndarray:
+        eye = np.zeros(self.size, dtype=self.dtype)
+        eye[self.diagonal] = 1.0
+        return eye
+
+    def trace(self, x: np.ndarray) -> float:
+        return float(x[self.diagonal].sum().real)
+
+    def split(self, x: np.ndarray) -> list[np.ndarray]:
+        """The blocks of x as square views."""
+        return [x[o:o + len(ix) ** 2].reshape(len(ix), len(ix))
+                for o, ix in zip(self.offsets, self.index)]
+
+    def psd_part(self, x: np.ndarray) -> np.ndarray:
+        """Projection onto the PSD cone, one stacked eigh per run of equal sizes."""
+        out = np.empty_like(x)
+        for start, stop, count, s in self.groups:
+            out[start:stop] = linalg.psd_part(x[start:stop].reshape(count, s, s)).reshape(-1)
+        return out
+
+    def embed(self, x: np.ndarray) -> np.ndarray:
+        """The full D x D complex matrix with the blocks of x on their indices."""
+        M = np.zeros((self.dim, self.dim), dtype=complex)
+        for ix, B in zip(self.index, self.split(x)):
+            M[np.ix_(ix, ix)] = B
+        return M
+
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        """A vector over the kept equations as one over all k, zero on the dropped."""
+        out = np.zeros(self.k_full)
+        out[self.keep] = y
+        return out
+
+
+def _parity_blocks(a: Polynomial, basis: SquareBasis) -> tuple[np.ndarray, ...]:
+    """Basis indices of a commutative monomial basis grouped by sign symmetry.
+
+    The flips x_j -> -x_j that fix every monomial of a act on the basis by
+    signs, so averaging a Gram matrix of a over them keeps it feasible, PSD
+    and of the same trace, and zeroes each cell whose product term has its
+    parity vector outside the GF(2) span S of the parity vectors of supp(a)
+    (Gatermann & Parrilo 2004).  Two monomials share a block iff their
+    parity vectors lie in one coset of S.
+    """
+    def parity(t: Term) -> int:
+        return sum((e & 1) << j for j, e in enumerate(t))
+
+    span: list[int] = []        # basis of S with distinct leading bits, descending
+
+    def reduce(v: int) -> int:  # canonical representative of the coset v + S
+        for s in span:
+            v = min(v, v ^ s)
+        return v
+
+    for t in a._coeffs:
+        v = reduce(parity(t))
+        if v:
+            span.append(v)
+            span.sort(reverse=True)
+    classes: dict[int, list[int]] = {}
+    for i, t in enumerate(basis.terms):
+        classes.setdefault(reduce(parity(t)), []).append(i)
+    return tuple(np.array(ix, dtype=np.int64) for ix in classes.values())
 
 
 def build_constraints(a: Polynomial, basis: SquareBasis,
@@ -295,6 +432,8 @@ def build_constraints(a: Polynomial, basis: SquareBasis,
     conj_of = np.array([prod_index[involute_term(basis.flavor, t)]
                         for t in prod_terms])
 
+    # every A_l is real in the commutative flavor: all its terms are self-conjugate
+    dtype = float if basis.flavor == COMMUTATIVE else complex
     omegas: list[HermitianBasisElement] = []
     targets: list[float] = []
     rows_parts, cols_parts, vals_parts, seg_parts = [], [], [], []
@@ -317,7 +456,7 @@ def build_constraints(a: Polynomial, basis: SquareBasis,
         a_tau = a._coeffs.get(prod_terms[t_idx], 0.0)
         if c_idx == t_idx:
             emit("self", t_idx, float(np.real(a_tau)),
-                 [sel], [np.full(sel.shape, s2, dtype=complex)])
+                 [sel], [np.full(sel.shape, s2, dtype=dtype)])
         elif t_idx < c_idx:
             sel_c = np.arange(bounds[c_idx], bounds[c_idx + 1])
             emit("re", t_idx, float(np.real(a_tau)),
@@ -332,7 +471,8 @@ def build_constraints(a: Polynomial, basis: SquareBasis,
     return GramConstraints(
         basis, tuple(omegas), np.array(targets, dtype=float),
         np.concatenate(rows_parts), np.concatenate(cols_parts),
-        np.concatenate(vals_parts), np.concatenate(seg_parts))
+        np.concatenate(vals_parts), np.concatenate(seg_parts),
+        _parity_blocks(a, basis) if basis.flavor == COMMUTATIVE else None)
 
 
 def operator_norm_bound(basis: SquareBasis) -> float:

@@ -186,9 +186,17 @@ def numerical_rank(M: np.ndarray, cutoff_rel: float = 1e-9) -> int:
 
 
 def psd_part(M: np.ndarray) -> np.ndarray:
-    """Projection onto the PSD cone (negative eigenvalues zeroed)."""
-    dec = eig_hermitian(M)
-    return dec.matrix_from(dec.eigenvalues > 0.0)
+    """Projection onto the PSD cone (negative eigenvalues zeroed), also of a stack.
+
+    The solver's hot path: M must be Hermitian already (the solver's iterates
+    are by construction), so unlike `eig_hermitian` it is neither validated
+    nor copied, and real input stays real.
+    """
+    try:
+        w, V = np.linalg.eigh(M)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"eigh did not converge: {exc}") from exc
+    return (V * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(V, -1, -2).conj()
 
 
 # -- shared JSON coordinate schema for Hermitian matrices ----------------------
@@ -202,13 +210,3 @@ def hermitian_to_dict(M: np.ndarray, drop_tol: float = 0.0) -> dict:
             if abs(v) > drop_tol or (i == j and v != 0):
                 entries.append([i, j, v.real, v.imag])
     return {"dim": int(M.shape[0]), "hermitian": True, "entries": entries}
-
-
-def hermitian_from_dict(data: dict) -> np.ndarray:
-    d = int(data["dim"])
-    M = np.zeros((d, d), dtype=complex)
-    for i, j, re, im in data["entries"]:
-        M[i, j] = complex(re, im)
-        if i != j:
-            M[j, i] = complex(re, -im)
-    return M

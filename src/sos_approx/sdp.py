@@ -2,12 +2,18 @@
 
 The solver is a first-order operator-splitting scheme: each iteration
 projects onto the affine subspace {tr(A_l M) = lambda_l} (exactly, through
-the cached constraint Gram system) and onto the PSD cone (one Hermitian
-eigendecomposition), with the trace objective folded into the augmented
-splitting.  The same loop detects infeasibility: when the fiber misses the
-cone, the change in the scaled dual between checks converges to a Farkas
-ray (Banjac, Goulart, Stellato, Boyd 2019), which is eigenvalue-checked
-before it is returned as a certificate.  `sos_feasible` runs the same loop
+the cached constraint Gram system) and onto the PSD cone (one
+eigendecomposition per block), with the trace objective folded into the
+augmented splitting.  It runs on `GramConstraints.block_system`: for
+commutative inputs every A_l is real, so the iterates are real symmetric,
+and they are block-diagonal over the sign-symmetry classes of the basis
+(Gatermann & Parrilo 2004); free inputs are one complex block.  Results are
+embedded back: the full D x D matrix, and duals over all k equations.
+
+The same loop detects infeasibility: when the fiber misses the cone, the
+change in the scaled dual between checks converges to a Farkas ray (Banjac,
+Goulart, Stellato, Boyd 2019), which is eigenvalue-checked before it is
+returned as a certificate.  `sos_feasible` runs the same loop
 with a zero objective and stops at the first PSD point of the fiber.
 
 The penalty rho is balanced on scale-free residuals (Wohlberg 2017): the
@@ -30,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .gram import GramConstraints, build_constraints, SquareBasis
+from .gram import BlockSystem, GramConstraints, SquareBasis, build_constraints
 from .poly import Polynomial
 
 # Residual balancing on scale-free residuals (Wohlberg 2017, arXiv:1704.06209):
@@ -132,7 +138,7 @@ class DualFunctional:
 
     values: np.ndarray
     objective: float            # phi(a) = targets . values
-    psd_margin: float           # lambda_min(I - Phi); >= 0 means feasible for (D)
+    psd_margin: float           # lambda_min(sum_l values_l A_l); >= 0 for a Farkas certificate
 
 
 class CheckRecord(NamedTuple):
@@ -185,74 +191,72 @@ class FeasibilityResult:
         return self.feasible
 
 
-def _dual_shifted(constraints: GramConstraints, targets: np.ndarray,
+def _dual_shifted(system: BlockSystem, targets: np.ndarray,
                   y: np.ndarray) -> tuple[np.ndarray, float]:
     """Scale y so that sum_l y_l A_l <= I holds, then evaluate the bound at targets."""
     if not np.any(y):
         return y, 0.0
-    Phi = constraints.adjoint(y)
-    top = float(linalg.eig_hermitian(Phi).eigenvalues[0])
+    top = max(float(linalg.eig_hermitian(B).eigenvalues[0])
+              for B in system.split(system.adjoint(y)))
     if top > 1.0:
         y = y / top
     return y, float(targets @ y)
 
 
-def _functional_margins(constraints: GramConstraints, y: np.ndarray) -> float:
-    """lambda_min(I - sum_l y_l A_l); >= 0 means y is feasible for the dual."""
-    w = linalg.eig_hermitian(constraints.adjoint(y)).eigenvalues
-    return 1.0 - float(w[0]) if len(w) else 1.0
-
-
-def _certificate_from_gap(constraints: GramConstraints, v: np.ndarray,
+def _certificate_from_gap(system: BlockSystem, v: np.ndarray,
                           options: SolverOptions) -> Optional[DualFunctional]:
     """Try to turn the affine-to-cone displacement v (<= 0) into a Farkas certificate.
 
     At the gap the displacement lies in range(A*), giving y with
     sum y_l A_l >= 0 and targets . y < 0; both margins are re-verified
-    numerically before the certificate is accepted.
+    numerically before the certificate is accepted.  sum y_l A_l is
+    block-diagonal, so it is PSD iff each block is; the values are returned
+    over all k equations, zero on the dropped ones.
     """
     vnorm = float(np.linalg.norm(v))
     if vnorm <= 0:
         return None
-    c = constraints.solve_normal(constraints.apply(v))
-    recon = constraints.adjoint(c)
+    c = system.solve_normal(system.apply(v))
+    recon = system.adjoint(c)
     if float(np.linalg.norm(recon - v)) > 0.25 * vnorm:
         return None
     y = -np.asarray(c, dtype=float) / vnorm
-    E = constraints.adjoint(y)
-    w = linalg.eig_hermitian(E).eigenvalues
+    w = np.concatenate([linalg.eig_hermitian(B).eigenvalues
+                        for B in system.split(system.adjoint(y))])
     scale = max(float(np.abs(w).max(initial=0.0)), 1e-30)
-    value = float(constraints.targets @ y)
-    if w[-1] < -options.certificate_psd_tol * scale:
+    value = float(system.targets @ y)
+    if w.min() < -options.certificate_psd_tol * scale:
         return None
-    if value > -options.certificate_value_tol * scale * (1.0 + np.linalg.norm(constraints.targets)):
+    if value > -options.certificate_value_tol * scale * (1.0 + np.linalg.norm(system.targets)):
         return None
-    return DualFunctional(values=y, objective=value, psd_margin=float(w[-1]))
+    return DualFunctional(values=system.lift(y), objective=value, psd_margin=float(w.min()))
 
 
 def _trace_min(constraints: GramConstraints, options: SolverOptions,
                minimize_trace: bool = True) -> SdpSolution:
     """ADMM for min tr(M) s.t. tr(A_l M) = lambda_l, M >= 0 (normalized targets).
 
-    With minimize_trace=False the objective is zero, which makes the loop a
-    Douglas-Rachford feasibility solve: it stops at the first check where the
-    PSD iterate meets the primal tolerance, and it has no dual bound.
+    The iterates live on `constraints.block_system`: block-diagonal, real
+    when every A_l is.  With minimize_trace=False the objective is zero,
+    which makes the loop a Douglas-Rachford feasibility solve: it stops at
+    the first check where the PSD iterate meets the primal tolerance, and it
+    has no dual bound.
     """
-    b = constraints.targets
+    system = constraints.block_system
+    b = system.targets
     bnorm = float(np.linalg.norm(b))
     s = bnorm if bnorm > 1e-300 else 1.0
     bh = b / s
 
-    D = constraints.dim
-    eye = np.eye(D, dtype=complex)
+    eye = system.identity()
     rho = options.rho
     alpha = options.over_relax
-    Z = np.zeros((D, D), dtype=complex)
-    U = np.zeros((D, D), dtype=complex)
-    mu = np.zeros(constraints.k)
+    Z = np.zeros(system.size, dtype=system.dtype)
+    U = np.zeros_like(Z)
+    mu = np.zeros(len(b))
     U_prev = None
     tol_primal = options.tol_primal * (1.0 + bnorm)
-    y_out = np.zeros(constraints.k)
+    y_out = np.zeros(len(b))
     dval = 0.0
     pres = math.inf
     gap = math.inf if minimize_trace else math.nan
@@ -260,36 +264,37 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     it = 0
     for it in range(1, options.max_iter + 1):
         V = Z - U - eye / rho if minimize_trace else Z - U
-        mu = constraints.solve_normal(constraints.apply(V) - bh)
-        X = V - constraints.adjoint(mu)
+        mu = system.solve_normal(system.apply(V) - bh)
+        X = V - system.adjoint(mu)
         Xr = alpha * X + (1.0 - alpha) * Z
-        Z_new = linalg.psd_part(Xr + U)
+        Z_new = system.psd_part(Xr + U)
         U = U + Xr - Z_new
         if it % options.check_every == 0 or it == options.max_iter:
             r_split = float(np.linalg.norm(X - Z_new))
             s_dual = rho * float(np.linalg.norm(Z_new - Z))
             Z = Z_new
-            pres = s * float(np.linalg.norm(constraints.apply(Z) - bh))
-            pval = s * float(np.trace(Z).real)
+            pres = s * float(np.linalg.norm(system.apply(Z) - bh))
+            pval = s * system.trace(Z)
             converged = pres <= tol_primal
             if minimize_trace:
-                y_out, dval_h = _dual_shifted(constraints, bh, -rho * mu)
+                y_out, dval_h = _dual_shifted(system, bh, -rho * mu)
                 dval = s * dval_h
                 gap = pval - dval
                 converged = converged and abs(gap) <= options.tol_gap * (1.0 + abs(pval))
             trace.append(CheckRecord(it, pres, r_split, s_dual, rho, gap))
             if converged:
                 return SdpSolution(
-                    matrix=s * Z, objective=pval, dual=y_out, dual_objective=dval,
-                    primal_residual=pres, gap=gap, status=SolveStatus.OPTIMAL,
-                    iterations=it, trace=trace)
+                    matrix=system.embed(s * Z), objective=pval, dual=system.lift(y_out),
+                    dual_objective=dval, primal_residual=pres, gap=gap,
+                    status=SolveStatus.OPTIMAL, iterations=it, trace=trace)
             if pres > 50 * tol_primal and U_prev is not None:
-                cert = _certificate_from_gap(constraints, U - U_prev, options)
+                cert = _certificate_from_gap(system, U - U_prev, options)
                 if cert is not None:
                     return SdpSolution(
-                        matrix=np.zeros((D, D), dtype=complex), objective=math.nan,
-                        dual=cert.values, dual_objective=math.inf, primal_residual=pres,
-                        gap=math.inf, status=SolveStatus.INFEASIBLE, iterations=it,
+                        matrix=np.zeros((system.dim, system.dim), dtype=complex),
+                        objective=math.nan, dual=cert.values, dual_objective=math.inf,
+                        primal_residual=pres, gap=math.inf, status=SolveStatus.INFEASIBLE,
+                        iterations=it,
                         message="not a sum of squares from this basis; separating "
                                 "functional attached (its negation is an improving "
                                 "ray for the dual)",
@@ -308,11 +313,12 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
                 U_prev = None
         else:
             Z = Z_new
-    pval = s * float(np.trace(Z).real)
+    pval = s * system.trace(Z)
     gap_note = f", gap {gap:.3e}" if minimize_trace else ""
     return SdpSolution(
-        matrix=s * Z, objective=pval, dual=y_out, dual_objective=dval,
-        primal_residual=pres, gap=gap, status=SolveStatus.MAX_ITER, iterations=it,
+        matrix=system.embed(s * Z), objective=pval, dual=system.lift(y_out),
+        dual_objective=dval, primal_residual=pres, gap=gap, status=SolveStatus.MAX_ITER,
+        iterations=it,
         message=f"iteration cap {options.max_iter} reached (residual {pres:.3e}{gap_note})",
         trace=trace)
 
@@ -373,17 +379,6 @@ def dual_bound(a: Polynomial, basis: SquareBasis,
     if sol.status is not SolveStatus.OPTIMAL:
         raise SolverError("dual bound unavailable: " + sol.message, sol)
     return max(0.0, sol.dual_objective)
-
-
-def dual_functional(a: Polynomial, basis: SquareBasis,
-                    options: SolverOptions | None = None) -> DualFunctional:
-    """The recovered dual optimizer with its feasibility margins."""
-    _, sol = sos_norm(a, basis, options)
-    if sol.status is not SolveStatus.OPTIMAL:
-        raise SolverError("no dual functional: " + sol.message, sol)
-    constraints = build_constraints(a, basis)
-    return DualFunctional(values=sol.dual, objective=sol.dual_objective,
-                          psd_margin=_functional_margins(constraints, sol.dual))
 
 
 # -- rank reduction -------------------------------------------------------------

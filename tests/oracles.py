@@ -98,3 +98,14 @@ def jacobi_eigh(H: np.ndarray, tol: float = 1e-14,
                 V[:, p], V[:, q] = rot_p, rot_q
     raise NonConvergenceError(
         f"Jacobi sweeps did not converge after {max_sweeps} sweeps")
+
+
+def hermitian_from_dict(data: dict) -> np.ndarray:
+    """Inverse of `linalg.hermitian_to_dict`: the upper-triangle entries, mirrored."""
+    d = int(data["dim"])
+    M = np.zeros((d, d), dtype=complex)
+    for i, j, re, im in data["entries"]:
+        M[i, j] = complex(re, im)
+        if i != j:
+            M[j, i] = complex(re, -im)
+    return M

@@ -179,6 +179,21 @@ def test_figure_command_deterministic(tmp_path):
     assert float(row2[2]) == pytest.approx(math.sqrt(15), abs=1e-12)
 
 
+def test_figure_failed_rows_exit_solver(tmp_path, capsys):
+    # a starved solver fails every row: the CSV is still written, with nan
+    # values, and the exit code says that the solver did not converge
+    out = tmp_path / "fig.csv"
+    code = cli.main(["figure", "--d-max", "3", "--max-iter", "25", "--output", str(out)])
+    assert code == cli.EXIT_SOLVER
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert [row[0] for row in rows] == ["1", "2", "3"]
+    assert all(math.isnan(float(row[1])) for row in rows)
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 3
+    for d, line in zip((1, 2, 3), err):
+        assert line.startswith(f"row failed: d={d}: max-iter: iteration cap 25 reached")
+
+
 def test_config_file_and_flag_override(tmp_path, monkeypatch, rng, capsys):
     a, _ = random_sos(rng, COMMUTATIVE, 3, 2, 2)
     path = write_poly(tmp_path, a)

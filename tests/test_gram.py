@@ -6,6 +6,7 @@ import pytest
 from conftest import random_hermitian, random_sos
 from sos_approx.gram import (
     BasisSizeError,
+    GramConstraints,
     NoCertifiedBoundError,
     NotHermitianError,
     SquareBasis,
@@ -16,7 +17,14 @@ from sos_approx.gram import (
     square_basis,
 )
 from sos_approx.linalg import schatten_norm
-from sos_approx.poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares, sphere_lattice
+from sos_approx.poly import (
+    COMMUTATIVE,
+    FREE,
+    Polynomial,
+    sphere_lattice,
+    sum_of_monomial_squares,
+    variables,
+)
 
 
 def test_square_basis_sizes():
@@ -92,6 +100,65 @@ def test_build_constraints_p31():
         assert np.abs(A - A.conj().T).max() < 1e-12
 
 
+def _block_terms(cons):
+    return [{cons.basis.terms[i] for i in ix} for ix in cons.block_system.index]
+
+
+def test_parity_blocks():
+    # only even exponents: every sign flip is a symmetry, so the blocks are
+    # the four parity classes of the degree-12 monomials in three variables
+    basis = square_basis(COMMUTATIVE, 3, 12)
+    cons = build_constraints(sum_of_monomial_squares(3, 12), basis)
+    system = cons.block_system
+    assert [len(ix) for ix in system.index] == [28, 21, 21, 21]
+    assert system.dtype == np.float64 and system.size == 28 ** 2 + 3 * 21 ** 2
+    # kept: the product terms with all exponents even, C(14, 2) of C(26, 2)
+    assert (cons.k, len(system.keep)) == (325, 91)
+    # an x*y cross term breaks the separate x and y flips; only their joint
+    # flip (and the z flip) stay, which merges classes into two blocks
+    x, y, _ = variables(COMMUTATIVE, 3)
+    p32 = sum_of_monomial_squares(3, 2)
+    basis2 = square_basis(COMMUTATIVE, 3, 2)
+    assert sorted(map(sorted, _block_terms(build_constraints(p32, basis2)))) == [
+        [(0, 0, 2), (0, 2, 0), (2, 0, 0)], [(0, 1, 1)], [(1, 0, 1)], [(1, 1, 0)]]
+    crossed = build_constraints(p32 + x * x * x * y + x * y * y * y, basis2)
+    assert sorted(map(sorted, _block_terms(crossed))) == [
+        [(0, 0, 2), (0, 2, 0), (1, 1, 0), (2, 0, 0)], [(0, 1, 1), (1, 0, 1)]]
+    # a generic sum of squares has no sign symmetry: one real block
+    a, basis3 = random_sos(np.random.default_rng(5), COMMUTATIVE, 3, 3, 3)
+    system = build_constraints(a, basis3).block_system
+    assert len(system.index) == 1 and system.dtype == np.float64
+    assert len(system.keep) == len(basis3.product_terms)
+    # free inputs stay one complex block
+    a, basis4 = random_sos(np.random.default_rng(5), FREE, 2, 2, 2)
+    system = build_constraints(a, basis4).block_system
+    assert len(system.index) == 1 and system.dtype == np.complex128
+    assert len(system.keep) == 2 ** 4
+
+
+def test_block_system_matches_full_constraints(rng):
+    # on block-diagonal matrices the block maps are the full maps, with the
+    # dropped equations reading 0
+    for a, basis in ((sum_of_monomial_squares(3, 3), square_basis(COMMUTATIVE, 3, 3)),
+                     random_sos(rng, FREE, 2, 2, 2)):
+        cons = build_constraints(a, basis)
+        system = cons.block_system
+        x = np.concatenate([random_hermitian(rng, len(ix)).reshape(-1) for ix in system.index])
+        if system.dtype == np.float64:
+            x = x.real.copy()
+        M = system.embed(x)
+        assert np.abs(cons.apply(M) - system.lift(system.apply(x))).max() <= 1e-12
+        y = rng.standard_normal(len(system.keep))
+        assert np.abs(cons.adjoint(system.lift(y)) - system.embed(system.adjoint(y))).max() <= 1e-12
+        assert system.trace(x) == pytest.approx(np.trace(M).real, rel=1e-12)
+    # blocks that an equation couples are refused, not solved over
+    cons = build_constraints(sum_of_monomial_squares(3, 2), square_basis(COMMUTATIVE, 3, 2))
+    coupled = GramConstraints(cons.basis, cons.omegas, cons.targets, cons.rows, cons.cols,
+                              cons.vals, cons.seg, (np.arange(3), np.arange(3, 6)))
+    with pytest.raises(ValueError, match="split"):
+        coupled.block_system
+
+
 def test_build_constraints_zero_polynomial():
     basis = square_basis(COMMUTATIVE, 2, 2)
     cons = build_constraints(Polynomial.zero(COMMUTATIVE, 2), basis)
@@ -130,7 +197,7 @@ def test_constraints_reconstruct_gram_map(rng):
         y = cons.apply(M)
         recon = Polynomial.zero(flavor, n)
         for l in range(cons.k):
-            recon = recon + float(y[l]) * cons.omega_polynomial(l)
+            recon = recon + float(y[l]) * cons.omegas[l].polynomial(flavor, n)
         assert (recon - gram_map(M, basis)).coeff_two_norm() <= 1e-9
 
 

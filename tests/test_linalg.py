@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian, random_psd
-from oracles import jacobi_eigh
+from oracles import hermitian_from_dict, jacobi_eigh
 from sos_approx.gram import gram_map, square_basis
 from sos_approx.linalg import (
     NotPsdError,
     clipped_spectrum,
     eig_hermitian,
-    hermitian_from_dict,
     hermitian_to_dict,
     low_rank_factor,
     numerical_rank,

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import free_trace_oracle, random_sos, random_square
+from oracles import hermitian_from_dict
 from sos_approx import linalg
-from sos_approx.gram import build_constraints, gram_map, square_basis
+from sos_approx.gram import GramConstraints, build_constraints, gram_map, square_basis
 from sos_approx.poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares, variables
 from sos_approx.sdp import (
     SolveStatus,
     SolverError,
     SolverOptions,
+    _trace_min,
     dual_bound,
-    dual_functional,
     parse_config_file,
     rank_reduce,
     sos_feasible,
@@ -144,6 +145,56 @@ def test_indefinite_rejected_with_certificate(monkeypatch):
             assert cons.targets @ y < 0
 
 
+def _farkas_holds(form, y):
+    """Independent check of sum_l y_l A_l >= 0 and targets . y < 0: the A_l of
+    a commutative monomial basis put 1 on each cell (i, j) with v_i v_j = tau_l."""
+    basis = square_basis(COMMUTATIVE, form.n_vars, form.degree() // 2)
+    cons = build_constraints(form, basis)
+    assert y.shape == (cons.k,)
+    slot = {om.term: l for l, om in enumerate(cons.omegas)}
+    terms = basis.terms
+    E = np.array([[y[slot[tuple(p + q for p, q in zip(ti, tj))]] for tj in terms] for ti in terms])
+    w = np.linalg.eigvalsh(E)
+    value = sum(y[slot[t]] * c.real for t, c in form.items())
+    return w.min() >= -1e-8 * np.abs(w).max() and value < 0
+
+
+def test_rejections_certified_on_full_system():
+    # the block solve drops the equations between blocks; its certificates
+    # still cover all k of them (zero there) and hold on the full system
+    for coeffs in (MOTZKIN, CHOI_LAM_S, ROBINSON):
+        form = Polynomial(COMMUTATIVE, 3, coeffs)
+        value, sol = sos_norm(form, square_basis(COMMUTATIVE, 3, 3))
+        assert sol.status is SolveStatus.INFEASIBLE and math.isnan(value)
+        assert _farkas_holds(form, sol.certificate.values)
+
+
+def _dense_reference(cons):
+    """The same equations as one complex block: the dense Hermitian solve."""
+    return GramConstraints(cons.basis, cons.omegas, cons.targets, cons.rows, cons.cols,
+                           cons.vals.astype(complex), cons.seg)
+
+
+def test_block_solve_matches_dense_reference():
+    rng = np.random.default_rng(11)
+    cases = [(sum_of_monomial_squares(3, d), square_basis(COMMUTATIVE, 3, d)) for d in range(1, 9)]
+    cases += [random_sos(rng, COMMUTATIVE, 3, d, r) for d in (1, 2, 3) for r in (1, 2, 3)]
+    cases.append(random_sos(rng, FREE, 2, 2, 2))
+    # the rank-one d=2 input meets the cone only at its boundary, and both
+    # solves stall at the cap on it; a lower cap keeps that comparison short
+    options = SolverOptions(max_iter=5000)
+    for a, basis in cases:
+        cons = build_constraints(a, basis)
+        dense_cons = _dense_reference(cons)
+        assert len(dense_cons.block_system.index) == 1
+        blocks = _trace_min(cons, options)
+        dense = _trace_min(dense_cons, options)
+        assert (blocks.status, blocks.iterations) == (dense.status, dense.iterations)
+        assert blocks.objective == pytest.approx(dense.objective, rel=1e-9)
+        assert blocks.matrix.shape == dense.matrix.shape == (basis.size, basis.size)
+        assert blocks.dual.shape == (cons.k,)
+
+
 # rank-one inputs whose fiber meets the PSD cone only at its boundary
 THIN_INPUTS = ((3, 3, 2), (5, 3, 2), (5, 3, 3), (7, 3, 3))
 
@@ -196,9 +247,18 @@ def test_dual_bound_examples(rng):
 
 
 def test_dual_functional_margins(rng):
-    a, basis = random_sos(rng, COMMUTATIVE, 3, 1, 3)
-    phi = dual_functional(a, basis)
-    assert phi.psd_margin >= -1e-7
+    # the recovered dual is feasible, lambda_min(I - sum_l y_l A_l) >= 0, on
+    # the full system also when the solve ran on several blocks: it is scaled
+    # by the largest eigenvalue over all blocks, so the margin is rounding-sized
+    cases = [random_sos(rng, COMMUTATIVE, 3, 1, 3)]
+    cases += [(sum_of_monomial_squares(3, d), square_basis(COMMUTATIVE, 3, d)) for d in (2, 3, 4, 5)]
+    for a, basis in cases:
+        _, sol = sos_norm(a, basis)
+        assert sol.status is SolveStatus.OPTIMAL
+        cons = build_constraints(a, basis)
+        assert sol.dual.shape == (cons.k,)
+        phi = cons.adjoint(sol.dual)
+        assert np.linalg.eigvalsh(np.eye(basis.size) - phi).min() >= -1e-12
 
 
 def test_rank_reduce_p32_constraints(rng):
@@ -297,7 +357,7 @@ def test_solution_serialization(rng):
     a, basis = random_sos(rng, COMMUTATIVE, 2, 1, 2)
     _, sol = sos_norm(a, basis)
     data = sol.to_dict()
-    M = linalg.hermitian_from_dict(data["matrix"])
+    M = hermitian_from_dict(data["matrix"])
     assert np.allclose(M, sol.matrix, atol=1e-12)
     assert data["status"] == "optimal"
 
@@ -307,12 +367,15 @@ def test_figure_rows_have_no_iteration_cliff():
     # against 575 at d=8 and 1,950 at d=10
     seed = json.loads((Path(__file__).parents[1] / "perfbench" / "seed_commit.json")
                       .read_text())["figure"]
+    # d=11, 12: values of the dense complex solve (seed_commit.json stops at d=10)
+    reference = {d: seed[str(d)]["value"] for d in (8, 9, 10)}
+    reference.update({11: 6.528312242044638, 12: 6.653871658158014})
     steps = {}
-    for d in (8, 9, 10):
+    for d in (8, 9, 10, 11, 12):
         p = sum_of_monomial_squares(3, d)
         value, sol = sos_norm(p, square_basis(COMMUTATIVE, 3, d))
         assert sol.status is SolveStatus.OPTIMAL, (d, sol.message)
-        assert value == pytest.approx(seed[str(d)]["value"], rel=1e-6)
+        assert value == pytest.approx(reference[d], rel=1e-6)
         # one trace record per convergence check
         assert len(sol.trace) == sol.iterations // SolverOptions().check_every
         assert sol.trace[-1].iteration == sol.iterations
@@ -320,5 +383,5 @@ def test_figure_rows_have_no_iteration_cliff():
         if d == 9:
             assert len({rec.rho for rec in sol.trace}) > 1
     assert steps[9] <= 4000, steps
-    for lo, hi in ((8, 9), (9, 10)):
+    for lo, hi in ((8, 9), (9, 10), (10, 11), (11, 12)):
         assert max(steps[lo], steps[hi]) <= 10 * min(steps[lo], steps[hi]), steps

@@ -139,9 +139,13 @@ def _emit(args: argparse.Namespace, report: dict) -> None:
         _atomic_write(args.output, text + "\n")
 
 
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0):
+        raise CliError(EXIT_USAGE, f"--eps must be a finite number > 0, got {eps!r}")
+
+
 def cmd_approx(args: argparse.Namespace) -> int:
-    if args.eps is None or args.eps <= 0:
-        raise CliError(EXIT_USAGE, "--eps must be a positive number")
+    _check_eps(args.eps)
     p = _load_polynomial(args.input)
     options = solver_options(args)
     try:
@@ -201,10 +205,12 @@ def cmd_feasible(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    if args.eps is None or args.eps <= 0:
-        raise CliError(EXIT_USAGE, "--eps must be a positive number")
+    _check_eps(args.eps)
     if args.sos_norm_value is not None:
         value = args.sos_norm_value
+        if not (math.isfinite(value) and value >= 0):
+            raise CliError(EXIT_USAGE,
+                           f"--sos-norm-value must be a finite number >= 0, got {value!r}")
         flavor, n, d = args.flavor, args.n, args.d
         if None in (flavor, n, d):
             raise CliError(EXIT_USAGE,
@@ -234,10 +240,11 @@ def _figure_row(n: int, d: int, options: sdp.SolverOptions) -> tuple[int, float]
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    n = args.n or 3
-    d_max = args.d_max or 8
+    for flag, value in (("--n", args.n), ("--d-max", args.d_max), ("--jobs", args.jobs)):
+        if value < 1:
+            raise CliError(EXIT_USAGE, f"{flag} must be an integer >= 1, got {value}")
+    n, d_max, jobs = args.n, args.d_max, args.jobs
     options = solver_options(args)
-    jobs = max(1, args.jobs or 1)
     results: dict[int, float] = {}
     failures: list[str] = []
 
@@ -337,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sos-norm growth experiment (CSV)")
     pg.add_argument("--n", type=int, default=3)
     pg.add_argument("--d-max", dest="d_max", type=int, default=8,
-                    help="last degree row; on a 2-vCPU VM 12 takes about 3 s "
-                         "and 16 about 11 s")
+                    help="last degree row; on a 2-vCPU VM 12 takes about 2 s "
+                         "and 16 about 7 s")
     pg.add_argument("--output")
     pg.add_argument("--jobs", type=int, default=1,
                     help="parallel row workers")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as _iproduct
+from itertools import combinations, product as _iproduct
 from typing import Iterable
 
 import numpy as np
@@ -222,14 +222,16 @@ class GramConstraints:
     `vals` is real when every A_l is (commutative bases); then the real part
     of a feasible M is feasible with the same trace.  `blocks` partitions the
     basis indices (one block by default) so that some matrix of least trace
-    in the fiber is block-diagonal over it; `block_system` is the system the
-    solver runs on.
+    in the fiber is block-diagonal over it; `swaps` are permutations of the
+    basis indices that map the equations and their targets onto themselves
+    (none by default).  `block_system` is the system the solver runs on.
     """
 
     def __init__(self, basis: SquareBasis, omegas: tuple[HermitianBasisElement, ...],
                  targets: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                  vals: np.ndarray, seg: np.ndarray,
-                 blocks: tuple[np.ndarray, ...] | None = None):
+                 blocks: tuple[np.ndarray, ...] | None = None,
+                 swaps: tuple[np.ndarray, ...] = ()):
         self.basis = basis
         self.omegas = omegas
         self.targets = np.asarray(targets, dtype=float)
@@ -239,6 +241,7 @@ class GramConstraints:
         self.seg = seg
         self.dim = basis.size
         self.blocks = (np.arange(self.dim),) if blocks is None else blocks
+        self.swaps = swaps
 
     @property
     def k(self) -> int:
@@ -289,13 +292,21 @@ class BlockSystem:
     of equal sizes as one stack (start, stop, count, size).  The equations
     that touch only cells between blocks have target 0 and are dropped;
     `keep` lists the others, in the order of their rows of the full system.
+
+    The constraints' `swaps` generate a group G that permutes the blocks;
+    `orbit[b]` is the first block of the orbit of block b, its
+    representative.  Some matrix of least trace is invariant under G
+    (Gatermann & Parrilo 2004), and an invariant matrix is fixed by its
+    representatives: every other block is a permuted copy of one.  When G
+    merges blocks, `psd_part` projects onto the invariant PSD matrices with
+    one eigendecomposition per orbit instead of one per block.
     """
 
     def __init__(self, cons: GramConstraints):
         D = cons.dim
         index = sorted(cons.blocks, key=len, reverse=True)
         sizes = np.array([len(ix) for ix in index], dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(sizes ** 2)])
+        offsets, self.groups = _stacks(sizes)
         block_of = np.empty(D, dtype=np.int64)
         pos = np.empty(D, dtype=np.int64)
         for b, ix in enumerate(index):
@@ -322,10 +333,57 @@ class BlockSystem:
         self._normal = np.bincount(self.seg, np.abs(self.vals) ** 2, len(keep))
         self.diagonal = np.concatenate(
             [offsets[b] + np.arange(s) * (s + 1) for b, s in enumerate(sizes)])
-        self.groups = []
-        for s in sorted(set(sizes.tolist()), reverse=True):
-            run = np.flatnonzero(sizes == s)
-            self.groups.append((int(offsets[run[0]]), int(offsets[run[-1] + 1]), len(run), s))
+
+        self.orbit = np.arange(len(index))
+        self._labels = None
+        if cons.swaps:
+            self._merge_orbits(cons.swaps, block_of, pos, sizes)
+
+    def _merge_orbits(self, swaps, block_of, pos, sizes) -> None:
+        """Label each cell with its orbit under the group the swaps generate
+        together with the transpose.
+
+        A swap maps cell (i, j) to (perm[i], perm[j]).  The transpose joins
+        (i, j) and (j, i): a swap can carry a cell below one diagonal to a
+        cell above another, and `eigh` reads only the lower triangle, so
+        without it an asymmetric rounding error would feed back into the
+        iterates and grow.  `first` ends as the lowest flat position in each
+        cell's orbit, which lies in the orbit's first block, its
+        representative.
+        """
+        if self.dtype != np.float64:
+            raise ValueError("blocks merge only in real arithmetic")
+        ci = np.concatenate([np.repeat(ix, len(ix)) for ix in self.index])
+        cj = np.concatenate([np.tile(ix, len(ix)) for ix in self.index])
+        images = [self.offsets[block_of[cj]] + pos[cj] * sizes[block_of[cj]] + pos[ci]]
+        for perm in swaps:
+            pi, pj = perm[ci], perm[cj]
+            b = block_of[pi]
+            image = self.offsets[b] + pos[pi] * sizes[b] + pos[pj]
+            if (block_of[pj] != b).any() or not np.array_equal(
+                    np.sort(image), np.arange(self.size)):
+                raise ValueError("the swaps do not permute the blocks")
+            images.append(image)
+        first = np.arange(self.size)
+        while True:
+            last = first
+            for image in images:
+                first = np.minimum(first, first[image])
+            if np.array_equal(first, last):
+                break
+        self.orbit = np.searchsorted(self.offsets, first[self.offsets[:-1]], side="right") - 1
+        reps = np.flatnonzero(self.orbit == np.arange(len(self.index)))
+        if len(reps) == len(self.index):
+            return
+        # the representatives stacked into one compact vector
+        cells = np.concatenate([np.arange(self.offsets[r], self.offsets[r + 1]) for r in reps])
+        compact = np.empty(self.size, dtype=np.int64)
+        compact[cells] = np.arange(len(cells))
+        _, self._labels = np.unique(first, return_inverse=True)
+        self._count = np.bincount(self._labels)
+        self._gather = self._labels[cells]
+        self._src = compact[first]
+        self._compact_groups = _stacks(sizes[reps])[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.seg, (self.vals * x[self._app]).real, len(self.keep))
@@ -350,11 +408,20 @@ class BlockSystem:
                 for o, ix in zip(self.offsets, self.index)]
 
     def psd_part(self, x: np.ndarray) -> np.ndarray:
-        """Projection onto the PSD cone, one stacked eigh per run of equal sizes."""
-        out = np.empty_like(x)
-        for start, stop, count, s in self.groups:
-            out[start:stop] = linalg.psd_part(x[start:stop].reshape(count, s, s)).reshape(-1)
-        return out
+        """Projection onto the PSD cone, one stacked eigh per run of equal sizes.
+
+        With merged orbits it is the projection onto the invariant PSD
+        matrices: each cell is averaged over its orbit (the orthogonal
+        projection onto the invariant matrices), only the representative
+        blocks are projected, and every cell copies its orbit's value back
+        from them.  G acts by conjugation with permutation matrices, which
+        commutes with the PSD projection, so the projected average is
+        invariant and is the nearest invariant PSD matrix.
+        """
+        if self._labels is None:
+            return _psd_stacks(x, self.groups)
+        mean = np.bincount(self._labels, x, len(self._count)) / self._count
+        return _psd_stacks(mean[self._gather], self._compact_groups)[self._src]
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         """The full D x D complex matrix with the blocks of x on their indices."""
@@ -370,6 +437,24 @@ class BlockSystem:
         return out
 
 
+def _stacks(sizes: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
+    """Flat offsets of square blocks of these (descending) sizes, and each run
+    of equal sizes as one stack (start, stop, count, size)."""
+    offsets = np.concatenate([[0], np.cumsum(sizes ** 2)])
+    groups = []
+    for s in sorted(set(sizes.tolist()), reverse=True):
+        run = np.flatnonzero(sizes == s)
+        groups.append((int(offsets[run[0]]), int(offsets[run[-1] + 1]), len(run), s))
+    return offsets, groups
+
+
+def _psd_stacks(x: np.ndarray, groups: list[tuple[int, int, int, int]]) -> np.ndarray:
+    out = np.empty_like(x)
+    for start, stop, count, s in groups:
+        out[start:stop] = linalg.psd_part(x[start:stop].reshape(count, s, s)).reshape(-1)
+    return out
+
+
 def _parity_blocks(a: Polynomial, basis: SquareBasis) -> tuple[np.ndarray, ...]:
     """Basis indices of a commutative monomial basis grouped by sign symmetry.
 
@@ -378,7 +463,9 @@ def _parity_blocks(a: Polynomial, basis: SquareBasis) -> tuple[np.ndarray, ...]:
     and of the same trace, and zeroes each cell whose product term has its
     parity vector outside the GF(2) span S of the parity vectors of supp(a)
     (Gatermann & Parrilo 2004).  Two monomials share a block iff their
-    parity vectors lie in one coset of S.
+    parity vectors lie in one coset of S.  A swap of variables that fixes a
+    maps S onto itself, so it permutes these blocks; `BlockSystem` groups
+    them into orbits.
     """
     def parity(t: Term) -> int:
         return sum((e & 1) << j for j, e in enumerate(t))
@@ -399,6 +486,27 @@ def _parity_blocks(a: Polynomial, basis: SquareBasis) -> tuple[np.ndarray, ...]:
     for i, t in enumerate(basis.terms):
         classes.setdefault(reduce(parity(t)), []).append(i)
     return tuple(np.array(ix, dtype=np.int64) for ix in classes.values())
+
+
+def _variable_swaps(a: Polynomial, basis: SquareBasis) -> tuple[np.ndarray, ...]:
+    """The swaps x_i <-> x_j that fix a, as permutations of the basis indices.
+
+    Coefficients must be equal after the swap, with no tolerance: a Gram
+    matrix of least trace invariant under the swaps exists only for exact
+    symmetries (Gatermann & Parrilo 2004).
+    """
+    swaps = []
+    for i, j in combinations(range(basis.n_vars), 2):
+        def swap(t: Term) -> Term:
+            t = list(t)
+            t[i], t[j] = t[j], t[i]
+            return tuple(t)
+
+        if all(a._coeffs.get(swap(t)) == c for t, c in a._coeffs.items()):
+            perm = [basis.index.get(swap(t)) for t in basis.terms]
+            if None not in perm:
+                swaps.append(np.array(perm, dtype=np.int64))
+    return tuple(swaps)
 
 
 def build_constraints(a: Polynomial, basis: SquareBasis,
@@ -468,11 +576,13 @@ def build_constraints(a: Polynomial, basis: SquareBasis,
                  [np.full(sel.shape, -1j * s2 / 2, dtype=complex),
                   np.full(sel_c.shape, 1j * s2 / 2, dtype=complex)])
 
+    commutative = basis.flavor == COMMUTATIVE
     return GramConstraints(
         basis, tuple(omegas), np.array(targets, dtype=float),
         np.concatenate(rows_parts), np.concatenate(cols_parts),
         np.concatenate(vals_parts), np.concatenate(seg_parts),
-        _parity_blocks(a, basis) if basis.flavor == COMMUTATIVE else None)
+        _parity_blocks(a, basis) if commutative else None,
+        _variable_swaps(a, basis) if commutative else ())
 
 
 def operator_norm_bound(basis: SquareBasis) -> float:

@@ -7,8 +7,11 @@ eigendecomposition per block), with the trace objective folded into the
 augmented splitting.  It runs on `GramConstraints.block_system`: for
 commutative inputs every A_l is real, so the iterates are real symmetric,
 and they are block-diagonal over the sign-symmetry classes of the basis
-(Gatermann & Parrilo 2004); free inputs are one complex block.  Results are
-embedded back: the full D x D matrix, and duals over all k equations.
+(Gatermann & Parrilo 2004); free inputs are one complex block.  When swaps
+of variables that fix the input permute the blocks, the cone projection
+keeps the iterates invariant under them and decomposes one block per orbit.
+Results are embedded back: the full D x D matrix, and duals over all k
+equations.
 
 The same loop detects infeasibility: when the fiber misses the cone, the
 change in the scaled dual between checks converges to a Farkas ray (Banjac,

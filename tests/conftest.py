@@ -19,3 +19,10 @@ def random_square(rng, basis):
 def free_trace_oracle(p, basis):
     """Closed-form sos-norm of a free polynomial: sum of its nu*nu coefficients."""
     return float(sum(p.coefficient(w[::-1] + w) for w in basis.terms).real)
+
+
+# nonnegative ternary sextics that are not sums of squares
+MOTZKIN = {(4, 2, 0): 1, (2, 4, 0): 1, (0, 0, 6): 1, (2, 2, 2): -3}
+CHOI_LAM_S = {(4, 2, 0): 1, (0, 4, 2): 1, (2, 0, 4): 1, (2, 2, 2): -3}
+ROBINSON = {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1, (4, 2, 0): -1, (2, 4, 0): -1,
+            (4, 0, 2): -1, (2, 0, 4): -1, (0, 4, 2): -1, (0, 2, 4): -1, (2, 2, 2): 3}

@@ -105,7 +105,7 @@ def test_approx_exact_square_free(tmp_path):
     assert cert["error"] == pytest.approx(0.0, abs=1e-10)
 
 
-def test_approx_usage_errors(tmp_path, rng):
+def test_approx_usage_errors(tmp_path, rng, capsys):
     a, _ = random_sos(rng, COMMUTATIVE, 2, 1, 2)
     path = write_poly(tmp_path, a)
     assert cli.main(["approx", "--input", path, "--eps", "0",
@@ -113,6 +113,12 @@ def test_approx_usage_errors(tmp_path, rng):
     with pytest.raises(SystemExit) as exc:
         cli.main(["approx", "--input", path, "--output", "x.json"])  # --eps missing
     assert exc.value.code == 2
+    # a non-finite eps is refused before any certificate is written
+    for eps in ("nan", "inf"):
+        out = tmp_path / f"c-{eps}.json"
+        assert cli.main(["approx", "--input", path, "--eps", eps, "--output", str(out)]) == 2
+        assert not out.exists()
+        assert "--eps must be a finite number > 0" in capsys.readouterr().err
 
 
 def test_approx_infeasible_no_partial_file(tmp_path):
@@ -150,6 +156,16 @@ def test_bounds_command(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["dim_vv"] == 15 and report["sqrt_dim_bound"] == 4
     assert cli.main(["bounds", "--eps", "1.0"]) == 2
+    # non-finite values are refused with the flag named, not converted
+    for flag, eps, value in (("--eps", "nan", "3.0"), ("--eps", "inf", "3.0"),
+                             ("--sos-norm-value", "1.0", "nan"),
+                             ("--sos-norm-value", "1.0", "inf"),
+                             ("--sos-norm-value", "1.0", "-1.0")):
+        code = cli.main(["bounds", "--flavor", "commutative", "--n", "3", "--d", "2",
+                         "--eps", eps, "--sos-norm-value", value])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"error: {flag} must be a finite number" in captured.err
 
 
 def test_bounds_command_from_input(tmp_path, capsys):
@@ -192,6 +208,15 @@ def test_figure_failed_rows_exit_solver(tmp_path, capsys):
     assert len(err) == 3
     for d, line in zip((1, 2, 3), err):
         assert line.startswith(f"row failed: d={d}: max-iter: iteration cap 25 reached")
+
+
+@pytest.mark.parametrize("flag,value", [("--n", "0"), ("--n", "-1"), ("--d-max", "0"),
+                                        ("--d-max", "-2"), ("--jobs", "0"), ("--jobs", "-3")])
+def test_figure_rejects_counts_below_one(tmp_path, capsys, flag, value):
+    out = tmp_path / "fig.csv"
+    assert cli.main(["figure", flag, value, "--output", str(out)]) == 2
+    assert not out.exists()
+    assert f"error: {flag} must be an integer >= 1, got {value}" in capsys.readouterr().err
 
 
 def test_config_file_and_flag_override(tmp_path, monkeypatch, rng, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_sos
+from conftest import CHOI_LAM_S, MOTZKIN, random_hermitian, random_sos
 from sos_approx.gram import (
     BasisSizeError,
     GramConstraints,
@@ -157,6 +157,90 @@ def test_block_system_matches_full_constraints(rng):
                               cons.vals, cons.seg, (np.arange(3), np.arange(3, 6)))
     with pytest.raises(ValueError, match="split"):
         coupled.block_system
+
+
+def _orbits(cons):
+    """The orbits of the blocks, each as the parity vectors of its blocks."""
+    system = cons.block_system
+    orbits = {}
+    for b, ix in enumerate(system.index):
+        parity = tuple(e % 2 for e in cons.basis.terms[ix[0]])
+        orbits.setdefault(int(system.orbit[b]), []).append(parity)
+    return sorted(map(sorted, orbits.values()))
+
+
+def test_variable_swap_orbits():
+    # every swap fixes the figure inputs: the three blocks with one odd
+    # exponent (or two, at even d) are one orbit, the fourth is its own
+    for d, reps in ((9, [15, 10]), (12, [28, 21])):
+        basis = square_basis(COMMUTATIVE, 3, d)
+        cons = build_constraints(sum_of_monomial_squares(3, d), basis)
+        system = cons.block_system
+        assert len(cons.swaps) == 3
+        assert [len(ix) for b, ix in enumerate(system.index) if system.orbit[b] == b] == reps
+    # Motzkin is fixed by x <-> y only, which swaps its x-odd and y-odd blocks
+    basis3 = square_basis(COMMUTATIVE, 3, 3)
+    motzkin = build_constraints(Polynomial(COMMUTATIVE, 3, MOTZKIN), basis3)
+    assert len(motzkin.swaps) == 1
+    assert _orbits(motzkin) == [[(0, 0, 1)], [(0, 1, 0), (1, 0, 0)], [(1, 1, 1)]]
+    # Choi-Lam S is fixed by the cyclic shift of the variables but by no swap
+    choi_lam = build_constraints(Polynomial(COMMUTATIVE, 3, CHOI_LAM_S), basis3)
+    assert choi_lam.swaps == () and len(_orbits(choi_lam)) == 4
+    # a generic input has no symmetry
+    a, basis = random_sos(np.random.default_rng(5), COMMUTATIVE, 3, 3, 3)
+    assert build_constraints(a, basis).swaps == ()
+    # symmetry is exact: one coefficient moved by one ulp breaks every swap
+    # that moves its term, and x^2 y^4 z^12 is moved by all three
+    coeffs = dict(sum_of_monomial_squares(3, 9).items())
+    assert coeffs[(2, 4, 12)] == 1
+    coeffs[(2, 4, 12)] = np.nextafter(1.0, 2.0)
+    bumped = Polynomial(COMMUTATIVE, 3, coeffs)
+    cons = build_constraints(bumped, square_basis(COMMUTATIVE, 3, 9))
+    assert cons.swaps == () and len(_orbits(cons)) == 4
+
+
+def _group(perms):
+    """Every product of the permutations: the group they generate."""
+    group = {tuple(range(len(perms[0])))}
+    frontier = list(group)
+    while frontier:
+        g = np.array(frontier.pop())
+        for perm in perms:
+            h = tuple(perm[g])
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return [np.array(g) for g in group]
+
+
+def _flat(system, M):
+    """The blocks of a block-diagonal matrix as the system's flat vector."""
+    return np.concatenate([M[np.ix_(ix, ix)].reshape(-1) for ix in system.index])
+
+
+def test_orbit_projection_is_invariant_psd_projection(rng):
+    # on an input that is not invariant, the reduced projection is the full
+    # one applied to the average of the input over the symmetry group
+    for a, basis in ((sum_of_monomial_squares(3, 4), square_basis(COMMUTATIVE, 3, 4)),
+                     (Polynomial(COMMUTATIVE, 3, MOTZKIN), square_basis(COMMUTATIVE, 3, 3))):
+        cons = build_constraints(a, basis)
+        system = cons.block_system
+        full = GramConstraints(cons.basis, cons.omegas, cons.targets, cons.rows, cons.cols,
+                               cons.vals, cons.seg, cons.blocks).block_system
+        assert all(map(np.array_equal, full.index, system.index))
+        assert (full.orbit == np.arange(len(full.index))).all()
+        group = _group(cons.swaps)
+        assert len(group) == (6 if len(cons.swaps) == 3 else 2)
+        x = np.concatenate([random_hermitian(rng, len(ix)).real.reshape(-1)
+                            for ix in system.index])
+        M = system.embed(x).real
+        mean = sum(M[np.ix_(g, g)] for g in group) / len(group)
+        out = system.embed(system.psd_part(x)).real
+        assert np.abs(out - full.embed(full.psd_part(_flat(full, mean))).real).max() <= 1e-12
+        for g in group:
+            assert np.array_equal(out[np.ix_(g, g)], out)
+        assert np.array_equal(out, out.T)
+        assert np.linalg.eigvalsh(out).min() >= -1e-12
 
 
 def test_build_constraints_zero_polynomial():

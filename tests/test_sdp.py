@@ -5,7 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import free_trace_oracle, random_sos, random_square
+from conftest import (
+    CHOI_LAM_S,
+    MOTZKIN,
+    ROBINSON,
+    free_trace_oracle,
+    random_sos,
+    random_square,
+)
 from oracles import hermitian_from_dict
 from sos_approx import linalg
 from sos_approx.gram import GramConstraints, build_constraints, gram_map, square_basis
@@ -92,12 +99,6 @@ def test_feasible_monomial_square_sums():
         cons = build_constraints(p, basis)
         assert cons.residual(result.witness) <= 1e-6
         assert linalg.eig_hermitian(result.witness).eigenvalues.min() >= -1e-10
-
-
-MOTZKIN = {(4, 2, 0): 1, (2, 4, 0): 1, (0, 0, 6): 1, (2, 2, 2): -3}
-CHOI_LAM_S = {(4, 2, 0): 1, (0, 4, 2): 1, (2, 0, 4): 1, (2, 2, 2): -3}
-ROBINSON = {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1, (4, 2, 0): -1, (2, 4, 0): -1,
-            (4, 0, 2): -1, (2, 0, 4): -1, (0, 4, 2): -1, (0, 2, 4): -1, (2, 2, 2): 3}
 
 
 def test_indefinite_rejected_with_certificate(monkeypatch):
@@ -193,6 +194,39 @@ def test_block_solve_matches_dense_reference():
         assert blocks.objective == pytest.approx(dense.objective, rel=1e-9)
         assert blocks.matrix.shape == dense.matrix.shape == (basis.size, basis.size)
         assert blocks.dual.shape == (cons.k,)
+
+
+def _unreduced(cons):
+    """The same blocks without the variable swaps: one projection per block."""
+    return GramConstraints(cons.basis, cons.omegas, cons.targets, cons.rows, cons.cols,
+                           cons.vals, cons.seg, cons.blocks)
+
+
+def test_orbit_solve_matches_unreduced_reference():
+    # projecting one block per orbit takes the same steps as projecting
+    # every block, and ends at the same value or the same rejection
+    x, y, z = variables(COMMUTATIVE, 3)
+    swapped = [x * x * y - 2 * y * z * z + y * y * y, x * y * y - 2 * x * z * z + x * x * x,
+               z * z * z - x * x * z, z * z * z - y * y * z]
+    symmetric = sum((q * q for q in swapped), sum_of_monomial_squares(3, 3))
+    cases = [(sum_of_monomial_squares(3, d), d, True) for d in range(1, 13)]
+    cases += [(Polynomial(COMMUTATIVE, 3, f), 3, True) for f in (MOTZKIN, ROBINSON)]
+    cases.append((symmetric, 3, False))
+    options = SolverOptions()
+    for a, d, minimize_trace in cases:
+        cons = build_constraints(a, square_basis(COMMUTATIVE, 3, d))
+        system = cons.block_system
+        assert (system.orbit != np.arange(len(system.index))).any()
+        reduced = _trace_min(cons, options, minimize_trace)
+        full = _trace_min(_unreduced(cons), options, minimize_trace)
+        assert (reduced.status, reduced.iterations) == (full.status, full.iterations), d
+        if reduced.status is SolveStatus.INFEASIBLE:
+            assert np.abs(reduced.dual - full.dual).max() <= 1e-12 * np.abs(full.dual).max()
+            assert _farkas_holds(a, reduced.certificate.values)
+        else:
+            assert reduced.status is SolveStatus.OPTIMAL
+            assert reduced.objective == pytest.approx(full.objective, rel=1e-12, abs=0)
+            assert np.abs(reduced.matrix - full.matrix).max() <= 1e-12 * np.abs(full.matrix).max()
 
 
 # rank-one inputs whose fiber meets the PSD cone only at its boundary

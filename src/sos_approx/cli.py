@@ -215,6 +215,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if None in (flavor, n, d):
             raise CliError(EXIT_USAGE,
                            "--flavor, --n and --d are required with --sos-norm-value")
+        for flag, value, least in (("--n", n, 1), ("--d", d, 0)):
+            if value < least:
+                raise CliError(EXIT_USAGE, f"{flag} must be an integer >= {least}, got {value}")
     elif args.input:
         p = _load_polynomial(args.input)
         basis = _homogeneous_basis(p)

@@ -288,8 +288,7 @@ class BlockSystem:
 
     A block-diagonal matrix is one flat vector: block b (basis indices
     `index[b]`, size s) row-major at x[offsets[b]:offsets[b] + s*s], real
-    when every A_l is.  Blocks are sorted by size, so `groups` lists each run
-    of equal sizes as one stack (start, stop, count, size).  The equations
+    when every A_l is; blocks are sorted by size, largest first.  The equations
     that touch only cells between blocks have target 0 and are dropped;
     `keep` lists the others, in the order of their rows of the full system.
 
@@ -299,14 +298,16 @@ class BlockSystem:
     (Gatermann & Parrilo 2004), and an invariant matrix is fixed by its
     representatives: every other block is a permuted copy of one.  When G
     merges blocks, `psd_part` projects onto the invariant PSD matrices with
-    one eigendecomposition per orbit instead of one per block.
+    one eigendecomposition per orbit instead of one per block.  The blocks
+    it decomposes, all of them or the representatives, are `projected`:
+    (offset, size) in the vector it decomposes.
     """
 
     def __init__(self, cons: GramConstraints):
         D = cons.dim
         index = sorted(cons.blocks, key=len, reverse=True)
         sizes = np.array([len(ix) for ix in index], dtype=np.int64)
-        offsets, self.groups = _stacks(sizes)
+        offsets = _offsets(sizes)
         block_of = np.empty(D, dtype=np.int64)
         pos = np.empty(D, dtype=np.int64)
         for b, ix in enumerate(index):
@@ -333,6 +334,7 @@ class BlockSystem:
         self._normal = np.bincount(self.seg, np.abs(self.vals) ** 2, len(keep))
         self.diagonal = np.concatenate(
             [offsets[b] + np.arange(s) * (s + 1) for b, s in enumerate(sizes)])
+        self.projected = list(zip(offsets[:-1].tolist(), sizes.tolist()))
 
         self.orbit = np.arange(len(index))
         self._labels = None
@@ -383,7 +385,7 @@ class BlockSystem:
         self._count = np.bincount(self._labels)
         self._gather = self._labels[cells]
         self._src = compact[first]
-        self._compact_groups = _stacks(sizes[reps])[1]
+        self.projected = list(zip(_offsets(sizes[reps])[:-1].tolist(), sizes[reps].tolist()))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.seg, (self.vals * x[self._app]).real, len(self.keep))
@@ -407,8 +409,19 @@ class BlockSystem:
         return [x[o:o + len(ix) ** 2].reshape(len(ix), len(ix))
                 for o, ix in zip(self.offsets, self.index)]
 
-    def psd_part(self, x: np.ndarray) -> np.ndarray:
-        """Projection onto the PSD cone, one stacked eigh per run of equal sizes.
+    def rank_hint(self) -> list[int]:
+        """A fresh rank hint for `psd_part`: every projected block at full rank."""
+        return [s for _, s in self.projected]
+
+    def psd_part(self, x: np.ndarray, ranks: list[int]) -> np.ndarray:
+        """Projection onto the PSD cone, one LAPACK call per projected block.
+
+        `ranks` (from `rank_hint`, kept by the caller across calls) holds
+        for each projected block the number of eigenvalues its previous
+        projection kept, and is updated in place.  A block that kept at most
+        a quarter of them is decomposed for its positive eigenpairs only,
+        the others fully (`linalg.psd_part`).  The hint changes the cost,
+        not the result: both give the projection up to rounding.
 
         With merged orbits it is the projection onto the invariant PSD
         matrices: each cell is averaged over its orbit (the orthogonal
@@ -418,10 +431,13 @@ class BlockSystem:
         commutes with the PSD projection, so the projected average is
         invariant and is the nearest invariant PSD matrix.
         """
-        if self._labels is None:
-            return _psd_stacks(x, self.groups)
-        mean = np.bincount(self._labels, x, len(self._count)) / self._count
-        return _psd_stacks(mean[self._gather], self._compact_groups)[self._src]
+        if self._labels is not None:
+            x = (np.bincount(self._labels, x, len(self._count)) / self._count)[self._gather]
+        out = np.empty_like(x)
+        for b, (o, s) in enumerate(self.projected):
+            P, ranks[b] = linalg.psd_part(x[o:o + s * s].reshape(s, s), 4 * ranks[b] <= s)
+            out[o:o + s * s] = P.reshape(-1)
+        return out if self._labels is None else out[self._src]
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         """The full D x D complex matrix with the blocks of x on their indices."""
@@ -437,22 +453,9 @@ class BlockSystem:
         return out
 
 
-def _stacks(sizes: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
-    """Flat offsets of square blocks of these (descending) sizes, and each run
-    of equal sizes as one stack (start, stop, count, size)."""
-    offsets = np.concatenate([[0], np.cumsum(sizes ** 2)])
-    groups = []
-    for s in sorted(set(sizes.tolist()), reverse=True):
-        run = np.flatnonzero(sizes == s)
-        groups.append((int(offsets[run[0]]), int(offsets[run[-1] + 1]), len(run), s))
-    return offsets, groups
-
-
-def _psd_stacks(x: np.ndarray, groups: list[tuple[int, int, int, int]]) -> np.ndarray:
-    out = np.empty_like(x)
-    for start, stop, count, s in groups:
-        out[start:stop] = linalg.psd_part(x[start:stop].reshape(count, s, s)).reshape(-1)
-    return out
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """Flat offsets of square blocks of these sizes laid end to end, and the end."""
+    return np.concatenate([[0], np.cumsum(sizes ** 2)])
 
 
 def _parity_blocks(a: Polynomial, basis: SquareBasis) -> tuple[np.ndarray, ...]:

@@ -1,7 +1,8 @@
 """Hermitian eigendecomposition, Schatten norms, PSD checks, spectral truncation.
 
-Eigendecompositions go through LAPACK via numpy; the test suite
-cross-validates it against an independent cyclic Jacobi solver.
+Eigendecompositions go through LAPACK, via numpy or, in the solver's cone
+projection, directly through scipy; the test suite cross-validates them
+against an independent cyclic Jacobi solver.
 """
 
 from __future__ import annotations
@@ -10,6 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# scipy.linalg is loaded by sdp and reached as scipy.linalg.lapack at call
+# time: importing it here, ahead of the rest of the package, made importing
+# the package about 35 ms (7%) slower on a 2-vCPU VM
+import scipy
 
 # negative eigenvalues above this (relative) magnitude mean genuine indefiniteness;
 # below it they are solver noise and get clipped to zero
@@ -42,10 +47,11 @@ def require_hermitian(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues in descending order with orthonormal eigenvector columns."""
+    """Eigenvalues in descending order with orthonormal eigenvector columns
+    (None when only the eigenvalues were computed)."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
     def reconstruct(self) -> np.ndarray:
         V = self.eigenvectors
@@ -58,14 +64,16 @@ class SpectralDecomposition:
         return (V * lam) @ V.conj().T
 
 
-def eig_hermitian(M: np.ndarray) -> SpectralDecomposition:
+def eig_hermitian(M: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending.
 
     Ties keep LAPACK's eigenvector order (stable sort), so truncation is
-    deterministic.
+    deterministic.  With vectors=False only the eigenvalues are computed.
     """
     H = require_hermitian(M)
     try:
+        if not vectors:
+            return SpectralDecomposition(np.linalg.eigvalsh(H)[::-1].astype(float), None)
         w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"eigh did not converge: {exc}") from exc
@@ -185,18 +193,35 @@ def numerical_rank(M: np.ndarray, cutoff_rel: float = 1e-9) -> int:
     return int((w > cutoff_rel * w[0]).sum())
 
 
-def psd_part(M: np.ndarray) -> np.ndarray:
-    """Projection onto the PSD cone (negative eigenvalues zeroed), also of a stack.
+def psd_part(M: np.ndarray, low_rank: bool = False) -> tuple[np.ndarray, int]:
+    """Projection onto the PSD cone (negative eigenvalues zeroed), and its rank.
 
     The solver's hot path: M must be Hermitian already (the solver's iterates
     are by construction), so unlike `eig_hermitian` it is neither validated
-    nor copied, and real input stays real.
+    nor symmetrized, and real input stays real.  LAPACK is called directly
+    and both drivers read the lower triangle.  With low_rank it computes
+    only the positive eigenpairs (`?syevr` on the interval (0, inf], which
+    for a partial spectrum runs bisection and inverse iteration after the
+    tridiagonal reduction); otherwise all of them (`?syevd`).  Both give
+    the same projection up to rounding.  Measured per call, `?syevr` wins
+    while at most about a quarter of the eigenvalues are positive and loses
+    above that, by up to 30x on complex 45 x 45 blocks with most of them
+    positive.
     """
-    try:
-        w, V = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"eigh did not converge: {exc}") from exc
-    return (V * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(V, -1, -2).conj()
+    real = M.dtype.kind != "c"
+    lapack = scipy.linalg.lapack
+    if low_rank:
+        evr = lapack.dsyevr if real else lapack.zheevr
+        w, V, last, _, info = evr(M, range="V", lower=1, vl=0.0, vu=math.inf)
+        first = 0
+    else:
+        evd = lapack.dsyevd if real else lapack.zheevd
+        w, V, info = evd(M, lower=1)
+        first, last = int(np.searchsorted(w, 0.0, side="right")), len(w)   # w ascends
+    if info != 0:
+        raise NonConvergenceError(f"LAPACK eigensolver failed with info={info}")
+    w, V = w[first:last], V[:, first:last]
+    return (V * w) @ V.conj().T, last - first
 
 
 # -- shared JSON coordinate schema for Hermitian matrices ----------------------

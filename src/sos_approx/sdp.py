@@ -2,9 +2,10 @@
 
 The solver is a first-order operator-splitting scheme: each iteration
 projects onto the affine subspace {tr(A_l M) = lambda_l} (exactly, through
-the cached constraint Gram system) and onto the PSD cone (one
-eigendecomposition per block), with the trace objective folded into the
-augmented splitting.  It runs on `GramConstraints.block_system`: for
+the cached constraint Gram system) and onto the PSD cone (one LAPACK
+eigendecomposition per block, of the positive eigenpairs only where the
+block's last projection kept few), with the trace objective folded into
+the augmented splitting.  It runs on `GramConstraints.block_system`: for
 commutative inputs every A_l is real, so the iterates are real symmetric,
 and they are block-diagonal over the sign-symmetry classes of the basis
 (Gatermann & Parrilo 2004); free inputs are one complex block.  When swaps
@@ -199,7 +200,7 @@ def _dual_shifted(system: BlockSystem, targets: np.ndarray,
     """Scale y so that sum_l y_l A_l <= I holds, then evaluate the bound at targets."""
     if not np.any(y):
         return y, 0.0
-    top = max(float(linalg.eig_hermitian(B).eigenvalues[0])
+    top = max(float(linalg.eig_hermitian(B, vectors=False).eigenvalues[0])
               for B in system.split(system.adjoint(y)))
     if top > 1.0:
         y = y / top
@@ -244,15 +245,28 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     which makes the loop a Douglas-Rachford feasibility solve: it stops at
     the first check where the PSD iterate meets the primal tolerance, and it
     has no dual bound.
+
+    Each step makes one LAPACK call per projected block.  The solve keeps a
+    rank hint per block (`BlockSystem.psd_part`), so a block whose last
+    projection kept at most a quarter of its eigenvalues computes only the
+    positive eigenpairs; trace-minimal iterates are nearly low rank, so
+    most steps take that branch on the large blocks.  The values that do
+    not change between steps (the normal system's inverse diagonal, the
+    scaled targets through it, and eye / rho until rho changes) are
+    computed once.
     """
     system = constraints.block_system
     b = system.targets
     bnorm = float(np.linalg.norm(b))
     s = bnorm if bnorm > 1e-300 else 1.0
     bh = b / s
+    inv_normal = system.solve_normal(np.ones(len(b)))
+    bh_normal = system.solve_normal(bh)
+    ranks = system.rank_hint()
 
     eye = system.identity()
     rho = options.rho
+    shift = eye / rho
     alpha = options.over_relax
     Z = np.zeros(system.size, dtype=system.dtype)
     U = np.zeros_like(Z)
@@ -266,11 +280,11 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     trace: list[CheckRecord] = []
     it = 0
     for it in range(1, options.max_iter + 1):
-        V = Z - U - eye / rho if minimize_trace else Z - U
-        mu = system.solve_normal(system.apply(V) - bh)
+        V = Z - U - shift if minimize_trace else Z - U
+        mu = system.apply(V) * inv_normal - bh_normal
         X = V - system.adjoint(mu)
         Xr = alpha * X + (1.0 - alpha) * Z
-        Z_new = system.psd_part(Xr + U)
+        Z_new = system.psd_part(Xr + U, ranks)
         U = U + Xr - Z_new
         if it % options.check_every == 0 or it == options.max_iter:
             r_split = float(np.linalg.norm(X - Z_new))
@@ -310,10 +324,12 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
                 rho *= 2.0
                 U /= 2.0
                 U_prev = None
+                shift = eye / rho
             elif s_rel > _RHO_BALANCE * r_rel and rho > 1e-6:
                 rho /= 2.0
                 U *= 2.0
                 U_prev = None
+                shift = eye / rho
         else:
             Z = Z_new
     pval = s * system.trace(Z)

@@ -166,6 +166,16 @@ def test_bounds_command(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert f"error: {flag} must be a finite number" in captured.err
+    # dimensions below their least value are refused with the flag named
+    for flag, n, d, least in (("--n", "0", "2", 1), ("--n", "-2", "2", 1),
+                              ("--d", "3", "-1", 0)):
+        code = cli.main(["bounds", "--flavor", "commutative", "--n", n, "--d", d,
+                         "--eps", "1.0", "--sos-norm-value", "1.0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"error: {flag} must be an integer >= {least}" in captured.err
+    assert cli.main(["bounds", "--flavor", "commutative", "--n", "1", "--d", "0",
+                     "--eps", "1.0", "--sos-norm-value", "1.0"]) == 0
 
 
 def test_bounds_command_from_input(tmp_path, capsys):

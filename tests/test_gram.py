@@ -218,9 +218,44 @@ def _flat(system, M):
     return np.concatenate([M[np.ix_(ix, ix)].reshape(-1) for ix in system.index])
 
 
+def _respectrum(system, x, positives):
+    """x with each block's eigenvalues mapped, in their order, into [-2, -1]
+    and, for the top `positives(size)` of them, into [1, 2]; and those counts.
+
+    The new eigenvalues are a monotone function of the old ones, so an
+    invariant x stays invariant: blocks of one orbit are permutation-similar
+    and have one spectrum.  A block
+    fixed by a non-abelian group has multiple eigenvalues; the count is
+    rounded up past them, since splitting an eigenspace would break the
+    invariance.
+    """
+    out, counts = [], []
+    for B in system.split(x):
+        s = len(B)
+        w, V = np.linalg.eigh(B)
+        k = positives(s)
+        while 0 < k < s and w[s - k] - w[s - k - 1] <= 1e-9 * np.abs(w).max():
+            k += 1
+        ramp = (w - w[0]) / max(w[-1] - w[0], 1e-300)     # keeps multiple eigenvalues
+        w = np.where(np.arange(s) >= s - k, 1.0 + ramp, ramp - 2.0)
+        out.append(((V * w) @ V.conj().T).reshape(-1))
+        counts.append(k)
+    return np.concatenate(out), counts
+
+
+def _eigh_projection(system, x):
+    """(V * max(w, 0)) @ V^H on each block, from np.linalg.eigh."""
+    out = []
+    for B in system.split(x):
+        w, V = np.linalg.eigh(B)
+        out.append(((V * np.maximum(w, 0.0)) @ V.conj().T).reshape(-1))
+    return np.concatenate(out)
+
+
 def test_orbit_projection_is_invariant_psd_projection(rng):
     # on an input that is not invariant, the reduced projection is the full
     # one applied to the average of the input over the symmetry group
+    invariant = []
     for a, basis in ((sum_of_monomial_squares(3, 4), square_basis(COMMUTATIVE, 3, 4)),
                      (Polynomial(COMMUTATIVE, 3, MOTZKIN), square_basis(COMMUTATIVE, 3, 3))):
         cons = build_constraints(a, basis)
@@ -235,12 +270,38 @@ def test_orbit_projection_is_invariant_psd_projection(rng):
                             for ix in system.index])
         M = system.embed(x).real
         mean = sum(M[np.ix_(g, g)] for g in group) / len(group)
-        out = system.embed(system.psd_part(x)).real
-        assert np.abs(out - full.embed(full.psd_part(_flat(full, mean))).real).max() <= 1e-12
+        out = system.embed(system.psd_part(x, system.rank_hint())).real
+        reference = full.embed(full.psd_part(_flat(full, mean), full.rank_hint())).real
+        assert np.abs(out - reference).max() <= 1e-12
         for g in group:
             assert np.array_equal(out[np.ix_(g, g)], out)
         assert np.array_equal(out, out.T)
         assert np.linalg.eigvalsh(out).min() >= -1e-12
+        invariant += [(system, _flat(system, mean)), (full, _flat(full, mean))]
+    # one complex block, from a free input
+    a, basis = random_sos(rng, FREE, 2, 3, 2)
+    free = build_constraints(a, basis).block_system
+    assert free.dtype == complex and free.projected == [(0, 8)]
+    invariant.append((free, random_hermitian(rng, 8).reshape(-1)))
+    # with 0, 1, s/4, s/2 and s positive eigenvalues per block, the rank
+    # hint changes the cost only: a right hint and stale ones (0 on full
+    # rank, s on rank 0) give the projection, and the hint ends right
+    for system, x0 in invariant:
+        sizes = [s for _, s in system.projected]
+        assert system.rank_hint() == sizes
+        reps = np.flatnonzero(system.orbit == np.arange(len(system.index)))
+        for positives in (lambda s: 0, lambda s: 1, lambda s: s // 4, lambda s: s // 2,
+                          lambda s: s):
+            x, counts = _respectrum(system, x0, positives)
+            expected = _eigh_projection(system, x)
+            scale = np.abs(x).max()
+            right = [counts[b] for b in reps]
+            for hint in (right, [0] * len(sizes), sizes):
+                ranks = list(hint)
+                out = system.psd_part(x, ranks)
+                assert out.dtype == system.dtype
+                assert np.abs(out - expected).max() <= 1e-12 * scale
+                assert ranks == right
 
 
 def test_build_constraints_zero_polynomial():

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_hermitian, random_psd
 from oracles import hermitian_from_dict, jacobi_eigh
 from sos_approx.gram import gram_map, square_basis
 from sos_approx.linalg import (
+    NonConvergenceError,
     NotPsdError,
     clipped_spectrum,
     eig_hermitian,
@@ -45,6 +47,10 @@ def test_eig_contract_on_randoms(rng):
         assert np.abs(V.conj().T @ V - np.eye(12)).max() <= 1e-10
         scale = max(1.0, np.linalg.norm(M, 2))
         assert np.linalg.norm(dec.reconstruct() - M, 2) <= 1e-9 * scale
+        # the same eigenvalues, in the same order, without the vectors
+        values = eig_hermitian(M, vectors=False)
+        assert values.eigenvectors is None
+        assert np.abs(values.eigenvalues - dec.eigenvalues).max() <= 1e-12 * scale
 
 
 def test_eig_rejects_non_hermitian():
@@ -179,11 +185,51 @@ def test_low_rank_factor_reassembles_gram_map(rng):
     assert (gram_map(total, basis) - gram_map(M, basis)).coeff_two_norm() <= 1e-8
 
 
-def test_psd_part(rng):
-    M = random_hermitian(rng, 6)
-    P = psd_part(M)
-    assert eig_hermitian(P).eigenvalues.min() >= -1e-12
-    assert np.abs(P - P.conj().T).max() <= 1e-12
+def with_positives(rng, s, positives, dtype):
+    """A Hermitian s x s matrix with this many eigenvalues in [1, 2], the rest in [-2, -1]."""
+    G = rng.standard_normal((s, s))
+    if dtype is complex:
+        G = G + 1j * rng.standard_normal((s, s))
+    Q = np.linalg.qr(G)[0]
+    w = np.concatenate([-rng.uniform(1, 2, s - positives), rng.uniform(1, 2, positives)])
+    M = (Q * w) @ Q.conj().T
+    return (M + M.conj().T) / 2
+
+
+def eigh_projection(M):
+    w, V = np.linalg.eigh(M)
+    return (V * np.maximum(w, 0.0)) @ V.conj().T
+
+
+def test_psd_part(rng, monkeypatch):
+    # both drivers give the projection and its rank at every rank, real and
+    # complex: computing only the positive eigenpairs changes the cost only
+    for dtype in (float, complex):
+        for s in (8, 13):
+            for positives in sorted({0, 1, s // 4, s // 2, s}):
+                M = with_positives(rng, s, positives, dtype)
+                for low_rank in (False, True):
+                    P, rank = psd_part(M, low_rank)
+                    assert P.dtype == M.dtype and rank == positives
+                    assert np.abs(P - eigh_projection(M)).max() <= 1e-12 * np.abs(M).max()
+                    assert np.abs(P - P.conj().T).max() <= 1e-12
+            # off symmetry in the upper triangle, both drivers project the
+            # Hermitian completion of the lower one
+            M = with_positives(rng, s, 2, dtype)
+            noisy = M + np.triu(1e-3 * rng.standard_normal((s, s)), 1)
+            lower = np.tril(noisy) + np.tril(noisy, -1).conj().T
+            for low_rank in (False, True):
+                P, _ = psd_part(noisy, low_rank)
+                assert np.abs(P - eigh_projection(lower)).max() <= 1e-12 * np.abs(M).max()
+    # a LAPACK failure is an error, not a projection
+    M = with_positives(rng, 6, 2, float)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevd",
+                        lambda a, **kw: (np.zeros(6), np.eye(6), 3))
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevr",
+                        lambda a, **kw: (np.zeros(6), np.eye(6), 0, None, 7))
+    for low_rank in (False, True):
+        with pytest.raises(NonConvergenceError, match="info="):
+            psd_part(M, low_rank)
 
 
 def test_matrix_json_roundtrip(rng):

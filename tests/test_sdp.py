@@ -123,9 +123,9 @@ def test_indefinite_rejected_with_certificate(monkeypatch):
     eig_calls = [0]
     eig = linalg.eig_hermitian
 
-    def counted(M):
+    def counted(M, **kwargs):
         eig_calls[0] += 1
-        return eig(M)
+        return eig(M, **kwargs)
 
     monkeypatch.setattr(linalg, "eig_hermitian", counted)
     basis3 = square_basis(COMMUTATIVE, 3, 3)

@@ -20,6 +20,7 @@ from . import linalg
 from .linalg import strict_cap
 from .gram import (
     SquareBasis,
+    basis_size,
     build_constraints,
     gram_map,
     gram_preimage_free,
@@ -39,6 +40,7 @@ from .sdp import (
 
 COEFF_2_NORM = "coeff-2-norm"
 SUP_SPHERE = "sup-sphere"
+SQUARE_CUTOFF_REL = 1e-14     # kept eigenvalues at most this times the top give no square
 
 
 class NotSosError(ValueError):
@@ -156,14 +158,13 @@ class SosCertificate(_Squares):
             solver_iterations=int(data.get("solver_iterations", 0)))
 
 
-def _squares_from_spectrum(dec: linalg.SpectralDecomposition, keep: int,
-                           cutoff_rel: float = 1e-14) -> list[np.ndarray]:
+def _squares_from_spectrum(dec: linalg.SpectralDecomposition, keep: int) -> list[np.ndarray]:
     # gram_map(c c*) = q* q for q with coefficients conj(c), so certificates
     # store the conjugated factors: they are the squares' coefficient vectors
     w, V = dec.eigenvalues, dec.eigenvectors
     top = w[0] if len(w) else 0.0
     return [np.sqrt(w[i]) * V[:, i].conj() for i in range(min(keep, len(w)))
-            if w[i] > cutoff_rel * max(top, 1e-300)]
+            if w[i] > SQUARE_CUTOFF_REL * max(top, 1e-300)]
 
 
 def _assemble(a: Polynomial, basis: SquareBasis, dec, keep: int, error: float,
@@ -250,6 +251,20 @@ def approximate(a: Polynomial, basis: SquareBasis, eps: float,
                      value, math.inf, sol.iterations)
 
 
+def _free_gram_spectrum(p: Polynomial, d: int) -> tuple[np.ndarray, linalg.SpectralDecomposition]:
+    """The unique Gram matrix of a free p and its clipped spectrum.
+
+    Raises NotSosError, with the offending eigenvalue, when it is not PSD.
+    """
+    M = gram_preimage_free(p, d)
+    try:
+        return M, linalg.clipped_spectrum(M)
+    except linalg.NotPsdError as exc:
+        raise NotSosError(
+            f"unique Gram matrix is not PSD (eigenvalue {exc.min_eigenvalue:.3e})",
+            witness_eigenvalue=exc.min_eigenvalue) from exc
+
+
 def approximate_free(p: Polynomial, eps: float) -> SosCertificate:
     """Certified approximation of a free sum of squares, no SDP involved.
 
@@ -264,14 +279,8 @@ def approximate_free(p: Polynomial, eps: float) -> SosCertificate:
     if p.degree() % 2 != 0 or not p.is_homogeneous():
         raise ValueError("input must be homogeneous of even degree")
     d = p.degree() // 2
-    M = gram_preimage_free(p, d)
+    _, dec = _free_gram_spectrum(p, d)
     basis = square_basis(FREE, p.n_vars, d)
-    try:
-        dec = linalg.clipped_spectrum(M)
-    except linalg.NotPsdError as exc:
-        raise NotSosError(
-            f"unique Gram matrix is not PSD (eigenvalue {exc.min_eigenvalue:.3e})",
-            witness_eigenvalue=exc.min_eigenvalue) from exc
     sos_value = float(dec.eigenvalues.sum())
     return _free_routes(p, basis, dec, eps, sos_value, 0)
 
@@ -311,13 +320,7 @@ def pythagoras_upper_bound(a: Polynomial, basis: SquareBasis,
     k_vv = len(basis.product_terms)
     bound = math.isqrt(k_vv - 1) + 1 if k_vv > 0 else 0  # ceil(sqrt(k))
     if basis.flavor == FREE:
-        M = gram_preimage_free(a, basis.degree)
-        try:
-            linalg.clipped_spectrum(M)
-        except linalg.NotPsdError as exc:
-            raise NotSosError(
-                f"unique Gram matrix is not PSD (eigenvalue {exc.min_eigenvalue:.3e})",
-                witness_eigenvalue=exc.min_eigenvalue) from exc
+        M, _ = _free_gram_spectrum(a, basis.degree)
         squares = [c.conj() for c in linalg.low_rank_factor(M)]
         message = "free Gram matrix is unique; rank cannot be reduced"
     else:
@@ -359,13 +362,8 @@ class BoundReport:
     min_certified_bound: float = field(init=False)
 
     def __post_init__(self):
-        n, d = self.n_vars, self.degree
-        if self.flavor == COMMUTATIVE:
-            self.dim_v = math.comb(d + n - 1, n - 1)
-            self.dim_vv = math.comb(2 * d + n - 1, n - 1)
-        else:
-            self.dim_v = n ** d
-            self.dim_vv = n ** (2 * d)
+        self.dim_v = basis_size(self.flavor, self.n_vars, self.degree)
+        self.dim_vv = basis_size(self.flavor, self.n_vars, 2 * self.degree)
         self.general_bound = self.dim_v
         self.sqrt_dim_bound = math.isqrt(self.dim_vv - 1) + 1 if self.dim_vv else 0
         ratio = self.sos_norm_value / self.eps

@@ -18,11 +18,10 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 from . import approx as approx_mod
 from . import linalg, poly, sdp
-from .gram import free_gram_trace, square_basis
+from .gram import basis_size, free_gram_trace, square_basis
 from .poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares
 
 EXIT_OK = 0
@@ -38,9 +37,13 @@ FIGURE_HEADER = "d,sos_norm,sqrt_dim_bound,identity_trace"
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -115,11 +118,7 @@ def cmd_sos_norm(args: argparse.Namespace) -> int:
         report.update(value=closed, method="closed-form (free)",
                       solver_value=value)
     if sol.status is sdp.SolveStatus.INFEASIBLE:
-        report["certificate"] = {
-            "values": list(sol.certificate.values),
-            "objective": sol.certificate.objective,
-            "psd_margin": sol.certificate.psd_margin,
-        }
+        report["certificate"] = _certificate_dict(sol.certificate)
         _emit(args, report)
         print("infeasible: not a sum of squares from the homogeneous basis",
               file=sys.stderr)
@@ -139,13 +138,24 @@ def _emit(args: argparse.Namespace, report: dict) -> None:
         _atomic_write(args.output, text + "\n")
 
 
+def _certificate_dict(cert: sdp.DualFunctional) -> dict:
+    return {"values": list(cert.values), "objective": cert.objective,
+            "psd_margin": cert.psd_margin}
+
+
 def _check_eps(eps: float) -> None:
     if not (math.isfinite(eps) and eps > 0):
         raise CliError(EXIT_USAGE, f"--eps must be a finite number > 0, got {eps!r}")
 
 
+def _check_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise CliError(EXIT_USAGE, f"{flag} must be an integer >= {least}, got {value}")
+
+
 def cmd_approx(args: argparse.Namespace) -> int:
     _check_eps(args.eps)
+    _check_at_least("--resolution", args.resolution, 0)
     p = _load_polynomial(args.input)
     options = solver_options(args)
     try:
@@ -162,7 +172,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
     _atomic_write(args.output, cert.to_json() + "\n")
     with open(args.output, "r", encoding="utf-8") as fh:
         reread = approx_mod.SosCertificate.from_dict(json.load(fh))
-    problems = reread.verify(sample_points=args.resolution or 0)
+    problems = reread.verify(sample_points=args.resolution)
     summary = {
         "squares": cert.rank,
         "allowed_rank": cert.allowed_rank,
@@ -195,11 +205,7 @@ def cmd_feasible(args: argparse.Namespace) -> int:
     if result.feasible:
         report["witness"] = linalg.hermitian_to_dict(result.witness, drop_tol=1e-12)
     else:
-        report["certificate"] = {
-            "values": list(result.certificate.values),
-            "objective": result.certificate.objective,
-            "psd_margin": result.certificate.psd_margin,
-        }
+        report["certificate"] = _certificate_dict(result.certificate)
     _emit(args, report)
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
@@ -215,9 +221,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if None in (flavor, n, d):
             raise CliError(EXIT_USAGE,
                            "--flavor, --n and --d are required with --sos-norm-value")
-        for flag, value, least in (("--n", n, 1), ("--d", d, 0)):
-            if value < least:
-                raise CliError(EXIT_USAGE, f"{flag} must be an integer >= {least}, got {value}")
+        _check_at_least("--n", n, 1)
+        _check_at_least("--d", d, 0)
     elif args.input:
         p = _load_polynomial(args.input)
         basis = _homogeneous_basis(p)
@@ -233,43 +238,29 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _figure_row(n: int, d: int, options: sdp.SolverOptions) -> tuple[int, float]:
+def _figure_row(n: int, d: int, options: sdp.SolverOptions) -> float:
     p = sum_of_monomial_squares(n, d)
-    basis = square_basis(COMMUTATIVE, n, d)
-    value, sol = sdp.sos_norm(p, basis, options)
+    value, sol = sdp.sos_norm(p, square_basis(COMMUTATIVE, n, d), options)
     if sol.status is not sdp.SolveStatus.OPTIMAL:
         raise sdp.SolverError(f"{sol.status.value}: {sol.message}", sol)
-    return d, value
+    return value
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    for flag, value in (("--n", args.n), ("--d-max", args.d_max), ("--jobs", args.jobs)):
-        if value < 1:
-            raise CliError(EXIT_USAGE, f"{flag} must be an integer >= 1, got {value}")
-    n, d_max, jobs = args.n, args.d_max, args.jobs
+    _check_at_least("--n", args.n, 1)
+    _check_at_least("--d-max", args.d_max, 1)
+    n = args.n
     options = solver_options(args)
-    results: dict[int, float] = {}
+    lines = [FIGURE_HEADER]
     failures: list[str] = []
-
-    def run(d: int):
+    for d in range(1, args.d_max + 1):
         try:
-            _, value = _figure_row(n, d, options)
-            results[d] = value
+            value = _figure_row(n, d, options)
         except (sdp.SolverError, linalg.NonConvergenceError) as exc:
             failures.append(f"d={d}: {exc}")
-            results[d] = math.nan
-
-    if jobs == 1:
-        for d in range(1, d_max + 1):
-            run(d)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run, range(1, d_max + 1)))
-    lines = [FIGURE_HEADER]
-    for d in range(1, d_max + 1):
-        bound = math.sqrt(math.comb(2 * d + n - 1, n - 1))
-        trace = math.comb(d + n - 1, n - 1)
-        lines.append(f"{d},{results[d]!r},{bound!r},{trace}")
+            value = math.nan
+        bound = math.sqrt(basis_size(COMMUTATIVE, n, 2 * d))
+        lines.append(f"{d},{value!r},{bound!r},{basis_size(COMMUTATIVE, n, d)}")
     text = "\n".join(lines) + "\n"
     if args.output:
         _atomic_write(args.output, text)
@@ -284,9 +275,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_property_suite
 
     seed = args.seed if args.seed is not None else 20240901
+    _check_at_least("--resolution", args.resolution, 1)
     options = solver_options(args)
-    results = run_property_suite(seed, options,
-                                 resolution=args.resolution or 1000)
+    results = run_property_suite(seed, options, resolution=args.resolution)
     report = {name: {"passed": ok, "detail": detail}
               for name, ok, detail in results}
     for name, ok, detail in results:
@@ -323,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--output", required=True, help="certificate JSON file")
     pa.add_argument("--eps", type=float, required=True)
     pa.add_argument("--resolution", type=int, default=2000,
-                    help="sphere sample size for certificate re-check")
+                    help="sphere sample size for certificate re-check; 0 skips it")
     pa.set_defaults(func=cmd_approx)
 
     pf = sub.add_parser("feasible", parents=[solver],
@@ -350,14 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="last degree row; on a 2-vCPU VM 12 takes about 2 s "
                          "and 16 about 7 s")
     pg.add_argument("--output")
-    pg.add_argument("--jobs", type=int, default=1,
-                    help="parallel row workers")
     pg.set_defaults(func=cmd_figure)
 
     pv = sub.add_parser("verify", parents=[solver],
                         help="run the cross-module property suite")
     pv.add_argument("--seed", type=int)
-    pv.add_argument("--resolution", type=int)
+    pv.add_argument("--resolution", type=int, default=1000, help="sphere sample size")
     pv.add_argument("--output")
     pv.set_defaults(func=cmd_verify)
 

@@ -70,20 +70,17 @@ def _enumerate_terms(flavor: str, n_vars: int, degree: int) -> tuple[Term, ...]:
 class SquareBasis:
     """Ordered basis of the homogeneous degree-d component whose squares are taken.
 
-    `scale` multiplies every element; only scale == 1 bases are canonical and
-    carry certified operator-norm constants.
+    Only the canonical enumeration (`square_basis`) carries certified
+    operator-norm constants.
     """
 
     flavor: str
     n_vars: int
     degree: int
     terms: tuple[Term, ...]
-    scale: float = 1.0
 
     def __post_init__(self):
         _check_flavor(self.flavor)
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
         if len(set(self.terms)) != len(self.terms):
             raise ValueError("basis terms must be pairwise distinct")
 
@@ -120,8 +117,7 @@ class SquareBasis:
         return self._products[0]
 
     def is_canonical(self) -> bool:
-        return (self.scale == 1.0
-                and self.terms == _enumerate_terms(self.flavor, self.n_vars, self.degree))
+        return self.terms == _enumerate_terms(self.flavor, self.n_vars, self.degree)
 
 
 def square_basis(flavor: str, n_vars: int, degree: int,
@@ -148,7 +144,7 @@ def gram_map(M: np.ndarray, basis: SquareBasis) -> Polynomial:
         raise DimensionMismatchError(
             f"matrix shape {M.shape} does not match basis size {D}")
     prod_terms, _, cell_to_prod = basis._products
-    flat = M.reshape(-1) * basis.scale ** 2
+    flat = M.reshape(-1)
     re = np.bincount(cell_to_prod, weights=flat.real, minlength=len(prod_terms))
     im = np.bincount(cell_to_prod, weights=flat.imag, minlength=len(prod_terms))
     coeffs = {}
@@ -512,8 +508,7 @@ def _variable_swaps(a: Polynomial, basis: SquareBasis) -> tuple[np.ndarray, ...]
     return tuple(swaps)
 
 
-def build_constraints(a: Polynomial, basis: SquareBasis,
-                      hermitian_tol: float = 1e-12) -> GramConstraints:
+def build_constraints(a: Polynomial, basis: SquareBasis) -> GramConstraints:
     """Constraint form of the fiber over a: M is a Gram matrix of a iff
     tr(A_l M) = lambda_l for all l.
 
@@ -523,7 +518,7 @@ def build_constraints(a: Polynomial, basis: SquareBasis,
     """
     if a.flavor != basis.flavor or a.n_vars != basis.n_vars:
         raise FlavorMismatchError("polynomial and basis live in different algebras")
-    if not a.is_hermitian(hermitian_tol):
+    if not a.is_hermitian():
         raise NotHermitianError("polynomial is not Hermitian")
     if a and (not a.is_homogeneous() or a.degree() != 2 * basis.degree):
         raise ValueError(
@@ -534,7 +529,6 @@ def build_constraints(a: Polynomial, basis: SquareBasis,
             raise ValueError(f"term {t} lies outside the product space V*V")
 
     D = basis.size
-    s2 = basis.scale ** 2
     # cells grouped by product term
     order = np.argsort(cell_to_prod, kind="stable")
     bounds = np.searchsorted(cell_to_prod[order], np.arange(len(prod_terms) + 1))
@@ -567,17 +561,17 @@ def build_constraints(a: Polynomial, basis: SquareBasis,
         a_tau = a._coeffs.get(prod_terms[t_idx], 0.0)
         if c_idx == t_idx:
             emit("self", t_idx, float(np.real(a_tau)),
-                 [sel], [np.full(sel.shape, s2, dtype=dtype)])
+                 [sel], [np.ones(sel.shape, dtype=dtype)])
         elif t_idx < c_idx:
             sel_c = np.arange(bounds[c_idx], bounds[c_idx + 1])
             emit("re", t_idx, float(np.real(a_tau)),
                  [sel, sel_c],
-                 [np.full(sel.shape, s2 / 2, dtype=complex),
-                  np.full(sel_c.shape, s2 / 2, dtype=complex)])
+                 [np.full(sel.shape, 0.5, dtype=complex),
+                  np.full(sel_c.shape, 0.5, dtype=complex)])
             emit("im", t_idx, float(np.imag(a_tau)),
                  [sel, sel_c],
-                 [np.full(sel.shape, -1j * s2 / 2, dtype=complex),
-                  np.full(sel_c.shape, 1j * s2 / 2, dtype=complex)])
+                 [np.full(sel.shape, -0.5j, dtype=complex),
+                  np.full(sel_c.shape, 0.5j, dtype=complex)])
 
     commutative = basis.flavor == COMMUTATIVE
     return GramConstraints(
@@ -594,10 +588,10 @@ def operator_norm_bound(basis: SquareBasis) -> float:
     Equals 1 in exactly two cases: the canonical monomial basis mapping into
     continuous functions on the unit sphere with the sup-norm, and the
     canonical word basis with the Schatten-p-inherited coefficient norms.
-    Anything else (e.g. a rescaled basis) has no certified constant here.
+    Anything else (e.g. a reordered or partial basis) has no certified
+    constant here.
     """
     if not basis.is_canonical():
         raise NoCertifiedBoundError(
-            "no certified operator-norm bound for a non-canonical basis "
-            f"(scale={basis.scale})")
+            "no certified operator-norm bound for a non-canonical basis")
     return 1.0

@@ -20,6 +20,7 @@ import scipy
 # below it they are solver noise and get clipped to zero
 PSD_NOISE_REL = 1e-6
 RANK_CUTOFF_REL = 1e-10
+HERMITIAN_TOL = 1e-10       # ||M - M*||_max relative to max(1, ||M||_max)
 
 
 class NotPsdError(ValueError):
@@ -34,13 +35,13 @@ class NonConvergenceError(RuntimeError):
     """Eigensolver failed to converge within its iteration cap."""
 
 
-def require_hermitian(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def require_hermitian(M: np.ndarray) -> np.ndarray:
     """Validate that M is Hermitian within tolerance and return (M + M*)/2."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     scale = max(1.0, float(np.abs(M).max(initial=0.0)))
-    if float(np.abs(M - M.conj().T).max(initial=0.0)) > tol * scale:
+    if float(np.abs(M - M.conj().T).max(initial=0.0)) > HERMITIAN_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return (M + M.conj().T) / 2.0
 
@@ -96,16 +97,16 @@ def schatten_norm(M: np.ndarray, p: float) -> float:
     return float(amax * ((a / amax) ** p).sum() ** (1.0 / p))
 
 
-def clipped_spectrum(M: np.ndarray, noise_rel: float = PSD_NOISE_REL) -> SpectralDecomposition:
+def clipped_spectrum(M: np.ndarray) -> SpectralDecomposition:
     """Spectrum of a numerically-PSD matrix with noise-level negatives clipped.
 
-    Raises NotPsdError when an eigenvalue is below -noise_rel * ||M||_inf.
+    Raises NotPsdError when an eigenvalue is below -PSD_NOISE_REL * ||M||_inf.
     """
     dec = eig_hermitian(M)
     w = dec.eigenvalues
     scale = float(np.abs(w).max(initial=0.0))
     lo = float(w.min(initial=0.0))
-    if lo < -noise_rel * max(scale, 1e-300):
+    if lo < -PSD_NOISE_REL * max(scale, 1e-300):
         raise NotPsdError(
             f"matrix has eigenvalue {lo:.3e}, materially indefinite", lo)
     return SpectralDecomposition(np.maximum(w, 0.0), dec.eigenvectors)
@@ -175,13 +176,13 @@ def truncate_rank(M: np.ndarray, eps: float, p: float) -> np.ndarray:
     return dec.matrix_from(keep)
 
 
-def low_rank_factor(M: np.ndarray, cutoff_rel: float = RANK_CUTOFF_REL) -> list[np.ndarray]:
+def low_rank_factor(M: np.ndarray) -> list[np.ndarray]:
     """Vectors c_i = sqrt(lambda_i) v_i with sum c_i c_i* = M (numerical rank many)."""
     dec = clipped_spectrum(M)
     w, V = dec.eigenvalues, dec.eigenvectors
     if len(w) == 0 or w[0] <= 0.0:
         return []
-    cut = cutoff_rel * w[0]
+    cut = RANK_CUTOFF_REL * w[0]
     return [np.sqrt(w[i]) * V[:, i] for i in range(len(w)) if w[i] > cut]
 
 

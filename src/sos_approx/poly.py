@@ -25,6 +25,8 @@ FREE = "free"
 # so that JSON round-trips are exact for any double-representable coefficient.
 COEFF_DROP_TOL = 1e-14
 SPHERE_TOL = 1e-12
+HERMITIAN_TOL = 1e-12       # ||p - p*|| relative to 1 + ||p|| (coefficient 2-norm)
+ASCENT_STEPS = 400          # gradient steps of `sup_norm_sphere`
 
 Term = tuple
 
@@ -166,9 +168,9 @@ class Polynomial:
         degs = {term_degree(self.flavor, t) for t in self._coeffs}
         return len(degs) <= 1
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
         diff = self - self.involution()
-        return diff.coeff_two_norm() <= tol * (1.0 + self.coeff_two_norm())
+        return diff.coeff_two_norm() <= HERMITIAN_TOL * (1.0 + self.coeff_two_norm())
 
     # -- algebra -----------------------------------------------------------
 
@@ -293,10 +295,6 @@ class Polynomial:
                 and self._coeffs == other._coeffs)
 
     __hash__ = None
-
-    def close_to(self, other: "Polynomial", tol: float = 1e-9) -> bool:
-        self._require_same_algebra(other)
-        return (self - other).coeff_two_norm() <= tol
 
     def _term_str(self, term: Term) -> str:
         if self.flavor == COMMUTATIVE:
@@ -463,8 +461,7 @@ def _cross_polytope_lattice(n_vars: int, resolution: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def sup_norm_sphere(p: Polynomial, resolution: int = 2048,
-                    ascent_steps: int = 400) -> float:
+def sup_norm_sphere(p: Polynomial, resolution: int = 2048) -> float:
     """Lower estimate of max_{|s|=1} |p(s)| (commutative only).
 
     Evaluates |p| on a deterministic lattice of about `resolution` points and
@@ -481,16 +478,16 @@ def sup_norm_sphere(p: Polynomial, resolution: int = 2048,
     pts = sphere_lattice(p.n_vars, resolution)
     vals = np.abs(p.evaluate_batch(pts))
     best = int(np.argmax(vals))
-    s, value = _ascend(p, pts[best], float(vals[best]), ascent_steps)
+    s, value = _ascend(p, pts[best], float(vals[best]))
     return value
 
 
-def _ascend(p: Polynomial, s: np.ndarray, value: float, steps: int):
+def _ascend(p: Polynomial, s: np.ndarray, value: float):
     grads = [p.differentiate(i) for i in range(p.n_vars)]
     if p.n_vars == 1:
         return s, value
     step = 0.1
-    for _ in range(steps):
+    for _ in range(ASCENT_STEPS):
         ps = complex(p.evaluate_batch(s[None, :])[0])
         if abs(ps) == 0.0:
             break

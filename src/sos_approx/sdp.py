@@ -22,10 +22,11 @@ with a zero objective and stops at the first PSD point of the fiber.
 
 The penalty rho is balanced on scale-free residuals (Wohlberg 2017): the
 splitting residual relative to the larger iterate norm against the dual
-residual relative to the dual norm.  Each convergence check is kept in
-`SdpSolution.trace`.  `SolverOptions` rejects values the loop cannot run
-with (non-finite or non-positive tolerances and rho, over-relaxation
-outside (0, 2)) with a ValueError that names the option.
+residual relative to the dual norm.  Each convergence check, every
+`CHECK_EVERY` steps, is kept in `SdpSolution.trace`.  `SolverOptions` holds
+the stopping rule only and rejects values the loop cannot run with
+(non-finite or non-positive tolerances, an iteration cap below 1) with a
+ValueError that names the option.
 """
 
 from __future__ import annotations
@@ -48,7 +49,14 @@ from .poly import Polynomial
 # factor.  The raw residuals carry the scales of the iterates and of the dual,
 # which differ by orders of magnitude, so only their relative sizes compare.
 _RHO_BALANCE = 5.0
+_RHO = 1.0                  # the initial penalty, which the balancing moves
+_OVER_RELAX = 1.6           # over-relaxed ADMM converges only for 0 < alpha < 2
 _TINY = 1e-300
+CHECK_EVERY = 25            # steps between convergence checks
+# margins, relative to the spectral scale of sum y_l A_l, that a Farkas
+# certificate must clear on its least eigenvalue and on its value
+_CERTIFICATE_PSD_TOL = 1e-8
+_CERTIFICATE_VALUE_TOL = 1e-6
 
 
 class SolveStatus(Enum):
@@ -76,33 +84,20 @@ class RankReductionError(RuntimeError):
 
 @dataclass
 class SolverOptions:
-    """Tunables for the splitting solver; all overridable from config/CLI."""
+    """The solver's stopping rule; all overridable from config/CLI."""
 
     tol_primal: float = 1e-7        # constraint residual, relative to 1 + |targets|
     tol_gap: float = 1e-6           # duality gap, relative to 1 + |objective|
     max_iter: int = 50_000
-    check_every: int = 25
-    rho: float = 1.0
-    over_relax: float = 1.6
-    certificate_psd_tol: float = 1e-8
-    certificate_value_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name in ("max_iter", "check_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"solver option {name!r} must be an integer >= 1, got {value!r}")
-        for name in ("tol_primal", "tol_gap", "rho"):
+        value = self.max_iter
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"solver option 'max_iter' must be an integer >= 1, got {value!r}")
+        for name in ("tol_primal", "tol_gap"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"solver option {name!r} must be finite and > 0, got {value!r}")
-        for name in ("certificate_psd_tol", "certificate_value_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"solver option {name!r} must be finite and >= 0, got {value!r}")
-        # over-relaxed ADMM converges only for 0 < alpha < 2
-        if not 0 < self.over_relax < 2:
-            raise ValueError(f"solver option 'over_relax' must lie in (0, 2), got {self.over_relax!r}")
 
     @classmethod
     def from_mapping(cls, data: dict) -> "SolverOptions":
@@ -146,7 +141,7 @@ class DualFunctional:
 
 
 class CheckRecord(NamedTuple):
-    """The solver state at one convergence check (every check_every steps)."""
+    """The solver state at one convergence check (every CHECK_EVERY steps)."""
 
     iteration: int
     primal_residual: float      # ||gram_map(Z) - a||, in input units
@@ -169,18 +164,6 @@ class SdpSolution:
     message: str = ""
     certificate: Optional[DualFunctional] = None
     trace: list[CheckRecord] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "dual_objective": self.dual_objective,
-            "primal_residual": self.primal_residual,
-            "gap": self.gap,
-            "status": self.status.value,
-            "iterations": self.iterations,
-            "message": self.message,
-            "matrix": linalg.hermitian_to_dict(self.matrix, drop_tol=1e-14),
-        }
 
 
 @dataclass
@@ -207,8 +190,7 @@ def _dual_shifted(system: BlockSystem, targets: np.ndarray,
     return y, float(targets @ y)
 
 
-def _certificate_from_gap(system: BlockSystem, v: np.ndarray,
-                          options: SolverOptions) -> Optional[DualFunctional]:
+def _certificate_from_gap(system: BlockSystem, v: np.ndarray) -> Optional[DualFunctional]:
     """Try to turn the affine-to-cone displacement v (<= 0) into a Farkas certificate.
 
     At the gap the displacement lies in range(A*), giving y with
@@ -229,9 +211,9 @@ def _certificate_from_gap(system: BlockSystem, v: np.ndarray,
                         for B in system.split(system.adjoint(y))])
     scale = max(float(np.abs(w).max(initial=0.0)), 1e-30)
     value = float(system.targets @ y)
-    if w.min() < -options.certificate_psd_tol * scale:
+    if w.min() < -_CERTIFICATE_PSD_TOL * scale:
         return None
-    if value > -options.certificate_value_tol * scale * (1.0 + np.linalg.norm(system.targets)):
+    if value > -_CERTIFICATE_VALUE_TOL * scale * (1.0 + np.linalg.norm(system.targets)):
         return None
     return DualFunctional(values=system.lift(y), objective=value, psd_margin=float(w.min()))
 
@@ -265,9 +247,9 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     ranks = system.rank_hint()
 
     eye = system.identity()
-    rho = options.rho
+    rho = _RHO
     shift = eye / rho
-    alpha = options.over_relax
+    alpha = _OVER_RELAX
     Z = np.zeros(system.size, dtype=system.dtype)
     U = np.zeros_like(Z)
     mu = np.zeros(len(b))
@@ -286,7 +268,7 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
         Xr = alpha * X + (1.0 - alpha) * Z
         Z_new = system.psd_part(Xr + U, ranks)
         U = U + Xr - Z_new
-        if it % options.check_every == 0 or it == options.max_iter:
+        if it % CHECK_EVERY == 0 or it == options.max_iter:
             r_split = float(np.linalg.norm(X - Z_new))
             s_dual = rho * float(np.linalg.norm(Z_new - Z))
             Z = Z_new
@@ -305,7 +287,7 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
                     dual_objective=dval, primal_residual=pres, gap=gap,
                     status=SolveStatus.OPTIMAL, iterations=it, trace=trace)
             if pres > 50 * tol_primal and U_prev is not None:
-                cert = _certificate_from_gap(system, U - U_prev, options)
+                cert = _certificate_from_gap(system, U - U_prev)
                 if cert is not None:
                     return SdpSolution(
                         matrix=np.zeros((system.dim, system.dim), dtype=complex),

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -121,6 +123,20 @@ def test_approx_usage_errors(tmp_path, rng, capsys):
         assert "--eps must be a finite number > 0" in capsys.readouterr().err
 
 
+def test_approx_rejects_negative_resolution(tmp_path, rng, capsys):
+    a, _ = random_sos(rng, COMMUTATIVE, 2, 1, 2)
+    path = write_poly(tmp_path, a)
+    out = tmp_path / "cert.json"
+    code = cli.main(["approx", "--input", path, "--eps", "1.0", "--output", str(out),
+                     "--resolution", "-5"])
+    assert code == 2
+    assert not out.exists()
+    assert "error: --resolution must be an integer >= 0, got -5" in capsys.readouterr().err
+    # 0 keeps meaning "no sphere sampling"
+    assert cli.main(["approx", "--input", path, "--eps", "1.0", "--output", str(out),
+                     "--resolution", "0"]) == 0
+
+
 def test_approx_infeasible_no_partial_file(tmp_path):
     x1, x2 = variables(COMMUTATIVE, 2)
     path = write_poly(tmp_path, x1 * x1 - x2 * x2)
@@ -155,6 +171,8 @@ def test_bounds_command(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["dim_vv"] == 15 and report["sqrt_dim_bound"] == 4
+    # the report carries the given value, not --d
+    assert report["sos_norm_value"] == 3.0 and report["theorem_bound"] == 3.0
     assert cli.main(["bounds", "--eps", "1.0"]) == 2
     # non-finite values are refused with the flag named, not converted
     for flag, eps, value in (("--eps", "nan", "3.0"), ("--eps", "inf", "3.0"),
@@ -191,12 +209,11 @@ def test_figure_command_deterministic(tmp_path):
     out1 = tmp_path / "fig1.csv"
     out2 = tmp_path / "fig2.csv"
     assert cli.main(["figure", "--n", "3", "--d-max", "3", "--output", str(out1)]) == 0
-    assert cli.main(["figure", "--n", "3", "--d-max", "3", "--output", str(out2),
-                     "--jobs", "2"]) == 0
+    assert cli.main(["figure", "--n", "3", "--d-max", "3", "--output", str(out2)]) == 0
     text = out1.read_text()
     lines = text.strip().split("\n")
     assert lines[0] == "d,sos_norm,sqrt_dim_bound,identity_trace"
-    assert text == out2.read_text()  # byte-identical, jobs included
+    assert text == out2.read_text()  # byte-identical
     row1 = lines[1].split(",")
     assert float(row1[1]) == pytest.approx(3.0, abs=1e-5)
     assert float(row1[2]) == pytest.approx(math.sqrt(6), abs=1e-12)
@@ -221,12 +238,28 @@ def test_figure_failed_rows_exit_solver(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--n", "0"), ("--n", "-1"), ("--d-max", "0"),
-                                        ("--d-max", "-2"), ("--jobs", "0"), ("--jobs", "-3")])
+                                        ("--d-max", "-2")])
 def test_figure_rejects_counts_below_one(tmp_path, capsys, flag, value):
     out = tmp_path / "fig.csv"
     assert cli.main(["figure", flag, value, "--output", str(out)]) == 2
     assert not out.exists()
     assert f"error: {flag} must be an integer >= 1, got {value}" in capsys.readouterr().err
+
+
+def test_figure_has_no_jobs_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["figure", "--d-max", "2", "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+def test_output_file_mode_follows_umask(tmp_path):
+    out = tmp_path / "fig.csv"
+    old = os.umask(0o022)
+    try:
+        assert cli.main(["figure", "--d-max", "1", "--output", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
 
 def test_config_file_and_flag_override(tmp_path, monkeypatch, rng, capsys):
@@ -245,6 +278,20 @@ def test_config_file_and_flag_override(tmp_path, monkeypatch, rng, capsys):
     assert cli.main(["sos-norm", "--input", path]) == 2
 
 
+@pytest.mark.parametrize("key", ["rho", "over_relax", "check_every",
+                                 "certificate_psd_tol", "certificate_value_tol"])
+def test_config_file_rejects_removed_keys(tmp_path, monkeypatch, capsys, key):
+    # the solver's constants are not options
+    path = write_poly(tmp_path, sum_of_monomial_squares(2, 1))
+    cfg = tmp_path / "solver.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+    assert cli.main(["sos-norm", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown solver option {key!r}" in captured.err
+
+
 def test_verify_command(tmp_path):
     out = tmp_path / "verify.json"
     code = cli.main(["verify", "--resolution", "400", "--output", str(out)])
@@ -252,3 +299,13 @@ def test_verify_command(tmp_path):
     report = json.loads(out.read_text())
     assert all(entry["passed"] for entry in report.values())
     assert "free_gram_roundtrip" in report
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verify_rejects_resolution_below_one(tmp_path, capsys, value):
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--resolution", value, "--output", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: --resolution must be an integer >= 1, got {value}" in captured.err

@@ -401,17 +401,10 @@ def test_gram_preimage_free_rejects():
 def test_operator_norm_bound_certified_cases():
     assert operator_norm_bound(square_basis(COMMUTATIVE, 3, 2)) == 1.0
     assert operator_norm_bound(square_basis(FREE, 2, 3)) == 1.0
-    scaled = SquareBasis(COMMUTATIVE, 3, 2,
-                         square_basis(COMMUTATIVE, 3, 2).terms, scale=2.0)
+    reversed_basis = SquareBasis(COMMUTATIVE, 3, 2,
+                                 square_basis(COMMUTATIVE, 3, 2).terms[::-1])
     with pytest.raises(NoCertifiedBoundError):
-        operator_norm_bound(scaled)
-
-
-def test_scaled_basis_gram_map():
-    basis = square_basis(COMMUTATIVE, 2, 1)
-    scaled = SquareBasis(COMMUTATIVE, 2, 1, basis.terms, scale=2.0)
-    p = gram_map(np.eye(2), scaled)
-    assert p == 4.0 * sum_of_monomial_squares(2, 1)
+        operator_norm_bound(reversed_basis)
 
 
 def test_monomial_tuple_sphere_bound(rng):
@@ -441,7 +434,7 @@ def test_solve_normal_exact_for_noncanonical_bases(rng):
     for flavor, n, d in ((COMMUTATIVE, 3, 2), (FREE, 2, 2)):
         canonical = square_basis(flavor, n, d)
         subset = canonical.terms[::2]
-        for basis in (SquareBasis(flavor, n, d, canonical.terms, scale=1.7),
+        for basis in (SquareBasis(flavor, n, d, canonical.terms[::-1]),
                       SquareBasis(flavor, n, d, subset)):
             M = random_hermitian(rng, basis.size)
             cons = build_constraints(gram_map(M, basis), basis)

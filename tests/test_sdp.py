@@ -13,11 +13,11 @@ from conftest import (
     random_sos,
     random_square,
 )
-from oracles import hermitian_from_dict
 from sos_approx import linalg
 from sos_approx.gram import GramConstraints, build_constraints, gram_map, square_basis
 from sos_approx.poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares, variables
 from sos_approx.sdp import (
+    CHECK_EVERY,
     SolveStatus,
     SolverError,
     SolverOptions,
@@ -361,11 +361,8 @@ def test_solver_options_config(tmp_path):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("check_every", 0),          # was ZeroDivisionError
-    ("rho", 0.0),                # was "eigh did not converge"
-    ("rho", -1.0),
-    ("rho", math.inf),
-    ("over_relax", 2.5),         # was "matrix is not Hermitian"
+    ("max_iter", 0),
+    ("tol_gap", 0.0),
     ("tol_primal", math.nan),    # was 50,000 steps to max-iter
 ])
 def test_solver_options_rejected(name, value):
@@ -377,23 +374,15 @@ def test_solver_options_rejected(name, value):
 
 def test_max_iter_reported_not_coerced(rng):
     a, basis = random_sos(rng, COMMUTATIVE, 3, 2, 3)
-    opts = SolverOptions(max_iter=3, check_every=1)
+    # the cap falls between two checks, and the last step is checked too
+    opts = SolverOptions(max_iter=CHECK_EVERY + 5)
     value, sol = sos_norm(a, basis, opts)
     assert sol.status is SolveStatus.MAX_ITER
     assert "residual" in sol.message
-    assert [rec.iteration for rec in sol.trace] == [1, 2, 3]
+    assert [rec.iteration for rec in sol.trace] == [25, 30]
     assert sol.trace[-1].primal_residual == sol.primal_residual
     with pytest.raises(SolverError):
         dual_bound(a, basis, opts)
-
-
-def test_solution_serialization(rng):
-    a, basis = random_sos(rng, COMMUTATIVE, 2, 1, 2)
-    _, sol = sos_norm(a, basis)
-    data = sol.to_dict()
-    M = hermitian_from_dict(data["matrix"])
-    assert np.allclose(M, sol.matrix, atol=1e-12)
-    assert data["status"] == "optimal"
 
 
 def test_figure_rows_have_no_iteration_cliff():
@@ -411,7 +400,7 @@ def test_figure_rows_have_no_iteration_cliff():
         assert sol.status is SolveStatus.OPTIMAL, (d, sol.message)
         assert value == pytest.approx(reference[d], rel=1e-6)
         # one trace record per convergence check
-        assert len(sol.trace) == sol.iterations // SolverOptions().check_every
+        assert len(sol.trace) == sol.iterations // CHECK_EVERY
         assert sol.trace[-1].iteration == sol.iterations
         steps[d] = sol.iterations
         if d == 9:

@@ -21,7 +21,6 @@ from .linalg import strict_cap
 from .gram import (
     SquareBasis,
     basis_size,
-    build_constraints,
     gram_map,
     gram_preimage_free,
     operator_norm_bound,
@@ -251,14 +250,13 @@ def approximate(a: Polynomial, basis: SquareBasis, eps: float,
                      value, math.inf, sol.iterations)
 
 
-def _free_gram_spectrum(p: Polynomial, d: int) -> tuple[np.ndarray, linalg.SpectralDecomposition]:
-    """The unique Gram matrix of a free p and its clipped spectrum.
+def _free_gram_spectrum(p: Polynomial, d: int) -> linalg.SpectralDecomposition:
+    """The clipped spectrum of the unique Gram matrix of a free p.
 
     Raises NotSosError, with the offending eigenvalue, when it is not PSD.
     """
-    M = gram_preimage_free(p, d)
     try:
-        return M, linalg.clipped_spectrum(M)
+        return linalg.clipped_spectrum(gram_preimage_free(p, d))
     except linalg.NotPsdError as exc:
         raise NotSosError(
             f"unique Gram matrix is not PSD (eigenvalue {exc.min_eigenvalue:.3e})",
@@ -279,7 +277,7 @@ def approximate_free(p: Polynomial, eps: float) -> SosCertificate:
     if p.degree() % 2 != 0 or not p.is_homogeneous():
         raise ValueError("input must be homogeneous of even degree")
     d = p.degree() // 2
-    _, dec = _free_gram_spectrum(p, d)
+    dec = _free_gram_spectrum(p, d)
     basis = square_basis(FREE, p.n_vars, d)
     sos_value = float(dec.eigenvalues.sum())
     return _free_routes(p, basis, dec, eps, sos_value, 0)
@@ -320,8 +318,10 @@ def pythagoras_upper_bound(a: Polynomial, basis: SquareBasis,
     k_vv = len(basis.product_terms)
     bound = math.isqrt(k_vv - 1) + 1 if k_vv > 0 else 0  # ceil(sqrt(k))
     if basis.flavor == FREE:
-        M, _ = _free_gram_spectrum(a, basis.degree)
-        squares = [c.conj() for c in linalg.low_rank_factor(M)]
+        dec = _free_gram_spectrum(a, basis.degree)
+        w, V = dec.eigenvalues, dec.eigenvectors     # as linalg.low_rank_factor(M) cuts them
+        squares = [(np.sqrt(w[i]) * V[:, i]).conj() for i in range(len(w))
+                   if w[i] > linalg.RANK_CUTOFF_REL * w[0]]
         message = "free Gram matrix is unique; rank cannot be reduced"
     else:
         # the witness residual flows straight into the reassembly residual,
@@ -331,10 +331,9 @@ def pythagoras_upper_bound(a: Polynomial, basis: SquareBasis,
         if not feas:
             raise NotSosError("input is not a sum of squares from this basis",
                               certificate=feas.certificate)
-        constraints = build_constraints(a, basis)
         message = ""
         try:
-            M0 = rank_reduce(feas.witness, constraints, bound)
+            M0 = rank_reduce(feas.witness, feas.constraints, bound)
         except RankReductionError as exc:
             M0 = exc.matrix
             message = f"rank reduction stalled at rank {exc.achieved_rank}: {exc}"

@@ -1,8 +1,8 @@
 """Hermitian eigendecomposition, Schatten norms, PSD checks, spectral truncation.
 
 Eigendecompositions go through LAPACK, via numpy or, in the solver's cone
-projection, directly through scipy; the test suite cross-validates them
-against an independent cyclic Jacobi solver.
+projection and checks, directly through scipy; the test suite
+cross-validates them against an independent cyclic Jacobi solver.
 """
 
 from __future__ import annotations
@@ -69,12 +69,18 @@ def eig_hermitian(M: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending.
 
     Ties keep LAPACK's eigenvector order (stable sort), so truncation is
-    deterministic.  With vectors=False only the eigenvalues are computed.
+    deterministic.  With vectors=False (the solver's checks) only eigenvalues
+    are computed and, as in `psd_part`, M must be Hermitian already: it is
+    not validated, real M stays real, and LAPACK reads its lower triangle.
     """
+    if not vectors:
+        evd = scipy.linalg.lapack.zheevd if M.dtype.kind == "c" else scipy.linalg.lapack.dsyevd
+        w, _, info = evd(M, compute_v=0, lower=1)
+        if info != 0:
+            raise NonConvergenceError(f"LAPACK eigensolver failed with info={info}")
+        return SpectralDecomposition(w[::-1], None)
     H = require_hermitian(M)
     try:
-        if not vectors:
-            return SpectralDecomposition(np.linalg.eigvalsh(H)[::-1].astype(float), None)
         w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"eigh did not converge: {exc}") from exc

@@ -15,10 +15,11 @@ Results are embedded back: the full D x D matrix, and duals over all k
 equations.
 
 The same loop detects infeasibility: when the fiber misses the cone, the
-change in the scaled dual between checks converges to a Farkas ray (Banjac,
-Goulart, Stellato, Boyd 2019), which is eigenvalue-checked before it is
-returned as a certificate.  `sos_feasible` runs the same loop
-with a zero objective and stops at the first PSD point of the fiber.
+change in the scaled dual between two checks, at one rho, converges to a
+Farkas ray (Banjac, Goulart, Stellato, Boyd 2019), which every check tests
+on all blocks (eigenvalues only, real on real blocks) and returns once it
+verifies.  `sos_feasible` runs the same loop with a zero objective and
+stops at the first PSD point of the fiber.
 
 The penalty rho is balanced on scale-free residuals (Wohlberg 2017): the
 splitting residual relative to the larger iterate norm against the dual
@@ -173,6 +174,7 @@ class FeasibilityResult:
     certificate: Optional[DualFunctional]
     residual: float
     iterations: int
+    constraints: GramConstraints     # the system solved, for reuse (rank reduction)
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -207,7 +209,7 @@ def _certificate_from_gap(system: BlockSystem, v: np.ndarray) -> Optional[DualFu
     if float(np.linalg.norm(recon - v)) > 0.25 * vnorm:
         return None
     y = -np.asarray(c, dtype=float) / vnorm
-    w = np.concatenate([linalg.eig_hermitian(B).eigenvalues
+    w = np.concatenate([linalg.eig_hermitian(B, vectors=False).eigenvalues
                         for B in system.split(system.adjoint(y))])
     scale = max(float(np.abs(w).max(initial=0.0)), 1e-30)
     value = float(system.targets @ y)
@@ -253,7 +255,7 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     Z = np.zeros(system.size, dtype=system.dtype)
     U = np.zeros_like(Z)
     mu = np.zeros(len(b))
-    U_prev = None
+    U_prev = U.copy()
     tol_primal = options.tol_primal * (1.0 + bnorm)
     y_out = np.zeros(len(b))
     dval = 0.0
@@ -286,7 +288,7 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
                     matrix=system.embed(s * Z), objective=pval, dual=system.lift(y_out),
                     dual_objective=dval, primal_residual=pres, gap=gap,
                     status=SolveStatus.OPTIMAL, iterations=it, trace=trace)
-            if pres > 50 * tol_primal and U_prev is not None:
+            if pres > 50 * tol_primal:
                 cert = _certificate_from_gap(system, U - U_prev)
                 if cert is not None:
                     return SdpSolution(
@@ -298,20 +300,19 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
                                 "functional attached (its negation is an improving "
                                 "ray for the dual)",
                         certificate=cert, trace=trace)
-            # a rho change rescales U, so the next difference would mix scales
-            U_prev = U.copy()
             r_rel = r_split / max(float(np.linalg.norm(X)), float(np.linalg.norm(Z)), _TINY)
             s_rel = s_dual / max(rho * float(np.linalg.norm(U)), _TINY)
             if r_rel > _RHO_BALANCE * s_rel and rho < 1e6:
                 rho *= 2.0
                 U /= 2.0
-                U_prev = None
                 shift = eye / rho
             elif s_rel > _RHO_BALANCE * r_rel and rho > 1e-6:
                 rho /= 2.0
                 U *= 2.0
-                U_prev = None
                 shift = eye / rho
+            # taken after a rho change has rescaled U, so the next difference
+            # spans CHECK_EVERY steps at one rho
+            U_prev = U.copy()
         else:
             Z = Z_new
     pval = s * system.trace(Z)
@@ -355,14 +356,14 @@ def sos_feasible(a: Polynomial, basis: SquareBasis,
     options = options or SolverOptions()
     constraints = build_constraints(a, basis)
     if not np.any(constraints.targets):
-        return FeasibilityResult(
-            True, np.zeros((basis.size, basis.size), dtype=complex), None, 0.0, 0)
+        return FeasibilityResult(True, np.zeros((basis.size, basis.size), dtype=complex),
+                                 None, 0.0, 0, constraints)
     sol = _trace_min(constraints, options, minimize_trace=False)
     if sol.status is SolveStatus.MAX_ITER:
         raise SolverError(f"feasibility test inconclusive: {sol.message}", sol)
     feasible = sol.status is SolveStatus.OPTIMAL
-    return FeasibilityResult(feasible, sol.matrix if feasible else None,
-                             sol.certificate, sol.primal_residual, sol.iterations)
+    return FeasibilityResult(feasible, sol.matrix if feasible else None, sol.certificate,
+                             sol.primal_residual, sol.iterations, constraints)
 
 
 def dual_bound(a: Polynomial, basis: SquareBasis,

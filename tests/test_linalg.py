@@ -47,10 +47,14 @@ def test_eig_contract_on_randoms(rng):
         assert np.abs(V.conj().T @ V - np.eye(12)).max() <= 1e-10
         scale = max(1.0, np.linalg.norm(M, 2))
         assert np.linalg.norm(dec.reconstruct() - M, 2) <= 1e-9 * scale
-        # the same eigenvalues, in the same order, without the vectors
+        # the same eigenvalues, in the same order, without the vectors; real
+        # input is decomposed in real arithmetic
         values = eig_hermitian(M, vectors=False)
         assert values.eigenvectors is None
         assert np.abs(values.eigenvalues - dec.eigenvalues).max() <= 1e-12 * scale
+        w = eig_hermitian(M.real, vectors=False).eigenvalues
+        assert w.dtype == np.float64
+        assert np.abs(w - eig_hermitian(M.real).eigenvalues).max() <= 1e-12 * scale
 
 
 def test_eig_rejects_non_hermitian():

@@ -101,7 +101,7 @@ def test_feasible_monomial_square_sums():
         assert linalg.eig_hermitian(result.witness).eigenvalues.min() >= -1e-10
 
 
-def test_indefinite_rejected_with_certificate(monkeypatch):
+def test_indefinite_rejected_with_certificate():
     x1, x2, _ = variables(COMMUTATIVE, 3)
     a = x1 * x1 - x2 * x2
     basis = square_basis(COMMUTATIVE, 3, 1)
@@ -117,33 +117,47 @@ def test_indefinite_rejected_with_certificate(monkeypatch):
     assert sol.status is SolveStatus.INFEASIBLE and math.isnan(value)
     # the improving ray makes the dual unbounded
     assert dual_bound(a, basis) == math.inf
-    # nonnegative forms that are not sums of squares: the splitting solver
-    # must find the separating functional itself, well before its cap, both
+
+
+# nonnegative forms that are not sums of squares, with the steps the solver
+# takes to certify them when every check tests a Farkas candidate
+SWAPPED_CHOI_LAM = {(e[1], e[0], e[2]): c for e, c in CHOI_LAM_S.items()}   # x <-> y
+NON_SOS_STEPS = ((MOTZKIN, 200), (CHOI_LAM_S, 100), (SWAPPED_CHOI_LAM, 100), (ROBINSON, 75))
+
+
+def test_non_sos_forms_certified_within_step_bounds():
+    # the splitting solver finds the separating functional itself, both
     # with the trace objective and with the zero objective of sos_feasible
-    eig_calls = [0]
-    eig = linalg.eig_hermitian
-
-    def counted(M, **kwargs):
-        eig_calls[0] += 1
-        return eig(M, **kwargs)
-
-    monkeypatch.setattr(linalg, "eig_hermitian", counted)
-    basis3 = square_basis(COMMUTATIVE, 3, 3)
-    for coeffs in (MOTZKIN, CHOI_LAM_S, ROBINSON):
+    basis = square_basis(COMMUTATIVE, 3, 3)
+    for coeffs, steps in NON_SOS_STEPS:
         form = Polynomial(COMMUTATIVE, 3, coeffs)
-        cons = build_constraints(form, basis3)
-        eig_calls[0] = 0
-        value, sol = sos_norm(form, basis3)
+        cons = build_constraints(form, basis)
+        value, sol = sos_norm(form, basis)
         assert sol.status is SolveStatus.INFEASIBLE and math.isnan(value)
-        assert eig_calls[0] < 5000
-        eig_calls[0] = 0
-        result = sos_feasible(form, basis3)
+        assert sol.iterations <= steps, (coeffs, sol.iterations)
+        result = sos_feasible(form, basis)
         assert not result.feasible and result.witness is None
-        assert eig_calls[0] < 5000
+        assert result.iterations <= steps, (coeffs, result.iterations)
         for y in (sol.certificate.values, result.certificate.values):
             w = np.linalg.eigvalsh(cons.adjoint(y))
             assert w.min() >= -1e-8 * np.abs(w).max()
             assert cons.targets @ y < 0
+
+
+def test_low_rank_feasible_inputs_never_rejected():
+    # low-rank inputs meet the cone only at its boundary; every check that
+    # misses the primal tolerance tries a certificate, and none may pass.
+    # The trace solve stalls to the iteration cap on four of them, testing
+    # a candidate at each of its 2,000 checks: the likeliest to pass wrongly
+    stalled = {(3, 3, 2, 1), (5, 3, 2, 1), (5, 3, 3, 1), (7, 3, 3, 1)}     # seed, n, d, r
+    cases = [(seed, COMMUTATIVE, 3, d, r) for seed in range(10) for d in (2, 3) for r in (1, 2)]
+    cases += [(seed, FREE, 2, 2, 1) for seed in range(10)]
+    for seed, flavor, n, d, r in cases:
+        a, basis = random_sos(np.random.default_rng(seed), flavor, n, d, r)
+        _, sol = sos_norm(a, basis)
+        expected = SolveStatus.MAX_ITER if (seed, n, d, r) in stalled else SolveStatus.OPTIMAL
+        assert sol.status is expected, (seed, flavor, d, r, sol.message)
+        assert sos_feasible(a, basis).feasible, (seed, flavor, d, r)
 
 
 def _farkas_holds(form, y):
@@ -168,6 +182,16 @@ def test_rejections_certified_on_full_system():
         value, sol = sos_norm(form, square_basis(COMMUTATIVE, 3, 3))
         assert sol.status is SolveStatus.INFEASIBLE and math.isnan(value)
         assert _farkas_holds(form, sol.certificate.values)
+
+
+def test_certificate_tested_right_after_rho_change():
+    # on Robinson's form rho doubles at every check; the dual change over
+    # the steps after a doubling, all at the new rho, is the certificate
+    form = Polynomial(COMMUTATIVE, 3, ROBINSON)
+    _, sol = sos_norm(form, square_basis(COMMUTATIVE, 3, 3))
+    assert sol.status is SolveStatus.INFEASIBLE
+    assert sol.trace[-1].rho != sol.trace[-2].rho
+    assert _farkas_holds(form, sol.certificate.values)
 
 
 def _dense_reference(cons):
@@ -333,9 +357,11 @@ def test_rank_reduce_single_trace_constraint():
 def test_rank_reduce_hypothesis_violation(rng):
     a, basis = random_sos(rng, COMMUTATIVE, 3, 2, 3)
     cons = build_constraints(a, basis)
-    M = sos_feasible(a, basis).witness
+    feas = sos_feasible(a, basis)
+    # the result carries the system it solved, for rank reduction to reuse
+    assert feas.constraints.k == cons.k and np.array_equal(feas.constraints.targets, cons.targets)
     with pytest.raises(ValueError):
-        rank_reduce(M, cons, 2)  # 15 > 2^2 + 2*2
+        rank_reduce(feas.witness, feas.constraints, 2)  # 15 > 2^2 + 2*2
 
 
 def test_rank_reduce_requires_feasible_start(rng):

@@ -194,15 +194,15 @@ def _free_routes(a: Polynomial, basis: SquareBasis, dec, eps: float,
     trace = float(w.sum())
     npos = int((w > 0).sum())
     budget = eps - residual
+    bound = (sos_value / budget) ** 2
     k2 = min(linalg.truncation_count(trace, budget, 2.0), npos)
-    kinf = linalg.count_above(w, budget)
+    kinf = linalg.count_above(w, budget, strict_cap(bound))
     tail = np.sqrt(np.cumsum((w ** 2)[::-1])[::-1])  # tail[i] = ||w[i:]||_2
 
     def tail_err(k: int) -> float:
         return (float(tail[k]) if k < len(w) else 0.0) + residual
 
     err2, errinf = tail_err(k2), tail_err(kinf)
-    bound = (sos_value / budget) ** 2
     if errinf <= eps and kinf < k2:
         return _assemble(a, basis, dec, kinf, errinf, COEFF_2_NORM, eps,
                          bound, sos_value, math.inf, iterations)
@@ -243,9 +243,9 @@ def approximate(a: Polynomial, basis: SquareBasis, eps: float,
     if free:
         return _free_routes(a, basis, dec, eps, value, sol.iterations, r)
     w = dec.eigenvalues
-    keep = linalg.count_above(w, (eps - r) / opnorm)
-    error = (float(w[keep]) * opnorm if keep < len(w) else 0.0) + r
     bound = opnorm * value / (eps - r)
+    keep = linalg.count_above(w, (eps - r) / opnorm, strict_cap(bound))
+    error = (float(w[keep]) * opnorm if keep < len(w) else 0.0) + r
     return _assemble(a, basis, dec, keep, error, SUP_SPHERE, eps, bound,
                      value, math.inf, sol.iterations)
 

@@ -149,14 +149,21 @@ def truncation_count(trace: float, eps: float, p: float) -> int:
     return max(0, strict_cap(math.exp(log_x)))
 
 
-def count_above(values: np.ndarray, eps: float) -> int:
-    """Entries strictly above eps, with a 1e-12 relative guard.
+def count_above(values: np.ndarray, eps: float, cap: int) -> int:
+    """Leading entries of the descending `values` to keep at threshold eps.
 
-    Eigenvalues sitting exactly on the threshold (e.g. lambda_1 = tr for a
-    rank-one matrix at eps = tr) must not survive on account of rounding:
-    keeping them breaks the strict rank bound k < tr/eps.
+    Entries strictly above eps, with a 1e-12 relative guard: eigenvalues
+    sitting exactly on the threshold (e.g. lambda_1 = tr for a rank-one
+    matrix at eps = tr) must not survive on account of rounding, since
+    keeping them breaks the strict rank bound k < tr/eps.  But an entry the
+    guard drops that is still above eps would be an error above eps, so
+    such entries are kept after all while the count stays within `cap`, the
+    largest count the rank bound allows.
     """
-    return int((values > eps * (1.0 + 1e-12)).sum())
+    k = int((values > eps * (1.0 + 1e-12)).sum())
+    while k < min(cap, len(values)) and values[k] > eps:
+        k += 1
+    return k
 
 
 def truncate_rank(M: np.ndarray, eps: float, p: float) -> np.ndarray:
@@ -174,7 +181,7 @@ def truncate_rank(M: np.ndarray, eps: float, p: float) -> np.ndarray:
     dec = clipped_spectrum(M)
     w = dec.eigenvalues
     if math.isinf(p):
-        k = count_above(w, eps)
+        k = count_above(w, eps, strict_cap(float(w.sum()) / eps))
     else:
         k = truncation_count(float(w.sum()), eps, p)
     keep = np.zeros(len(w), dtype=bool)

@@ -23,11 +23,15 @@ stops at the first PSD point of the fiber.
 
 The penalty rho is balanced on scale-free residuals (Wohlberg 2017): the
 splitting residual relative to the larger iterate norm against the dual
-residual relative to the dual norm.  Each convergence check, every
-`CHECK_EVERY` steps, is kept in `SdpSolution.trace`.  `SolverOptions` holds
-the stopping rule only and rejects values the loop cannot run with
-(non-finite or non-positive tolerances, an iteration cap below 1) with a
-ValueError that names the option.
+residual relative to the dual norm.  Between two checks at which rho held
+still, safeguarded Anderson acceleration (Walker & Ni 2011; Zhang,
+O'Donoghue & Boyd 2020) extrapolates the state (Z, U) of the map
+`ANDERSON_STRIDE` steps long; every check sees plain steps.  Each
+convergence check, every `CHECK_EVERY` steps, is kept in
+`SdpSolution.trace`.  `SolverOptions` holds the stopping rule only and
+rejects values the loop cannot run with (non-finite or non-positive
+tolerances, an iteration cap below 1) with a ValueError that names the
+option.
 """
 
 from __future__ import annotations
@@ -54,6 +58,11 @@ _RHO = 1.0                  # the initial penalty, which the balancing moves
 _OVER_RELAX = 1.6           # over-relaxed ADMM converges only for 0 < alpha < 2
 _TINY = 1e-300
 CHECK_EVERY = 25            # steps between convergence checks
+# Anderson acceleration (Walker & Ni 2011) of the map T = ANDERSON_STRIDE steps
+# on the state (Z, U), from at most ANDERSON_MEMORY differences; see `_Anderson`
+ANDERSON_STRIDE = CHECK_EVERY // 5
+ANDERSON_MEMORY = 5
+_ANDERSON_REG = 1e-10       # Tikhonov weight, relative to the mean squared difference
 # margins, relative to the spectral scale of sum y_l A_l, that a Farkas
 # certificate must clear on its least eigenvalue and on its value
 _CERTIFICATE_PSD_TOL = 1e-8
@@ -150,6 +159,7 @@ class CheckRecord(NamedTuple):
     s_dual: float               # rho ||Z - Z_prev||, the dual residual
     rho: float                  # penalty used for the steps up to this check
     gap: float                  # primal - dual objective; NaN without an objective
+    accelerated: int            # accelerated points kept since the previous check
 
 
 @dataclass
@@ -220,6 +230,61 @@ def _certificate_from_gap(system: BlockSystem, v: np.ndarray) -> Optional[DualFu
     return DualFunctional(values=system.lift(y), objective=value, psd_margin=float(w.min()))
 
 
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration of a fixed-point map T.
+
+    The caller applies T (here ANDERSON_STRIDE ADMM steps) to the point `x`
+    and hands the image w = T(x) to `sample`, which keeps the pair (x,
+    f = w - x).  From the differences of the last ANDERSON_MEMORY + 1 pairs
+    it fits gamma = argmin ||f - dF gamma||^2 + reg ||gamma||^2 (reg =
+    _ANDERSON_REG * tr(dF* dF) / m) and extrapolates to w - (dX + dF) gamma
+    (Walker & Ni 2011; Zhang, O'Donoghue & Boyd 2020).  The safeguard: when
+    the next sample's residual ||f|| exceeds the one the point was fitted
+    at, the accelerated point is dropped, the iteration resumes from the
+    plain image it replaced, and the memory is cleared.  `kept` counts the
+    accelerated points that passed the safeguard.
+    """
+
+    def __init__(self) -> None:
+        self.kept = 0
+        self.reset(None)
+
+    def reset(self, x: Optional[np.ndarray]) -> None:
+        """Clear the memory; T is applied to x next."""
+        self.xs: list[np.ndarray] = []
+        self.fs: list[np.ndarray] = []
+        self.x = x
+        self.plain: Optional[np.ndarray] = None     # the image an accelerated x replaced
+        self.fitted_at = math.inf
+
+    def sample(self, w: np.ndarray, accelerate: bool) -> Optional[np.ndarray]:
+        """Take w = T(x); return the point to continue from, or None for w."""
+        f = w - self.x
+        fnorm = float(np.linalg.norm(f))
+        if self.plain is not None:
+            if fnorm > self.fitted_at:
+                plain = self.plain
+                self.reset(plain)
+                return plain
+            self.kept += 1
+            self.plain = None
+        self.xs = (self.xs + [self.x])[-ANDERSON_MEMORY - 1:]
+        self.fs = (self.fs + [f])[-ANDERSON_MEMORY - 1:]
+        self.x = w
+        if not accelerate or len(self.xs) < 2:
+            return None
+        dX = np.diff(np.array(self.xs), axis=0)
+        dF = np.diff(np.array(self.fs), axis=0)
+        G = (dF.conj() @ dF.T).real
+        reg = _ANDERSON_REG * float(np.trace(G)) / len(G)
+        if not reg > 0:
+            return None
+        gamma = np.linalg.solve(G + reg * np.eye(len(G)), (dF.conj() @ f).real)
+        self.plain, self.fitted_at = w, fnorm
+        self.x = w - gamma @ (dX + dF)
+        return self.x
+
+
 def _trace_min(constraints: GramConstraints, options: SolverOptions,
                minimize_trace: bool = True) -> SdpSolution:
     """ADMM for min tr(M) s.t. tr(A_l M) = lambda_l, M >= 0 (normalized targets).
@@ -238,6 +303,17 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     not change between steps (the normal system's inverse diagonal, the
     scaled targets through it, and eye / rho until rho changes) are
     computed once.
+
+    Anderson acceleration (`_Anderson`) treats T = ANDERSON_STRIDE steps as
+    a fixed-point map on w = (Z, U).  It runs only in a check window whose
+    opening check left rho unchanged (on non-SOS inputs rho doubles at
+    almost every check, and accelerating there slowed the certificate); a
+    rho change clears its memory, and other windows take no samples.  A
+    steady window samples w at offsets 5, 10, 15 and 20 and may jump to an
+    accelerated point at 5, 10 and 15, so the safeguard judges every jump
+    before the check and the steps into every check, including the one at
+    the iteration cap, are plain projected steps: Z is PSD there, and the
+    checks, the dual bound and the Farkas test are unchanged.
     """
     system = constraints.block_system
     b = system.targets
@@ -262,6 +338,9 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     pres = math.inf
     gap = math.inf if minimize_trace else math.nan
     trace: list[CheckRecord] = []
+    anderson = _Anderson()
+    steady = False              # the opening check of this window left rho unchanged
+    n = system.size
     it = 0
     for it in range(1, options.max_iter + 1):
         V = Z - U - shift if minimize_trace else Z - U
@@ -282,7 +361,8 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
                 dval = s * dval_h
                 gap = pval - dval
                 converged = converged and abs(gap) <= options.tol_gap * (1.0 + abs(pval))
-            trace.append(CheckRecord(it, pres, r_split, s_dual, rho, gap))
+            trace.append(CheckRecord(it, pres, r_split, s_dual, rho, gap, anderson.kept))
+            anderson.kept = 0
             if converged:
                 return SdpSolution(
                     matrix=system.embed(s * Z), objective=pval, dual=system.lift(y_out),
@@ -302,6 +382,7 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
                         certificate=cert, trace=trace)
             r_rel = r_split / max(float(np.linalg.norm(X)), float(np.linalg.norm(Z)), _TINY)
             s_rel = s_dual / max(rho * float(np.linalg.norm(U)), _TINY)
+            rho_was = rho
             if r_rel > _RHO_BALANCE * s_rel and rho < 1e6:
                 rho *= 2.0
                 U /= 2.0
@@ -313,8 +394,20 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
             # taken after a rho change has rescaled U, so the next difference
             # spans CHECK_EVERY steps at one rho
             U_prev = U.copy()
+            steady = rho == rho_was
+            if steady:
+                anderson.x = np.concatenate([Z, U])
+            else:
+                anderson.reset(None)
         else:
             Z = Z_new
+            if steady and it % ANDERSON_STRIDE == 0:
+                # accelerate only where the safeguard's sample and at least
+                # one stride of plain steps still come before the next check
+                check = min(it + CHECK_EVERY - it % CHECK_EVERY, options.max_iter)
+                w = anderson.sample(np.concatenate([Z, U]), it + 2 * ANDERSON_STRIDE <= check)
+                if w is not None:
+                    Z, U = w[:n], w[n:]
     pval = s * system.trace(Z)
     gap_note = f", gap {gap:.3e}" if minimize_trace else ""
     return SdpSolution(

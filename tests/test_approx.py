@@ -5,7 +5,7 @@ import pytest
 
 from conftest import free_trace_oracle, random_sos, random_square
 from oracles import free_pythagoras_number, min_rank_two_vars_degree_one
-from sos_approx import linalg
+from sos_approx import approx as approx_module, linalg
 from sos_approx.approx import (
     NotSosError,
     SosCertificate,
@@ -18,7 +18,7 @@ from sos_approx.approx import (
 )
 from sos_approx.gram import NoCertifiedBoundError, SquareBasis, gram_map, square_basis
 from sos_approx.poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares, variables
-from sos_approx.sdp import SolverError, sos_norm
+from sos_approx.sdp import SdpSolution, SolverError, SolveStatus, sos_norm
 
 
 def test_strict_cap_semantics():
@@ -144,6 +144,31 @@ def test_approximate_commutative_full_truncation(rng):
     assert not cert.verify(sample_points=2000)
     with pytest.raises(SolverError):
         approximate(a, basis, eps=1e-12)   # below that residual
+
+
+def test_threshold_eigenvalues_kept_within_rank_allowance(monkeypatch):
+    # a Gram spectrum (2, t, t) with t one ulp above eps: the rounding guard
+    # of count_above would drop both t and declare error t > eps, although
+    # the allowance (value / eps = 6, so 5 squares) has room to keep them.
+    # The solver is replaced by that fixed Gram matrix.
+    basis = square_basis(COMMUTATIVE, 3, 1)
+    t = 0.5 * (1.0 + 2.0 ** -52)
+    G = np.diag([2.0, t, t]).astype(complex)
+    a = gram_map(G, basis)
+    value = float(np.trace(G).real)
+    sol = SdpSolution(matrix=G, objective=value, dual=np.zeros(6), dual_objective=value,
+                      primal_residual=0.0, gap=0.0, status=SolveStatus.OPTIMAL, iterations=0)
+    monkeypatch.setattr(approx_module, "sos_norm", lambda a, basis, options=None: (value, sol))
+    cert = approximate(a, basis, eps=0.5)
+    assert cert.allowed_rank == 5
+    assert cert.error <= 0.5
+    assert cert.rank == 3
+    assert not cert.verify(sample_points=500)
+    # the count stops at the cap, and the Schatten-inf truncation keeps them too
+    assert linalg.count_above(np.array([2.0, t, t]), 0.5, 5) == 3
+    assert linalg.count_above(np.array([2.0, t, t]), 0.5, 1) == 1
+    Mp = linalg.truncate_rank(G.real, 0.5, math.inf)
+    assert linalg.schatten_norm(G.real - Mp, math.inf) <= 0.5
 
 
 def test_approximate_sphere_monomial_square_sums():

@@ -158,17 +158,10 @@ def cmd_approx(args: argparse.Namespace) -> int:
     _check_at_least("--resolution", args.resolution, 0)
     p = _load_polynomial(args.input)
     options = solver_options(args)
-    try:
-        if p.flavor == FREE:
-            cert = approx_mod.approximate_free(p, args.eps)
-        else:
-            cert = approx_mod.approximate_sphere(p, args.eps, options)
-    except approx_mod.NotSosError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (sdp.SolverError, linalg.NonConvergenceError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    if p.flavor == FREE:
+        cert = approx_mod.approximate_free(p, args.eps)
+    else:
+        cert = approx_mod.approximate_sphere(p, args.eps, options)
     _atomic_write(args.output, cert.to_json() + "\n")
     with open(args.output, "r", encoding="utf-8") as fh:
         reread = approx_mod.SosCertificate.from_dict(json.load(fh))
@@ -195,11 +188,7 @@ def cmd_feasible(args: argparse.Namespace) -> int:
     p = _load_polynomial(args.input)
     basis = _homogeneous_basis(p)
     options = solver_options(args)
-    try:
-        result = sdp.sos_feasible(p, basis, options)
-    except sdp.SolverError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    result = sdp.sos_feasible(p, basis, options)
     report: dict = {"feasible": result.feasible, "iterations": result.iterations,
                     "residual": result.residual}
     if result.feasible:
@@ -364,7 +353,7 @@ def main(argv=None) -> int:
     except approx_mod.NotSosError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except sdp.SolverError as exc:
+    except (sdp.SolverError, linalg.NonConvergenceError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:

@@ -322,6 +322,7 @@ class BlockSystem:
         self.targets = cons.targets[keep]
         self.keep = keep
         self.k_full = cons.k
+        self._omegas = cons.omegas
         self.dim = D
         self.index = tuple(index)
         self.offsets = offsets
@@ -434,6 +435,20 @@ class BlockSystem:
             P, ranks[b] = linalg.psd_part(x[o:o + s * s].reshape(s, s), 4 * ranks[b] <= s)
             out[o:o + s * s] = P.reshape(-1)
         return out if self._labels is None else out[self._src]
+
+    @cached_property
+    def moment_shift(self) -> tuple[np.ndarray, list[np.ndarray], float] | None:
+        """Gaussian moments y0_l = E[x^tau_l] = prod (tau_i - 1)!! (0 if a tau_i is
+        odd) on the kept equations, scaled to a largest value of 1; the blocks of
+        S0 = sum y0_l A_l, moment matrices of independent monomials under a measure
+        of full support, so positive definite; lambda_max(S0).  None if complex."""
+        if self.dtype != np.float64:
+            return None
+        m = [0 if any(e % 2 for e in t) else math.prod(math.prod(range(e - 1, 0, -2)) for e in t)
+             for t in (self._omegas[l].term for l in self.keep)]
+        y0 = (np.array(m, dtype=object) / max(m)).astype(float)    # exact integers until scaled
+        S0 = self.split(self.adjoint(y0))
+        return y0, S0, max(linalg.eig_hermitian(B, vectors=False).eigenvalues[0] for B in S0)
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         """The full D x D complex matrix with the blocks of x on their indices."""

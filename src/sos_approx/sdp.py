@@ -16,10 +16,11 @@ equations.
 
 The same loop detects infeasibility: when the fiber misses the cone, the
 change in the scaled dual between two checks, at one rho, converges to a
-Farkas ray (Banjac, Goulart, Stellato, Boyd 2019), which every check tests
-on all blocks (eigenvalues only, real on real blocks) and returns once it
-verifies.  `sos_feasible` runs the same loop with a zero objective and
-stops at the first PSD point of the fiber.
+Farkas ray (Banjac, Goulart, Stellato, Boyd 2019).  Every check tests it on
+all blocks (eigenvalues only, real on real blocks), shifted onto the PSD
+cone along Gaussian moments first if only its least eigenvalue misses, and
+returns it once it verifies.  `sos_feasible` runs the same loop with a zero
+objective and stops at the first PSD point of the fiber.
 
 The penalty rho is balanced on scale-free residuals (Wohlberg 2017): the
 splitting residual relative to the larger iterate norm against the dual
@@ -210,22 +211,38 @@ def _certificate_from_gap(system: BlockSystem, v: np.ndarray) -> Optional[DualFu
     numerically before the certificate is accepted.  sum y_l A_l is
     block-diagonal, so it is PSD iff each block is; the values are returned
     over all k equations, zero on the dropped ones.
+
+    A real candidate that misses only the PSD margin moves first to y + t* y0
+    along the Gaussian moments y0 (`BlockSystem.moment_shift`), where t*, the
+    top eigenvalue of the pencil (-A*(y), S0) over the blocks, is the least t
+    with A*(y) + t S0 PSD; it is dropped unshifted when targets . y0 >= 0 and
+    the Weyl bound t* >= -lambda_min(A*(y)) / lambda_max(S0) gives targets . y' >= 0.
     """
     vnorm = float(np.linalg.norm(v))
     if vnorm <= 0:
         return None
     c = system.solve_normal(system.apply(v))
-    recon = system.adjoint(c)
-    if float(np.linalg.norm(recon - v)) > 0.25 * vnorm:
+    if float(np.linalg.norm(system.adjoint(c) - v)) > 0.25 * vnorm:
         return None
     y = -np.asarray(c, dtype=float) / vnorm
-    w = np.concatenate([linalg.eig_hermitian(B, vectors=False).eigenvalues
-                        for B in system.split(system.adjoint(y))])
-    scale = max(float(np.abs(w).max(initial=0.0)), 1e-30)
-    value = float(system.targets @ y)
-    if w.min() < -_CERTIFICATE_PSD_TOL * scale:
-        return None
-    if value > -_CERTIFICATE_VALUE_TOL * scale * (1.0 + np.linalg.norm(system.targets)):
+    for repair in (True, False):
+        blocks = system.split(system.adjoint(y))
+        w = np.concatenate([linalg.eig_hermitian(B, vectors=False).eigenvalues for B in blocks])
+        scale = max(float(np.abs(w).max(initial=0.0)), 1e-30)
+        value = float(system.targets @ y)
+        if not (repair and w.min() < -_CERTIFICATE_PSD_TOL * scale and system.moment_shift):
+            break
+        y0, S0, top0 = system.moment_shift
+        slope = float(system.targets @ y0)
+        if slope >= 0 and value - w.min() / top0 * slope >= 0:
+            return None
+        try:
+            t = max(scipy.linalg.eigh(-B, B0, eigvals_only=True)[-1] for B, B0 in zip(blocks, S0))
+        except np.linalg.LinAlgError:       # an S0 block too ill-conditioned to factor
+            return None
+        y = y + t * y0
+    if (w.min() < -_CERTIFICATE_PSD_TOL * scale
+            or value > -_CERTIFICATE_VALUE_TOL * scale * (1.0 + np.linalg.norm(system.targets))):
         return None
     return DualFunctional(values=system.lift(y), objective=value, psd_margin=float(w.min()))
 

@@ -16,6 +16,11 @@ from . import approx, linalg, sdp
 from .gram import build_constraints, free_gram_trace, gram_map, gram_preimage_free, square_basis
 from .poly import COMMUTATIVE, FREE, Polynomial, sphere_lattice, sum_of_monomial_squares, sup_norm_sphere
 
+# nonnegative ternary sextics that are not sums of squares
+MOTZKIN = {(4, 2, 0): 1, (2, 4, 0): 1, (0, 0, 6): 1, (2, 2, 2): -3}
+ROBINSON = {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1, (4, 2, 0): -1, (2, 4, 0): -1,
+            (4, 0, 2): -1, (2, 0, 4): -1, (0, 4, 2): -1, (0, 2, 4): -1, (2, 2, 2): 3}
+
 
 def _random_poly(rng, flavor, n, d, density=0.7):
     basis = square_basis(flavor, n, d)
@@ -227,5 +232,19 @@ def run_property_suite(seed: int, options: sdp.SolverOptions | None = None,
         if witness.count > witness.bound:
             worst = max(worst, 1.0)
     record("rank_reduction_feasibility", worst, 1e-6)
+
+    # Farkas certificates hold: Motzkin, Robinson, and a - c |x|^4 with a < c somewhere
+    a, _basis = random_sos(rng, COMMUTATIVE, 3, 2, 3)
+    vals = a.evaluate_batch(pts).real
+    norm_sq = sum_of_monomial_squares(3, 1)
+    shifted = a - (vals.min() + 0.01 * (np.median(vals) - vals.min())) * norm_sq * norm_sq
+    worst = 0.0
+    for form in (Polynomial(COMMUTATIVE, 3, MOTZKIN), Polynomial(COMMUTATIVE, 3, ROBINSON), shifted):
+        cons = build_constraints(form, square_basis(COMMUTATIVE, 3, form.degree() // 2))
+        _value, sol = sdp.sos_norm(form, cons.basis, options)
+        w = np.linalg.eigvalsh(cons.adjoint(sol.dual))     # the certificate when infeasible
+        rejected = sol.status is sdp.SolveStatus.INFEASIBLE and cons.targets @ sol.dual < 0
+        worst = max(worst, float(-w.min() / np.abs(w).max()) if rejected else math.inf)
+    record("farkas_certificate_soundness", worst, 1e-8)
 
     return results

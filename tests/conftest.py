@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sos_approx.poly import Polynomial
-from sos_approx.verify import random_hermitian, random_psd, random_sos  # noqa: F401
+from sos_approx.verify import MOTZKIN, ROBINSON, random_hermitian, random_psd, random_sos  # noqa: F401
 
 
 @pytest.fixture
@@ -21,8 +21,6 @@ def free_trace_oracle(p, basis):
     return float(sum(p.coefficient(w[::-1] + w) for w in basis.terms).real)
 
 
-# nonnegative ternary sextics that are not sums of squares
-MOTZKIN = {(4, 2, 0): 1, (2, 4, 0): 1, (0, 0, 6): 1, (2, 2, 2): -3}
+# a nonnegative ternary sextic that is not a sum of squares, beside MOTZKIN
+# and ROBINSON
 CHOI_LAM_S = {(4, 2, 0): 1, (0, 4, 2): 1, (2, 0, 4): 1, (2, 2, 2): -3}
-ROBINSON = {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1, (4, 2, 0): -1, (2, 4, 0): -1,
-            (4, 0, 2): -1, (2, 0, 4): -1, (0, 4, 2): -1, (0, 2, 4): -1, (2, 2, 2): 3}

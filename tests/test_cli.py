@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sos
-from sos_approx import cli
+from sos_approx import cli, linalg
 from sos_approx.approx import SosCertificate
 from sos_approx.poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares, to_json, variables
 
@@ -235,6 +235,22 @@ def test_figure_failed_rows_exit_solver(tmp_path, capsys):
     assert len(err) == 3
     for d, line in zip((1, 2, 3), err):
         assert line.startswith(f"row failed: d={d}: max-iter: iteration cap 25 reached")
+
+
+def test_lapack_failure_exits_solver(tmp_path, capsys, monkeypatch):
+    # a LAPACK failure inside the solve is a solver failure (exit 4), not a
+    # traceback, whose exit code 1 would read as a failed verification
+    def fail(*args, **kwargs):
+        raise linalg.NonConvergenceError("LAPACK eigensolver failed with info=3")
+
+    monkeypatch.setattr(linalg, "psd_part", fail)
+    path = write_poly(tmp_path, sum_of_monomial_squares(3, 2))
+    for argv in (["sos-norm", "--input", path], ["feasible", "--input", path],
+                 ["bounds", "--input", path, "--eps", "1"],
+                 ["approx", "--input", path, "--eps", "1", "--output", str(tmp_path / "c.json")]):
+        assert cli.main(argv) == cli.EXIT_SOLVER, argv
+        err = capsys.readouterr().err
+        assert err == "solver failure: LAPACK eigensolver failed with info=3\n", argv
 
 
 @pytest.mark.parametrize("flag,value", [("--n", "0"), ("--n", "-1"), ("--d-max", "0"),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CHOI_LAM_S, MOTZKIN, random_hermitian, random_sos
+from conftest import CHOI_LAM_S, MOTZKIN, ROBINSON, random_hermitian, random_sos
 from sos_approx.gram import (
     BasisSizeError,
     GramConstraints,
@@ -441,3 +441,41 @@ def test_solve_normal_exact_for_noncanonical_bases(rng):
             r = rng.standard_normal(cons.k)
             back = cons.apply(cons.adjoint(cons.solve_normal(r)))
             assert np.abs(back - r).max() <= 1e-12 * np.abs(r).max()
+
+
+def _gaussian_moment(term):
+    """E[x^term] for a standard Gaussian vector, by its one-dimensional moments."""
+    moments = [1.0]
+    for k in range(1, max(term) + 1):     # E[x^k] = (k - 1) E[x^(k-2)], E[x] = 0
+        moments.append((k - 1) * moments[k - 2] if k > 1 else 0.0)
+    return math.prod(moments[e] for e in term)
+
+
+def test_moment_shift_positive_definite_on_every_block(rng):
+    # S0 = sum y0_l A_l is the Gaussian moment matrix of the basis monomials,
+    # block by block: one block for a generic input, the parity blocks for
+    # the monomial-square sums and for Motzkin's and Robinson's forms
+    inputs = []
+    for n in range(1, 5):
+        for d in range(1, 7):
+            inputs.append(random_sos(rng, COMMUTATIVE, n, d, 2)[0])
+            inputs.append(sum_of_monomial_squares(n, d))
+    inputs += [Polynomial(COMMUTATIVE, 3, MOTZKIN), Polynomial(COMMUTATIVE, 3, ROBINSON)]
+    for a in inputs:
+        cons = build_constraints(a, square_basis(COMMUTATIVE, a.n_vars, a.degree() // 2))
+        system = cons.block_system
+        y0, S0, top = system.moment_shift
+        moments = np.array([_gaussian_moment(cons.omegas[l].term) for l in system.keep])
+        assert np.array_equal(y0, moments / moments.max())
+        assert len(S0) == len(system.index)
+        lows, highs = zip(*[(w[0], w[-1]) for w in map(np.linalg.eigvalsh, S0)])
+        assert min(lows) > 0, (a.n_vars, a.degree())
+        assert top == pytest.approx(max(highs), rel=1e-12)
+    # complex (free) systems keep the plain candidate
+    a, basis = random_sos(rng, FREE, 2, 2, 2)
+    assert build_constraints(a, basis).block_system.moment_shift is None
+    # moments beyond the int64 and float ranges are scaled exactly
+    system = build_constraints(sum_of_monomial_squares(2, 160),
+                               square_basis(COMMUTATIVE, 2, 160)).block_system
+    y0 = system.moment_shift[0]
+    assert y0.dtype == float and np.isfinite(y0).all() and y0.max() == 1.0

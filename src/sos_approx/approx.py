@@ -250,19 +250,6 @@ def approximate(a: Polynomial, basis: SquareBasis, eps: float,
                      value, math.inf, sol.iterations)
 
 
-def _free_gram_spectrum(p: Polynomial, d: int) -> linalg.SpectralDecomposition:
-    """The clipped spectrum of the unique Gram matrix of a free p.
-
-    Raises NotSosError, with the offending eigenvalue, when it is not PSD.
-    """
-    try:
-        return linalg.clipped_spectrum(gram_preimage_free(p, d))
-    except linalg.NotPsdError as exc:
-        raise NotSosError(
-            f"unique Gram matrix is not PSD (eigenvalue {exc.min_eigenvalue:.3e})",
-            witness_eigenvalue=exc.min_eigenvalue) from exc
-
-
 def approximate_free(p: Polynomial, eps: float) -> SosCertificate:
     """Certified approximation of a free sum of squares, no SDP involved.
 
@@ -277,7 +264,12 @@ def approximate_free(p: Polynomial, eps: float) -> SosCertificate:
     if p.degree() % 2 != 0 or not p.is_homogeneous():
         raise ValueError("input must be homogeneous of even degree")
     d = p.degree() // 2
-    dec = _free_gram_spectrum(p, d)
+    try:
+        dec = linalg.clipped_spectrum(gram_preimage_free(p, d))
+    except linalg.NotPsdError as exc:
+        raise NotSosError(
+            f"unique Gram matrix is not PSD (eigenvalue {exc.min_eigenvalue:.3e})",
+            witness_eigenvalue=exc.min_eigenvalue) from exc
     basis = square_basis(FREE, p.n_vars, d)
     sos_value = float(dec.eigenvalues.sum())
     return _free_routes(p, basis, dec, eps, sos_value, 0)
@@ -310,34 +302,28 @@ def pythagoras_upper_bound(a: Polynomial, basis: SquareBasis,
                            options: SolverOptions | None = None) -> PythagorasWitness:
     """Exact decomposition of a with at most ceil(sqrt(dim V*V)) squares.
 
-    Commutative route: feasibility witness, then rank reduction over the
-    constraint system.  Free route: the Gram matrix is unique, so the answer
-    is its rank and no reduction is possible.
+    The feasibility witness, then, for commutative bases, rank reduction
+    over the constraint system.  On a free basis the Gram matrix is unique,
+    so the answer is its rank and no reduction is possible.
     """
     options = options or SolverOptions()
     k_vv = len(basis.product_terms)
     bound = math.isqrt(k_vv - 1) + 1 if k_vv > 0 else 0  # ceil(sqrt(k))
-    if basis.flavor == FREE:
-        dec = _free_gram_spectrum(a, basis.degree)
-        w, V = dec.eigenvalues, dec.eigenvectors     # as linalg.low_rank_factor(M) cuts them
-        squares = [(np.sqrt(w[i]) * V[:, i]).conj() for i in range(len(w))
-                   if w[i] > linalg.RANK_CUTOFF_REL * w[0]]
-        message = "free Gram matrix is unique; rank cannot be reduced"
-    else:
-        # the witness residual flows straight into the reassembly residual,
-        # so ask the feasibility solve for extra digits
-        options = replace(options, tol_primal=min(options.tol_primal, 1e-8))
-        feas = sos_feasible(a, basis, options)
-        if not feas:
-            raise NotSosError("input is not a sum of squares from this basis",
-                              certificate=feas.certificate)
-        message = ""
+    # the witness residual flows straight into the reassembly residual,
+    # so ask the feasibility solve for extra digits
+    options = replace(options, tol_primal=min(options.tol_primal, 1e-8))
+    feas = sos_feasible(a, basis, options)
+    if not feas:
+        raise NotSosError("input is not a sum of squares from this basis",
+                          certificate=feas.certificate)
+    M0, message = feas.witness, "free Gram matrix is unique; rank cannot be reduced"
+    if basis.flavor != FREE:
         try:
-            M0 = rank_reduce(feas.witness, feas.constraints, bound)
+            M0, message = rank_reduce(feas.witness, feas.constraints, bound), ""
         except RankReductionError as exc:
             M0 = exc.matrix
             message = f"rank reduction stalled at rank {exc.achieved_rank}: {exc}"
-        squares = [c.conj() for c in linalg.low_rank_factor(M0)]
+    squares = [c.conj() for c in linalg.low_rank_factor(M0)]
     witness = PythagorasWitness(len(squares), squares, basis, bound, 0.0, message)
     witness.residual = (witness.reassembled() - a).coeff_two_norm()
     return witness

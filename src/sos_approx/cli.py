@@ -21,7 +21,7 @@ import tempfile
 
 from . import approx as approx_mod
 from . import linalg, poly, sdp
-from .gram import basis_size, free_gram_trace, square_basis
+from .gram import basis_size, square_basis
 from .poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares
 
 EXIT_OK = 0
@@ -113,10 +113,8 @@ def cmd_sos_norm(args: argparse.Namespace) -> int:
         "iterations": sol.iterations,
         "method": "sdp",
     }
-    if p.flavor == FREE and sol.status is not sdp.SolveStatus.INFEASIBLE:
-        closed = free_gram_trace(p, basis)
-        report.update(value=closed, method="closed-form (free)",
-                      solver_value=value)
+    if p.flavor == FREE:     # sdp.sos_norm reads the unique Gram matrix off
+        report.update(method="closed-form (free)", solver_value=value)
     if sol.status is sdp.SolveStatus.INFEASIBLE:
         report["certificate"] = _certificate_dict(sol.certificate)
         _emit(args, report)
@@ -216,9 +214,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         p = _load_polynomial(args.input)
         basis = _homogeneous_basis(p)
         value, sol = sdp.sos_norm(p, basis, solver_options(args))
+        if sol.status is sdp.SolveStatus.INFEASIBLE:     # main prints "infeasible: ..."
+            raise approx_mod.NotSosError("not a sum of squares from the homogeneous basis")
         if sol.status is not sdp.SolveStatus.OPTIMAL:
             print(f"solver failure: {sol.message}", file=sys.stderr)
-            return EXIT_SOLVER if sol.status is sdp.SolveStatus.MAX_ITER else EXIT_INFEASIBLE
+            return EXIT_SOLVER
         flavor, n, d = p.flavor, p.n_vars, basis.degree
     else:
         raise CliError(EXIT_USAGE, "provide --sos-norm-value or --input")

@@ -3,11 +3,11 @@
 A basis v = (v_1, ..., v_D) of the homogeneous degree-d component induces the
 Gram map M |-> sum_ij m_ij v_i* v_j.  `build_constraints` rewrites the fiber
 {G(M) = a} as real-valued trace equations tr(A_l M) = lambda_l over a
-Hermitian basis of the product space; their `block_system`, restricted to
-the block-diagonal matrices that keep the least trace (real ones for
-commutative inputs), is what the SDP layer iterates on.
-In the free flavor the Gram map is a bijection and `gram_preimage_free`
-inverts it by splitting each word in the middle.
+Hermitian basis of the product space.  For commutative inputs every A_l is
+real, and their real `block_system`, restricted to the block-diagonal
+matrices that keep the least trace, is what the SDP layer iterates on.  In
+the free flavor the Gram map is a bijection: `gram_preimage_free` inverts
+it by splitting each word in the middle.
 """
 
 from __future__ import annotations
@@ -179,12 +179,6 @@ def gram_preimage_free(p: Polynomial, d: int) -> np.ndarray:
     return M
 
 
-def free_gram_trace(p: Polynomial, basis: SquareBasis) -> float:
-    """Closed-form sos-norm of a free polynomial: the trace of its unique Gram
-    matrix, i.e. the sum of its coefficients on the words w* w."""
-    return float(sum(p.coefficient(w[::-1] + w) for w in basis.terms).real)
-
-
 # -- constraint form ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -220,7 +214,7 @@ class GramConstraints:
     basis indices (one block by default) so that some matrix of least trace
     in the fiber is block-diagonal over it; `swaps` are permutations of the
     basis indices that map the equations and their targets onto themselves
-    (none by default).  `block_system` is the system the solver runs on.
+    (none by default).  `block_system` (commutative bases) is what the solver runs on.
     """
 
     def __init__(self, basis: SquareBasis, omegas: tuple[HermitianBasisElement, ...],
@@ -250,10 +244,14 @@ class GramConstraints:
         return np.bincount(self.seg, weights=contrib.real, minlength=self.k)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """sum_l y_l A_l for real y; Hermitian by construction."""
+        """sum_l y_l A_l for real y; Hermitian by construction, complex for free bases."""
         D = self.dim
         cells = self.rows * D + self.cols
-        return _scatter(cells, self.vals * np.asarray(y)[self.seg], D * D).reshape(D, D)
+        weights = self.vals * np.asarray(y)[self.seg]
+        M = np.bincount(cells, weights.real, D * D)
+        if np.iscomplexobj(weights):
+            M = M + 1j * np.bincount(cells, weights.imag, D * D)
+        return M.reshape(D, D)
 
     def residual(self, M: np.ndarray) -> float:
         return float(np.linalg.norm(self.apply(M) - self.targets))
@@ -271,20 +269,12 @@ class GramConstraints:
         return BlockSystem(self)
 
 
-def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """Sum the weights into `size` bins by index (np.bincount, complex weights too)."""
-    if np.iscomplexobj(weights):
-        return (np.bincount(index, weights.real, size)
-                + 1j * np.bincount(index, weights.imag, size))
-    return np.bincount(index, weights, size)
-
-
 class BlockSystem:
-    """The trace equations restricted to matrices block-diagonal over `blocks`.
+    """The trace equations restricted to real matrices block-diagonal over `blocks`.
 
-    A block-diagonal matrix is one flat vector: block b (basis indices
-    `index[b]`, size s) row-major at x[offsets[b]:offsets[b] + s*s], real
-    when every A_l is; blocks are sorted by size, largest first.  The equations
+    A block-diagonal matrix is one flat real vector: block b (basis indices
+    `index[b]`, size s) row-major at x[offsets[b]:offsets[b] + s*s]; complex
+    A_l are refused.  Blocks are sorted by size, largest first.  The equations
     that touch only cells between blocks have target 0 and are dropped;
     `keep` lists the others, in the order of their rows of the full system.
 
@@ -300,6 +290,8 @@ class BlockSystem:
     """
 
     def __init__(self, cons: GramConstraints):
+        if np.iscomplexobj(cons.vals):
+            raise ValueError("the block system is real: complex constraints are refused")
         D = cons.dim
         index = sorted(cons.blocks, key=len, reverse=True)
         sizes = np.array([len(ix) for ix in index], dtype=np.int64)
@@ -327,7 +319,6 @@ class BlockSystem:
         self.index = tuple(index)
         self.offsets = offsets
         self.size = int(offsets[-1])
-        self.dtype = np.result_type(cons.vals.dtype, float)
         self._normal = np.bincount(self.seg, np.abs(self.vals) ** 2, len(keep))
         self.diagonal = np.concatenate(
             [offsets[b] + np.arange(s) * (s + 1) for b, s in enumerate(sizes)])
@@ -350,8 +341,6 @@ class BlockSystem:
         cell's orbit, which lies in the orbit's first block, its
         representative.
         """
-        if self.dtype != np.float64:
-            raise ValueError("blocks merge only in real arithmetic")
         ci = np.concatenate([np.repeat(ix, len(ix)) for ix in self.index])
         cj = np.concatenate([np.tile(ix, len(ix)) for ix in self.index])
         images = [self.offsets[block_of[cj]] + pos[cj] * sizes[block_of[cj]] + pos[ci]]
@@ -385,21 +374,21 @@ class BlockSystem:
         self.projected = list(zip(_offsets(sizes[reps])[:-1].tolist(), sizes[reps].tolist()))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.seg, (self.vals * x[self._app]).real, len(self.keep))
+        return np.bincount(self.seg, self.vals * x[self._app], len(self.keep))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return _scatter(self._adj, self.vals * y[self.seg], self.size)
+        return np.bincount(self._adj, self.vals * y[self.seg], self.size)
 
     def solve_normal(self, rhs: np.ndarray) -> np.ndarray:
         return rhs / self._normal
 
     def identity(self) -> np.ndarray:
-        eye = np.zeros(self.size, dtype=self.dtype)
+        eye = np.zeros(self.size)
         eye[self.diagonal] = 1.0
         return eye
 
     def trace(self, x: np.ndarray) -> float:
-        return float(x[self.diagonal].sum().real)
+        return float(x[self.diagonal].sum())
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         """The blocks of x as square views."""
@@ -437,13 +426,11 @@ class BlockSystem:
         return out if self._labels is None else out[self._src]
 
     @cached_property
-    def moment_shift(self) -> tuple[np.ndarray, list[np.ndarray], float] | None:
+    def moment_shift(self) -> tuple[np.ndarray, list[np.ndarray], float]:
         """Gaussian moments y0_l = E[x^tau_l] = prod (tau_i - 1)!! (0 if a tau_i is
         odd) on the kept equations, scaled to a largest value of 1; the blocks of
         S0 = sum y0_l A_l, moment matrices of independent monomials under a measure
-        of full support, so positive definite; lambda_max(S0).  None if complex."""
-        if self.dtype != np.float64:
-            return None
+        of full support, so positive definite; lambda_max(S0)."""
         m = [0 if any(e % 2 for e in t) else math.prod(math.prod(range(e - 1, 0, -2)) for e in t)
              for t in (self._omegas[l].term for l in self.keep)]
         y0 = (np.array(m, dtype=object) / max(m)).astype(float)    # exact integers until scaled

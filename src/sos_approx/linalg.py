@@ -1,7 +1,7 @@
 """Hermitian eigendecomposition, Schatten norms, PSD checks, spectral truncation.
 
-Eigendecompositions go through LAPACK, via numpy or, in the solver's cone
-projection and checks, directly through scipy; the test suite
+Eigendecompositions go through LAPACK, via numpy or, in the solver's real
+cone projection and its checks, directly through scipy; the test suite
 cross-validates them against an independent cyclic Jacobi solver.
 """
 
@@ -208,34 +208,29 @@ def numerical_rank(M: np.ndarray, cutoff_rel: float = 1e-9) -> int:
 
 
 def psd_part(M: np.ndarray, low_rank: bool = False) -> tuple[np.ndarray, int]:
-    """Projection onto the PSD cone (negative eigenvalues zeroed), and its rank.
+    """Projection of a real symmetric M onto the PSD cone, and its rank.
 
-    The solver's hot path: M must be Hermitian already (the solver's iterates
-    are by construction), so unlike `eig_hermitian` it is neither validated
-    nor symmetrized, and real input stays real.  LAPACK is called directly
-    and both drivers read the lower triangle.  With low_rank it computes
-    only the positive eigenpairs (`?syevr` on the interval (0, inf], which
-    for a partial spectrum runs bisection and inverse iteration after the
-    tridiagonal reduction); otherwise all of them (`?syevd`).  Both give
-    the same projection up to rounding.  Measured per call, `?syevr` wins
-    while at most about a quarter of the eigenvalues are positive and loses
-    above that, by up to 30x on complex 45 x 45 blocks with most of them
-    positive.
+    The solver's hot path: M must be symmetric already (the solver's
+    iterates are by construction), so unlike `eig_hermitian` it is neither
+    validated nor symmetrized.  LAPACK is called directly and both drivers
+    read the lower triangle.  With low_rank it computes only the positive
+    eigenpairs (`dsyevr` on (0, inf], which for a partial spectrum runs
+    bisection and inverse iteration after the tridiagonal reduction);
+    otherwise all of them (`dsyevd`).  Both give the same projection up to
+    rounding.  Measured per call, `dsyevr` wins while at most about a
+    quarter of the eigenvalues are positive and loses above that.
     """
-    real = M.dtype.kind != "c"
     lapack = scipy.linalg.lapack
     if low_rank:
-        evr = lapack.dsyevr if real else lapack.zheevr
-        w, V, last, _, info = evr(M, range="V", lower=1, vl=0.0, vu=math.inf)
+        w, V, last, _, info = lapack.dsyevr(M, range="V", lower=1, vl=0.0, vu=math.inf)
         first = 0
     else:
-        evd = lapack.dsyevd if real else lapack.zheevd
-        w, V, info = evd(M, lower=1)
+        w, V, info = lapack.dsyevd(M, lower=1)
         first, last = int(np.searchsorted(w, 0.0, side="right")), len(w)   # w ascends
     if info != 0:
         raise NonConvergenceError(f"LAPACK eigensolver failed with info={info}")
     w, V = w[first:last], V[:, first:last]
-    return (V * w) @ V.conj().T, last - first
+    return (V * w) @ V.T, last - first
 
 
 # -- shared JSON coordinate schema for Hermitian matrices ----------------------

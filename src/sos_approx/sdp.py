@@ -8,19 +8,19 @@ block's last projection kept few), with the trace objective folded into
 the augmented splitting.  It runs on `GramConstraints.block_system`: for
 commutative inputs every A_l is real, so the iterates are real symmetric,
 and they are block-diagonal over the sign-symmetry classes of the basis
-(Gatermann & Parrilo 2004); free inputs are one complex block.  When swaps
-of variables that fix the input permute the blocks, the cone projection
-keeps the iterates invariant under them and decomposes one block per orbit.
-Results are embedded back: the full D x D matrix, and duals over all k
-equations.
+(Gatermann & Parrilo 2004); free inputs, whose fiber is one matrix, go to
+`_unique_gram` instead.  When swaps of variables that fix the input permute
+the blocks, the cone projection keeps the iterates invariant under them and
+decomposes one block per orbit.  Results are embedded back: the full D x D
+matrix, and duals over all k equations.
 
 The same loop detects infeasibility: when the fiber misses the cone, the
 change in the scaled dual between two checks, at one rho, converges to a
 Farkas ray (Banjac, Goulart, Stellato, Boyd 2019).  Every check tests it on
-all blocks (eigenvalues only, real on real blocks), shifted onto the PSD
-cone along Gaussian moments first if only its least eigenvalue misses, and
-returns it once it verifies.  `sos_feasible` runs the same loop with a zero
-objective and stops at the first PSD point of the fiber.
+all blocks (eigenvalues only), shifted onto the PSD cone along Gaussian
+moments first if only its least eigenvalue misses, and returns it once it
+verifies.  `sos_feasible` runs the same loop with a zero objective and
+stops at the first PSD point of the fiber.
 
 The penalty rho is balanced on scale-free residuals (Wohlberg 2017): the
 splitting residual relative to the larger iterate norm against the dual
@@ -48,7 +48,7 @@ import scipy.linalg
 
 from . import linalg
 from .gram import BlockSystem, GramConstraints, SquareBasis, build_constraints
-from .poly import Polynomial
+from .poly import FREE, Polynomial
 
 # Residual balancing on scale-free residuals (Wohlberg 2017, arXiv:1704.06209):
 # rho doubles or halves when one relative residual exceeds the other by this
@@ -212,7 +212,7 @@ def _certificate_from_gap(system: BlockSystem, v: np.ndarray) -> Optional[DualFu
     block-diagonal, so it is PSD iff each block is; the values are returned
     over all k equations, zero on the dropped ones.
 
-    A real candidate that misses only the PSD margin moves first to y + t* y0
+    A candidate that misses only the PSD margin moves first to y + t* y0
     along the Gaussian moments y0 (`BlockSystem.moment_shift`), where t*, the
     top eigenvalue of the pencil (-A*(y), S0) over the blocks, is the least t
     with A*(y) + t S0 PSD; it is dropped unshifted when targets . y0 >= 0 and
@@ -224,13 +224,13 @@ def _certificate_from_gap(system: BlockSystem, v: np.ndarray) -> Optional[DualFu
     c = system.solve_normal(system.apply(v))
     if float(np.linalg.norm(system.adjoint(c) - v)) > 0.25 * vnorm:
         return None
-    y = -np.asarray(c, dtype=float) / vnorm
+    y = -c / vnorm
     for repair in (True, False):
         blocks = system.split(system.adjoint(y))
         w = np.concatenate([linalg.eig_hermitian(B, vectors=False).eigenvalues for B in blocks])
         scale = max(float(np.abs(w).max(initial=0.0)), 1e-30)
         value = float(system.targets @ y)
-        if not (repair and w.min() < -_CERTIFICATE_PSD_TOL * scale and system.moment_shift):
+        if not (repair and w.min() < -_CERTIFICATE_PSD_TOL * scale):
             break
         y0, S0, top0 = system.moment_shift
         slope = float(system.targets @ y0)
@@ -241,10 +241,25 @@ def _certificate_from_gap(system: BlockSystem, v: np.ndarray) -> Optional[DualFu
         except np.linalg.LinAlgError:       # an S0 block too ill-conditioned to factor
             return None
         y = y + t * y0
+    return _certified(system.lift(y), w, value, system.targets)
+
+
+def _certified(y: np.ndarray, w: np.ndarray, value: float,
+               targets: np.ndarray) -> Optional[DualFunctional]:
+    """y if eigenvalues w of sum y_l A_l and targets . y clear the margins, else None."""
+    scale = max(float(np.abs(w).max(initial=0.0)), 1e-30)
     if (w.min() < -_CERTIFICATE_PSD_TOL * scale
-            or value > -_CERTIFICATE_VALUE_TOL * scale * (1.0 + np.linalg.norm(system.targets))):
+            or value > -_CERTIFICATE_VALUE_TOL * scale * (1.0 + np.linalg.norm(targets))):
         return None
-    return DualFunctional(values=system.lift(y), objective=value, psd_margin=float(w.min()))
+    return DualFunctional(values=y, objective=value, psd_margin=float(w.min()))
+
+
+def _infeasible(cert: DualFunctional, dim: int, pres: float, iterations: int,
+                trace: list[CheckRecord]) -> SdpSolution:
+    return SdpSolution(np.zeros((dim, dim), dtype=complex), math.nan, cert.values, math.inf,
+                       pres, math.inf, SolveStatus.INFEASIBLE, iterations,
+                       "not a sum of squares from this basis; separating functional attached "
+                       "(its negation is an improving ray for the dual)", cert, trace)
 
 
 class _Anderson:
@@ -292,11 +307,11 @@ class _Anderson:
             return None
         dX = np.diff(np.array(self.xs), axis=0)
         dF = np.diff(np.array(self.fs), axis=0)
-        G = (dF.conj() @ dF.T).real
+        G = dF @ dF.T
         reg = _ANDERSON_REG * float(np.trace(G)) / len(G)
         if not reg > 0:
             return None
-        gamma = np.linalg.solve(G + reg * np.eye(len(G)), (dF.conj() @ f).real)
+        gamma = np.linalg.solve(G + reg * np.eye(len(G)), dF @ f)
         self.plain, self.fitted_at = w, fnorm
         self.x = w - gamma @ (dX + dF)
         return self.x
@@ -306,8 +321,8 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
                minimize_trace: bool = True) -> SdpSolution:
     """ADMM for min tr(M) s.t. tr(A_l M) = lambda_l, M >= 0 (normalized targets).
 
-    The iterates live on `constraints.block_system`: block-diagonal, real
-    when every A_l is.  With minimize_trace=False the objective is zero,
+    The iterates live on `constraints.block_system`: real, block-diagonal,
+    never free (see `_unique_gram`).  With minimize_trace=False the objective is zero,
     which makes the loop a Douglas-Rachford feasibility solve: it stops at
     the first check where the PSD iterate meets the primal tolerance, and it
     has no dual bound.
@@ -345,7 +360,7 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     rho = _RHO
     shift = eye / rho
     alpha = _OVER_RELAX
-    Z = np.zeros(system.size, dtype=system.dtype)
+    Z = np.zeros(system.size)
     U = np.zeros_like(Z)
     mu = np.zeros(len(b))
     U_prev = U.copy()
@@ -388,15 +403,7 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
             if pres > 50 * tol_primal:
                 cert = _certificate_from_gap(system, U - U_prev)
                 if cert is not None:
-                    return SdpSolution(
-                        matrix=np.zeros((system.dim, system.dim), dtype=complex),
-                        objective=math.nan, dual=cert.values, dual_objective=math.inf,
-                        primal_residual=pres, gap=math.inf, status=SolveStatus.INFEASIBLE,
-                        iterations=it,
-                        message="not a sum of squares from this basis; separating "
-                                "functional attached (its negation is an improving "
-                                "ray for the dual)",
-                        certificate=cert, trace=trace)
+                    return _infeasible(cert, system.dim, pres, it, trace)
             r_rel = r_split / max(float(np.linalg.norm(X)), float(np.linalg.norm(Z)), _TINY)
             s_rel = s_dual / max(rho * float(np.linalg.norm(U)), _TINY)
             rho_was = rho
@@ -435,6 +442,31 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
         trace=trace)
 
 
+def _unique_gram(constraints: GramConstraints, options: SolverOptions,
+                 minimize_trace: bool = True) -> SdpSolution:
+    """The solve for a free basis, in 0 steps.  Each product term comes from one
+    cell, in any word order, so A* is a bijection: M = A*(solve_normal(targets))
+    is the one Gram matrix.  `optimal` if its PSD part passes the loop's checks
+    (dual A*(y) = I); `infeasible` if the y with A*(y) = v v*, v the eigenvector
+    of lambda_min(M), clears the certificate margins; else `max-iter`."""
+    cons, b = constraints, constraints.targets
+    dec = linalg.eig_hermitian(cons.adjoint(cons.solve_normal(b)))
+    w, v = dec.eigenvalues, dec.eigenvectors[:, -1]
+    Z = dec.matrix_from(w > 0)
+    pres, pval = cons.residual(Z), float(np.trace(Z).real)
+    y = cons.solve_normal(cons.apply(np.eye(cons.dim)))
+    gap = pval - float(b @ y) if minimize_trace else math.nan
+    if pres <= options.tol_primal * (1.0 + np.linalg.norm(b)) and (
+            not minimize_trace or abs(gap) <= options.tol_gap * (1.0 + abs(pval))):
+        return SdpSolution(Z, pval, y, float(b @ y), pres, gap, SolveStatus.OPTIMAL, 0)
+    yv = cons.solve_normal(cons.apply(np.outer(v, v.conj())))
+    cert = _certified(yv, linalg.eig_hermitian(cons.adjoint(yv)).eigenvalues, float(b @ yv), b)
+    if cert is not None:
+        return _infeasible(cert, cons.dim, pres, 0, [])
+    return SdpSolution(Z, pval, y, float(b @ y), pres, gap, SolveStatus.MAX_ITER, 0,
+                       f"unique Gram matrix: least eigenvalue {w[-1]:.3e}, neither PSD nor certified")
+
+
 def sos_norm(a: Polynomial, basis: SquareBasis,
              options: SolverOptions | None = None) -> tuple[float, SdpSolution]:
     """Minimal Gram-matrix trace of a over the PSD cone, with solver witness.
@@ -452,7 +484,7 @@ def sos_norm(a: Polynomial, basis: SquareBasis,
         sol = SdpSolution(zero, 0.0, np.zeros(constraints.k), 0.0, 0.0, 0.0,
                           SolveStatus.OPTIMAL, 0, message="zero polynomial")
         return 0.0, sol
-    sol = _trace_min(constraints, options)
+    sol = (_unique_gram if basis.flavor == FREE else _trace_min)(constraints, options)
     return sol.objective, sol
 
 
@@ -468,7 +500,7 @@ def sos_feasible(a: Polynomial, basis: SquareBasis,
     if not np.any(constraints.targets):
         return FeasibilityResult(True, np.zeros((basis.size, basis.size), dtype=complex),
                                  None, 0.0, 0, constraints)
-    sol = _trace_min(constraints, options, minimize_trace=False)
+    sol = (_unique_gram if basis.flavor == FREE else _trace_min)(constraints, options, False)
     if sol.status is SolveStatus.MAX_ITER:
         raise SolverError(f"feasibility test inconclusive: {sol.message}", sol)
     feasible = sol.status is SolveStatus.OPTIMAL

@@ -260,6 +260,24 @@ def test_pythagoras_free_is_unique_gram_rank(rng):
     assert w.count == 1  # single square recovered exactly
 
 
+def test_pythagoras_free_on_reversed_words():
+    # the squares are labelled with the caller's words: reversing them keeps
+    # the count and the exact reassembly, in both flavors
+    for flavor, n in ((FREE, 2), (COMMUTATIVE, 3)):
+        a, basis = random_sos(np.random.default_rng(3), flavor, n, 2, 2)
+        canonical = pythagoras_upper_bound(a, basis)
+        reversed_words = pythagoras_upper_bound(
+            a, SquareBasis(flavor, n, 2, basis.terms[::-1]))
+        assert canonical.residual <= 1e-9 and reversed_words.residual <= 1e-9, flavor
+        assert reversed_words.count == canonical.count
+    # a free non-SOS input is refused with a checked certificate
+    z1, z2 = variables(FREE, 2)
+    a = z1 * z2 * z2 * z1 - z2 * z1 * z1 * z2
+    with pytest.raises(NotSosError) as err:
+        pythagoras_upper_bound(a, square_basis(FREE, 2, 2))
+    assert err.value.certificate.objective < 0 and err.value.certificate.psd_margin >= -1e-12
+
+
 def test_pythagoras_count_never_beats_brute_force(rng):
     # desk-scale oracle: scan the one-parameter spectrahedron in 2 variables
     basis = square_basis(COMMUTATIVE, 2, 1)

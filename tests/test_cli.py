@@ -9,6 +9,7 @@ import pytest
 from conftest import random_sos
 from sos_approx import cli, linalg
 from sos_approx.approx import SosCertificate
+from sos_approx.gram import gram_map, square_basis
 from sos_approx.poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares, to_json, variables
 
 
@@ -39,7 +40,24 @@ def test_sos_norm_free_closed_form_tag(tmp_path, rng):
     assert report["method"] == "closed-form (free)"
     expected = sum(a.coefficient(w[::-1] + w) for w in basis.terms).real
     assert report["value"] == pytest.approx(expected, rel=1e-12)
-    assert report["solver_value"] == pytest.approx(expected, rel=1e-6)
+    assert report["solver_value"] == report["value"]
+    assert report["iterations"] == 0
+
+
+def test_free_inconclusive_exits_solver(tmp_path, capsys):
+    # a unique Gram matrix with least eigenvalue -1e-6 is neither PSD within
+    # the tolerance nor certified: exit 4 after 0 steps, not 50,000
+    rng = np.random.default_rng(0)
+    Q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    M = (Q * np.array([4.0, 3.0, 2.0, -1e-6])) @ Q.conj().T
+    path = write_poly(tmp_path, gram_map((M + M.conj().T) / 2, square_basis(FREE, 2, 2)))
+    assert cli.main(["feasible", "--input", path]) == 4
+    assert "inconclusive" in capsys.readouterr().err
+    assert cli.main(["sos-norm", "--input", path]) == 4
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["status"] == "max-iter"
+    assert json.loads(captured.out)["iterations"] == 0
+    assert "-1.000e-06" in captured.err
 
 
 def test_sos_norm_zero_polynomial(tmp_path):
@@ -203,6 +221,13 @@ def test_bounds_command_from_input(tmp_path, capsys):
     assert report["sos_norm_value"] == pytest.approx(3.0, abs=1e-5)
     assert report["theorem_bound"] == pytest.approx(2.0, rel=1e-5)
     assert report["theorem_allowed_rank"] == 1
+    # a non-SOS input is reported as such, like sos-norm reports it
+    x1, x2 = variables(COMMUTATIVE, 2)
+    bad = write_poly(tmp_path, x1 * x1 - x2 * x2, "bad.json")
+    assert cli.main(["bounds", "--input", bad, "--eps", "1.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "infeasible: not a sum of squares from the homogeneous basis\n"
 
 
 def test_figure_command_deterministic(tmp_path):

@@ -111,7 +111,7 @@ def test_parity_blocks():
     cons = build_constraints(sum_of_monomial_squares(3, 12), basis)
     system = cons.block_system
     assert [len(ix) for ix in system.index] == [28, 21, 21, 21]
-    assert system.dtype == np.float64 and system.size == 28 ** 2 + 3 * 21 ** 2
+    assert system.size == 28 ** 2 + 3 * 21 ** 2
     # kept: the product terms with all exponents even, C(14, 2) of C(26, 2)
     assert (cons.k, len(system.keep)) == (325, 91)
     # an x*y cross term breaks the separate x and y flips; only their joint
@@ -127,25 +127,27 @@ def test_parity_blocks():
     # a generic sum of squares has no sign symmetry: one real block
     a, basis3 = random_sos(np.random.default_rng(5), COMMUTATIVE, 3, 3, 3)
     system = build_constraints(a, basis3).block_system
-    assert len(system.index) == 1 and system.dtype == np.float64
+    assert len(system.index) == 1
     assert len(system.keep) == len(basis3.product_terms)
-    # free inputs stay one complex block
+    # complex constraints are refused: free inputs, and commutative ones cast
     a, basis4 = random_sos(np.random.default_rng(5), FREE, 2, 2, 2)
-    system = build_constraints(a, basis4).block_system
-    assert len(system.index) == 1 and system.dtype == np.complex128
-    assert len(system.keep) == 2 ** 4
+    free = build_constraints(a, basis4)
+    cast = GramConstraints(cons.basis, cons.omegas, cons.targets, cons.rows, cons.cols,
+                           cons.vals.astype(complex), cons.seg)
+    for complex_cons in (free, cast):
+        with pytest.raises(ValueError, match="complex constraints are refused"):
+            complex_cons.block_system
 
 
 def test_block_system_matches_full_constraints(rng):
     # on block-diagonal matrices the block maps are the full maps, with the
     # dropped equations reading 0
     for a, basis in ((sum_of_monomial_squares(3, 3), square_basis(COMMUTATIVE, 3, 3)),
-                     random_sos(rng, FREE, 2, 2, 2)):
+                     random_sos(rng, COMMUTATIVE, 3, 2, 2)):
         cons = build_constraints(a, basis)
         system = cons.block_system
-        x = np.concatenate([random_hermitian(rng, len(ix)).reshape(-1) for ix in system.index])
-        if system.dtype == np.float64:
-            x = x.real.copy()
+        x = np.concatenate([random_hermitian(rng, len(ix)).real.reshape(-1)
+                            for ix in system.index])
         M = system.embed(x)
         assert np.abs(cons.apply(M) - system.lift(system.apply(x))).max() <= 1e-12
         y = rng.standard_normal(len(system.keep))
@@ -278,11 +280,6 @@ def test_orbit_projection_is_invariant_psd_projection(rng):
         assert np.array_equal(out, out.T)
         assert np.linalg.eigvalsh(out).min() >= -1e-12
         invariant += [(system, _flat(system, mean)), (full, _flat(full, mean))]
-    # one complex block, from a free input
-    a, basis = random_sos(rng, FREE, 2, 3, 2)
-    free = build_constraints(a, basis).block_system
-    assert free.dtype == complex and free.projected == [(0, 8)]
-    invariant.append((free, random_hermitian(rng, 8).reshape(-1)))
     # with 0, 1, s/4, s/2 and s positive eigenvalues per block, the rank
     # hint changes the cost only: a right hint and stale ones (0 on full
     # rank, s on rank 0) give the projection, and the hint ends right
@@ -299,7 +296,7 @@ def test_orbit_projection_is_invariant_psd_projection(rng):
             for hint in (right, [0] * len(sizes), sizes):
                 ranks = list(hint)
                 out = system.psd_part(x, ranks)
-                assert out.dtype == system.dtype
+                assert out.dtype == np.float64
                 assert np.abs(out - expected).max() <= 1e-12 * scale
                 assert ranks == right
 
@@ -471,9 +468,6 @@ def test_moment_shift_positive_definite_on_every_block(rng):
         lows, highs = zip(*[(w[0], w[-1]) for w in map(np.linalg.eigvalsh, S0)])
         assert min(lows) > 0, (a.n_vars, a.degree())
         assert top == pytest.approx(max(highs), rel=1e-12)
-    # complex (free) systems keep the plain candidate
-    a, basis = random_sos(rng, FREE, 2, 2, 2)
-    assert build_constraints(a, basis).block_system.moment_shift is None
     # moments beyond the int64 and float ranges are scaled exactly
     system = build_constraints(sum_of_monomial_squares(2, 160),
                                square_basis(COMMUTATIVE, 2, 160)).block_system

@@ -189,15 +189,12 @@ def test_low_rank_factor_reassembles_gram_map(rng):
     assert (gram_map(total, basis) - gram_map(M, basis)).coeff_two_norm() <= 1e-8
 
 
-def with_positives(rng, s, positives, dtype):
-    """A Hermitian s x s matrix with this many eigenvalues in [1, 2], the rest in [-2, -1]."""
-    G = rng.standard_normal((s, s))
-    if dtype is complex:
-        G = G + 1j * rng.standard_normal((s, s))
-    Q = np.linalg.qr(G)[0]
+def with_positives(rng, s, positives):
+    """A real symmetric s x s matrix with this many eigenvalues in [1, 2], the rest in [-2, -1]."""
+    Q = np.linalg.qr(rng.standard_normal((s, s)))[0]
     w = np.concatenate([-rng.uniform(1, 2, s - positives), rng.uniform(1, 2, positives)])
-    M = (Q * w) @ Q.conj().T
-    return (M + M.conj().T) / 2
+    M = (Q * w) @ Q.T
+    return (M + M.T) / 2
 
 
 def eigh_projection(M):
@@ -206,27 +203,26 @@ def eigh_projection(M):
 
 
 def test_psd_part(rng, monkeypatch):
-    # both drivers give the projection and its rank at every rank, real and
-    # complex: computing only the positive eigenpairs changes the cost only
-    for dtype in (float, complex):
-        for s in (8, 13):
-            for positives in sorted({0, 1, s // 4, s // 2, s}):
-                M = with_positives(rng, s, positives, dtype)
-                for low_rank in (False, True):
-                    P, rank = psd_part(M, low_rank)
-                    assert P.dtype == M.dtype and rank == positives
-                    assert np.abs(P - eigh_projection(M)).max() <= 1e-12 * np.abs(M).max()
-                    assert np.abs(P - P.conj().T).max() <= 1e-12
-            # off symmetry in the upper triangle, both drivers project the
-            # Hermitian completion of the lower one
-            M = with_positives(rng, s, 2, dtype)
-            noisy = M + np.triu(1e-3 * rng.standard_normal((s, s)), 1)
-            lower = np.tril(noisy) + np.tril(noisy, -1).conj().T
+    # both drivers give the projection and its rank at every rank: computing
+    # only the positive eigenpairs changes the cost only
+    for s in (8, 13):
+        for positives in sorted({0, 1, s // 4, s // 2, s}):
+            M = with_positives(rng, s, positives)
             for low_rank in (False, True):
-                P, _ = psd_part(noisy, low_rank)
-                assert np.abs(P - eigh_projection(lower)).max() <= 1e-12 * np.abs(M).max()
+                P, rank = psd_part(M, low_rank)
+                assert P.dtype == np.float64 and rank == positives
+                assert np.abs(P - eigh_projection(M)).max() <= 1e-12 * np.abs(M).max()
+                assert np.abs(P - P.T).max() <= 1e-12
+        # off symmetry in the upper triangle, both drivers project the
+        # symmetric completion of the lower one
+        M = with_positives(rng, s, 2)
+        noisy = M + np.triu(1e-3 * rng.standard_normal((s, s)), 1)
+        lower = np.tril(noisy) + np.tril(noisy, -1).T
+        for low_rank in (False, True):
+            P, _ = psd_part(noisy, low_rank)
+            assert np.abs(P - eigh_projection(lower)).max() <= 1e-12 * np.abs(M).max()
     # a LAPACK failure is an error, not a projection
-    M = with_positives(rng, 6, 2, float)
+    M = with_positives(rng, 6, 2)
     monkeypatch.setattr(scipy.linalg.lapack, "dsyevd",
                         lambda a, **kw: (np.zeros(6), np.eye(6), 3))
     monkeypatch.setattr(scipy.linalg.lapack, "dsyevr",

@@ -14,8 +14,9 @@ from conftest import (
     random_sos,
     random_square,
 )
-from sos_approx import linalg
-from sos_approx.gram import GramConstraints, build_constraints, gram_map, square_basis
+from sos_approx import linalg, sdp
+from sos_approx.approx import approximate, pythagoras_upper_bound
+from sos_approx.gram import GramConstraints, SquareBasis, build_constraints, gram_map, square_basis
 from sos_approx.poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares, variables
 from sos_approx.sdp import (
     CHECK_EVERY,
@@ -286,17 +287,116 @@ def test_certificate_tested_right_after_rho_change():
     assert _farkas_holds(form, sol.certificate.values)
 
 
+def _free_input(least):
+    """A free n=2 d=2 input whose unique Gram matrix has eigenvalues 4, 3, 2 and `least`."""
+    rng = np.random.default_rng(0)
+    Q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    M = (Q * np.array([4.0, 3.0, 2.0, least])) @ Q.conj().T
+    basis = square_basis(FREE, 2, 2)
+    return gram_map((M + M.conj().T) / 2, basis), basis
+
+
+def _free_farkas_holds(a, basis, y):
+    """Independent check of a free Farkas certificate y.  Its *-linear
+    functional l takes y_l on a self-conjugate word and (y_re -/+ i y_im) / 2 on
+    tau and tau* of a pair; it must be PSD on the moment matrix l(v_i* v_j) of
+    the words and negative at a."""
+    ell: dict = {}
+    for om, value in zip(build_constraints(a, basis).omegas, y):
+        weight = {"self": (value, 0.0), "re": (value / 2, value / 2),
+                  "im": (-0.5j * value, 0.5j * value)}[om.kind]
+        for term, part in zip((om.term, om.term[::-1]), weight):
+            ell[term] = ell.get(term, 0.0) + part
+    E = np.array([[ell[u[::-1] + v] for v in basis.terms] for u in basis.terms])
+    w = np.linalg.eigvalsh(E)
+    return w.min() >= -1e-8 * np.abs(w).max() and sum((c * ell[t]).real for t, c in a.items()) < 0
+
+
+def test_free_inputs_decided_in_zero_steps():
+    # the unique Gram matrix decides a free input without a step: certified
+    # when its least eigenvalue clears the value margin, optimal when its PSD
+    # part meets the tolerances, and inconclusive between
+    for least in (-1e-1, -1e-5):
+        a, basis = _free_input(least)
+        value, sol = sos_norm(a, basis)
+        assert sol.status is SolveStatus.INFEASIBLE and sol.iterations == 0 and math.isnan(value)
+        result = sos_feasible(a, basis)
+        assert not result.feasible and result.iterations == 0
+        for y in (sol.certificate.values, result.certificate.values):
+            assert _free_farkas_holds(a, basis, y), least
+        assert sol.certificate.objective == pytest.approx(least, rel=1e-6)
+        assert dual_bound(a, basis) == math.inf
+    a, basis = _free_input(-1e-6)
+    _, sol = sos_norm(a, basis)
+    assert sol.status is SolveStatus.MAX_ITER and sol.iterations == 0
+    assert "-1.000e-06" in sol.message
+    with pytest.raises(SolverError, match="inconclusive"):
+        sos_feasible(a, basis)
+    for least in (-3e-7, -1e-8, 0.0):
+        a, basis = _free_input(least)
+        value, sol = sos_norm(a, basis)
+        assert sol.status is SolveStatus.OPTIMAL and sol.iterations == 0, least
+        assert _witness_holds(a, basis, sol.matrix)
+        # the trace of the PSD part, and the dual value tr(M) below it
+        assert value == pytest.approx(9.0, rel=1e-12)
+        assert sol.dual_objective == pytest.approx(9.0 + least, rel=1e-12)
+        result = sos_feasible(a, basis)
+        assert result.feasible and result.iterations == 0
+        assert _witness_holds(a, basis, result.witness)
+
+
+def test_free_inputs_never_reach_the_loop(monkeypatch, rng):
+    loop = sdp._trace_min
+
+    def commutative_only(constraints, *args):
+        if constraints.basis.flavor == FREE:
+            raise AssertionError("a free input reached the ADMM loop")
+        return loop(constraints, *args)
+
+    monkeypatch.setattr(sdp, "_trace_min", commutative_only)
+    for least in (-1e-1, -1e-6, 0.0):
+        a, basis = _free_input(least)
+        assert sos_norm(a, basis)[1].iterations == 0
+        if least == -1e-6:
+            with pytest.raises(SolverError, match="inconclusive"):
+                sos_feasible(a, basis)
+        else:
+            assert sos_feasible(a, basis).iterations == 0
+    a, basis = random_sos(rng, FREE, 2, 2, 2)
+    total = free_trace_oracle(a, basis)
+    assert dual_bound(a, basis) == pytest.approx(total, rel=1e-12)
+    assert pythagoras_upper_bound(a, basis).residual <= 1e-9
+    assert approximate(a, basis, 0.5 * total).error <= 0.5 * total
+    # commutative inputs still take the loop
+    assert sos_norm(sum_of_monomial_squares(3, 1), square_basis(COMMUTATIVE, 3, 1))[1].iterations > 0
+
+
+def test_free_solve_on_reversed_words(rng):
+    # any order of the words: the one Gram matrix, permuted, and its trace
+    for d in (1, 2, 3):
+        a, basis = random_sos(rng, FREE, 2, d, 2)
+        reversed_basis = SquareBasis(FREE, 2, d, basis.terms[::-1])
+        value, sol = sos_norm(a, basis)
+        value_r, sol_r = sos_norm(a, reversed_basis)
+        assert sol.status is sol_r.status is SolveStatus.OPTIMAL
+        assert value_r == pytest.approx(value, rel=1e-12)
+        scale = np.abs(sol.matrix).max()
+        assert np.abs(sol_r.matrix[::-1, ::-1] - sol.matrix).max() <= 1e-12 * scale
+        witness = sos_feasible(a, basis).witness
+        witness_r = sos_feasible(a, reversed_basis).witness
+        assert np.abs(witness_r[::-1, ::-1] - witness).max() <= 1e-12 * scale
+
+
 def _dense_reference(cons):
-    """The same equations as one complex block: the dense Hermitian solve."""
+    """The same equations as one real block: the dense symmetric solve."""
     return GramConstraints(cons.basis, cons.omegas, cons.targets, cons.rows, cons.cols,
-                           cons.vals.astype(complex), cons.seg)
+                           cons.vals, cons.seg)
 
 
 def test_block_solve_matches_dense_reference():
     rng = np.random.default_rng(11)
     cases = [(sum_of_monomial_squares(3, d), square_basis(COMMUTATIVE, 3, d)) for d in range(1, 9)]
     cases += [random_sos(rng, COMMUTATIVE, 3, d, r) for d in (1, 2, 3) for r in (1, 2, 3)]
-    cases.append(random_sos(rng, FREE, 2, 2, 2))
     # the rank-one d=2 input meets the cone only at its boundary, and both
     # solves stall at the cap on it; a lower cap keeps that comparison short
     options = SolverOptions(max_iter=5000)

@@ -1,11 +1,11 @@
 """End-to-end approximate decomposition pipelines and bound calculators.
 
-Each pipeline produces a SosCertificate: explicit squares from the basis
+Every certificate comes from `approximate`: explicit squares from the basis
 subspace, the achieved error in a declared norm, and the theoretical square
-count the truncation argument guarantees.  Free inputs never need the SDP
-(the Gram matrix is read off by splitting words); commutative inputs go
-through the trace-minimal Gram matrix and the spectral-norm truncation,
-whose error transfers to the sphere sup-norm with constant 1.
+count the truncation argument guarantees.  `sdp.sos_norm` gives the Gram
+matrix: read in closed form on a free basis (0 steps; coefficient 2-norm
+error), trace-minimal on a commutative one (spectral truncation, whose error
+transfers to the sphere sup-norm with constant 1).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .gram import (
     SquareBasis,
     basis_size,
     gram_map,
-    gram_preimage_free,
+    homogeneous_basis,
     operator_norm_bound,
     square_basis,
 )
@@ -45,10 +45,8 @@ SQUARE_CUTOFF_REL = 1e-14     # kept eigenvalues at most this times the top give
 class NotSosError(ValueError):
     """Input is not a sum of Hermitian squares from the requested subspace."""
 
-    def __init__(self, message: str, witness_eigenvalue: float | None = None,
-                 certificate=None):
+    def __init__(self, message: str, certificate=None):
         super().__init__(message)
-        self.witness_eigenvalue = witness_eigenvalue
         self.certificate = certificate
 
 
@@ -181,7 +179,7 @@ def _assemble(a: Polynomial, basis: SquareBasis, dec, keep: int, error: float,
 
 
 def _free_routes(a: Polynomial, basis: SquareBasis, dec, eps: float,
-                 sos_value: float, iterations: int, residual: float = 0.0) -> SosCertificate:
+                 sos_value: float, iterations: int, residual: float) -> SosCertificate:
     """Both certified truncation routes; fewest squares meeting eps wins.
 
     Schatten-2 with the proof's exact count always meets eps in the
@@ -251,28 +249,16 @@ def approximate(a: Polynomial, basis: SquareBasis, eps: float,
 
 
 def approximate_free(p: Polynomial, eps: float) -> SosCertificate:
-    """Certified approximation of a free sum of squares, no SDP involved.
+    """`approximate` on the word basis of a free p, in the coefficient 2-norm.
 
-    The unique Gram matrix is read off the coefficients; its trace equals the
-    sos-norm.  Rejects inputs whose Gram matrix is not PSD, reporting the
-    offending eigenvalue.
+    The solve reads the unique Gram matrix off in closed form, in 0 steps;
+    its trace is the sos-norm.  A materially indefinite matrix raises
+    NotSosError with a checked certificate, and one too close to PSD to
+    certify raises SolverError.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if p.flavor != FREE:
         raise FlavorMismatchError("approximate_free takes a free polynomial")
-    if p.degree() % 2 != 0 or not p.is_homogeneous():
-        raise ValueError("input must be homogeneous of even degree")
-    d = p.degree() // 2
-    try:
-        dec = linalg.clipped_spectrum(gram_preimage_free(p, d))
-    except linalg.NotPsdError as exc:
-        raise NotSosError(
-            f"unique Gram matrix is not PSD (eigenvalue {exc.min_eigenvalue:.3e})",
-            witness_eigenvalue=exc.min_eigenvalue) from exc
-    basis = square_basis(FREE, p.n_vars, d)
-    sos_value = float(dec.eigenvalues.sum())
-    return _free_routes(p, basis, dec, eps, sos_value, 0)
+    return approximate(p, homogeneous_basis(p), eps)
 
 
 def approximate_sphere(p: Polynomial, eps: float,
@@ -280,10 +266,11 @@ def approximate_sphere(p: Polynomial, eps: float,
     """Sup-norm-on-the-sphere approximation pipeline for commutative inputs."""
     if p.flavor != COMMUTATIVE:
         raise FlavorMismatchError("approximate_sphere takes a commutative polynomial")
-    if p.degree() % 2 != 0 or not p.is_homogeneous():
-        raise ValueError("input must be homogeneous of even degree")
-    basis = square_basis(COMMUTATIVE, p.n_vars, p.degree() // 2)
-    return approximate(p, basis, eps, options)
+    return approximate(p, homogeneous_basis(p), eps, options)
+
+
+def _ceil_sqrt(k: int) -> int:
+    return math.isqrt(k - 1) + 1 if k > 0 else 0
 
 
 @dataclass
@@ -307,8 +294,7 @@ def pythagoras_upper_bound(a: Polynomial, basis: SquareBasis,
     so the answer is its rank and no reduction is possible.
     """
     options = options or SolverOptions()
-    k_vv = len(basis.product_terms)
-    bound = math.isqrt(k_vv - 1) + 1 if k_vv > 0 else 0  # ceil(sqrt(k))
+    bound = _ceil_sqrt(len(basis.product_terms))
     # the witness residual flows straight into the reassembly residual,
     # so ask the feasibility solve for extra digits
     options = replace(options, tol_primal=min(options.tol_primal, 1e-8))
@@ -350,7 +336,7 @@ class BoundReport:
         self.dim_v = basis_size(self.flavor, self.n_vars, self.degree)
         self.dim_vv = basis_size(self.flavor, self.n_vars, 2 * self.degree)
         self.general_bound = self.dim_v
-        self.sqrt_dim_bound = math.isqrt(self.dim_vv - 1) + 1 if self.dim_vv else 0
+        self.sqrt_dim_bound = _ceil_sqrt(self.dim_vv)
         ratio = self.sos_norm_value / self.eps
         if self.flavor == COMMUTATIVE:
             # sup-norm route: operator norm 1 at p = inf

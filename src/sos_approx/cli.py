@@ -21,7 +21,7 @@ import tempfile
 
 from . import approx as approx_mod
 from . import linalg, poly, sdp
-from .gram import basis_size, square_basis
+from .gram import basis_size, homogeneous_basis, square_basis
 from .poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares
 
 EXIT_OK = 0
@@ -66,15 +66,6 @@ def _load_polynomial(path: str) -> Polynomial:
         raise CliError(EXIT_USAGE, f"{path}: {exc}") from exc
 
 
-def _homogeneous_basis(p: Polynomial):
-    if not p:
-        return square_basis(p.flavor, p.n_vars, 0)
-    if not p.is_homogeneous() or p.degree() % 2 != 0:
-        raise CliError(EXIT_USAGE,
-                       "input must be homogeneous of even degree")
-    return square_basis(p.flavor, p.n_vars, p.degree() // 2)
-
-
 class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
@@ -101,7 +92,7 @@ def solver_options(args: argparse.Namespace) -> sdp.SolverOptions:
 
 def cmd_sos_norm(args: argparse.Namespace) -> int:
     p = _load_polynomial(args.input)
-    basis = _homogeneous_basis(p)
+    basis = homogeneous_basis(p)
     options = solver_options(args)
     value, sol = sdp.sos_norm(p, basis, options)
     report = {
@@ -156,10 +147,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
     _check_at_least("--resolution", args.resolution, 0)
     p = _load_polynomial(args.input)
     options = solver_options(args)
-    if p.flavor == FREE:
-        cert = approx_mod.approximate_free(p, args.eps)
-    else:
-        cert = approx_mod.approximate_sphere(p, args.eps, options)
+    cert = approx_mod.approximate(p, homogeneous_basis(p), args.eps, options)
     _atomic_write(args.output, cert.to_json() + "\n")
     with open(args.output, "r", encoding="utf-8") as fh:
         reread = approx_mod.SosCertificate.from_dict(json.load(fh))
@@ -184,7 +172,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 def cmd_feasible(args: argparse.Namespace) -> int:
     p = _load_polynomial(args.input)
-    basis = _homogeneous_basis(p)
+    basis = homogeneous_basis(p)
     options = solver_options(args)
     result = sdp.sos_feasible(p, basis, options)
     report: dict = {"feasible": result.feasible, "iterations": result.iterations,
@@ -212,7 +200,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         _check_at_least("--d", d, 0)
     elif args.input:
         p = _load_polynomial(args.input)
-        basis = _homogeneous_basis(p)
+        basis = homogeneous_basis(p)
         value, sol = sdp.sos_norm(p, basis, solver_options(args))
         if sol.status is sdp.SolveStatus.INFEASIBLE:     # main prints "infeasible: ..."
             raise approx_mod.NotSosError("not a sum of squares from the homogeneous basis")

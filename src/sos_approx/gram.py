@@ -136,6 +136,13 @@ def square_basis(flavor: str, n_vars: int, degree: int,
                        _enumerate_terms(flavor, n_vars, degree))
 
 
+def homogeneous_basis(p: Polynomial) -> SquareBasis:
+    """Canonical basis of degree deg(p) / 2 for p homogeneous of even degree (0 -> 0)."""
+    if p.degree() % 2 != 0 or not p.is_homogeneous():
+        raise ValueError("input must be homogeneous of even degree")
+    return square_basis(p.flavor, p.n_vars, p.degree() // 2)
+
+
 def gram_map(M: np.ndarray, basis: SquareBasis) -> Polynomial:
     """The polynomial sum_ij m_ij v_i* v_j; *-linear in M."""
     M = np.asarray(M, dtype=complex)

@@ -137,11 +137,6 @@ class Polynomial:
                  coeff: complex = 1.0) -> "Polynomial":
         return cls(COMMUTATIVE, n_vars, {tuple(exponents): coeff})
 
-    @classmethod
-    def word(cls, n_vars: int, symbols: Sequence[int],
-             coeff: complex = 1.0) -> "Polynomial":
-        return cls(FREE, n_vars, {tuple(symbols): coeff})
-
     # -- inspection --------------------------------------------------------
 
     def items(self) -> list[tuple[Term, complex]]:

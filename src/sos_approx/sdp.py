@@ -467,6 +467,19 @@ def _unique_gram(constraints: GramConstraints, options: SolverOptions,
                        f"unique Gram matrix: least eigenvalue {w[-1]:.3e}, neither PSD nor certified")
 
 
+def _solve(a: Polynomial, basis: SquareBasis, options: SolverOptions | None,
+           minimize_trace: bool) -> tuple[GramConstraints, SdpSolution]:
+    """The constraint system of a over the basis and its solve: the zero
+    polynomial in 0 steps, a free basis by `_unique_gram`, else `_trace_min`."""
+    constraints = build_constraints(a, basis)
+    if not np.any(constraints.targets):
+        zero = np.zeros((basis.size, basis.size), dtype=complex)
+        return constraints, SdpSolution(zero, 0.0, np.zeros(constraints.k), 0.0, 0.0, 0.0,
+                                        SolveStatus.OPTIMAL, 0, message="zero polynomial")
+    solve = _unique_gram if basis.flavor == FREE else _trace_min
+    return constraints, solve(constraints, options or SolverOptions(), minimize_trace)
+
+
 def sos_norm(a: Polynomial, basis: SquareBasis,
              options: SolverOptions | None = None) -> tuple[float, SdpSolution]:
     """Minimal Gram-matrix trace of a over the PSD cone, with solver witness.
@@ -477,14 +490,7 @@ def sos_norm(a: Polynomial, basis: SquareBasis,
     squares from this basis (value is NaN, certificate attached); MAX_ITER is
     reported with residuals, never silently coerced.
     """
-    options = options or SolverOptions()
-    constraints = build_constraints(a, basis)
-    if not np.any(constraints.targets):
-        zero = np.zeros((basis.size, basis.size), dtype=complex)
-        sol = SdpSolution(zero, 0.0, np.zeros(constraints.k), 0.0, 0.0, 0.0,
-                          SolveStatus.OPTIMAL, 0, message="zero polynomial")
-        return 0.0, sol
-    sol = (_unique_gram if basis.flavor == FREE else _trace_min)(constraints, options)
+    sol = _solve(a, basis, options, True)[1]
     return sol.objective, sol
 
 
@@ -495,12 +501,7 @@ def sos_feasible(a: Polynomial, basis: SquareBasis,
     True comes with a PSD Gram witness, False with a separating functional;
     an unresolved solve raises SolverError instead of guessing.
     """
-    options = options or SolverOptions()
-    constraints = build_constraints(a, basis)
-    if not np.any(constraints.targets):
-        return FeasibilityResult(True, np.zeros((basis.size, basis.size), dtype=complex),
-                                 None, 0.0, 0, constraints)
-    sol = (_unique_gram if basis.flavor == FREE else _trace_min)(constraints, options, False)
+    constraints, sol = _solve(a, basis, options, False)
     if sol.status is SolveStatus.MAX_ITER:
         raise SolverError(f"feasibility test inconclusive: {sol.message}", sol)
     feasible = sol.status is SolveStatus.OPTIMAL

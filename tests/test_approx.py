@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import free_trace_oracle, random_sos, random_square
+from conftest import free_farkas_holds, free_input, free_trace_oracle, random_sos, random_square
 from oracles import free_pythagoras_number, min_rank_two_vars_degree_one
 from sos_approx import approx as approx_module, linalg
 from sos_approx.approx import (
@@ -16,7 +16,13 @@ from sos_approx.approx import (
     pythagoras_upper_bound,
     strict_cap,
 )
-from sos_approx.gram import NoCertifiedBoundError, SquareBasis, gram_map, square_basis
+from sos_approx.gram import (
+    NoCertifiedBoundError,
+    SquareBasis,
+    gram_map,
+    gram_preimage_free,
+    square_basis,
+)
 from sos_approx.poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares, variables
 from sos_approx.sdp import SdpSolution, SolverError, SolveStatus, sos_norm
 
@@ -72,7 +78,27 @@ def test_approximate_free_rejects_non_sos():
     p = z1 * z1 - z2 * z2
     with pytest.raises(NotSosError) as err:
         approximate_free(p, 0.5)
-    assert err.value.witness_eigenvalue < 0
+    assert free_farkas_holds(p, square_basis(FREE, 2, 1), err.value.certificate.values)
+
+
+@pytest.mark.parametrize("lam", [-1e-1, -1e-5, -3e-6, -1e-6, -1e-7, -1e-8, 0.0])
+def test_approximate_free_near_psd_gram(lam):
+    # materially indefinite: a checked certificate; too close to PSD to
+    # certify and too far to pass: inconclusive; within the tolerance: the
+    # certificate declares the clipped part, and verifies
+    a, basis = free_input(lam)
+    if lam <= -1e-5:
+        with pytest.raises(NotSosError) as err:
+            approximate_free(a, 0.5)
+        assert free_farkas_holds(a, basis, err.value.certificate.values)
+    elif lam <= -1e-6:
+        with pytest.raises(SolverError):
+            approximate_free(a, 0.5)
+    else:
+        cert = approximate_free(a, 0.5)
+        assert cert.rank == 3
+        assert cert.error == pytest.approx(-lam, rel=1e-6, abs=1e-15)
+        assert cert.verify() == []
 
 
 def test_approximate_free_input_validation():
@@ -94,7 +120,6 @@ def test_bound_monotone_in_eps(rng):
 
 
 def test_exactness_as_eps_vanishes(rng):
-    from sos_approx.gram import gram_preimage_free
     a, _ = random_sos(rng, FREE, 2, 2, 2)
     w = linalg.eig_hermitian(gram_preimage_free(a, 2)).eigenvalues
     lam_min_pos = w[w > 1e-10 * w[0]].min()
@@ -115,19 +140,21 @@ def test_flat_spectrum_truncation_matches_proof_count():
 
 
 def test_approximate_generic_free_agrees_with_direct_route(rng):
-    # the solver-based pipeline and the read-off pipeline share the same
-    # unique Gram matrix, so the certificates must coincide
-    # (up to the solver's residual, which the declared error must cover
-    # also when every square is kept)
+    # the sos-norm is the trace of the Gram matrix read off directly by
+    # splitting words, on any word order; `approximate` itself certifies
+    # only the canonical order (no operator-norm constant for another)
     a, basis = random_sos(rng, FREE, 2, 2, 2)
+    reversed_words = SquareBasis(FREE, 2, 2, basis.terms[::-1])
+    trace = float(np.trace(gram_preimage_free(a, 2)).real)
+    assert sos_norm(a, reversed_words)[0] == pytest.approx(trace, rel=1e-12)
+    with pytest.raises(NoCertifiedBoundError):
+        approximate(a, reversed_words, trace)
     for frac in (0.4, 0.05):
-        eps = frac * free_trace_oracle(a, basis)
-        via_solver = approximate(a, basis, eps)
-        direct = approximate_free(a, eps)
-        assert via_solver.norm == direct.norm == "coeff-2-norm"
-        assert via_solver.rank == direct.rank
-        assert via_solver.error == pytest.approx(direct.error, abs=1e-7)
-        assert not via_solver.verify()
+        cert = approximate_free(a, frac * trace)
+        assert cert.norm == "coeff-2-norm"
+        assert cert.sos_norm_value == pytest.approx(trace, rel=1e-12)
+        assert cert.rank == approximate(a, basis, frac * trace).rank
+        assert not cert.verify()
 
 
 def test_approximate_commutative_full_truncation(rng):

@@ -6,10 +6,9 @@ import stat
 import numpy as np
 import pytest
 
-from conftest import random_sos
+from conftest import free_input, random_sos
 from sos_approx import cli, linalg
 from sos_approx.approx import SosCertificate
-from sos_approx.gram import gram_map, square_basis
 from sos_approx.poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares, to_json, variables
 
 
@@ -47,10 +46,7 @@ def test_sos_norm_free_closed_form_tag(tmp_path, rng):
 def test_free_inconclusive_exits_solver(tmp_path, capsys):
     # a unique Gram matrix with least eigenvalue -1e-6 is neither PSD within
     # the tolerance nor certified: exit 4 after 0 steps, not 50,000
-    rng = np.random.default_rng(0)
-    Q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-    M = (Q * np.array([4.0, 3.0, 2.0, -1e-6])) @ Q.conj().T
-    path = write_poly(tmp_path, gram_map((M + M.conj().T) / 2, square_basis(FREE, 2, 2)))
+    path = write_poly(tmp_path, free_input(-1e-6)[0])
     assert cli.main(["feasible", "--input", path]) == 4
     assert "inconclusive" in capsys.readouterr().err
     assert cli.main(["sos-norm", "--input", path]) == 4
@@ -157,11 +153,16 @@ def test_approx_rejects_negative_resolution(tmp_path, rng, capsys):
 
 def test_approx_infeasible_no_partial_file(tmp_path):
     x1, x2 = variables(COMMUTATIVE, 2)
-    path = write_poly(tmp_path, x1 * x1 - x2 * x2)
-    out = tmp_path / "cert.json"
-    assert cli.main(["approx", "--input", path, "--eps", "1.0",
-                     "--output", str(out)]) == 3
-    assert not out.exists()
+    z1, z2 = variables(FREE, 2)
+    # not a sum of squares (exit 3), and a unique Gram matrix with least
+    # eigenvalue -1e-6, neither PSD nor certified (exit 4)
+    for name, p, code in (("c.json", x1 * x1 - x2 * x2, 3), ("f.json", z1 * z1 - z2 * z2, 3),
+                          ("near.json", free_input(-1e-6)[0], 4)):
+        path = write_poly(tmp_path, p, name)
+        out = tmp_path / "cert.json"
+        assert cli.main(["approx", "--input", path, "--eps", "1.0",
+                         "--output", str(out)]) == code, name
+        assert not out.exists()
 
 
 def test_feasible_command(tmp_path, rng):

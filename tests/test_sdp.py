@@ -10,6 +10,8 @@ from conftest import (
     CHOI_LAM_S,
     MOTZKIN,
     ROBINSON,
+    free_farkas_holds,
+    free_input,
     free_trace_oracle,
     random_sos,
     random_square,
@@ -287,53 +289,28 @@ def test_certificate_tested_right_after_rho_change():
     assert _farkas_holds(form, sol.certificate.values)
 
 
-def _free_input(least):
-    """A free n=2 d=2 input whose unique Gram matrix has eigenvalues 4, 3, 2 and `least`."""
-    rng = np.random.default_rng(0)
-    Q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-    M = (Q * np.array([4.0, 3.0, 2.0, least])) @ Q.conj().T
-    basis = square_basis(FREE, 2, 2)
-    return gram_map((M + M.conj().T) / 2, basis), basis
-
-
-def _free_farkas_holds(a, basis, y):
-    """Independent check of a free Farkas certificate y.  Its *-linear
-    functional l takes y_l on a self-conjugate word and (y_re -/+ i y_im) / 2 on
-    tau and tau* of a pair; it must be PSD on the moment matrix l(v_i* v_j) of
-    the words and negative at a."""
-    ell: dict = {}
-    for om, value in zip(build_constraints(a, basis).omegas, y):
-        weight = {"self": (value, 0.0), "re": (value / 2, value / 2),
-                  "im": (-0.5j * value, 0.5j * value)}[om.kind]
-        for term, part in zip((om.term, om.term[::-1]), weight):
-            ell[term] = ell.get(term, 0.0) + part
-    E = np.array([[ell[u[::-1] + v] for v in basis.terms] for u in basis.terms])
-    w = np.linalg.eigvalsh(E)
-    return w.min() >= -1e-8 * np.abs(w).max() and sum((c * ell[t]).real for t, c in a.items()) < 0
-
-
 def test_free_inputs_decided_in_zero_steps():
     # the unique Gram matrix decides a free input without a step: certified
     # when its least eigenvalue clears the value margin, optimal when its PSD
     # part meets the tolerances, and inconclusive between
     for least in (-1e-1, -1e-5):
-        a, basis = _free_input(least)
+        a, basis = free_input(least)
         value, sol = sos_norm(a, basis)
         assert sol.status is SolveStatus.INFEASIBLE and sol.iterations == 0 and math.isnan(value)
         result = sos_feasible(a, basis)
         assert not result.feasible and result.iterations == 0
         for y in (sol.certificate.values, result.certificate.values):
-            assert _free_farkas_holds(a, basis, y), least
+            assert free_farkas_holds(a, basis, y), least
         assert sol.certificate.objective == pytest.approx(least, rel=1e-6)
         assert dual_bound(a, basis) == math.inf
-    a, basis = _free_input(-1e-6)
+    a, basis = free_input(-1e-6)
     _, sol = sos_norm(a, basis)
     assert sol.status is SolveStatus.MAX_ITER and sol.iterations == 0
     assert "-1.000e-06" in sol.message
     with pytest.raises(SolverError, match="inconclusive"):
         sos_feasible(a, basis)
     for least in (-3e-7, -1e-8, 0.0):
-        a, basis = _free_input(least)
+        a, basis = free_input(least)
         value, sol = sos_norm(a, basis)
         assert sol.status is SolveStatus.OPTIMAL and sol.iterations == 0, least
         assert _witness_holds(a, basis, sol.matrix)
@@ -355,7 +332,7 @@ def test_free_inputs_never_reach_the_loop(monkeypatch, rng):
 
     monkeypatch.setattr(sdp, "_trace_min", commutative_only)
     for least in (-1e-1, -1e-6, 0.0):
-        a, basis = _free_input(least)
+        a, basis = free_input(least)
         assert sos_norm(a, basis)[1].iterations == 0
         if least == -1e-6:
             with pytest.raises(SolverError, match="inconclusive"):

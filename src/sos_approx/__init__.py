@@ -19,7 +19,6 @@ from .gram import (
     build_constraints,
     gram_map,
     gram_preimage_free,
-    operator_norm_bound,
     square_basis,
 )
 from .linalg import (

@@ -1,11 +1,11 @@
 """End-to-end approximate decomposition pipelines and bound calculators.
 
-Every certificate comes from `approximate`: explicit squares from the basis
-subspace, the achieved error in a declared norm, and the theoretical square
-count the truncation argument guarantees.  `sdp.sos_norm` gives the Gram
-matrix: read in closed form on a free basis (0 steps; coefficient 2-norm
-error), trace-minimal on a commutative one (spectral truncation, whose error
-transfers to the sphere sup-norm with constant 1).
+Every certificate comes from `approximate`: explicit squares, the achieved
+error in a declared norm, and the theoretical square count the truncation
+argument guarantees.  `sdp.sos_norm` gives the Gram matrix (read in closed
+form on a word basis, trace-minimal on a monomial one), and one rule
+truncates it on every basis: keep the fewest leading eigenpairs whose
+dropped part, carried to the polynomial with constant 1, fits in eps.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .gram import (
     basis_size,
     gram_map,
     homogeneous_basis,
-    operator_norm_bound,
     square_basis,
 )
 from .poly import COMMUTATIVE, FREE, FlavorMismatchError, Polynomial, from_dict as poly_from_dict, to_dict as poly_to_dict
@@ -82,7 +81,7 @@ class SosCertificate(_Squares):
     theoretical_bound: float
     allowed_rank: int
     sos_norm_value: float
-    schatten_p: float              # truncation route
+    schatten_p: float              # norm truncated in: 2.0 (coefficient 2-norm), inf (sphere)
     solver_iterations: int = 0
 
     @property
@@ -155,71 +154,39 @@ class SosCertificate(_Squares):
             solver_iterations=int(data.get("solver_iterations", 0)))
 
 
-def _squares_from_spectrum(dec: linalg.SpectralDecomposition, keep: int) -> list[np.ndarray]:
-    # gram_map(c c*) = q* q for q with coefficients conj(c), so certificates
-    # store the conjugated factors: they are the squares' coefficient vectors
-    w, V = dec.eigenvalues, dec.eigenvectors
-    top = w[0] if len(w) else 0.0
-    return [np.sqrt(w[i]) * V[:, i].conj() for i in range(min(keep, len(w)))
-            if w[i] > SQUARE_CUTOFF_REL * max(top, 1e-300)]
-
-
 def _assemble(a: Polynomial, basis: SquareBasis, dec, keep: int, error: float,
               norm: str, eps: float, bound: float, sos_value: float,
-              p_route: float, iterations: int) -> SosCertificate:
-    squares = _squares_from_spectrum(dec, keep)
-    kept = np.zeros(len(dec.eigenvalues), dtype=bool)
-    kept[:keep] = True
-    approx_poly = gram_map(dec.matrix_from(kept), basis)
-    return SosCertificate(
-        input=a, approximation=approx_poly, squares=squares, basis=basis,
-        error=error, norm=norm, eps=eps, theoretical_bound=bound,
-        allowed_rank=strict_cap(bound), sos_norm_value=sos_value,
-        schatten_p=p_route, solver_iterations=iterations)
-
-
-def _free_routes(a: Polynomial, basis: SquareBasis, dec, eps: float,
-                 sos_value: float, iterations: int, residual: float) -> SosCertificate:
-    """Both certified truncation routes; fewest squares meeting eps wins.
-
-    Schatten-2 with the proof's exact count always meets eps in the
-    coefficient 2-norm (the Gram map is an isometry there); the deeper
-    Schatten-inf truncation is used only when its measured coefficient
-    error still fits.  `residual` is the coefficient 2-norm of
-    a - gram_map(M); the truncation gets what is left of eps after it.
-    """
+              iterations: int) -> SosCertificate:
+    # gram_map(c c*) = q* q for q with coefficients conj(c), so certificates
+    # store the conjugated factors, over the canonical basis: each entry at
+    # the canonical position of the caller's term, zero elsewhere
+    canonical = square_basis(basis.flavor, basis.n_vars, basis.degree)
     w = dec.eigenvalues
-    trace = float(w.sum())
-    npos = int((w > 0).sum())
-    budget = eps - residual
-    bound = (sos_value / budget) ** 2
-    k2 = min(linalg.truncation_count(trace, budget, 2.0), npos)
-    kinf = linalg.count_above(w, budget, strict_cap(bound))
-    tail = np.sqrt(np.cumsum((w ** 2)[::-1])[::-1])  # tail[i] = ||w[i:]||_2
-
-    def tail_err(k: int) -> float:
-        return (float(tail[k]) if k < len(w) else 0.0) + residual
-
-    err2, errinf = tail_err(k2), tail_err(kinf)
-    if errinf <= eps and kinf < k2:
-        return _assemble(a, basis, dec, kinf, errinf, COEFF_2_NORM, eps,
-                         bound, sos_value, math.inf, iterations)
-    return _assemble(a, basis, dec, k2, err2, COEFF_2_NORM, eps,
-                     bound, sos_value, 2.0, iterations)
+    V = np.zeros((canonical.size, len(w)), dtype=complex)
+    V[[canonical.index[t] for t in basis.terms]] = dec.eigenvectors.conj()
+    top = w[0] if len(w) else 0.0
+    squares = [np.sqrt(w[i]) * V[:, i] for i in range(min(keep, len(w)))
+               if w[i] > SQUARE_CUTOFF_REL * max(top, 1e-300)]
+    kept = np.zeros(len(w), dtype=bool)
+    kept[:keep] = True
+    return SosCertificate(
+        input=a, approximation=gram_map(dec.matrix_from(kept), basis), squares=squares,
+        basis=canonical, error=error, norm=norm, eps=eps, theoretical_bound=bound,
+        allowed_rank=strict_cap(bound), sos_norm_value=sos_value,
+        schatten_p=2.0 if norm == COEFF_2_NORM else math.inf, solver_iterations=iterations)
 
 
 def approximate(a: Polynomial, basis: SquareBasis, eps: float,
                 options: SolverOptions | None = None) -> SosCertificate:
     """Approximate a by a short sum of squares within eps.
 
-    Pipeline: trace-minimal Gram matrix, spectral truncation at the certified
-    operator-norm level, rank-one factors.  Commutative inputs are measured
-    in the sphere sup-norm (certified through the spectral norm); free inputs
-    in the coefficient 2-norm.
+    The Gram matrix of `sdp.sos_norm` keeps its fewest leading eigenpairs k
+    whose certified error dropped[k] + r fits in eps, r the solve's residual:
+    on words dropped[k] = ||w[k:]||_2, the exact coefficient 2-norm error; on
+    monomials dropped[k] = w[k], a bound on the sphere sup-norm error.  Any
+    basis of distinct degree-d terms certifies (`gram.SquareBasis`).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    opnorm = operator_norm_bound(basis)
+    linalg.require_eps(eps)
     # membership and the trace minimum come from one solve: the splitting
     # solver detects infeasibility itself and carries the separating certificate
     value, sol = sos_norm(a, basis, options)
@@ -238,14 +205,15 @@ def approximate(a: Polynomial, basis: SquareBasis, eps: float,
     r = residual.coeff_two_norm() if free else sum(abs(c) for _, c in residual.items())
     if r >= eps:
         raise SolverError(f"solver residual {r:.3e} leaves no room for eps {eps:.3e}", sol)
-    if free:
-        return _free_routes(a, basis, dec, eps, value, sol.iterations, r)
     w = dec.eigenvalues
-    bound = opnorm * value / (eps - r)
-    keep = linalg.count_above(w, (eps - r) / opnorm, strict_cap(bound))
-    error = (float(w[keep]) * opnorm if keep < len(w) else 0.0) + r
-    return _assemble(a, basis, dec, keep, error, SUP_SPHERE, eps, bound,
-                     value, math.inf, sol.iterations)
+    if free:
+        norm, bound = COEFF_2_NORM, (value / (eps - r)) ** 2
+        dropped = np.sqrt(np.cumsum((w ** 2)[::-1])[::-1])      # ||w[k:]||_2
+    else:
+        norm, bound, dropped = SUP_SPHERE, value / (eps - r), w
+    keep = linalg.count_above(dropped, eps - r, strict_cap(bound))
+    error = (float(dropped[keep]) if keep < len(w) else 0.0) + r
+    return _assemble(a, basis, dec, keep, error, norm, eps, bound, value, sol.iterations)
 
 
 def approximate_free(p: Polynomial, eps: float) -> SosCertificate:
@@ -364,8 +332,9 @@ class BoundReport:
 
 def bound_report(flavor: str, n_vars: int, degree: int, eps: float,
                  sos_norm_value: float) -> BoundReport:
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    linalg.require_eps(eps)
+    if not (math.isfinite(sos_norm_value) and sos_norm_value >= 0):
+        raise ValueError(f"sos_norm_value must be a finite number >= 0, got {sos_norm_value!r}")
     if n_vars < 1 or degree < 0:
         raise ValueError("invalid dimensions")
     return BoundReport(flavor, n_vars, degree, eps, sos_norm_value)

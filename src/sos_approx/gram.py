@@ -43,10 +43,6 @@ class BasisSizeError(ValueError):
     """Requested basis exceeds the configured entry cap."""
 
 
-class NoCertifiedBoundError(ValueError):
-    """No certified operator-norm constant exists for this basis/norm pair."""
-
-
 class NotHermitianError(ValueError):
     """Input polynomial or matrix is not Hermitian within tolerance."""
 
@@ -68,10 +64,21 @@ def _enumerate_terms(flavor: str, n_vars: int, degree: int) -> tuple[Term, ...]:
 
 @dataclass(frozen=True)
 class SquareBasis:
-    """Ordered basis of the homogeneous degree-d component whose squares are taken.
+    """Ordered distinct degree-d terms (monomials or words) whose squares are taken.
 
-    Only the canonical enumeration (`square_basis`) carries certified
-    operator-norm constants.
+    On any such basis, in any order and complete or not, the Gram map takes
+    an error matrix E to a polynomial no larger than E, which is what
+    certifies a spectral truncation:
+    - words: v_i* v_j is v_i reversed followed by v_j, so distinct cells give
+      distinct words and gram_map(E) has the entries of E as coefficients:
+      its coefficient 2-norm is ||E||_F;
+    - monomials: at a point x of the unit sphere gram_map(E)(x) = v(x)* E v(x)
+      for the vector v(x) of basis monomials, so |gram_map(E)(x)| <=
+      ||E||_2 ||v(x)||^2, and ||v(x)||^2, a sum of distinct x^(2 alpha) with
+      |alpha| = d, is at most (x_1^2 + ... + x_n^2)^d = 1 (every multinomial
+      coefficient is >= 1).
+    Hence the terms must be pairwise distinct and of degree `degree` in
+    `n_vars` variables; `__post_init__` refuses any other.
     """
 
     flavor: str
@@ -81,6 +88,14 @@ class SquareBasis:
 
     def __post_init__(self):
         _check_flavor(self.flavor)
+        for t in self.terms:
+            if self.flavor == COMMUTATIVE:
+                ok = len(t) == self.n_vars and min(t, default=0) >= 0 and sum(t) == self.degree
+            else:
+                ok = len(t) == self.degree and all(0 <= s < self.n_vars for s in t)
+            if not ok:
+                raise ValueError(
+                    f"term {t} is not of degree {self.degree} in {self.n_vars} variables")
         if len(set(self.terms)) != len(self.terms):
             raise ValueError("basis terms must be pairwise distinct")
 
@@ -115,9 +130,6 @@ class SquareBasis:
     @property
     def product_terms(self) -> tuple[Term, ...]:
         return self._products[0]
-
-    def is_canonical(self) -> bool:
-        return self.terms == _enumerate_terms(self.flavor, self.n_vars, self.degree)
 
 
 def square_basis(flavor: str, n_vars: int, degree: int,
@@ -590,17 +602,3 @@ def build_constraints(a: Polynomial, basis: SquareBasis) -> GramConstraints:
         _parity_blocks(a, basis) if commutative else None,
         _variable_swaps(a, basis) if commutative else ())
 
-
-def operator_norm_bound(basis: SquareBasis) -> float:
-    """Certified operator-norm constant of the Gram map for this basis.
-
-    Equals 1 in exactly two cases: the canonical monomial basis mapping into
-    continuous functions on the unit sphere with the sup-norm, and the
-    canonical word basis with the Schatten-p-inherited coefficient norms.
-    Anything else (e.g. a reordered or partial basis) has no certified
-    constant here.
-    """
-    if not basis.is_canonical():
-        raise NoCertifiedBoundError(
-            "no certified operator-norm bound for a non-canonical basis")
-    return 1.0

@@ -118,6 +118,12 @@ def clipped_spectrum(M: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(np.maximum(w, 0.0), dec.eigenvectors)
 
 
+def require_eps(eps: float) -> None:
+    """Refuse an eps that is not a finite number > 0, naming it."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
+
+
 def strict_cap(bound: float) -> int:
     """Largest integer strictly below `bound` (values snapped to nearby integers).
 
@@ -137,8 +143,7 @@ def truncation_count(trace: float, eps: float, p: float) -> int:
     the log domain; values within 1e-9 of an integer are snapped before the
     strict comparison so float fuzz never violates the strict rank bound.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    require_eps(eps)
     if not (p > 1) or math.isinf(p):
         raise ValueError("truncation_count applies to 1 < p < inf")
     if trace <= 0:
@@ -174,8 +179,7 @@ def truncate_rank(M: np.ndarray, eps: float, p: float) -> np.ndarray:
     The result is PSD and its rank is strictly below (tr(M)/eps)^(p/(p-1))
     (resp. tr(M)/eps).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    require_eps(eps)
     if not (p > 1):
         raise ValueError(f"requires p > 1, got {p}")
     dec = clipped_spectrum(M)

@@ -1,7 +1,10 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import free_farkas_holds, free_input, free_trace_oracle, random_sos, random_square
 from oracles import free_pythagoras_number, min_rank_two_vars_degree_one
@@ -17,7 +20,6 @@ from sos_approx.approx import (
     strict_cap,
 )
 from sos_approx.gram import (
-    NoCertifiedBoundError,
     SquareBasis,
     gram_map,
     gram_preimage_free,
@@ -57,19 +59,19 @@ def test_approximate_free_single_word_square():
         assert not cert.verify()
 
 
-def test_approximate_free_route_comparison():
-    # Gram spectrum (4, 1, 0.5): the Schatten-2 route keeps everything at
-    # eps = 1; the deeper Schatten-inf route only qualifies once its honest
-    # coefficient error sqrt(1 + 0.25) fits under eps
+def test_approximate_free_fewest_squares_within_eps():
+    # Gram spectrum (4, 1, 0.5): the fewest leading eigenpairs whose dropped
+    # tail ||w[k:]||_2, the exact coefficient error, fits under eps
     basis = square_basis(FREE, 3, 1)
     p = gram_map(np.diag([4.0, 1.0, 0.5]), basis)
     cert = approximate_free(p, 1.0)
+    assert cert.rank == 2 and cert.error == pytest.approx(0.5, abs=1e-12)
     assert cert.schatten_p == 2.0
-    assert cert.rank == 3 and cert.error == pytest.approx(0.0, abs=1e-12)
+    assert not cert.verify()
     cert = approximate_free(p, 1.2)
-    assert math.isinf(cert.schatten_p)
     assert cert.rank == 1
     assert cert.error == pytest.approx(math.sqrt(1.25), abs=1e-12)
+    assert cert.schatten_p == 2.0
     assert not cert.verify()
 
 
@@ -128,33 +130,35 @@ def test_exactness_as_eps_vanishes(rng):
     assert cert.error == pytest.approx(0.0, abs=1e-10)
 
 
-def test_flat_spectrum_truncation_matches_proof_count():
-    # identity Gram spectrum: the kept count is the proof's exact k
+def test_flat_spectrum_truncation_keeps_fewest_fitting():
+    # identity Gram spectrum: the tails are 2, sqrt(3), sqrt(2), 1, so eps = 1
+    # drops one square (the proof's count, (4/1)^2 = 16, would keep all four)
     basis = square_basis(FREE, 2, 2)
     p = gram_map(np.eye(4), basis)
-    cert = approximate_free(p, 1.0)   # (4/1)^2 = 16 -> keep all
-    assert cert.rank == 4 and cert.schatten_p == 2.0
-    cert = approximate_free(p, 2.0)   # route inf: drop all (lam = 1 <= 2), err = 2 <= eps
+    cert = approximate_free(p, 1.0)
+    assert cert.rank == 3 and cert.error == pytest.approx(1.0, abs=1e-12)
+    assert not cert.verify()
+    cert = approximate_free(p, 2.0)
     assert cert.rank == 0
     assert cert.error == pytest.approx(2.0, abs=1e-12)
 
 
 def test_approximate_generic_free_agrees_with_direct_route(rng):
-    # the sos-norm is the trace of the Gram matrix read off directly by
-    # splitting words, on any word order; `approximate` itself certifies
-    # only the canonical order (no operator-norm constant for another)
+    # the Gram matrix read on reversed words is the canonical one permuted,
+    # so `approximate` on them keeps as many squares with the same error;
+    # its certificate is written over the canonical words
     a, basis = random_sos(rng, FREE, 2, 2, 2)
     reversed_words = SquareBasis(FREE, 2, 2, basis.terms[::-1])
     trace = float(np.trace(gram_preimage_free(a, 2)).real)
     assert sos_norm(a, reversed_words)[0] == pytest.approx(trace, rel=1e-12)
-    with pytest.raises(NoCertifiedBoundError):
-        approximate(a, reversed_words, trace)
     for frac in (0.4, 0.05):
         cert = approximate_free(a, frac * trace)
         assert cert.norm == "coeff-2-norm"
         assert cert.sos_norm_value == pytest.approx(trace, rel=1e-12)
-        assert cert.rank == approximate(a, basis, frac * trace).rank
-        assert not cert.verify()
+        other = approximate(a, reversed_words, frac * trace)
+        assert other.rank == cert.rank and other.basis == basis
+        assert other.error == pytest.approx(cert.error, rel=1e-9, abs=1e-12)
+        assert not SosCertificate.from_dict(json.loads(other.to_json())).verify()
 
 
 def test_approximate_commutative_full_truncation(rng):
@@ -231,16 +235,32 @@ def test_approximate_rejects_infeasible():
     assert err.value.certificate is not None
 
 
-def test_approximate_scaled_basis_rejected(rng):
-    # a reordered basis is not canonical, so no operator-norm bound is certified
-    a, basis = random_sos(rng, COMMUTATIVE, 2, 1, 2)
-    reversed_basis = SquareBasis(COMMUTATIVE, 2, 1, basis.terms[::-1])
-    with pytest.raises(NoCertifiedBoundError):
-        approximate(a, reversed_basis, 1.0)
+def test_approximate_any_basis_certifies():
+    # reversed, every-other-term and permuted bases of both flavors certify:
+    # the constant 1 holds on any distinct degree-d terms.  The certificate
+    # is written over the canonical basis and verifies after a JSON round
+    # trip; a permuted basis keeps as many squares as the canonical one
+    rng = np.random.default_rng(5)
+    for flavor, n, d in ((COMMUTATIVE, 3, 2), (COMMUTATIVE, 2, 3), (FREE, 2, 2), (FREE, 3, 1)):
+        canonical = square_basis(flavor, n, d)
+        permuted = tuple(canonical.terms[i] for i in rng.permutation(canonical.size))
+        for terms in (canonical.terms, canonical.terms[::-1], canonical.terms[::2], permuted):
+            basis = SquareBasis(flavor, n, d, terms)
+            a = Polynomial.zero(flavor, n)
+            for _ in range(2):
+                q = random_square(rng, basis)
+                a = a + q.involution() * q
+            value, _ = sos_norm(a, basis)
+            cert = approximate(a, basis, 0.3 * value)
+            clone = SosCertificate.from_dict(json.loads(cert.to_json()))
+            assert clone.basis == canonical and clone.rank == cert.rank
+            assert not clone.verify(sample_points=500), (flavor, n, d, terms)
+            assert 0 < clone.rank < clone.theoretical_bound
+            if terms == permuted:
+                assert cert.rank == approximate(a, canonical, 0.3 * value).rank
 
 
 def test_certificate_json_roundtrip(rng):
-    import json
     a, _ = random_sos(rng, FREE, 2, 2, 2)
     cert = approximate_free(a, 1.0)
     clone = SosCertificate.from_dict(json.loads(cert.to_json()))
@@ -305,6 +325,19 @@ def test_pythagoras_free_on_reversed_words():
     assert err.value.certificate.objective < 0 and err.value.certificate.psd_margin >= -1e-12
 
 
+def test_pythagoras_rank_reduction_fallback(monkeypatch):
+    # with no constraint-orthogonal direction the reduction stalls at once:
+    # the witness keeps the feasible matrix it had, above the bound, and says so
+    monkeypatch.setattr(scipy.linalg, "null_space", lambda K: np.zeros((K.shape[1], 0)))
+    a, basis = random_sos(np.random.default_rng(20240901), COMMUTATIVE, 3, 2, 4)
+    w = pythagoras_upper_bound(a, basis)
+    assert (w.count, w.bound) == (6, 4)
+    assert w.message == ("rank reduction stalled at rank 6: "
+                         "no constraint-orthogonal direction at rank 6")
+    assert w.residual <= 1e-8
+    assert (w.reassembled() - a).coeff_two_norm() == w.residual
+
+
 def test_pythagoras_count_never_beats_brute_force(rng):
     # desk-scale oracle: scan the one-parameter spectrahedron in 2 variables
     basis = square_basis(COMMUTATIVE, 2, 1)
@@ -334,6 +367,29 @@ def test_bound_report_examples():
     assert r.theorem_allowed_rank == 0
     with pytest.raises(ValueError):
         bound_report(COMMUTATIVE, 3, 2, eps=0.0, sos_norm_value=1.0)
+
+
+def test_eps_must_be_finite_and_positive(monkeypatch):
+    # one check at the library boundary, before any solve: a NaN eps used
+    # to fail converting NaN to an integer after the solve, an infinite one
+    # to return allowed rank -1
+    solves = []
+    monkeypatch.setattr(approx_module, "sos_norm", lambda *args, **kw: solves.append(args))
+    p = sum_of_monomial_squares(3, 1)
+    for eps in (math.nan, math.inf, 0, -1):
+        message = re.escape(f"eps must be a finite number > 0, got {eps!r}")
+        with pytest.raises(ValueError, match=message):
+            approximate(p, square_basis(COMMUTATIVE, 3, 1), eps)
+        with pytest.raises(ValueError, match=message):
+            bound_report(COMMUTATIVE, 3, 2, eps, 1.0)
+        with pytest.raises(ValueError, match=message):
+            linalg.truncate_rank(np.eye(2), eps, 2.0)
+        with pytest.raises(ValueError, match=message):
+            linalg.truncation_count(2.0, eps, 2.0)
+    assert solves == []
+    for value in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="sos_norm_value must be a finite number >= 0"):
+            bound_report(COMMUTATIVE, 3, 2, 1.0, value)
 
 
 def test_bound_report_free_min_certified():

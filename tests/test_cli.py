@@ -151,6 +151,20 @@ def test_approx_rejects_negative_resolution(tmp_path, rng, capsys):
                      "--resolution", "0"]) == 0
 
 
+def test_approx_failed_verification_exits_one(tmp_path, rng, capsys, monkeypatch):
+    # the certificate re-read from disk fails its check: exit 1, the problem
+    # on stderr, "verified": false, and the file stays for inspection
+    monkeypatch.setattr(SosCertificate, "verify", lambda self, sample_points=0: ["injected"])
+    a, _ = random_sos(rng, COMMUTATIVE, 3, 1, 2)
+    out = tmp_path / "cert.json"
+    assert cli.main(["approx", "--input", write_poly(tmp_path, a), "--eps", "1.0",
+                     "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "verification failed: injected\n"
+    assert json.loads(captured.out)["verified"] is False
+    assert out.exists()
+
+
 def test_approx_infeasible_no_partial_file(tmp_path):
     x1, x2 = variables(COMMUTATIVE, 2)
     z1, z2 = variables(FREE, 2)
@@ -229,6 +243,14 @@ def test_bounds_command_from_input(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "infeasible: not a sum of squares from the homogeneous basis\n"
+
+
+def test_bounds_from_input_solver_cap_exits_four(tmp_path, capsys):
+    path = write_poly(tmp_path, sum_of_monomial_squares(3, 2), "p32.json")
+    assert cli.main(["bounds", "--input", path, "--eps", "0.5", "--max-iter", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver failure: iteration cap 1 reached")
 
 
 def test_figure_command_deterministic(tmp_path):

@@ -7,13 +7,11 @@ from conftest import CHOI_LAM_S, MOTZKIN, ROBINSON, random_hermitian, random_sos
 from sos_approx.gram import (
     BasisSizeError,
     GramConstraints,
-    NoCertifiedBoundError,
     NotHermitianError,
     SquareBasis,
     build_constraints,
     gram_map,
     gram_preimage_free,
-    operator_norm_bound,
     square_basis,
 )
 from sos_approx.linalg import schatten_norm
@@ -395,13 +393,19 @@ def test_gram_preimage_free_rejects():
         gram_preimage_free(Polynomial.variable(COMMUTATIVE, 1, 0), 1)
 
 
-def test_operator_norm_bound_certified_cases():
-    assert operator_norm_bound(square_basis(COMMUTATIVE, 3, 2)) == 1.0
-    assert operator_norm_bound(square_basis(FREE, 2, 3)) == 1.0
-    reversed_basis = SquareBasis(COMMUTATIVE, 3, 2,
-                                 square_basis(COMMUTATIVE, 3, 2).terms[::-1])
-    with pytest.raises(NoCertifiedBoundError):
-        operator_norm_bound(reversed_basis)
+def test_square_basis_refuses_malformed_terms():
+    # the constant-1 argument needs distinct terms of degree d in n variables
+    for flavor, n, d, term in ((COMMUTATIVE, 3, 2, (1, 1)),         # wrong arity
+                               (COMMUTATIVE, 2, 2, (3, -1)),        # negative exponent
+                               (COMMUTATIVE, 2, 2, (1, 0)),         # wrong degree
+                               (FREE, 2, 2, (0,)),                  # wrong degree
+                               (FREE, 2, 2, (0, 2)),                # symbol out of range
+                               (FREE, 2, 2, (-1, 0))):              # symbol out of range
+        with pytest.raises(ValueError, match=f"is not of degree {d} in {n} variables"):
+            SquareBasis(flavor, n, d, (term,))
+    with pytest.raises(ValueError, match="distinct"):
+        SquareBasis(FREE, 2, 1, ((0,), (0,)))
+    assert SquareBasis(COMMUTATIVE, 2, 2, ((0, 2), (2, 0))).size == 2
 
 
 def test_monomial_tuple_sphere_bound(rng):
@@ -417,12 +421,27 @@ def test_monomial_tuple_sphere_bound(rng):
 
 
 def test_gram_evaluation_bounded_by_spectral_norm(rng):
-    basis = square_basis(COMMUTATIVE, 3, 2)
+    # on any basis of distinct monomials: canonical, reversed, every other term
+    canonical = square_basis(COMMUTATIVE, 3, 2)
     pts = sphere_lattice(3, 500)
-    for _ in range(5):
-        M = random_hermitian(rng, basis.size)
-        vals = np.abs(gram_map(M, basis).evaluate_batch(pts))
-        assert vals.max() <= schatten_norm(M, math.inf) + 1e-9
+    for terms in (canonical.terms, canonical.terms[::-1], canonical.terms[::2]):
+        basis = SquareBasis(COMMUTATIVE, 3, 2, terms)
+        for _ in range(5):
+            M = random_hermitian(rng, basis.size)
+            vals = np.abs(gram_map(M, basis).evaluate_batch(pts))
+            assert vals.max() <= schatten_norm(M, math.inf) + 1e-9
+
+
+def test_gram_map_isometry_on_any_word_basis(rng):
+    # distinct words give distinct products v_i* v_j: ||M||_F is the
+    # coefficient 2-norm of gram_map(M) on reversed and subset bases too
+    canonical = square_basis(FREE, 2, 3)
+    for terms in (canonical.terms, canonical.terms[::-1], canonical.terms[::2]):
+        basis = SquareBasis(FREE, 2, 3, terms)
+        for _ in range(5):
+            M = random_hermitian(rng, basis.size)
+            assert gram_map(M, basis).coeff_two_norm() == pytest.approx(
+                np.linalg.norm(M), rel=1e-12)
 
 
 def test_solve_normal_exact_for_noncanonical_bases(rng):

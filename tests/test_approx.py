@@ -260,6 +260,19 @@ def test_approximate_any_basis_certifies():
                 assert cert.rank == approximate(a, canonical, 0.3 * value).rank
 
 
+def test_approximate_scaled_basis_rejected(rng):
+    # a basis whose exponents are doubled is no degree-d basis: SquareBasis
+    # refuses it as declared, and at its true degree 2d its squares have
+    # degree 4d, so approximate asks for a degree-4d input and refuses the
+    # degree-2d one
+    a, basis = random_sos(rng, COMMUTATIVE, 2, 1, 2)
+    scaled = tuple(tuple(2 * e for e in t) for t in basis.terms)
+    with pytest.raises(ValueError, match="is not of degree 1 in 2 variables"):
+        SquareBasis(COMMUTATIVE, 2, 1, scaled)
+    with pytest.raises(ValueError, match="homogeneous of degree 4"):
+        approximate(a, SquareBasis(COMMUTATIVE, 2, 2, scaled), 1.0)
+
+
 def test_certificate_json_roundtrip(rng):
     a, _ = random_sos(rng, FREE, 2, 2, 2)
     cert = approximate_free(a, 1.0)

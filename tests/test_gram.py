@@ -408,6 +408,22 @@ def test_square_basis_refuses_malformed_terms():
     assert SquareBasis(COMMUTATIVE, 2, 2, ((0, 2), (2, 0))).size == 2
 
 
+def test_operator_norm_bound_certified_cases():
+    # the Gram map's operator-norm constant is exactly 1 on canonical
+    # monomial and word bases, and on a reordered one too: gram_map(I)(x) =
+    # ||v(x)||^2 peaks at 1 on the sphere (at a coordinate vector), and on
+    # words the coefficient 2-norm of gram_map(E) is ||E||_F
+    canonical = square_basis(COMMUTATIVE, 3, 2)
+    pts = np.vstack([np.eye(3), sphere_lattice(3, 500)])
+    for basis in (canonical, SquareBasis(COMMUTATIVE, 3, 2, canonical.terms[::-1])):
+        peak = gram_map(np.eye(basis.size), basis).evaluate_batch(pts).real.max()
+        assert peak == pytest.approx(1.0, abs=1e-12)
+    words = square_basis(FREE, 2, 3)
+    for basis in (words, SquareBasis(FREE, 2, 3, words.terms[::-1])):
+        E = np.diag(np.arange(1.0, basis.size + 1))
+        assert gram_map(E, basis).coeff_two_norm() == pytest.approx(np.linalg.norm(E), rel=1e-12)
+
+
 def test_monomial_tuple_sphere_bound(rng):
     # |m_d(s)|_2 <= 1 on 1000 random unit points for every d <= 8
     pts = rng.standard_normal((1000, 3))

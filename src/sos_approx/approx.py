@@ -154,13 +154,12 @@ class SosCertificate(_Squares):
             solver_iterations=int(data.get("solver_iterations", 0)))
 
 
-def _assemble(a: Polynomial, basis: SquareBasis, dec, keep: int, error: float,
-              norm: str, eps: float, bound: float, sos_value: float,
+def _assemble(a: Polynomial, basis: SquareBasis, canonical: SquareBasis, dec, keep: int,
+              error: float, norm: str, eps: float, bound: float, sos_value: float,
               iterations: int) -> SosCertificate:
     # gram_map(c c*) = q* q for q with coefficients conj(c), so certificates
     # store the conjugated factors, over the canonical basis: each entry at
     # the canonical position of the caller's term, zero elsewhere
-    canonical = square_basis(basis.flavor, basis.n_vars, basis.degree)
     w = dec.eigenvalues
     V = np.zeros((canonical.size, len(w)), dtype=complex)
     V[[canonical.index[t] for t in basis.terms]] = dec.eigenvectors.conj()
@@ -187,6 +186,9 @@ def approximate(a: Polynomial, basis: SquareBasis, eps: float,
     basis of distinct degree-d terms certifies (`gram.SquareBasis`).
     """
     linalg.require_eps(eps)
+    # the certificate is written over the canonical basis, so its size cap
+    # (gram.BasisSizeError) refuses the input before the solve, not after
+    canonical = square_basis(basis.flavor, basis.n_vars, basis.degree)
     # membership and the trace minimum come from one solve: the splitting
     # solver detects infeasibility itself and carries the separating certificate
     value, sol = sos_norm(a, basis, options)
@@ -213,7 +215,8 @@ def approximate(a: Polynomial, basis: SquareBasis, eps: float,
         norm, bound, dropped = SUP_SPHERE, value / (eps - r), w
     keep = linalg.count_above(dropped, eps - r, strict_cap(bound))
     error = (float(dropped[keep]) if keep < len(w) else 0.0) + r
-    return _assemble(a, basis, dec, keep, error, norm, eps, bound, value, sol.iterations)
+    return _assemble(a, basis, canonical, dec, keep, error, norm, eps, bound, value,
+                     sol.iterations)
 
 
 def approximate_free(p: Polynomial, eps: float) -> SosCertificate:
@@ -306,15 +309,10 @@ class BoundReport:
         self.general_bound = self.dim_v
         self.sqrt_dim_bound = _ceil_sqrt(self.dim_vv)
         ratio = self.sos_norm_value / self.eps
-        if self.flavor == COMMUTATIVE:
-            # sup-norm route: operator norm 1 at p = inf
-            self.theorem_bound = ratio
-            self.min_certified_bound = ratio
-        else:
-            self.theorem_bound = ratio ** 2
-            # every Schatten route is certified in the free flavor; the
-            # exponent p/(p-1) is minimized at p = inf once ratio > 1
-            self.min_certified_bound = ratio if ratio > 1.0 else ratio ** 2
+        # the bound `approximate` certifies: the sphere sup-norm with operator
+        # norm 1 on commutative inputs, the coefficient 2-norm on free ones
+        self.theorem_bound = ratio if self.flavor == COMMUTATIVE else ratio ** 2
+        self.min_certified_bound = self.theorem_bound
         self.theorem_allowed_rank = strict_cap(self.theorem_bound)
 
     def to_dict(self) -> dict:

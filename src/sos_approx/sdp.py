@@ -20,10 +20,15 @@ Farkas ray (Banjac, Goulart, Stellato, Boyd 2019).  Every check tests it on
 all blocks (eigenvalues only), shifted onto the PSD cone along Gaussian
 moments first if only its least eigenvalue misses, and returns it once it
 verifies.  `sos_feasible` runs the same loop with a zero objective and
-stops at the first PSD point of the fiber.
+stops at the first PSD point of the fiber.  The ray does not depend on the
+objective, so `sos_norm` opens with one check window on the zero objective
+too: its first check certifies what `sos_feasible` certifies there, and
+otherwise hands the window's Z over to the trace objective as a warm start.
 
-The penalty rho is balanced on scale-free residuals (Wohlberg 2017): the
-splitting residual relative to the larger iterate norm against the dual
+The trace solve starts rho at ||I|| / ||A+ b||, the objective's norm over
+that of the fiber's least-norm point, rather than at 1 (after OSQP, Stellato
+et al. 2020).  Rho is then balanced on scale-free residuals (Wohlberg 2017):
+the splitting residual relative to the larger iterate norm against the dual
 residual relative to the dual norm.  Between two checks at which rho held
 still, safeguarded Anderson acceleration (Walker & Ni 2011; Zhang,
 O'Donoghue & Boyd 2020) extrapolates the state (Z, U) of the map
@@ -55,7 +60,7 @@ from .poly import FREE, Polynomial
 # factor.  The raw residuals carry the scales of the iterates and of the dual,
 # which differ by orders of magnitude, so only their relative sizes compare.
 _RHO_BALANCE = 5.0
-_RHO = 1.0                  # the initial penalty, which the balancing moves
+_RHO = 1.0                  # the zero objective's initial penalty; the balancing moves it
 _OVER_RELAX = 1.6           # over-relaxed ADMM converges only for 0 < alpha < 2
 _TINY = 1e-300
 CHECK_EVERY = 25            # steps between convergence checks
@@ -327,6 +332,19 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     the first check where the PSD iterate meets the primal tolerance, and it
     has no dual bound.
 
+    With minimize_trace=True the loop differs in three places, all before
+    step CHECK_EVERY + 1:
+    - rho starts at ||I|| / ||A+ b|| (A+ b = A*(solve_normal(b)), the
+      least-norm point of the normalized fiber), not at 1, from which the
+      balancing spent its first checks doubling rho;
+    - the opening window, steps 1..CHECK_EVERY, steps on the zero objective
+      (no eye / rho shift), so the first check's Farkas candidate U - U_prev
+      is `sos_feasible`'s; the check itself runs as every check does;
+    - if that check returns nothing, the hand-over: Z stays as the warm
+      start, U and U_prev restart at zero (the zero objective's dual is no
+      dual of the trace problem), rho is not balanced, and Anderson's
+      memory is cleared, as after a rho change.
+
     Each step makes one LAPACK call per projected block.  The solve keeps a
     rank hint per block (`BlockSystem.psd_part`), so a block whose last
     projection kept at most a quarter of its eigenvalues computes only the
@@ -357,7 +375,9 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     ranks = system.rank_hint()
 
     eye = system.identity()
-    rho = _RHO
+    # scale-free start: ||I|| over the least-norm point A+ b of the fiber
+    rho = (float(np.linalg.norm(eye) / np.linalg.norm(system.adjoint(bh_normal)))
+           if minimize_trace else _RHO)
     shift = eye / rho
     alpha = _OVER_RELAX
     Z = np.zeros(system.size)
@@ -375,7 +395,8 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     n = system.size
     it = 0
     for it in range(1, options.max_iter + 1):
-        V = Z - U - shift if minimize_trace else Z - U
+        # the opening window steps on the zero objective, as sos_feasible does
+        V = Z - U - shift if minimize_trace and it > CHECK_EVERY else Z - U
         mu = system.apply(V) * inv_normal - bh_normal
         X = V - system.adjoint(mu)
         Xr = alpha * X + (1.0 - alpha) * Z
@@ -406,8 +427,13 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
                     return _infeasible(cert, system.dim, pres, it, trace)
             r_rel = r_split / max(float(np.linalg.norm(X)), float(np.linalg.norm(Z)), _TINY)
             s_rel = s_dual / max(rho * float(np.linalg.norm(U)), _TINY)
+            handover = minimize_trace and it == CHECK_EVERY
             rho_was = rho
-            if r_rel > _RHO_BALANCE * s_rel and rho < 1e6:
+            if handover:
+                # Z warm-starts the trace objective; the zero objective's
+                # dual is no dual of the trace problem, so U starts afresh
+                U = np.zeros_like(Z)
+            elif r_rel > _RHO_BALANCE * s_rel and rho < 1e6:
                 rho *= 2.0
                 U /= 2.0
                 shift = eye / rho
@@ -415,10 +441,10 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
                 rho /= 2.0
                 U *= 2.0
                 shift = eye / rho
-            # taken after a rho change has rescaled U, so the next difference
-            # spans CHECK_EVERY steps at one rho
+            # taken after a rho change has rescaled U (or the hand-over zeroed
+            # it), so the next difference spans CHECK_EVERY steps at one rho
             U_prev = U.copy()
-            steady = rho == rho_was
+            steady = rho == rho_was and not handover    # else the map has changed
             if steady:
                 anderson.x = np.concatenate([Z, U])
             else:

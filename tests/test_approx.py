@@ -20,6 +20,7 @@ from sos_approx.approx import (
     strict_cap,
 )
 from sos_approx.gram import (
+    BasisSizeError,
     SquareBasis,
     gram_map,
     gram_preimage_free,
@@ -405,9 +406,24 @@ def test_eps_must_be_finite_and_positive(monkeypatch):
             bound_report(COMMUTATIVE, 3, 2, 1.0, value)
 
 
+def test_over_cap_basis_refused_before_the_solve(monkeypatch):
+    # two words of a basis whose canonical enumeration (20^4 words) exceeds
+    # the cap: the certificate would be written over the whole of it
+    solves = []
+    monkeypatch.setattr(approx_module, "sos_norm", lambda *args, **kw: solves.append(args))
+    basis = SquareBasis(FREE, 20, 4, ((0, 1, 2, 3), (3, 2, 1, 0)))
+    a = gram_map(np.diag([2.0, 1.0]), basis)
+    with pytest.raises(BasisSizeError, match="basis would have 160000 entries"):
+        approximate(a, basis, 0.5)
+    assert solves == []
+
+
 def test_bound_report_free_min_certified():
     r = bound_report(FREE, 2, 2, eps=1.0, sos_norm_value=4.0)
     assert r.theorem_bound == pytest.approx(16.0)
-    assert r.min_certified_bound == pytest.approx(4.0)  # p = inf wins once ratio > 1
-    r = bound_report(FREE, 2, 2, eps=8.0, sos_norm_value=4.0)
-    assert r.min_certified_bound == pytest.approx(0.25)
+    # free certificates are measured in the coefficient 2-norm: nine unit
+    # eigenvalues within eps = 2 keep 5 squares, under (9/2)^2 but not 9/2
+    cert = approximate_free(gram_map(np.eye(9), square_basis(FREE, 3, 2)), 2.0)
+    r = bound_report(FREE, 3, 2, 2.0, 9.0)
+    assert cert.rank == 5 and cert.theoretical_bound == pytest.approx(20.25)
+    assert r.min_certified_bound == pytest.approx(cert.theoretical_bound)

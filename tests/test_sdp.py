@@ -123,27 +123,25 @@ def test_indefinite_rejected_with_certificate():
     assert dual_bound(a, basis) == math.inf
 
 
-# nonnegative forms that are not sums of squares, with the steps the solver
-# takes to certify them when every check tests a Farkas candidate, shifted
-# onto the PSD cone along Gaussian moments where only its least eigenvalue
-# misses
+# nonnegative forms that are not sums of squares
 SWAPPED_CHOI_LAM = {(e[1], e[0], e[2]): c for e, c in CHOI_LAM_S.items()}   # x <-> y
-NON_SOS_STEPS = ((MOTZKIN, 75), (CHOI_LAM_S, 75), (SWAPPED_CHOI_LAM, 75), (ROBINSON, 50))
+NON_SOS_FORMS = (MOTZKIN, CHOI_LAM_S, SWAPPED_CHOI_LAM, ROBINSON)
 
 
 def test_non_sos_forms_certified_within_step_bounds():
     # the splitting solver finds the separating functional itself, both
-    # with the trace objective and with the zero objective of sos_feasible
+    # with the trace objective and with the zero objective of sos_feasible,
+    # at the first check, which the trace solve reaches on the zero objective
     basis = square_basis(COMMUTATIVE, 3, 3)
-    for coeffs, steps in NON_SOS_STEPS:
+    for coeffs in NON_SOS_FORMS:
         form = Polynomial(COMMUTATIVE, 3, coeffs)
         cons = build_constraints(form, basis)
         value, sol = sos_norm(form, basis)
         assert sol.status is SolveStatus.INFEASIBLE and math.isnan(value)
-        assert sol.iterations <= steps, (coeffs, sol.iterations)
+        assert sol.iterations == CHECK_EVERY, (coeffs, sol.iterations)
         result = sos_feasible(form, basis)
         assert not result.feasible and result.witness is None
-        assert result.iterations <= steps, (coeffs, result.iterations)
+        assert result.iterations == CHECK_EVERY, (coeffs, result.iterations)
         for y in (sol.certificate.values, result.certificate.values):
             w = np.linalg.eigvalsh(cons.adjoint(y))
             assert w.min() >= -1e-8 * np.abs(w).max()
@@ -248,7 +246,7 @@ def _shifted_forms(seed):
 def test_shifted_forms_certified_on_the_psd_boundary():
     # their candidates clear the value margin long before the PSD margin; the
     # shift along Gaussian moments certifies the d = 2, 3 forms of the
-    # benchmark's seeds 1-3 within 400 steps, and those of every seed here
+    # benchmark's seeds 1-3 at the first check, and those of every seed here
     # with certificates that sit on the PSD boundary
     for seed in range(1, 11):
         for form in _shifted_forms(seed)[2:]:
@@ -258,7 +256,7 @@ def test_shifted_forms_certified_on_the_psd_boundary():
             result = sos_feasible(form, basis)
             assert sol.status is SolveStatus.INFEASIBLE and not result.feasible
             if seed <= 3:
-                assert sol.iterations <= 400, (seed, sol.iterations)
+                assert sol.iterations == CHECK_EVERY, (seed, sol.iterations)
             for cert in (sol.certificate, result.certificate):
                 assert _farkas_holds(form, cert.values)
                 scale = np.abs(np.linalg.eigvalsh(cons.adjoint(cert.values))).max()
@@ -268,23 +266,29 @@ def test_shifted_forms_certified_on_the_psd_boundary():
 def test_unfactorable_shift_leaves_plain_candidates(monkeypatch):
     # when an S0 block cannot be factored (its Gaussian moments are too
     # ill-conditioned at high degree) the shift is skipped, and the solve
-    # goes on to a plain candidate that verifies
+    # goes on, past the opening window, to a plain candidate that verifies.
+    # The first d = 2 form of seed 1 is certified at the first check only
+    # with the shift
+    form = _shifted_forms(1)[2]
+    basis = square_basis(COMMUTATIVE, 3, 2)
+    assert sos_norm(form, basis)[1].iterations == CHECK_EVERY
+
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("the leading minor is not positive definite")
 
     monkeypatch.setattr(scipy.linalg, "eigh", fail)
-    form = Polynomial(COMMUTATIVE, 3, MOTZKIN)
-    _, sol = sos_norm(form, square_basis(COMMUTATIVE, 3, 3))
-    assert sol.status is SolveStatus.INFEASIBLE and sol.iterations > 75     # 75 with the shift
+    _, sol = sos_norm(form, basis)
+    assert sol.status is SolveStatus.INFEASIBLE and sol.iterations > CHECK_EVERY
     assert _farkas_holds(form, sol.certificate.values)
 
 
 def test_certificate_tested_right_after_rho_change():
-    # on Robinson's form rho doubles at every check; the dual change over
-    # the steps after a doubling, all at the new rho, is the certificate
-    form = Polynomial(COMMUTATIVE, 3, ROBINSON)
+    # the last d = 3 form of seed 7 outlasts the opening window, and rho
+    # changes at the check before its certificate; the dual change over the
+    # steps after the change, all at the new rho, is the certificate
+    form = _shifted_forms(7)[5]
     _, sol = sos_norm(form, square_basis(COMMUTATIVE, 3, 3))
-    assert sol.status is SolveStatus.INFEASIBLE
+    assert sol.status is SolveStatus.INFEASIBLE and sol.iterations > CHECK_EVERY
     assert sol.trace[-1].rho != sol.trace[-2].rho
     assert _farkas_holds(form, sol.certificate.values)
 

@@ -120,8 +120,17 @@ def cmd_sos_norm(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _finite(value):
+    """value with every non-finite float in it replaced by None, which JSON writes as null."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit(args: argparse.Namespace, report: dict) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(_finite(report), indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if getattr(args, "output", None):
         _atomic_write(args.output, text + "\n")

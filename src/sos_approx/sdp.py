@@ -1,43 +1,36 @@
 """Trace-minimization SDP for the sos-norm, duality, and rank reduction.
 
-The solver is a first-order operator-splitting scheme: each iteration
-projects onto the affine subspace {tr(A_l M) = lambda_l} (exactly, through
-the cached constraint Gram system) and onto the PSD cone (one LAPACK
-eigendecomposition per block, of the positive eigenpairs only where the
-block's last projection kept few), with the trace objective folded into
-the augmented splitting.  It runs on `GramConstraints.block_system`: for
-commutative inputs every A_l is real, so the iterates are real symmetric,
-and they are block-diagonal over the sign-symmetry classes of the basis
-(Gatermann & Parrilo 2004); free inputs, whose fiber is one matrix, go to
-`_unique_gram` instead.  When swaps of variables that fix the input permute
-the blocks, the cone projection keeps the iterates invariant under them and
-decomposes one block per orbit.  Results are embedded back: the full D x D
-matrix, and duals over all k equations.
+The solver is ADMM, a first-order operator splitting: each step projects
+onto the affine subspace {tr(A_l M) = lambda_l} (exactly, through the cached
+constraint Gram system) and onto the PSD cone (one LAPACK
+eigendecomposition per block).  It runs on `GramConstraints.block_system`:
+for commutative inputs every A_l is real, so the iterates are real
+symmetric, and they are block-diagonal over the sign-symmetry classes of the
+basis (Gatermann & Parrilo 2004); free inputs, whose fiber is one matrix, go
+to `_unique_gram` instead.  When swaps of variables that fix the input
+permute the blocks, the cone projection keeps the iterates invariant under
+them and decomposes one block per orbit.  Results are embedded back: the
+full D x D matrix, and duals over all k equations.
 
 The same loop detects infeasibility: when the fiber misses the cone, the
 change in the scaled dual between two checks, at one rho, converges to a
-Farkas ray (Banjac, Goulart, Stellato, Boyd 2019).  Every check tests it on
-all blocks (eigenvalues only), shifted onto the PSD cone along Gaussian
-moments first if only its least eigenvalue misses, and returns it once it
-verifies.  `sos_feasible` runs the same loop with a zero objective and
-stops at the first PSD point of the fiber.  The ray does not depend on the
-objective, so `sos_norm` opens with one check window on the zero objective
-too: its first check certifies what `sos_feasible` certifies there, and
-otherwise hands the window's Z over to the trace objective as a warm start.
+Farkas ray whatever the objective (Banjac, Goulart, Stellato, Boyd 2019).
+Every check tests it on all blocks (eigenvalues only), shifted onto the PSD
+cone along Gaussian moments first if only its least eigenvalue misses, and
+returns it once it verifies.  `sos_feasible` runs the loop on the zero
+objective and `sos_norm` on the trace, after an opening window on the zero
+objective (`_trace_min`).
 
-The trace solve starts rho at ||I|| / ||A+ b||, the objective's norm over
-that of the fiber's least-norm point, rather than at 1 (after OSQP, Stellato
-et al. 2020).  Rho is then balanced on scale-free residuals (Wohlberg 2017):
-the splitting residual relative to the larger iterate norm against the dual
-residual relative to the dual norm.  Between two checks at which rho held
-still, safeguarded Anderson acceleration (Walker & Ni 2011; Zhang,
-O'Donoghue & Boyd 2020) extrapolates the state (Z, U) of the map
-`ANDERSON_STRIDE` steps long; every check sees plain steps.  Each
-convergence check, every `CHECK_EVERY` steps, is kept in
-`SdpSolution.trace`.  `SolverOptions` holds the stopping rule only and
-rejects values the loop cannot run with (non-finite or non-positive
-tolerances, an iteration cap below 1) with a ValueError that names the
-option.
+For the trace, rho starts at ||I|| / ||A+ b||, the objective's norm over
+that of the fiber's least-norm point (after OSQP, Stellato et al. 2020).  It
+is balanced on scale-free residuals (Wohlberg 2017): the splitting residual
+relative to the larger iterate norm against the dual residual relative to
+the dual norm.  Safeguarded Anderson acceleration (`_Anderson`) extrapolates
+the state (Z, U) of the map of `ANDERSON_STRIDE` steps.  Each convergence
+check, every `CHECK_EVERY` steps, is kept in `SdpSolution.trace`.
+`SolverOptions` holds the stopping rule only and rejects values the loop
+cannot run with (non-finite or non-positive tolerances, an iteration cap
+below 1) with a ValueError that names the option.
 """
 
 from __future__ import annotations
@@ -114,6 +107,15 @@ class SolverOptions:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"solver option {name!r} must be finite and > 0, got {value!r}")
+
+    def residual_tol(self, bnorm: float) -> float:
+        """The constraint residual a solution may keep, for targets of norm bnorm."""
+        return self.tol_primal * (1.0 + bnorm)
+
+    def converged(self, bnorm: float, pres: float, pval: float, gap: float) -> bool:
+        """The stopping rule of every solve; a NaN gap (no objective) is not tested."""
+        return pres <= self.residual_tol(bnorm) and (
+            math.isnan(gap) or abs(gap) <= self.tol_gap * (1.0 + abs(pval)))
 
     @classmethod
     def from_mapping(cls, data: dict) -> "SolverOptions":
@@ -267,11 +269,20 @@ def _infeasible(cert: DualFunctional, dim: int, pres: float, iterations: int,
                        "(its negation is an improving ray for the dual)", cert, trace)
 
 
-class _Anderson:
-    """Safeguarded type-II Anderson acceleration of a fixed-point map T.
+def _finish(converged: bool, why_not: str, matrix: np.ndarray, pval: float, y: np.ndarray,
+            dval: float, pres: float, gap: float, iterations: int,
+            trace: list[CheckRecord]) -> SdpSolution:
+    """`optimal` if the stopping rule passed, else `max-iter` with message why_not."""
+    status = SolveStatus.OPTIMAL if converged else SolveStatus.MAX_ITER
+    return SdpSolution(matrix, pval, y, dval, pres, gap, status, iterations,
+                       "" if converged else why_not, trace=trace)
 
-    The caller applies T (here ANDERSON_STRIDE ADMM steps) to the point `x`
-    and hands the image w = T(x) to `sample`, which keeps the pair (x,
+
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration of a fixed-point map F.
+
+    The caller applies F (here ANDERSON_STRIDE ADMM steps) to the point `x`
+    and hands the image w = F(x) to `sample`, which keeps the pair (x,
     f = w - x).  From the differences of the last ANDERSON_MEMORY + 1 pairs
     it fits gamma = argmin ||f - dF gamma||^2 + reg ||gamma||^2 (reg =
     _ANDERSON_REG * tr(dF* dF) / m) and extrapolates to w - (dX + dF) gamma
@@ -279,15 +290,23 @@ class _Anderson:
     the next sample's residual ||f|| exceeds the one the point was fitted
     at, the accelerated point is dropped, the iteration resumes from the
     plain image it replaced, and the memory is cleared.  `kept` counts the
-    accelerated points that passed the safeguard.
+    accelerated points that passed the safeguard since the last `restart`.
     """
 
     def __init__(self) -> None:
+        self.restart(None)
+
+    def restart(self, x: Optional[np.ndarray]) -> None:
+        """At a check: F is applied to x next, from the memory kept so far;
+        None clears the memory, as a changed F requires."""
         self.kept = 0
-        self.reset(None)
+        if x is None:
+            self.reset(None)
+        else:
+            self.x = x
 
     def reset(self, x: Optional[np.ndarray]) -> None:
-        """Clear the memory; T is applied to x next."""
+        """Clear the memory; F is applied to x next."""
         self.xs: list[np.ndarray] = []
         self.fs: list[np.ndarray] = []
         self.x = x
@@ -295,7 +314,7 @@ class _Anderson:
         self.fitted_at = math.inf
 
     def sample(self, w: np.ndarray, accelerate: bool) -> Optional[np.ndarray]:
-        """Take w = T(x); return the point to continue from, or None for w."""
+        """Take w = F(x); return the point to continue from, or None for w."""
         f = w - self.x
         fnorm = float(np.linalg.norm(f))
         if self.plain is not None:
@@ -324,46 +343,25 @@ class _Anderson:
 
 def _trace_min(constraints: GramConstraints, options: SolverOptions,
                minimize_trace: bool = True) -> SdpSolution:
-    """ADMM for min tr(M) s.t. tr(A_l M) = lambda_l, M >= 0 (normalized targets).
+    """ADMM for min <C, M> s.t. tr(A_l M) = lambda_l, M >= 0 (normalized targets).
 
-    The iterates live on `constraints.block_system`: real, block-diagonal,
-    never free (see `_unique_gram`).  With minimize_trace=False the objective is zero,
-    which makes the loop a Douglas-Rachford feasibility solve: it stops at
-    the first check where the PSD iterate meets the primal tolerance, and it
-    has no dual bound.
+    Setup, one step map T on (Z, U), one check every CHECK_EVERY steps and
+    at the cap, one finish.  The objective C is data: T subtracts C / rho,
+    and C is zero throughout for minimize_trace=False and for the opening
+    window (steps 1..CHECK_EVERY) otherwise, so those steps are exactly a
+    Douglas-Rachford feasibility solve's and the first check tests the same
+    Farkas candidate.  If that check does not end the solve, it hands over
+    to C = I: Z stays as the warm start, U restarts at zero (the zero
+    objective's dual is no dual of the trace problem), and rho is not
+    balanced.
 
-    With minimize_trace=True the loop differs in three places, all before
-    step CHECK_EVERY + 1:
-    - rho starts at ||I|| / ||A+ b|| (A+ b = A*(solve_normal(b)), the
-      least-norm point of the normalized fiber), not at 1, from which the
-      balancing spent its first checks doubling rho;
-    - the opening window, steps 1..CHECK_EVERY, steps on the zero objective
-      (no eye / rho shift), so the first check's Farkas candidate U - U_prev
-      is `sos_feasible`'s; the check itself runs as every check does;
-    - if that check returns nothing, the hand-over: Z stays as the warm
-      start, U and U_prev restart at zero (the zero objective's dual is no
-      dual of the trace problem), rho is not balanced, and Anderson's
-      memory is cleared, as after a rho change.
-
-    Each step makes one LAPACK call per projected block.  The solve keeps a
-    rank hint per block (`BlockSystem.psd_part`), so a block whose last
-    projection kept at most a quarter of its eigenvalues computes only the
-    positive eigenpairs; trace-minimal iterates are nearly low rank, so
-    most steps take that branch on the large blocks.  The values that do
-    not change between steps (the normal system's inverse diagonal, the
-    scaled targets through it, and eye / rho until rho changes) are
-    computed once.
-
-    Anderson acceleration (`_Anderson`) treats T = ANDERSON_STRIDE steps as
-    a fixed-point map on w = (Z, U).  It runs only in a check window whose
-    opening check left rho unchanged (on non-SOS inputs rho doubles at
-    almost every check, and accelerating there slowed the certificate); a
-    rho change clears its memory, and other windows take no samples.  A
-    steady window samples w at offsets 5, 10, 15 and 20 and may jump to an
-    accelerated point at 5, 10 and 15, so the safeguard judges every jump
-    before the check and the steps into every check, including the one at
-    the iteration cap, are plain projected steps: Z is PSD there, and the
-    checks, the dual bound and the Farkas test are unchanged.
+    A check records a `CheckRecord`, tests the stopping rule (the gap only
+    with minimize_trace, which alone has a dual bound), then the Farkas
+    candidate U - U_prev, then balances rho.  The hand-over and a rho change
+    change T, which clears Anderson's memory.  A window whose opening check
+    left T unchanged samples (Z, U) at offsets 5, 10, 15 and 20 and may jump
+    at 5, 10 and 15, so the safeguard judges every jump before the check and
+    the steps into every check are plain: Z is PSD there.
     """
     system = constraints.block_system
     b = system.targets
@@ -373,84 +371,30 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     inv_normal = system.solve_normal(np.ones(len(b)))
     bh_normal = system.solve_normal(bh)
     ranks = system.rank_hint()
-
     eye = system.identity()
-    # scale-free start: ||I|| over the least-norm point A+ b of the fiber
     rho = (float(np.linalg.norm(eye) / np.linalg.norm(system.adjoint(bh_normal)))
            if minimize_trace else _RHO)
-    shift = eye / rho
-    alpha = _OVER_RELAX
-    Z = np.zeros(system.size)
-    U = np.zeros_like(Z)
-    mu = np.zeros(len(b))
-    U_prev = U.copy()
-    tol_primal = options.tol_primal * (1.0 + bnorm)
-    y_out = np.zeros(len(b))
-    dval = 0.0
-    pres = math.inf
-    gap = math.inf if minimize_trace else math.nan
-    trace: list[CheckRecord] = []
-    anderson = _Anderson()
-    steady = False              # the opening check of this window left rho unchanged
+    objective = shift = 0.0     # C and C / rho
     n = system.size
-    it = 0
-    for it in range(1, options.max_iter + 1):
-        # the opening window steps on the zero objective, as sos_feasible does
-        V = Z - U - shift if minimize_trace and it > CHECK_EVERY else Z - U
+
+    def T(Z, U):
+        """One over-relaxed step; also returns the affine point X and its multipliers."""
+        V = Z - U - shift
         mu = system.apply(V) * inv_normal - bh_normal
         X = V - system.adjoint(mu)
-        Xr = alpha * X + (1.0 - alpha) * Z
+        Xr = _OVER_RELAX * X + (1.0 - _OVER_RELAX) * Z
         Z_new = system.psd_part(Xr + U, ranks)
-        U = U + Xr - Z_new
-        if it % CHECK_EVERY == 0 or it == options.max_iter:
-            r_split = float(np.linalg.norm(X - Z_new))
-            s_dual = rho * float(np.linalg.norm(Z_new - Z))
-            Z = Z_new
-            pres = s * float(np.linalg.norm(system.apply(Z) - bh))
-            pval = s * system.trace(Z)
-            converged = pres <= tol_primal
-            if minimize_trace:
-                y_out, dval_h = _dual_shifted(system, bh, -rho * mu)
-                dval = s * dval_h
-                gap = pval - dval
-                converged = converged and abs(gap) <= options.tol_gap * (1.0 + abs(pval))
-            trace.append(CheckRecord(it, pres, r_split, s_dual, rho, gap, anderson.kept))
-            anderson.kept = 0
-            if converged:
-                return SdpSolution(
-                    matrix=system.embed(s * Z), objective=pval, dual=system.lift(y_out),
-                    dual_objective=dval, primal_residual=pres, gap=gap,
-                    status=SolveStatus.OPTIMAL, iterations=it, trace=trace)
-            if pres > 50 * tol_primal:
-                cert = _certificate_from_gap(system, U - U_prev)
-                if cert is not None:
-                    return _infeasible(cert, system.dim, pres, it, trace)
-            r_rel = r_split / max(float(np.linalg.norm(X)), float(np.linalg.norm(Z)), _TINY)
-            s_rel = s_dual / max(rho * float(np.linalg.norm(U)), _TINY)
-            handover = minimize_trace and it == CHECK_EVERY
-            rho_was = rho
-            if handover:
-                # Z warm-starts the trace objective; the zero objective's
-                # dual is no dual of the trace problem, so U starts afresh
-                U = np.zeros_like(Z)
-            elif r_rel > _RHO_BALANCE * s_rel and rho < 1e6:
-                rho *= 2.0
-                U /= 2.0
-                shift = eye / rho
-            elif s_rel > _RHO_BALANCE * r_rel and rho > 1e-6:
-                rho /= 2.0
-                U *= 2.0
-                shift = eye / rho
-            # taken after a rho change has rescaled U (or the hand-over zeroed
-            # it), so the next difference spans CHECK_EVERY steps at one rho
-            U_prev = U.copy()
-            steady = rho == rho_was and not handover    # else the map has changed
-            if steady:
-                anderson.x = np.concatenate([Z, U])
-            else:
-                anderson.reset(None)
-        else:
-            Z = Z_new
+        return Z_new, U + Xr - Z_new, X, mu
+
+    Z = U = U_prev = np.zeros(n)
+    y_out, dval, gap = np.zeros(len(b)), 0.0, math.nan
+    trace: list[CheckRecord] = []
+    anderson = _Anderson()
+    steady = False              # the opening check of this window left T unchanged
+    for it in range(1, options.max_iter + 1):
+        Z_prev = Z
+        Z, U, X, mu = T(Z, U)
+        if it % CHECK_EVERY and it < options.max_iter:
             if steady and it % ANDERSON_STRIDE == 0:
                 # accelerate only where the safeguard's sample and at least
                 # one stride of plain steps still come before the next check
@@ -458,14 +402,43 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
                 w = anderson.sample(np.concatenate([Z, U]), it + 2 * ANDERSON_STRIDE <= check)
                 if w is not None:
                     Z, U = w[:n], w[n:]
-    pval = s * system.trace(Z)
+            continue
+        r_split = float(np.linalg.norm(X - Z))
+        s_dual = rho * float(np.linalg.norm(Z - Z_prev))
+        pres = s * float(np.linalg.norm(system.apply(Z) - bh))
+        pval = s * system.trace(Z)
+        if minimize_trace:
+            y_out, dval_h = _dual_shifted(system, bh, -rho * mu)
+            dval = s * dval_h
+            gap = pval - dval
+        trace.append(CheckRecord(it, pres, r_split, s_dual, rho, gap, anderson.kept))
+        converged = options.converged(bnorm, pres, pval, gap)
+        if converged:
+            break
+        if pres > 50 * options.residual_tol(bnorm):
+            cert = _certificate_from_gap(system, U - U_prev)
+            if cert is not None:
+                return _infeasible(cert, system.dim, pres, it, trace)
+        r_rel = r_split / max(float(np.linalg.norm(X)), float(np.linalg.norm(Z)), _TINY)
+        s_rel = s_dual / max(rho * float(np.linalg.norm(U)), _TINY)
+        rho_was = rho
+        handover = minimize_trace and it == CHECK_EVERY
+        if handover:
+            objective, U = eye, np.zeros(n)
+        elif r_rel > _RHO_BALANCE * s_rel and rho < 1e6:
+            rho, U = rho * 2.0, U / 2.0
+        elif s_rel > _RHO_BALANCE * r_rel and rho > 1e-6:
+            rho, U = rho / 2.0, U * 2.0
+        shift = objective / rho
+        # taken after a rho change or the hand-over has reset U, so the next
+        # difference spans CHECK_EVERY steps of one T
+        U_prev = U
+        steady = rho == rho_was and not handover
+        anderson.restart(np.concatenate([Z, U]) if steady else None)
     gap_note = f", gap {gap:.3e}" if minimize_trace else ""
-    return SdpSolution(
-        matrix=system.embed(s * Z), objective=pval, dual=system.lift(y_out),
-        dual_objective=dval, primal_residual=pres, gap=gap, status=SolveStatus.MAX_ITER,
-        iterations=it,
-        message=f"iteration cap {options.max_iter} reached (residual {pres:.3e}{gap_note})",
-        trace=trace)
+    why_not = f"iteration cap {options.max_iter} reached (residual {pres:.3e}{gap_note})"
+    return _finish(converged, why_not, system.embed(s * Z), pval, system.lift(y_out), dval,
+                   pres, gap, it, trace)
 
 
 def _unique_gram(constraints: GramConstraints, options: SolverOptions,
@@ -482,15 +455,15 @@ def _unique_gram(constraints: GramConstraints, options: SolverOptions,
     pres, pval = cons.residual(Z), float(np.trace(Z).real)
     y = cons.solve_normal(cons.apply(np.eye(cons.dim)))
     gap = pval - float(b @ y) if minimize_trace else math.nan
-    if pres <= options.tol_primal * (1.0 + np.linalg.norm(b)) and (
-            not minimize_trace or abs(gap) <= options.tol_gap * (1.0 + abs(pval))):
-        return SdpSolution(Z, pval, y, float(b @ y), pres, gap, SolveStatus.OPTIMAL, 0)
-    yv = cons.solve_normal(cons.apply(np.outer(v, v.conj())))
-    cert = _certified(yv, linalg.eig_hermitian(cons.adjoint(yv)).eigenvalues, float(b @ yv), b)
-    if cert is not None:
-        return _infeasible(cert, cons.dim, pres, 0, [])
-    return SdpSolution(Z, pval, y, float(b @ y), pres, gap, SolveStatus.MAX_ITER, 0,
-                       f"unique Gram matrix: least eigenvalue {w[-1]:.3e}, neither PSD nor certified")
+    converged = options.converged(float(np.linalg.norm(b)), pres, pval, gap)
+    if not converged:
+        yv = cons.solve_normal(cons.apply(np.outer(v, v.conj())))
+        cert = _certified(yv, linalg.eig_hermitian(cons.adjoint(yv)).eigenvalues,
+                          float(b @ yv), b)
+        if cert is not None:
+            return _infeasible(cert, cons.dim, pres, 0, [])
+    why_not = f"unique Gram matrix: least eigenvalue {w[-1]:.3e}, neither PSD nor certified"
+    return _finish(converged, why_not, Z, pval, y, float(b @ y), pres, gap, 0, [])
 
 
 def _solve(a: Polynomial, basis: SquareBasis, options: SolverOptions | None,

@@ -6,7 +6,7 @@ import stat
 import numpy as np
 import pytest
 
-from conftest import free_input, random_sos
+from conftest import MOTZKIN, free_input, random_sos
 from sos_approx import cli, linalg
 from sos_approx.approx import SosCertificate
 from sos_approx.poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares, to_json, variables
@@ -67,6 +67,26 @@ def test_sos_norm_infeasible_exit_code(tmp_path):
     x1, x2 = variables(COMMUTATIVE, 2)
     path = write_poly(tmp_path, x1 * x1 - x2 * x2)
     assert cli.main(["sos-norm", "--input", path]) == 3
+
+
+def test_infeasible_report_is_standard_json(tmp_path, capsys):
+    # an infeasible solve has no value, gap or dual bound; JSON has no NaN or
+    # Infinity token, so the report writes null, on stdout and in the file
+    def no_constants(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    for name, p in (("motzkin", Polynomial(COMMUTATIVE, 3, MOTZKIN)),
+                    ("free", free_input(-1.0)[0])):
+        path = write_poly(tmp_path, p, f"{name}.json")
+        out = tmp_path / f"{name}-report.json"
+        assert cli.main(["sos-norm", "--input", path, "--output", str(out)]) == 3
+        for text in (capsys.readouterr().out, out.read_text()):
+            report = json.loads(text, parse_constant=no_constants)
+            assert report["status"] == "infeasible"
+            keys = ("value", "duality_gap", "dual_lower_bound")
+            for key in keys + (("solver_value",) if name == "free" else ()):
+                assert report[key] is None, key
+            assert report["certificate"]["objective"] < 0
 
 
 def test_parse_error_exit_codes(tmp_path):

@@ -582,6 +582,19 @@ def test_max_iter_reported_not_coerced(rng):
     assert sol.trace[-1].primal_residual == sol.primal_residual
     with pytest.raises(SolverError):
         dual_bound(a, basis, opts)
+    # caps inside, at and just past the opening window on the zero objective
+    a, basis = random_sos(np.random.default_rng(3), COMMUTATIVE, 3, 2, 3)
+    for cap, checks in ((1, [1]), (10, [10]), (CHECK_EVERY, [25]), (CHECK_EVERY + 1, [25, 26])):
+        _, sol = sos_norm(a, basis, SolverOptions(max_iter=cap))
+        assert sol.status is SolveStatus.MAX_ITER, cap
+        assert [rec.iteration for rec in sol.trace] == checks
+        assert sol.iterations == cap
+        assert "residual" in sol.message and "gap" in sol.message, sol.message
+    # the window's one check still certifies a non-SOS form at the cap
+    _, sol = sos_norm(Polynomial(COMMUTATIVE, 3, MOTZKIN), square_basis(COMMUTATIVE, 3, 3),
+                      SolverOptions(max_iter=CHECK_EVERY))
+    assert sol.status is SolveStatus.INFEASIBLE
+    assert sol.iterations == CHECK_EVERY
 
 
 def test_figure_rows_have_no_iteration_cliff():

@@ -264,9 +264,13 @@ class Polynomial:
             return np.zeros(points.shape[0], dtype=complex)
         terms = np.array(list(self._coeffs.keys()), dtype=np.int64)
         coeffs = np.array(list(self._coeffs.values()), dtype=complex)
-        # powers: (m, nterms, n) -> product over variables
-        powers = points[:, None, :] ** terms[None, :, :]
-        return powers.prod(axis=2) @ coeffs
+        # each variable raised once to every power it takes in a term, gathered
+        # by exponent and multiplied in variable order: (m, nterms)
+        powers = np.arange(terms.max() + 1)
+        values = (points[:, 0, None] ** powers)[:, terms[:, 0]]
+        for i in range(1, self.n_vars):
+            values = values * (points[:, i, None] ** powers)[:, terms[:, i]]
+        return values @ coeffs
 
     def differentiate(self, index: int) -> "Polynomial":
         """Partial derivative with respect to x_{index+1} (commutative only)."""

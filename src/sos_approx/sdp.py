@@ -15,11 +15,11 @@ full D x D matrix, and duals over all k equations.
 The same loop detects infeasibility: when the fiber misses the cone, the
 change in the scaled dual between two checks, at one rho, converges to a
 Farkas ray whatever the objective (Banjac, Goulart, Stellato, Boyd 2019).
-Every check tests it on all blocks (eigenvalues only), shifted onto the PSD
-cone along Gaussian moments first if only its least eigenvalue misses, and
-returns it once it verifies.  `sos_feasible` runs the loop on the zero
-objective and `sos_norm` on the trace, after an opening window on the zero
-objective (`_trace_min`).
+Every check, and every probe of the opening window, tests it on all blocks
+(eigenvalues only), shifted onto the PSD cone along Gaussian moments first
+if only its least eigenvalue misses, and returns it once it verifies.
+`sos_feasible` runs the loop on the zero objective and `sos_norm` on the
+trace, after an opening window on the zero objective (`_trace_min`).
 
 For the trace, rho starts at ||I|| / ||A+ b||, the objective's norm over
 that of the fiber's least-norm point (after OSQP, Stellato et al. 2020).  It
@@ -244,11 +244,20 @@ def _certificate_from_gap(system: BlockSystem, v: np.ndarray) -> Optional[DualFu
         if slope >= 0 and value - w.min() / top0 * slope >= 0:
             return None
         try:
-            t = max(scipy.linalg.eigh(-B, B0, eigvals_only=True)[-1] for B, B0 in zip(blocks, S0))
+            t = max(_pencil_top(-B, B0) for B, B0 in zip(blocks, S0))
         except np.linalg.LinAlgError:       # an S0 block too ill-conditioned to factor
             return None
         y = y + t * y0
     return _certified(system.lift(y), w, value, system.targets)
+
+
+def _pencil_top(A: np.ndarray, B: np.ndarray) -> float:
+    """The top eigenvalue of the symmetric pencil (A, B), B positive definite;
+    LinAlgError when LAPACK cannot factor B."""
+    w, _, info = scipy.linalg.lapack.dsygvd(A, B, jobz="N", uplo="L")
+    if info:
+        raise np.linalg.LinAlgError(f"dsygvd failed with info {info}")
+    return w[-1]
 
 
 def _certified(y: np.ndarray, w: np.ndarray, value: float,
@@ -349,19 +358,24 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     at the cap, one finish.  The objective C is data: T subtracts C / rho,
     and C is zero throughout for minimize_trace=False and for the opening
     window (steps 1..CHECK_EVERY) otherwise, so those steps are exactly a
-    Douglas-Rachford feasibility solve's and the first check tests the same
-    Farkas candidate.  If that check does not end the solve, it hands over
-    to C = I: Z stays as the warm start, U restarts at zero (the zero
+    Douglas-Rachford feasibility solve's and test the same Farkas
+    candidates.  If the window's check does not end the solve, it hands
+    over to C = I: Z stays as the warm start, U restarts at zero (the zero
     objective's dual is no dual of the trace problem), and rho is not
     balanced.
 
     A check records a `CheckRecord`, tests the stopping rule (the gap only
     with minimize_trace, which alone has a dual bound), then the Farkas
-    candidate U - U_prev, then balances rho.  The hand-over and a rho change
-    change T, which clears Anderson's memory.  A window whose opening check
-    left T unchanged samples (Z, U) at offsets 5, 10, 15 and 20 and may jump
-    at 5, 10 and 15, so the safeguard judges every jump before the check and
-    the steps into every check are plain: Z is PSD there.
+    candidate U - U_prev, then balances rho.  A probe, at each
+    ANDERSON_STRIDE-th step inside the opening window, tests that candidate
+    alone behind the same gate: T and rho are fixed there and U_prev is
+    zero, so it is U, the candidate the window's check tests, taken earlier.
+    A probe changes no state; one that certifies ends the solve and leaves
+    its record (gap NaN, no accelerated point).  The hand-over and a rho
+    change change T, which clears Anderson's memory.  A window whose opening
+    check left T unchanged samples (Z, U) at offsets 5, 10, 15 and 20 and
+    may jump at 5, 10 and 15, so the safeguard judges every jump before the
+    check and the steps into every check are plain: Z is PSD there.
     """
     system = constraints.block_system
     b = system.targets
@@ -394,7 +408,9 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     for it in range(1, options.max_iter + 1):
         Z_prev = Z
         Z, U, X, mu = T(Z, U)
-        if it % CHECK_EVERY and it < options.max_iter:
+        # a probe tests the Farkas candidate alone, inside the opening window
+        probe = it < min(CHECK_EVERY, options.max_iter) and it % ANDERSON_STRIDE == 0
+        if it % CHECK_EVERY and it < options.max_iter and not probe:
             if steady and it % ANDERSON_STRIDE == 0:
                 # accelerate only where the safeguard's sample and at least
                 # one stride of plain steps still come before the next check
@@ -406,19 +422,24 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
         r_split = float(np.linalg.norm(X - Z))
         s_dual = rho * float(np.linalg.norm(Z - Z_prev))
         pres = s * float(np.linalg.norm(system.apply(Z) - bh))
-        pval = s * system.trace(Z)
-        if minimize_trace:
-            y_out, dval_h = _dual_shifted(system, bh, -rho * mu)
-            dval = s * dval_h
-            gap = pval - dval
-        trace.append(CheckRecord(it, pres, r_split, s_dual, rho, gap, anderson.kept))
-        converged = options.converged(bnorm, pres, pval, gap)
-        if converged:
-            break
+        if not probe:
+            pval = s * system.trace(Z)
+            if minimize_trace:
+                y_out, dval_h = _dual_shifted(system, bh, -rho * mu)
+                dval = s * dval_h
+                gap = pval - dval
+        record = CheckRecord(it, pres, r_split, s_dual, rho, gap, anderson.kept)
+        if not probe:
+            trace.append(record)
+            converged = options.converged(bnorm, pres, pval, gap)
+            if converged:
+                break
         if pres > 50 * options.residual_tol(bnorm):
             cert = _certificate_from_gap(system, U - U_prev)
             if cert is not None:
-                return _infeasible(cert, system.dim, pres, it, trace)
+                return _infeasible(cert, system.dim, pres, it, trace + [record] if probe else trace)
+        if probe:
+            continue
         r_rel = r_split / max(float(np.linalg.norm(X)), float(np.linalg.norm(Z)), _TINY)
         s_rel = s_dual / max(rho * float(np.linalg.norm(U)), _TINY)
         rho_was = rho

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import CHOI_LAM_S, MOTZKIN, ROBINSON, random_hermitian, random_sos
+from oracles import constraints_by_term_loop, products_by_cell_loop
 from sos_approx.gram import (
     BasisSizeError,
     GramConstraints,
@@ -41,6 +42,59 @@ def test_square_basis_cap():
     with pytest.raises(BasisSizeError):
         square_basis(FREE, 10, 6)  # 10^6 entries
     square_basis(FREE, 10, 6, max_size=10 ** 6)
+
+
+def test_square_basis_one_object_per_arguments():
+    # memoized, so a basis's product table and constraint skeleton are built
+    # once; an over-cap call is not cached and raises every time
+    basis = square_basis(COMMUTATIVE, 3, 2)
+    assert square_basis(COMMUTATIVE, 3, 2) is basis
+    assert square_basis(FREE, 2, 2) is square_basis(FREE, 2, 2) is not square_basis(FREE, 2, 3)
+    for _ in range(3):
+        with pytest.raises(BasisSizeError):
+            square_basis(FREE, 10, 6)
+        with pytest.raises(BasisSizeError):
+            square_basis(COMMUTATIVE, 3, 2, max_size=5)
+
+
+def test_constraint_skeleton_shared_read_only():
+    # two inputs over one basis share the skeleton's arrays, which no caller may write
+    basis = square_basis(COMMUTATIVE, 3, 2)
+    first = build_constraints(sum_of_monomial_squares(3, 2), basis)
+    second = build_constraints(Polynomial(COMMUTATIVE, 3, {(4, 0, 0): 1.0}), basis)
+    assert first.omegas is second.omegas
+    for name in ("rows", "cols", "vals", "seg"):
+        array = getattr(first, name)
+        assert array is getattr(second, name) and not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_build_constraints_matches_term_loop_reference(rng):
+    # the product table and the skeleton are built with array ops; field by
+    # field, dtypes and bits included, they are the per-term loops' on
+    # canonical, reversed, subset and permuted bases
+    for flavor in (COMMUTATIVE, FREE):
+        for n in (1, 2, 3):
+            for d in (0, 1, 2, 3):
+                canonical = square_basis(flavor, n, d)
+                permuted = tuple(canonical.terms[i] for i in rng.permutation(canonical.size))
+                for terms in (canonical.terms, canonical.terms[::-1], canonical.terms[::2], permuted):
+                    basis = SquareBasis(flavor, n, d, terms)
+                    case = (flavor, n, d, terms)
+                    prod_terms, prod_index, cell_to_prod = products_by_cell_loop(basis)
+                    assert basis._products[:2] == (prod_terms, prod_index), case
+                    assert basis._products[2].dtype == cell_to_prod.dtype, case
+                    assert np.array_equal(basis._products[2], cell_to_prod), case
+                    M = random_hermitian(rng, basis.size)
+                    a = gram_map(M.real if flavor == COMMUTATIVE else M, basis)
+                    cons = build_constraints(a, basis)
+                    expected = constraints_by_term_loop(a, basis)
+                    assert cons.omegas == expected[0], case
+                    for got, want in zip((cons.targets, cons.rows, cons.cols, cons.vals, cons.seg),
+                                         expected[1:]):
+                        assert got.dtype == want.dtype and got.shape == want.shape, case
+                        assert got.tobytes() == want.tobytes(), case
 
 
 def test_gram_map_identity_gives_monomial_square_sum():

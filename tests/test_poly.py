@@ -78,6 +78,26 @@ def test_evaluate_examples():
     assert Polynomial.zero(COMMUTATIVE, 2).evaluate([0.6, 0.8]) == 0.0
 
 
+def test_evaluate_batch_matches_broadcast_powers():
+    # the power table gives the bits of the broadcast formula, kept here as
+    # the oracle, on polynomials of 2-28 terms of every degree up to d.  A
+    # one-term univariate polynomial is left out: numpy takes its size-one
+    # exponent array as a scalar and squares by multiplying, which can
+    # differ from pow in the last bit
+    for seed in range(32):
+        rng = np.random.default_rng(seed)
+        n, d = 1 + seed % 4, 1 + seed // 8
+        support = [t for t in np.ndindex(*(d + 1,) * n) if sum(t) <= d]
+        size = int(rng.integers(2, min(len(support), 28) + 1))
+        picked = rng.choice(len(support), size, replace=False)
+        p = Polynomial(COMMUTATIVE, n, {support[i]: complex(*rng.standard_normal(2)) for i in picked})
+        points = rng.standard_normal((2000, n))
+        terms = np.array(list(p._coeffs), dtype=np.int64)
+        coeffs = np.array(list(p._coeffs.values()))
+        expected = (points[:, None, :] ** terms[None, :, :]).prod(axis=2) @ coeffs
+        assert np.array_equal(p.evaluate_batch(points), expected), (seed, n, d)
+
+
 def test_evaluate_rejects_free_and_bad_points():
     z1 = Polynomial.variable(FREE, 1, 0)
     with pytest.raises(FlavorMismatchError):

@@ -131,21 +131,36 @@ NON_SOS_FORMS = (MOTZKIN, CHOI_LAM_S, SWAPPED_CHOI_LAM, ROBINSON)
 def test_non_sos_forms_certified_within_step_bounds():
     # the splitting solver finds the separating functional itself, both
     # with the trace objective and with the zero objective of sos_feasible,
-    # at the first check, which the trace solve reaches on the zero objective
+    # at a probe of the opening window, which the trace solve runs on the
+    # zero objective: the same step for both
     basis = square_basis(COMMUTATIVE, 3, 3)
-    for coeffs in NON_SOS_FORMS:
+    for coeffs, steps in zip(NON_SOS_FORMS, (15, 10, 10, 5)):
         form = Polynomial(COMMUTATIVE, 3, coeffs)
         cons = build_constraints(form, basis)
         value, sol = sos_norm(form, basis)
         assert sol.status is SolveStatus.INFEASIBLE and math.isnan(value)
-        assert sol.iterations == CHECK_EVERY, (coeffs, sol.iterations)
+        assert sol.iterations == steps, (coeffs, sol.iterations)
+        assert sol.trace[-1].iteration == sol.iterations
         result = sos_feasible(form, basis)
         assert not result.feasible and result.witness is None
-        assert result.iterations == CHECK_EVERY, (coeffs, result.iterations)
+        assert result.iterations == steps, (coeffs, result.iterations)
         for y in (sol.certificate.values, result.certificate.values):
             w = np.linalg.eigvalsh(cons.adjoint(y))
             assert w.min() >= -1e-8 * np.abs(w).max()
             assert cons.targets @ y < 0
+
+
+def test_certifying_probe_is_traced():
+    # Motzkin's form is certified at the probe of step 15, which leaves its
+    # record: no gap (the window has no objective), no accelerated point
+    cons = build_constraints(Polynomial(COMMUTATIVE, 3, MOTZKIN), square_basis(COMMUTATIVE, 3, 3))
+    for minimize_trace in (True, False):
+        sol = _trace_min(cons, SolverOptions(), minimize_trace)
+        assert sol.status is SolveStatus.INFEASIBLE and sol.iterations == 15
+        (record,) = sol.trace
+        assert record.iteration == sol.iterations and record.accelerated == 0
+        assert math.isnan(record.gap) and record.primal_residual == sol.primal_residual
+        assert record.rho > 0 and record.r_split > 0 and record.s_dual > 0
 
 
 def _witness_holds(a, basis, M):
@@ -246,17 +261,19 @@ def _shifted_forms(seed):
 def test_shifted_forms_certified_on_the_psd_boundary():
     # their candidates clear the value margin long before the PSD margin; the
     # shift along Gaussian moments certifies the d = 2, 3 forms of the
-    # benchmark's seeds 1-3 at the first check, and those of every seed here
-    # with certificates that sit on the PSD boundary
+    # benchmark's seeds 1-3 in the opening window, and those of every seed
+    # here with certificates that sit on the PSD boundary
+    window_steps = {1: [10, 15, 20, 20], 2: [15, 15, 15, 15], 3: [20, 10, 20, 15]}
     for seed in range(1, 11):
-        for form in _shifted_forms(seed)[2:]:
+        for i, form in enumerate(_shifted_forms(seed)[2:]):
             basis = square_basis(COMMUTATIVE, 3, form.degree() // 2)
             cons = build_constraints(form, basis)
             _, sol = sos_norm(form, basis)
             result = sos_feasible(form, basis)
             assert sol.status is SolveStatus.INFEASIBLE and not result.feasible
-            if seed <= 3:
-                assert sol.iterations == CHECK_EVERY, (seed, sol.iterations)
+            if seed in window_steps:
+                steps = window_steps[seed][i]
+                assert (sol.iterations, result.iterations) == (steps, steps), (seed, i)
             for cert in (sol.certificate, result.certificate):
                 assert _farkas_holds(form, cert.values)
                 scale = np.abs(np.linalg.eigvalsh(cons.adjoint(cert.values))).max()
@@ -267,16 +284,17 @@ def test_unfactorable_shift_leaves_plain_candidates(monkeypatch):
     # when an S0 block cannot be factored (its Gaussian moments are too
     # ill-conditioned at high degree) the shift is skipped, and the solve
     # goes on, past the opening window, to a plain candidate that verifies.
-    # The first d = 2 form of seed 1 is certified at the first check only
-    # with the shift
+    # The first d = 2 form of seed 1 is certified in the window (at step 10,
+    # a probe) only with the shift
     form = _shifted_forms(1)[2]
     basis = square_basis(COMMUTATIVE, 3, 2)
-    assert sos_norm(form, basis)[1].iterations == CHECK_EVERY
+    assert sos_norm(form, basis)[1].iterations == 10
 
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("the leading minor is not positive definite")
+    def fail(a, b, **kwargs):
+        # LAPACK's info n + i: the leading minor of order i of b is not positive definite
+        return np.zeros(len(a)), a, len(a) + 1
 
-    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsygvd", fail)
     _, sol = sos_norm(form, basis)
     assert sol.status is SolveStatus.INFEASIBLE and sol.iterations > CHECK_EVERY
     assert _farkas_holds(form, sol.certificate.values)
@@ -590,11 +608,11 @@ def test_max_iter_reported_not_coerced(rng):
         assert [rec.iteration for rec in sol.trace] == checks
         assert sol.iterations == cap
         assert "residual" in sol.message and "gap" in sol.message, sol.message
-    # the window's one check still certifies a non-SOS form at the cap
+    # a probe of the window still certifies a non-SOS form inside the cap
     _, sol = sos_norm(Polynomial(COMMUTATIVE, 3, MOTZKIN), square_basis(COMMUTATIVE, 3, 3),
                       SolverOptions(max_iter=CHECK_EVERY))
     assert sol.status is SolveStatus.INFEASIBLE
-    assert sol.iterations == CHECK_EVERY
+    assert sol.iterations == 15
 
 
 def test_figure_rows_have_no_iteration_cliff():

@@ -4,8 +4,8 @@ A basis v = (v_1, ..., v_D) of the homogeneous degree-d component induces the
 Gram map M |-> sum_ij m_ij v_i* v_j.  `build_constraints` rewrites the fiber
 {G(M) = a} as real-valued trace equations tr(A_l M) = lambda_l over a
 Hermitian basis of the product space.  The A_l depend on the basis alone
-and are built once per basis (`SquareBasis._skeleton`; `square_basis` is
-memoized), the targets and symmetries once per input.  For commutative
+and are built once per basis (`SquareBasis._skeleton`; `square_basis`
+keeps recent bases), the targets and symmetries once per input.  For commutative
 inputs every A_l is real, and their real `block_system`, restricted to the
 block-diagonal matrices that keep the least trace, is what the SDP layer
 iterates on.  In the free flavor the Gram map is a bijection:
@@ -15,8 +15,9 @@ iterates on.  In the free flavor the Gram map is a bijection:
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations, product as _iproduct
 from typing import Iterable, NamedTuple
 
@@ -34,6 +35,7 @@ from .poly import (
     _check_flavor,
     compositions,
     involute_term,
+    multiply_terms,
     term_sort_key,
 )
 
@@ -110,23 +112,23 @@ class SquareBasis:
 
     @cached_property
     def _products(self):
-        """All products v_i* v_j: distinct product terms in order of first cell
-        (row-major), their index, and a flat cell map."""
+        """All products v_i* v_j: distinct product terms plus a flat cell map."""
         D = self.size
-        width = self.n_vars if self.flavor == COMMUTATIVE else self.degree
-        v = np.array(self.terms, dtype=np.int64).reshape(D, width)
-        if self.flavor == COMMUTATIVE:
-            cells = v[:, None, :] + v[None, :, :]
-        else:
-            cells = np.concatenate(np.broadcast_arrays(v[:, None, ::-1], v[None, :, :]), axis=2)
-        unique, first, inverse = np.unique(cells.reshape(D * D, cells.shape[2]), axis=0,
-                                           return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order))
-        prod_terms = tuple(map(tuple, unique[order].tolist()))
-        cell_to_prod = rank[inverse.ravel()]        # numpy 2.0 changed the inverse's shape
-        return prod_terms, {t: i for i, t in enumerate(prod_terms)}, cell_to_prod
+        prod_index: dict[Term, int] = {}
+        prod_terms: list[Term] = []
+        cell_to_prod = np.empty(D * D, dtype=np.int64)
+        invol = [involute_term(self.flavor, t) for t in self.terms]
+        for i in range(D):
+            vi = invol[i]
+            for j in range(D):
+                t = multiply_terms(self.flavor, vi, self.terms[j])
+                idx = prod_index.get(t)
+                if idx is None:
+                    idx = len(prod_terms)
+                    prod_index[t] = idx
+                    prod_terms.append(t)
+                cell_to_prod[i * D + j] = idx
+        return tuple(prod_terms), prod_index, cell_to_prod
 
     @property
     def product_terms(self) -> tuple[Term, ...]:
@@ -134,54 +136,72 @@ class SquareBasis:
 
     @cached_property
     def _skeleton(self) -> _Skeleton:
-        """The input-independent part of `build_constraints`, shared read-only.
+        """The input-independent part of `build_constraints`, shared read-only."""
+        prod_terms, prod_index, cell_to_prod = self._products
+        D = self.size
+        # cells grouped by product term
+        order = np.argsort(cell_to_prod, kind="stable")
+        bounds = np.searchsorted(cell_to_prod[order], np.arange(len(prod_terms) + 1))
+        cell_i, cell_j = np.divmod(order, D)
 
-        The equations run over the product terms tau in order: "self" for
-        tau = tau*, "re" then "im" for the first of a pair.  Each takes the
-        cells of tau, then those of tau* for a pair, in cell order; the entry
-        of cell (i, j) is A_l[j, i], so tr(A_l M) = sum val * m_ij.
-        """
-        prod_terms, _, cell_to_prod = self._products
-        D, P = self.size, len(prod_terms)
-        conj = np.empty(P, dtype=np.int64)      # (v_i* v_j)* = v_j* v_i
-        conj[cell_to_prod] = cell_to_prod.reshape(D, D).T.ravel()
-        lead = np.flatnonzero(np.arange(P) <= conj)
-        pair = (conj[lead] != lead).astype(np.int64)
-        tau = np.repeat(lead, 1 + pair)
-        kind = np.repeat(pair, 1 + pair)                    # indices into _KINDS
-        kind[1:] += tau[1:] == tau[:-1]
-        # the equations' parts: tau for each, then tau* for "re" and "im"
-        part_eq = np.repeat(np.arange(len(tau)), 1 + (kind > 0))
-        second = np.zeros(len(part_eq), dtype=bool)
-        second[1:] = part_eq[1:] == part_eq[:-1]
-        part_term = np.where(second, conj[tau[part_eq]], tau[part_eq])
-        part_val = _PART_VALUES[kind[part_eq], second.astype(np.int64)]
-        order = np.argsort(cell_to_prod, kind="stable")    # cells grouped by product term
-        bounds = np.searchsorted(cell_to_prod[order], np.arange(P + 1))
-        # the cells of every part, laid end to end
-        counts = np.diff(bounds)[part_term]
-        starts = np.repeat(bounds[part_term] - (np.cumsum(counts) - counts), counts)
-        cells = order[starts + np.arange(len(starts))]
-        if self.flavor == COMMUTATIVE:      # every term is self-conjugate: every A_l is real
-            part_val = part_val.real
+        conj_of = np.array([prod_index[involute_term(self.flavor, t)]
+                            for t in prod_terms])
+
+        # every A_l is real in the commutative flavor: all its terms are self-conjugate
+        dtype = float if self.flavor == COMMUTATIVE else complex
+        omegas: list[HermitianBasisElement] = []
+        tau: list[int] = []
+        rows_parts, cols_parts, vals_parts, seg_parts = [], [], [], []
+
+        def emit(kind: str, tau_idx: int, idx_list: list[np.ndarray], val_list: list[np.ndarray]):
+            l = len(omegas)
+            omegas.append(HermitianBasisElement(kind, prod_terms[tau_idx]))
+            tau.append(tau_idx)
+            for idx, vals in zip(idx_list, val_list):
+                # A[j, i] entries for cells (i, j): tr(A M) = sum val * m_ij
+                rows_parts.append(cell_j[idx])
+                cols_parts.append(cell_i[idx])
+                vals_parts.append(vals)
+                seg_parts.append(np.full(idx.shape, l, dtype=np.int64))
+
+        for t_idx in range(len(prod_terms)):
+            c_idx = int(conj_of[t_idx])
+            sel = np.arange(bounds[t_idx], bounds[t_idx + 1])
+            if c_idx == t_idx:
+                emit("self", t_idx, [sel], [np.ones(sel.shape, dtype=dtype)])
+            elif t_idx < c_idx:
+                sel_c = np.arange(bounds[c_idx], bounds[c_idx + 1])
+                emit("re", t_idx, [sel, sel_c],
+                     [np.full(sel.shape, 0.5, dtype=complex),
+                      np.full(sel_c.shape, 0.5, dtype=complex)])
+                emit("im", t_idx, [sel, sel_c],
+                     [np.full(sel.shape, -0.5j, dtype=complex),
+                      np.full(sel_c.shape, 0.5j, dtype=complex)])
+
         skeleton = _Skeleton(
-            tuple(HermitianBasisElement(_KINDS[k], prod_terms[t])
-                  for k, t in zip(kind.tolist(), tau.tolist())),
-            tau, kind == 2, cells % D, cells // D, np.repeat(part_val, counts),
-            np.repeat(part_eq, counts))
+            tuple(omegas), np.array(tau, dtype=np.int64),
+            np.array([w.kind == "im" for w in omegas], dtype=bool),
+            np.concatenate(rows_parts), np.concatenate(cols_parts),
+            np.concatenate(vals_parts), np.concatenate(seg_parts))
         for array in skeleton[1:]:
             array.flags.writeable = False
         return skeleton
 
 
-@lru_cache(maxsize=32)
+# square_basis keeps the bases it built, least recently used dropped first, up
+# to this many cells (D^2) in all: a kept basis holds its product table and
+# skeleton, about 400 bytes a cell for words and 60 for monomials
+_MEMO_CELLS = 1 << 16
+_memo: OrderedDict[tuple[str, int, int], SquareBasis] = OrderedDict()
+
+
 def square_basis(flavor: str, n_vars: int, degree: int,
                  max_size: int = DEFAULT_BASIS_CAP) -> SquareBasis:
     """Complete canonical basis of the homogeneous degree-d component.
 
-    One object per argument tuple, so its product table and constraint
-    skeleton are built once; the bound keeps a long process from pinning
-    many large tables."""
+    Recent bases are kept (`_MEMO_CELLS`), so that one object per (flavor,
+    n_vars, degree) builds its product table and constraint skeleton once;
+    a basis larger than that bound is built anew by every call."""
     _check_flavor(flavor)
     if n_vars < 1:
         raise ValueError("n_vars must be >= 1")
@@ -191,8 +211,15 @@ def square_basis(flavor: str, n_vars: int, degree: int,
     if size > max_size:
         raise BasisSizeError(
             f"basis would have {size} entries, exceeding the cap of {max_size}")
-    return SquareBasis(flavor, n_vars, degree,
-                       _enumerate_terms(flavor, n_vars, degree))
+    key = (flavor, n_vars, degree)
+    basis = _memo.pop(key, None)
+    if basis is None:
+        basis = SquareBasis(flavor, n_vars, degree, _enumerate_terms(flavor, n_vars, degree))
+    if size * size <= _MEMO_CELLS:
+        _memo[key] = basis
+        while len(_memo) > 32 or sum(b.size ** 2 for b in _memo.values()) > _MEMO_CELLS:
+            _memo.popitem(last=False)
+    return basis
 
 
 def homogeneous_basis(p: Polynomial) -> SquareBasis:
@@ -246,11 +273,6 @@ def gram_preimage_free(p: Polynomial, d: int) -> np.ndarray:
 
 
 # -- constraint form ----------------------------------------------------------
-
-_KINDS = ("self", "re", "im")
-# each kind's entries on the cells of tau and on those of tau*
-_PART_VALUES = np.array([[1.0, 0.0], [0.5, 0.5], [-0.5j, 0.5j]])
-
 
 class _Skeleton(NamedTuple):
     """`SquareBasis._skeleton`: per equation its Hermitian basis element, the

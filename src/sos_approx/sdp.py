@@ -408,10 +408,18 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     for it in range(1, options.max_iter + 1):
         Z_prev = Z
         Z, U, X, mu = T(Z, U)
-        # a probe tests the Farkas candidate alone, inside the opening window
-        probe = it < min(CHECK_EVERY, options.max_iter) and it % ANDERSON_STRIDE == 0
-        if it % CHECK_EVERY and it < options.max_iter and not probe:
-            if steady and it % ANDERSON_STRIDE == 0:
+        if it % CHECK_EVERY and it < options.max_iter:
+            if it < CHECK_EVERY and it % ANDERSON_STRIDE == 0:
+                # a probe: the window's Farkas candidate, tested alone
+                pres = s * float(np.linalg.norm(system.apply(Z) - bh))
+                if pres > 50 * options.residual_tol(bnorm):
+                    cert = _certificate_from_gap(system, U - U_prev)
+                    if cert is not None:
+                        record = CheckRecord(it, pres, float(np.linalg.norm(X - Z)),
+                                             rho * float(np.linalg.norm(Z - Z_prev)), rho,
+                                             math.nan, 0)
+                        return _infeasible(cert, system.dim, pres, it, trace + [record])
+            elif steady and it % ANDERSON_STRIDE == 0:
                 # accelerate only where the safeguard's sample and at least
                 # one stride of plain steps still come before the next check
                 check = min(it + CHECK_EVERY - it % CHECK_EVERY, options.max_iter)
@@ -422,24 +430,19 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
         r_split = float(np.linalg.norm(X - Z))
         s_dual = rho * float(np.linalg.norm(Z - Z_prev))
         pres = s * float(np.linalg.norm(system.apply(Z) - bh))
-        if not probe:
-            pval = s * system.trace(Z)
-            if minimize_trace:
-                y_out, dval_h = _dual_shifted(system, bh, -rho * mu)
-                dval = s * dval_h
-                gap = pval - dval
-        record = CheckRecord(it, pres, r_split, s_dual, rho, gap, anderson.kept)
-        if not probe:
-            trace.append(record)
-            converged = options.converged(bnorm, pres, pval, gap)
-            if converged:
-                break
+        pval = s * system.trace(Z)
+        if minimize_trace:
+            y_out, dval_h = _dual_shifted(system, bh, -rho * mu)
+            dval = s * dval_h
+            gap = pval - dval
+        trace.append(CheckRecord(it, pres, r_split, s_dual, rho, gap, anderson.kept))
+        converged = options.converged(bnorm, pres, pval, gap)
+        if converged:
+            break
         if pres > 50 * options.residual_tol(bnorm):
             cert = _certificate_from_gap(system, U - U_prev)
             if cert is not None:
-                return _infeasible(cert, system.dim, pres, it, trace + [record] if probe else trace)
-        if probe:
-            continue
+                return _infeasible(cert, system.dim, pres, it, trace)
         r_rel = r_split / max(float(np.linalg.norm(X)), float(np.linalg.norm(Z)), _TINY)
         s_rel = s_dual / max(rho * float(np.linalg.norm(U)), _TINY)
         rho_was = rho

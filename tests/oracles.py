@@ -2,18 +2,15 @@
 
 These recompute expected values through routes the library does not take:
 exhaustive grid scans of tiny Gram spectrahedra, direct coefficient sums and
-a cyclic Jacobi eigensolver checked against LAPACK, and loops that build
-the product table one cell, and the constraint form one product term, at a
-time.
+a cyclic Jacobi eigensolver checked against LAPACK.
 """
 
 import math
 
 import numpy as np
 
-from sos_approx.gram import HermitianBasisElement, gram_preimage_free
+from sos_approx.gram import gram_preimage_free
 from sos_approx.linalg import NonConvergenceError
-from sos_approx.poly import COMMUTATIVE, involute_term, multiply_terms
 
 
 def min_rank_two_vars_degree_one(a, grid=2001, span=3.0, psd_tol=1e-12,
@@ -112,63 +109,3 @@ def hermitian_from_dict(data: dict) -> np.ndarray:
         if i != j:
             M[j, i] = complex(re, -im)
     return M
-
-
-def products_by_cell_loop(basis):
-    """The product table of a square basis by a double loop over its cells:
-    the distinct products v_i* v_j in order of first cell, and the flat cell map."""
-    D = basis.size
-    prod_index: dict = {}
-    prod_terms: list = []
-    cell_to_prod = np.empty(D * D, dtype=np.int64)
-    invol = [involute_term(basis.flavor, t) for t in basis.terms]
-    for i in range(D):
-        for j in range(D):
-            t = multiply_terms(basis.flavor, invol[i], basis.terms[j])
-            idx = prod_index.setdefault(t, len(prod_terms))
-            if idx == len(prod_terms):
-                prod_terms.append(t)
-            cell_to_prod[i * D + j] = idx
-    return tuple(prod_terms), prod_index, cell_to_prod
-
-
-def constraints_by_term_loop(a, basis):
-    """The constraint form of the fiber over a, one product term at a time:
-    (omegas, targets, rows, cols, vals, seg) as `gram.build_constraints`
-    returns them on `GramConstraints`."""
-    prod_terms, prod_index, cell_to_prod = products_by_cell_loop(basis)
-    D = basis.size
-    # cells grouped by product term
-    order = np.argsort(cell_to_prod, kind="stable")
-    bounds = np.searchsorted(cell_to_prod[order], np.arange(len(prod_terms) + 1))
-    cell_i, cell_j = np.divmod(order, D)
-    conj_of = np.array([prod_index[involute_term(basis.flavor, t)] for t in prod_terms])
-    dtype = float if basis.flavor == COMMUTATIVE else complex
-    omegas, targets = [], []
-    rows_parts, cols_parts, vals_parts, seg_parts = [], [], [], []
-
-    def emit(kind, tau_idx, target, idx_list, val_list):
-        l = len(omegas)
-        omegas.append(HermitianBasisElement(kind, prod_terms[tau_idx]))
-        targets.append(target)
-        for idx, vals in zip(idx_list, val_list):
-            # A[j, i] entries for cells (i, j): tr(A M) = sum val * m_ij
-            rows_parts.append(cell_j[idx])
-            cols_parts.append(cell_i[idx])
-            vals_parts.append(vals)
-            seg_parts.append(np.full(idx.shape, l, dtype=np.int64))
-
-    for t_idx in range(len(prod_terms)):
-        c_idx = int(conj_of[t_idx])
-        sel = np.arange(bounds[t_idx], bounds[t_idx + 1])
-        a_tau = a.coefficient(prod_terms[t_idx])
-        if c_idx == t_idx:
-            emit("self", t_idx, float(np.real(a_tau)), [sel], [np.ones(sel.shape, dtype=dtype)])
-        elif t_idx < c_idx:
-            sel_c = np.arange(bounds[c_idx], bounds[c_idx + 1])
-            emit("re", t_idx, float(np.real(a_tau)), [sel, sel_c],
-                 [np.full(sel.shape, 0.5, dtype=complex), np.full(sel_c.shape, 0.5, dtype=complex)])
-            emit("im", t_idx, float(np.imag(a_tau)), [sel, sel_c],
-                 [np.full(sel.shape, -0.5j, dtype=complex), np.full(sel_c.shape, 0.5j, dtype=complex)])
-    return (tuple(omegas), np.array(targets, dtype=float), np.concatenate(rows_parts),
-            np.concatenate(cols_parts), np.concatenate(vals_parts), np.concatenate(seg_parts))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import CHOI_LAM_S, MOTZKIN, ROBINSON, random_hermitian, random_sos
-from oracles import constraints_by_term_loop, products_by_cell_loop
+from sos_approx import gram
 from sos_approx.gram import (
     BasisSizeError,
     GramConstraints,
@@ -49,12 +49,28 @@ def test_square_basis_one_object_per_arguments():
     # once; an over-cap call is not cached and raises every time
     basis = square_basis(COMMUTATIVE, 3, 2)
     assert square_basis(COMMUTATIVE, 3, 2) is basis
+    assert square_basis(COMMUTATIVE, n_vars=3, degree=2, max_size=6) is basis
     assert square_basis(FREE, 2, 2) is square_basis(FREE, 2, 2) is not square_basis(FREE, 2, 3)
     for _ in range(3):
         with pytest.raises(BasisSizeError):
             square_basis(FREE, 10, 6)
         with pytest.raises(BasisSizeError):
             square_basis(COMMUTATIVE, 3, 2, max_size=5)
+
+
+def test_square_basis_memo_bounded_by_cells():
+    # the memo keeps no basis above its cell bound, and drops the least
+    # recently used ones to stay within it
+    big = square_basis(FREE, 2, 9)
+    assert big.size ** 2 > gram._MEMO_CELLS
+    assert square_basis(FREE, 2, 9) is not big
+    assert all(b is not big for b in gram._memo.values())
+    kept = square_basis(COMMUTATIVE, 3, 2)
+    square_basis(FREE, 2, 7)                        # 16,384 cells
+    assert square_basis(COMMUTATIVE, 3, 2) is kept  # now the most recent
+    square_basis(FREE, 3, 5)                        # 59,049 cells
+    assert list(gram._memo) == [(COMMUTATIVE, 3, 2), (FREE, 3, 5)]
+    assert square_basis(COMMUTATIVE, 3, 2) is kept
 
 
 def test_constraint_skeleton_shared_read_only():
@@ -68,33 +84,6 @@ def test_constraint_skeleton_shared_read_only():
         assert array is getattr(second, name) and not array.flags.writeable, name
         with pytest.raises(ValueError):
             array[0] = 0
-
-
-def test_build_constraints_matches_term_loop_reference(rng):
-    # the product table and the skeleton are built with array ops; field by
-    # field, dtypes and bits included, they are the per-term loops' on
-    # canonical, reversed, subset and permuted bases
-    for flavor in (COMMUTATIVE, FREE):
-        for n in (1, 2, 3):
-            for d in (0, 1, 2, 3):
-                canonical = square_basis(flavor, n, d)
-                permuted = tuple(canonical.terms[i] for i in rng.permutation(canonical.size))
-                for terms in (canonical.terms, canonical.terms[::-1], canonical.terms[::2], permuted):
-                    basis = SquareBasis(flavor, n, d, terms)
-                    case = (flavor, n, d, terms)
-                    prod_terms, prod_index, cell_to_prod = products_by_cell_loop(basis)
-                    assert basis._products[:2] == (prod_terms, prod_index), case
-                    assert basis._products[2].dtype == cell_to_prod.dtype, case
-                    assert np.array_equal(basis._products[2], cell_to_prod), case
-                    M = random_hermitian(rng, basis.size)
-                    a = gram_map(M.real if flavor == COMMUTATIVE else M, basis)
-                    cons = build_constraints(a, basis)
-                    expected = constraints_by_term_loop(a, basis)
-                    assert cons.omegas == expected[0], case
-                    for got, want in zip((cons.targets, cons.rows, cons.cols, cons.vals, cons.seg),
-                                         expected[1:]):
-                        assert got.dtype == want.dtype and got.shape == want.shape, case
-                        assert got.tobytes() == want.tobytes(), case
 
 
 def test_gram_map_identity_gives_monomial_square_sum():
@@ -396,13 +385,19 @@ def test_constraints_reconstruct_gram_map(rng):
 
 
 def test_adjoint_identity(rng):
-    # a = G(M) makes M a solution of its own constraint system
-    for flavor, n, d in ((COMMUTATIVE, 3, 2), (FREE, 2, 2)):
-        basis = square_basis(flavor, n, d)
-        for _ in range(5):
-            M = random_hermitian(rng, basis.size)
-            cons = build_constraints(gram_map(M, basis), basis)
-            assert np.abs(cons.apply(M) - cons.targets).max() <= 1e-9
+    # a = G(M) makes M a solution of its own constraint system, on canonical,
+    # reversed, subset and permuted bases: the equations, built once per
+    # basis, and the targets, read per input, agree
+    for flavor in (COMMUTATIVE, FREE):
+        for n in (1, 2, 3):
+            for d in (0, 1, 2, 3):
+                canonical = square_basis(flavor, n, d)
+                permuted = tuple(canonical.terms[i] for i in rng.permutation(canonical.size))
+                for terms in (canonical.terms, canonical.terms[::-1], canonical.terms[::2], permuted):
+                    basis = SquareBasis(flavor, n, d, terms)
+                    M = random_hermitian(rng, basis.size)
+                    cons = build_constraints(gram_map(M, basis), basis)
+                    assert np.abs(cons.apply(M) - cons.targets).max() <= 1e-9, (flavor, n, d, terms)
 
 
 def test_apply_adjoint_are_adjoint(rng):

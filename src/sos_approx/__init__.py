@@ -18,7 +18,6 @@ from .gram import (
     SquareBasis,
     build_constraints,
     gram_map,
-    gram_preimage_free,
     square_basis,
 )
 from .linalg import (

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .sdp import (
 
 COEFF_2_NORM = "coeff-2-norm"
 SUP_SPHERE = "sup-sphere"
+SCHATTEN_P = {COEFF_2_NORM: 2.0, SUP_SPHERE: math.inf}     # the norm each is truncated in
 SQUARE_CUTOFF_REL = 1e-14     # kept eigenvalues at most this times the top give no square
 
 
@@ -93,56 +94,54 @@ class SosCertificate(_Squares):
         problems = []
         anorm = self.input.coeff_two_norm()
         resid = (self.reassembled() - self.approximation).coeff_two_norm()
-        if resid > 1e-8 * (1.0 + anorm):
+        # every test is "not within": a NaN fails it
+        if not resid <= 1e-8 * (1.0 + anorm):
             problems.append(f"squares do not reassemble the approximation: {resid:.3e}")
         if self.rank > 0 and not self.rank < self.theoretical_bound:
             problems.append(
                 f"square count {self.rank} not below bound {self.theoretical_bound}")
-        if self.error > self.eps * (1.0 + 1e-12) + 1e-15:
+        if not self.error <= self.eps * (1.0 + 1e-12) + 1e-15:
             problems.append(f"declared error {self.error} exceeds eps {self.eps}")
         if self.norm == COEFF_2_NORM:
             measured = (self.input - self.approximation).coeff_two_norm()
-            if measured > self.error * (1.0 + 1e-9) + 1e-12:
+            if not measured <= self.error * (1.0 + 1e-9) + 1e-12:
                 problems.append(
                     f"coefficient error {measured:.3e} exceeds declared {self.error:.3e}")
-        elif self.norm == SUP_SPHERE and sample_points:
+        elif self.norm != SUP_SPHERE:
+            problems.append(f"unknown norm {self.norm!r}")
+        elif sample_points:
             from .poly import sphere_lattice
             pts = sphere_lattice(self.basis.n_vars, sample_points)
             diff = self.input - self.approximation
             emp = float(np.abs(diff.evaluate_batch(pts)).max(initial=0.0))
-            if emp > self.error * (1.0 + 1e-9) + 1e-9:
+            if not emp <= self.error * (1.0 + 1e-9) + 1e-9:
                 problems.append(
                     f"sampled sphere error {emp:.3e} exceeds certified {self.error:.3e}")
         return problems
 
     def to_dict(self) -> dict:
-        return {
-            "input": poly_to_dict(self.input),
-            "approximation": poly_to_dict(self.approximation),
-            "squares": [[[v.real, v.imag] for v in c] for c in self.squares],
-            "basis": {"flavor": self.basis.flavor, "n_vars": self.basis.n_vars,
-                      "degree": self.basis.degree},
-            "error": self.error,
-            "norm": self.norm,
-            "eps": self.eps,
-            "theoretical_bound": self.theoretical_bound,
-            "allowed_rank": self.allowed_rank,
-            "sos_norm_value": self.sos_norm_value,
-            "schatten_p": "inf" if math.isinf(self.schatten_p) else self.schatten_p,
-            "solver_iterations": self.solver_iterations,
-        }
+        """Every field; the polynomials, squares, basis and schatten_p encoded."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(input=poly_to_dict(self.input), approximation=poly_to_dict(self.approximation),
+                   squares=[[[v.real, v.imag] for v in c] for c in self.squares],
+                   basis={"flavor": self.basis.flavor, "n_vars": self.basis.n_vars,
+                          "degree": self.basis.degree},
+                   schatten_p="inf" if math.isinf(self.schatten_p) else self.schatten_p)
+        return out
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SosCertificate":
+        """Read a certificate back; ValueError, naming the field, for one whose
+        fields are not finite or disagree with each other."""
         b = data["basis"]
         basis = square_basis(b["flavor"], int(b["n_vars"]), int(b["degree"]))
         squares = [np.array([complex(re, im) for re, im in c], dtype=complex)
                    for c in data["squares"]]
         p_raw = data["schatten_p"]
-        return cls(
+        cert = cls(
             input=poly_from_dict(data["input"]),
             approximation=poly_from_dict(data["approximation"]),
             squares=squares, basis=basis,
@@ -152,6 +151,25 @@ class SosCertificate(_Squares):
             sos_norm_value=float(data["sos_norm_value"]),
             schatten_p=math.inf if p_raw == "inf" else float(p_raw),
             solver_iterations=int(data.get("solver_iterations", 0)))
+        for name in ("error", "eps", "theoretical_bound", "sos_norm_value"):
+            if not math.isfinite(getattr(cert, name)):
+                raise ValueError(f"certificate field {name!r} must be finite, got {data[name]!r}")
+
+        def in_basis_algebra(p: Polynomial) -> bool:
+            return (p.flavor, p.n_vars) == (basis.flavor, basis.n_vars)
+
+        for name, ok, want in (
+                ("norm", cert.norm in SCHATTEN_P, f"one of {', '.join(SCHATTEN_P)}"),
+                ("schatten_p", cert.schatten_p == SCHATTEN_P.get(cert.norm), "that of the norm"),
+                ("allowed_rank", cert.allowed_rank == strict_cap(cert.theoretical_bound),
+                 "the cap of theoretical_bound"),
+                ("input", in_basis_algebra(cert.input), "in the basis's algebra"),
+                ("approximation", in_basis_algebra(cert.approximation), "in the basis's algebra"),
+                ("squares", all(len(c) == basis.size for c in squares),
+                 f"vectors of the basis size {basis.size}")):
+            if not ok:
+                raise ValueError(f"certificate field {name!r} must be {want}")
+        return cert
 
 
 def _assemble(a: Polynomial, basis: SquareBasis, canonical: SquareBasis, dec, keep: int,
@@ -172,7 +190,7 @@ def _assemble(a: Polynomial, basis: SquareBasis, canonical: SquareBasis, dec, ke
         input=a, approximation=gram_map(dec.matrix_from(kept), basis), squares=squares,
         basis=canonical, error=error, norm=norm, eps=eps, theoretical_bound=bound,
         allowed_rank=strict_cap(bound), sos_norm_value=sos_value,
-        schatten_p=2.0 if norm == COEFF_2_NORM else math.inf, solver_iterations=iterations)
+        schatten_p=SCHATTEN_P[norm], solver_iterations=iterations)
 
 
 def approximate(a: Polynomial, basis: SquareBasis, eps: float,
@@ -315,17 +333,7 @@ class BoundReport:
         self.min_certified_bound = self.theorem_bound
         self.theorem_allowed_rank = strict_cap(self.theorem_bound)
 
-    def to_dict(self) -> dict:
-        return {
-            "flavor": self.flavor, "n_vars": self.n_vars, "degree": self.degree,
-            "eps": self.eps, "sos_norm_value": self.sos_norm_value,
-            "dim_v": self.dim_v, "dim_vv": self.dim_vv,
-            "general_bound": self.general_bound,
-            "sqrt_dim_bound": self.sqrt_dim_bound,
-            "theorem_bound": self.theorem_bound,
-            "theorem_allowed_rank": self.theorem_allowed_rank,
-            "min_certified_bound": self.min_certified_bound,
-        }
+    to_dict = asdict
 
 
 def bound_report(flavor: str, n_vars: int, degree: int, eps: float,

@@ -324,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sos-norm growth experiment (CSV)")
     pg.add_argument("--n", type=int, default=3)
     pg.add_argument("--d-max", dest="d_max", type=int, default=8,
-                    help="last degree row; on a 2-vCPU VM 12 takes about 2 s "
-                         "and 16 about 7 s")
+                    help="last degree row; on a 2-vCPU VM 12 takes about 1.1 s "
+                         "and 16 about 3 s")
     pg.add_argument("--output")
     pg.set_defaults(func=cmd_figure)
 

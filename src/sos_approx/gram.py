@@ -8,8 +8,8 @@ and are built once per basis (`SquareBasis._skeleton`; `square_basis`
 keeps recent bases), the targets and symmetries once per input.  For commutative
 inputs every A_l is real, and their real `block_system`, restricted to the
 block-diagonal matrices that keep the least trace, is what the SDP layer
-iterates on.  In the free flavor the Gram map is a bijection:
-`gram_preimage_free` inverts it by splitting each word in the middle.
+iterates on.  In the free flavor the Gram map is a bijection, and
+`GramConstraints.solve_normal` inverts it (`sdp._unique_gram`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 from . import linalg
 from .poly import (
     COMMUTATIVE,
-    FREE,
     COEFF_DROP_TOL,
     DimensionMismatchError,
     FlavorMismatchError,
@@ -248,30 +247,6 @@ def gram_map(M: np.ndarray, basis: SquareBasis) -> Polynomial:
     return Polynomial._raw(basis.flavor, basis.n_vars, coeffs)
 
 
-def gram_preimage_free(p: Polynomial, d: int) -> np.ndarray:
-    """The unique Gram matrix of a free homogeneous degree-2d polynomial.
-
-    Every word of length 2d splits uniquely into two halves, so the Gram map
-    on the word basis is a bijection; the preimage is read off coefficient by
-    coefficient and is Hermitian exactly when p is.
-    """
-    if p.flavor != FREE:
-        raise FlavorMismatchError("gram_preimage_free takes a free polynomial")
-    if not p.is_hermitian():
-        raise NotHermitianError("polynomial is not Hermitian")
-    basis = square_basis(FREE, p.n_vars, d)
-    D = basis.size
-    M = np.zeros((D, D), dtype=complex)
-    index = basis.index
-    for word, c in p._coeffs.items():
-        if len(word) != 2 * d:
-            raise ValueError(
-                f"term of degree {len(word)} in a polynomial expected homogeneous of degree {2 * d}")
-        left, right = word[:d], word[d:]
-        M[index[left[::-1]], index[right]] = c
-    return M
-
-
 # -- constraint form ----------------------------------------------------------
 
 class _Skeleton(NamedTuple):
@@ -299,15 +274,6 @@ class HermitianBasisElement:
 
     kind: str
     term: Term
-
-    def polynomial(self, flavor: str, n_vars: int) -> Polynomial:
-        tau = self.term
-        if self.kind == "self":
-            return Polynomial(flavor, n_vars, {tau: 1.0})
-        conj = involute_term(flavor, tau)
-        if self.kind == "re":
-            return Polynomial(flavor, n_vars, {tau: 1.0, conj: 1.0})
-        return Polynomial(flavor, n_vars, {tau: 1j, conj: -1j})
 
 
 class GramConstraints:
@@ -426,7 +392,8 @@ class BlockSystem:
         self.index = tuple(index)
         self.offsets = offsets
         self.size = int(offsets[-1])
-        self._normal = np.bincount(self.seg, np.abs(self.vals) ** 2, len(keep))
+        # a kept equation has all its entries inside the blocks, in their order
+        self._normal = cons._normal_diag[keep]
         self.diagonal = np.concatenate(
             [offsets[b] + np.arange(s) * (s + 1) for b, s in enumerate(sizes)])
         self.projected = list(zip(offsets[:-1].tolist(), sizes.tolist()))
@@ -502,6 +469,11 @@ class BlockSystem:
         return [x[o:o + len(ix) ** 2].reshape(len(ix), len(ix))
                 for o, ix in zip(self.offsets, self.index)]
 
+    def block_eigenvalues(self, y: np.ndarray) -> list[np.ndarray]:
+        """The eigenvalues of each block of sum_l y_l A_l, descending."""
+        return [linalg.eig_hermitian(B, vectors=False).eigenvalues
+                for B in self.split(self.adjoint(y))]
+
     def rank_hint(self) -> list[int]:
         """A fresh rank hint for `psd_part`: every projected block at full rank."""
         return [s for _, s in self.projected]
@@ -541,8 +513,7 @@ class BlockSystem:
         m = [0 if any(e % 2 for e in t) else math.prod(math.prod(range(e - 1, 0, -2)) for e in t)
              for t in (self._omegas[l].term for l in self.keep)]
         y0 = (np.array(m, dtype=object) / max(m)).astype(float)    # exact integers until scaled
-        S0 = self.split(self.adjoint(y0))
-        return y0, S0, max(linalg.eig_hermitian(B, vectors=False).eigenvalues[0] for B in S0)
+        return y0, self.split(self.adjoint(y0)), max(w[0] for w in self.block_eigenvalues(y0))
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         """The full D x D complex matrix with the blocks of x on their indices."""

@@ -1,8 +1,8 @@
 """Hermitian eigendecomposition, Schatten norms, PSD checks, spectral truncation.
 
-Eigendecompositions go through LAPACK, via numpy or, in the solver's real
-cone projection and its checks, directly through scipy; the test suite
-cross-validates them against an independent cyclic Jacobi solver.
+Eigendecompositions go through LAPACK, via numpy or, for the solver, directly
+through scipy: here, in `psd_part`, `eig_hermitian(vectors=False)` and
+`pencil_top`, only.  The tests check eigh against a cyclic Jacobi solver.
 """
 
 from __future__ import annotations
@@ -235,6 +235,15 @@ def psd_part(M: np.ndarray, low_rank: bool = False) -> tuple[np.ndarray, int]:
         raise NonConvergenceError(f"LAPACK eigensolver failed with info={info}")
     w, V = w[first:last], V[:, first:last]
     return (V * w) @ V.T, last - first
+
+
+def pencil_top(A: np.ndarray, B: np.ndarray) -> float:
+    """The top eigenvalue of the symmetric pencil (A, B), B positive definite;
+    LinAlgError when LAPACK cannot factor B."""
+    w, _, info = scipy.linalg.lapack.dsygvd(A, B, jobz="N", uplo="L")
+    if info:
+        raise np.linalg.LinAlgError(f"dsygvd failed with info {info}")
+    return w[-1]
 
 
 # -- shared JSON coordinate schema for Hermitian matrices ----------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from itertools import product as _iproduct
 from typing import Iterable, Mapping, Sequence
 
@@ -354,26 +355,43 @@ def to_dict(p: Polynomial) -> dict:
     return {"flavor": p.flavor, "n_vars": p.n_vars, "terms": terms}
 
 
+def _json_number(value, what: str, integer: bool = False):
+    """A number field of the JSON form, refusing booleans and, where an
+    integer is due, fractions (rather than truncating them)."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{what} must be {'an integer' if integer else 'a number'}, "
+                         f"got {json.dumps(value, default=repr)}")
+    return int(value) if integer else float(value)
+
+
 def from_dict(data: Mapping) -> Polynomial:
+    """The polynomial of the JSON form; ValueError, naming the field, for a
+    malformed one."""
     try:
         flavor = data["flavor"]
-        n_vars = int(data["n_vars"])
+        n_vars = _json_number(data["n_vars"], "n_vars", integer=True)
         raw_terms = data["terms"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed polynomial object: missing {exc}") from exc
     _check_flavor(flavor)
+    if not isinstance(raw_terms, list):
+        raise ValueError("terms must be a list of term objects")
     coeffs: dict[Term, complex] = {}
     for i, entry in enumerate(raw_terms):
+        if not isinstance(entry, Mapping) or "term" not in entry or "re" not in entry:
+            raise ValueError(f"terms[{i}] must be an object with 'term' and 're'")
         enc = entry["term"]
         if flavor == COMMUTATIVE:
             if not isinstance(enc, (list, tuple)):
                 raise ValueError(f"terms[{i}]: commutative term must be an exponent list")
-            term = tuple(int(e) for e in enc)
+            term = tuple(_json_number(e, f"terms[{i}]: exponent", integer=True) for e in enc)
         else:
             if not isinstance(enc, str):
                 raise ValueError(f"terms[{i}]: free term must be a word string like 'z1 z2'")
             term = _parse_word(enc, n_vars, i)
-        c = complex(float(entry["re"]), float(entry.get("im", 0.0)))
+        c = complex(_json_number(entry["re"], f"terms[{i}]: re"),
+                    _json_number(entry.get("im", 0.0), f"terms[{i}]: im"))
         if term in coeffs:
             raise ValueError(f"terms[{i}]: duplicate term {enc!r}")
         coeffs[term] = c

@@ -21,13 +21,15 @@ if only its least eigenvalue misses, and returns it once it verifies.
 `sos_feasible` runs the loop on the zero objective and `sos_norm` on the
 trace, after an opening window on the zero objective (`_trace_min`).
 
-For the trace, rho starts at ||I|| / ||A+ b||, the objective's norm over
-that of the fiber's least-norm point (after OSQP, Stellato et al. 2020).  It
-is balanced on scale-free residuals (Wohlberg 2017): the splitting residual
-relative to the larger iterate norm against the dual residual relative to
-the dual norm.  Safeguarded Anderson acceleration (`_Anderson`) extrapolates
-the state (Z, U) of the map of `ANDERSON_STRIDE` steps.  Each convergence
-check, every `CHECK_EVERY` steps, is kept in `SdpSolution.trace`.
+rho starts at ||I|| / ||A+ b||, the trace objective's norm over that of the
+fiber's least-norm point (after OSQP, Stellato et al. 2020); the zero
+objective's steps never read it.  It is balanced on scale-free residuals
+(Wohlberg 2017): the splitting residual relative to the larger iterate norm
+against the dual residual relative to the dual norm.  Safeguarded Anderson
+acceleration (`_Anderson`) extrapolates the state (Z, U) of the map of
+`ANDERSON_STRIDE` steps.  Each convergence check, every `CHECK_EVERY`
+steps, is kept in `SdpSolution.trace`.  The LAPACK calls of the cone
+projection, the checks and the certificate repair go through `linalg`.
 `SolverOptions` holds the stopping rule only and rejects values the loop
 cannot run with (non-finite or non-positive tolerances, an iteration cap
 below 1) with a ValueError that names the option.
@@ -53,7 +55,6 @@ from .poly import FREE, Polynomial
 # factor.  The raw residuals carry the scales of the iterates and of the dual,
 # which differ by orders of magnitude, so only their relative sizes compare.
 _RHO_BALANCE = 5.0
-_RHO = 1.0                  # the zero objective's initial penalty; the balancing moves it
 _OVER_RELAX = 1.6           # over-relaxed ADMM converges only for 0 < alpha < 2
 _TINY = 1e-300
 CHECK_EVERY = 25            # steps between convergence checks
@@ -203,8 +204,7 @@ def _dual_shifted(system: BlockSystem, targets: np.ndarray,
     """Scale y so that sum_l y_l A_l <= I holds, then evaluate the bound at targets."""
     if not np.any(y):
         return y, 0.0
-    top = max(float(linalg.eig_hermitian(B, vectors=False).eigenvalues[0])
-              for B in system.split(system.adjoint(y)))
+    top = max(float(w[0]) for w in system.block_eigenvalues(y))
     if top > 1.0:
         y = y / top
     return y, float(targets @ y)
@@ -233,8 +233,7 @@ def _certificate_from_gap(system: BlockSystem, v: np.ndarray) -> Optional[DualFu
         return None
     y = -c / vnorm
     for repair in (True, False):
-        blocks = system.split(system.adjoint(y))
-        w = np.concatenate([linalg.eig_hermitian(B, vectors=False).eigenvalues for B in blocks])
+        w = np.concatenate(system.block_eigenvalues(y))
         scale = max(float(np.abs(w).max(initial=0.0)), 1e-30)
         value = float(system.targets @ y)
         if not (repair and w.min() < -_CERTIFICATE_PSD_TOL * scale):
@@ -244,20 +243,12 @@ def _certificate_from_gap(system: BlockSystem, v: np.ndarray) -> Optional[DualFu
         if slope >= 0 and value - w.min() / top0 * slope >= 0:
             return None
         try:
-            t = max(_pencil_top(-B, B0) for B, B0 in zip(blocks, S0))
+            t = max(linalg.pencil_top(B, B0)
+                    for B, B0 in zip(system.split(-system.adjoint(y)), S0))
         except np.linalg.LinAlgError:       # an S0 block too ill-conditioned to factor
             return None
         y = y + t * y0
     return _certified(system.lift(y), w, value, system.targets)
-
-
-def _pencil_top(A: np.ndarray, B: np.ndarray) -> float:
-    """The top eigenvalue of the symmetric pencil (A, B), B positive definite;
-    LinAlgError when LAPACK cannot factor B."""
-    w, _, info = scipy.linalg.lapack.dsygvd(A, B, jobz="N", uplo="L")
-    if info:
-        raise np.linalg.LinAlgError(f"dsygvd failed with info {info}")
-    return w[-1]
 
 
 def _certified(y: np.ndarray, w: np.ndarray, value: float,
@@ -386,8 +377,7 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     bh_normal = system.solve_normal(bh)
     ranks = system.rank_hint()
     eye = system.identity()
-    rho = (float(np.linalg.norm(eye) / np.linalg.norm(system.adjoint(bh_normal)))
-           if minimize_trace else _RHO)
+    rho = float(np.linalg.norm(eye) / np.linalg.norm(system.adjoint(bh_normal)))
     objective = shift = 0.0     # C and C / rho
     n = system.size
 
@@ -600,20 +590,15 @@ def rank_reduce(M: np.ndarray, constraints: GramConstraints, target_r: int) -> n
                 f"no constraint-orthogonal direction at rank {r}", dec.matrix_from(live), r)
         delta = _real_vec_to_herm(null[:, 0], r)
         delta /= np.linalg.norm(delta)
-        # boundary crossings of diag(lam) + t*delta from the pencil spectrum
+        # diag(lam) + t*delta meets the boundary at t = -1/omega for each pencil
+        # eigenvalue omega: first at the largest |omega| (of a tie, at t > 0)
         omega = scipy.linalg.eigh(delta, np.diag(lam), eigvals_only=True)
-        t_pos = math.inf
-        sign = 1.0
-        if omega[0] < -1e-14:
-            t_pos = -1.0 / omega[0]
-        if omega[-1] > 1e-14 and 1.0 / omega[-1] < t_pos:
-            t_pos = 1.0 / omega[-1]
-            sign = -1.0
-        if not math.isfinite(t_pos):
+        top = omega[np.argmax(np.abs(omega))]
+        if abs(top) <= 1e-14:
             raise RankReductionError(
                 f"direction produces no boundary crossing at rank {r}",
                 dec.matrix_from(live), r)
-        core = np.diag(lam).astype(complex) + (sign * t_pos) * delta
+        core = np.diag(lam).astype(complex) + (-1.0 / top) * delta
         M = Vr @ core @ Vr.conj().T
         M = (M + M.conj().T) / 2.0
     raise RankReductionError("rank reduction did not terminate", M,

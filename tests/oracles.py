@@ -1,16 +1,18 @@
 """Independent desk-scale oracles used only by the test suite.
 
 These recompute expected values through routes the library does not take:
-exhaustive grid scans of tiny Gram spectrahedra, direct coefficient sums and
-a cyclic Jacobi eigensolver checked against LAPACK.
+exhaustive grid scans of tiny Gram spectrahedra, direct coefficient sums, the
+free Gram matrix read by splitting words and a cyclic Jacobi eigensolver
+checked against LAPACK.
 """
 
 import math
 
 import numpy as np
 
-from sos_approx.gram import gram_preimage_free
+from sos_approx.gram import NotHermitianError, square_basis
 from sos_approx.linalg import NonConvergenceError
+from sos_approx.poly import FREE, FlavorMismatchError
 
 
 def min_rank_two_vars_degree_one(a, grid=2001, span=3.0, psd_tol=1e-12,
@@ -39,6 +41,30 @@ def min_rank_two_vars_degree_one(a, grid=2001, span=3.0, psd_tol=1e-12,
         rank = int((w > rank_tol * max(w.max(), 1e-30)).sum())
         best = rank if best is None else min(best, rank)
     return best
+
+
+def gram_preimage_free(p, d: int) -> np.ndarray:
+    """The unique Gram matrix of a free homogeneous degree-2d polynomial.
+
+    Every word of length 2d splits uniquely into two halves, so the Gram map
+    on the word basis is a bijection; the preimage is read off coefficient by
+    coefficient and is Hermitian exactly when p is.
+    """
+    if p.flavor != FREE:
+        raise FlavorMismatchError("gram_preimage_free takes a free polynomial")
+    if not p.is_hermitian():
+        raise NotHermitianError("polynomial is not Hermitian")
+    basis = square_basis(FREE, p.n_vars, d)
+    D = basis.size
+    M = np.zeros((D, D), dtype=complex)
+    index = basis.index
+    for word, c in p.items():
+        if len(word) != 2 * d:
+            raise ValueError(
+                f"term of degree {len(word)} in a polynomial expected homogeneous of degree {2 * d}")
+        left, right = word[:d], word[d:]
+        M[index[left[::-1]], index[right]] = c
+    return M
 
 
 def free_pythagoras_number(p, d):

@@ -1,13 +1,14 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import free_farkas_holds, free_input, free_trace_oracle, random_sos, random_square
-from oracles import free_pythagoras_number, min_rank_two_vars_degree_one
+from oracles import free_pythagoras_number, gram_preimage_free, min_rank_two_vars_degree_one
 from sos_approx import approx as approx_module, linalg
 from sos_approx.approx import (
     NotSosError,
@@ -23,7 +24,6 @@ from sos_approx.gram import (
     BasisSizeError,
     SquareBasis,
     gram_map,
-    gram_preimage_free,
     square_basis,
 )
 from sos_approx.poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares, variables
@@ -283,6 +283,44 @@ def test_certificate_json_roundtrip(rng):
     assert clone.schatten_p == cert.schatten_p
     assert clone.input == cert.input
     assert not clone.verify()
+
+
+def _sphere_certificate_dict():
+    a, basis = random_sos(np.random.default_rng(3), COMMUTATIVE, 3, 1, 2)
+    return json.loads(approximate(a, basis, 0.3 * sos_norm(a, basis)[0]).to_json())
+
+
+# one corruption of a valid certificate per check of the re-read, and the field it names
+CERTIFICATE_DEFECTS = {
+    "error-nan": (lambda d: d.update(error=math.nan), "error"),
+    "eps-and-error-nan": (lambda d: d.update(eps=math.nan, error=math.nan), "error"),
+    "norm-unknown": (lambda d: d.update(norm="bogus"), "norm"),
+    "bound-infinite": (lambda d: d.update(theoretical_bound=math.inf), "theoretical_bound"),
+    "sos-norm-nan": (lambda d: d.update(sos_norm_value=math.nan), "sos_norm_value"),
+    "schatten-p-of-other-norm": (lambda d: d.update(schatten_p=2.0), "schatten_p"),
+    "allowed-rank-off-cap": (lambda d: d.update(allowed_rank=d["allowed_rank"] + 1),
+                             "allowed_rank"),
+    "square-too-long": (lambda d: d["squares"][0].append([1.0, 0.0]), "squares"),
+    "basis-n-vars": (lambda d: d["basis"].update(n_vars=2), "input"),
+    "basis-flavor": (lambda d: d["basis"].update(flavor=FREE), "input"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(CERTIFICATE_DEFECTS))
+def test_certificate_reread_refuses_malformed_fields(defect):
+    data = _sphere_certificate_dict()
+    assert not SosCertificate.from_dict(data).verify(sample_points=500)
+    corrupt, name = CERTIFICATE_DEFECTS[defect]
+    corrupt(data)
+    with pytest.raises(ValueError, match=f"certificate field '{name}'"):
+        SosCertificate.from_dict(data)
+
+
+def test_certificate_verify_fails_on_nan_and_unknown_fields():
+    cert = SosCertificate.from_dict(_sphere_certificate_dict())
+    for changes in ({"error": math.nan}, {"eps": math.nan, "error": math.nan},
+                    {"theoretical_bound": math.nan}, {"norm": "bogus"}):
+        assert replace(cert, **changes).verify(sample_points=500), changes
 
 
 def test_certificate_soundness_randomized(rng):

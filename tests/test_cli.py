@@ -105,6 +105,17 @@ def test_parse_error_exit_codes(tmp_path):
         assert cli.main(["sos-norm", "--input", str(non_finite), "--max-iter", "50"]) == 2
 
 
+def test_malformed_json_fields_exit_two_naming_them(tmp_path, capsys):
+    for terms, message in (
+            ('[{"term": [2.9, 0], "re": 1}]', "terms[0]: exponent must be an integer"),
+            ('[{"term": [2, 0], "re": 1, "im": null}]', "terms[0]: im must be a number"),
+            ('{"t": {"term": [2, 0], "re": 1}}', "terms must be a list")):
+        path = tmp_path / "malformed.json"
+        path.write_text('{"flavor": "commutative", "n_vars": 2, "terms": %s}' % terms)
+        assert cli.main(["sos-norm", "--input", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_approx_command_roundtrip(tmp_path, rng):
     a, _ = random_sos(rng, COMMUTATIVE, 3, 2, 3)
     path = write_poly(tmp_path, a)

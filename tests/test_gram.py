@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import CHOI_LAM_S, MOTZKIN, ROBINSON, random_hermitian, random_sos
+from oracles import gram_preimage_free
 from sos_approx import gram
 from sos_approx.gram import (
     BasisSizeError,
@@ -12,7 +13,6 @@ from sos_approx.gram import (
     SquareBasis,
     build_constraints,
     gram_map,
-    gram_preimage_free,
     square_basis,
 )
 from sos_approx.linalg import schatten_norm
@@ -20,6 +20,7 @@ from sos_approx.poly import (
     COMMUTATIVE,
     FREE,
     Polynomial,
+    involute_term,
     sphere_lattice,
     sum_of_monomial_squares,
     variables,
@@ -370,6 +371,17 @@ def test_build_constraints_rejects_bad_inputs():
         build_constraints(x1 * x1 + x2, basis)  # inhomogeneous
 
 
+def _omega_polynomial(omega, flavor, n_vars):
+    """The Hermitian basis element: tau, tau + tau* or i(tau - tau*) by its kind."""
+    tau = omega.term
+    if omega.kind == "self":
+        return Polynomial(flavor, n_vars, {tau: 1.0})
+    conj = involute_term(flavor, tau)
+    if omega.kind == "re":
+        return Polynomial(flavor, n_vars, {tau: 1.0, conj: 1.0})
+    return Polynomial(flavor, n_vars, {tau: 1j, conj: -1j})
+
+
 def test_constraints_reconstruct_gram_map(rng):
     # G(M) = sum_l tr(A_l M) omega_l for random Hermitian M
     for flavor, n, d in ((COMMUTATIVE, 3, 2), (FREE, 2, 2)):
@@ -380,7 +392,7 @@ def test_constraints_reconstruct_gram_map(rng):
         y = cons.apply(M)
         recon = Polynomial.zero(flavor, n)
         for l in range(cons.k):
-            recon = recon + float(y[l]) * cons.omegas[l].polynomial(flavor, n)
+            recon = recon + float(y[l]) * _omega_polynomial(cons.omegas[l], flavor, n)
         assert (recon - gram_map(M, basis)).coeff_two_norm() <= 1e-9
 
 

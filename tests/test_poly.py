@@ -185,6 +185,29 @@ def test_json_malformed_rejected():
         from_json('{"flavor": "weird", "n_vars": 2, "terms": []}')
 
 
+@pytest.mark.parametrize("fields, message", [
+    pytest.param('"n_vars": 2, "terms": [{"term": [2.9, 0], "re": 1}]',
+                 r"terms\[0\]: exponent must be an integer, got 2.9", id="exponent-fraction"),
+    pytest.param('"n_vars": 2, "terms": [{"term": [true, 0], "re": 1}]',
+                 r"terms\[0\]: exponent must be an integer, got true", id="exponent-boolean"),
+    pytest.param('"n_vars": 2.7, "terms": [{"term": [2, 0], "re": 1}]',
+                 "n_vars must be an integer, got 2.7", id="n-vars-fraction"),
+    pytest.param('"n_vars": true, "terms": [{"term": [2], "re": 1}]',
+                 "n_vars must be an integer, got true", id="n-vars-boolean"),
+    pytest.param('"n_vars": 2, "terms": [{"term": [2, 0], "re": true}]',
+                 r"terms\[0\]: re must be a number, got true", id="coefficient-boolean"),
+    pytest.param('"n_vars": 2, "terms": [{"term": [2, 0], "re": 1, "im": null}]',
+                 r"terms\[0\]: im must be a number, got null", id="im-null"),
+    pytest.param('"n_vars": 2, "terms": {"t": {"term": [2, 0], "re": 1}}',
+                 "terms must be a list", id="terms-object"),
+    pytest.param('"n_vars": 2, "terms": [[2, 0]]', r"terms\[0\] must be an object",
+                 id="term-not-object"),
+])
+def test_json_refuses_what_it_would_truncate_or_coerce(fields, message):
+    with pytest.raises(ValueError, match=message):
+        from_json('{"flavor": "commutative", %s}' % fields)
+
+
 def test_non_finite_coefficients_rejected():
     for c in (math.inf, -math.inf, math.nan, complex(1.0, math.nan)):
         with pytest.raises(ValueError, match=r"\(2, 0\) is not finite"):

@@ -300,6 +300,19 @@ def test_unfactorable_shift_leaves_plain_candidates(monkeypatch):
     assert _farkas_holds(form, sol.certificate.values)
 
 
+def test_opening_window_steps_are_feasibility_steps(rng):
+    # the window runs the zero objective whatever the starting rho, so the
+    # trace solve's step 25 is the feasibility solve's, bit for bit
+    a, basis = random_sos(rng, COMMUTATIVE, 3, 2, 3)
+    for p, b in ((a, basis), (sum_of_monomial_squares(3, 3), square_basis(COMMUTATIVE, 3, 3))):
+        cons = build_constraints(p, b)
+        trace_sol = _trace_min(cons, SolverOptions(max_iter=CHECK_EVERY), True)
+        feasible_sol = _trace_min(cons, SolverOptions(max_iter=CHECK_EVERY), False)
+        assert trace_sol.iterations == feasible_sol.iterations == CHECK_EVERY
+        assert np.array_equal(trace_sol.matrix, feasible_sol.matrix)
+        assert trace_sol.primal_residual == feasible_sol.primal_residual
+
+
 def test_certificate_tested_right_after_rho_change():
     # the last d = 3 form of seed 7 outlasts the opening window, and rho
     # changes at the check before its certificate; the dual change over the
@@ -543,6 +556,40 @@ def test_rank_reduce_single_trace_constraint():
     assert linalg.numerical_rank(reduced) == 1
     assert np.trace(reduced).real == pytest.approx(1.0, abs=1e-9)
     assert linalg.eig_hermitian(reduced).eigenvalues.min() >= -1e-12
+
+
+def _two_branch_step(lam, delta):
+    """One step to the nearest crossing, found by two branches: the crossing
+    at t > 0, unless the one at t < 0 is strictly nearer."""
+    omega = scipy.linalg.eigh(delta, np.diag(lam), eigvals_only=True)
+    t_pos, sign = math.inf, 1.0
+    if omega[0] < -1e-14:
+        t_pos = -1.0 / omega[0]
+    if omega[-1] > 1e-14 and 1.0 / omega[-1] < t_pos:
+        t_pos, sign = 1.0 / omega[-1], -1.0
+    return np.diag(lam) + (sign * t_pos) * delta
+
+
+@pytest.mark.parametrize("lam, direction, kept", [
+    pytest.param((2.0, 1.0), (-1.0, 1.0), 0, id="nearest-at-negative-t"),
+    pytest.param((1.0, 1.0), (1.0, -1.0), 0, id="tie-taken-at-positive-t"),
+    pytest.param((2.0, 1.0), (1.0, -1.0), 0, id="nearest-at-positive-t"),
+])
+def test_rank_reduce_nearest_crossing(monkeypatch, lam, direction, kept):
+    # one step of rank 2 -> 1 under tr(M) = const along a forced traceless
+    # diagonal direction, against the two-branch rule as oracle
+    from sos_approx.gram import HermitianBasisElement
+    basis = square_basis(COMMUTATIVE, 2, 1)
+    cons = GramConstraints(
+        basis, (HermitianBasisElement("self", (1, 1)),), np.array([sum(lam)]),
+        rows=np.array([0, 1]), cols=np.array([0, 1]),
+        vals=np.array([1.0 + 0j, 1.0 + 0j]), seg=np.array([0, 0]))
+    monkeypatch.setattr(scipy.linalg, "null_space", lambda K: np.array([[*direction, 0.0, 0.0]]).T)
+    delta = np.diag(direction) / np.linalg.norm(direction)
+    expected = _two_branch_step(np.array(lam), delta)
+    reduced = rank_reduce(np.diag(lam), cons, 1)
+    assert np.abs(reduced - expected).max() <= 1e-12
+    assert np.flatnonzero(np.abs(np.diag(reduced)) > 1e-12).tolist() == [kept]
 
 
 def test_rank_reduce_hypothesis_violation(rng):

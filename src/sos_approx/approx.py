@@ -193,6 +193,19 @@ def _assemble(a: Polynomial, basis: SquareBasis, canonical: SquareBasis, dec, ke
         schatten_p=SCHATTEN_P[norm], solver_iterations=iterations)
 
 
+def _square_count_bound(flavor: str, value: float, room: float) -> float:
+    """The bound `approximate` certifies on the number of squares, for sos-norm
+    `value` and an error budget `room`: value/room in the sphere sup-norm
+    (operator norm 1) on commutative inputs, its square in the coefficient
+    2-norm on free ones.  ValueError, naming eps, where it overflows."""
+    ratio = value / room
+    bound = ratio if flavor == COMMUTATIVE else ratio * ratio
+    if not math.isfinite(bound):
+        raise ValueError(f"eps is too small for sos-norm {value!r}: the bound on the "
+                         "number of squares overflows")
+    return bound
+
+
 def approximate(a: Polynomial, basis: SquareBasis, eps: float,
                 options: SolverOptions | None = None) -> SosCertificate:
     """Approximate a by a short sum of squares within eps.
@@ -226,11 +239,11 @@ def approximate(a: Polynomial, basis: SquareBasis, eps: float,
     if r >= eps:
         raise SolverError(f"solver residual {r:.3e} leaves no room for eps {eps:.3e}", sol)
     w = dec.eigenvalues
+    bound = _square_count_bound(basis.flavor, value, eps - r)
     if free:
-        norm, bound = COEFF_2_NORM, (value / (eps - r)) ** 2
-        dropped = np.sqrt(np.cumsum((w ** 2)[::-1])[::-1])      # ||w[k:]||_2
+        norm, dropped = COEFF_2_NORM, np.sqrt(np.cumsum((w ** 2)[::-1])[::-1])   # ||w[k:]||_2
     else:
-        norm, bound, dropped = SUP_SPHERE, value / (eps - r), w
+        norm, dropped = SUP_SPHERE, w
     keep = linalg.count_above(dropped, eps - r, strict_cap(bound))
     error = (float(dropped[keep]) if keep < len(w) else 0.0) + r
     return _assemble(a, basis, canonical, dec, keep, error, norm, eps, bound, value,
@@ -326,10 +339,7 @@ class BoundReport:
         self.dim_vv = basis_size(self.flavor, self.n_vars, 2 * self.degree)
         self.general_bound = self.dim_v
         self.sqrt_dim_bound = _ceil_sqrt(self.dim_vv)
-        ratio = self.sos_norm_value / self.eps
-        # the bound `approximate` certifies: the sphere sup-norm with operator
-        # norm 1 on commutative inputs, the coefficient 2-norm on free ones
-        self.theorem_bound = ratio if self.flavor == COMMUTATIVE else ratio ** 2
+        self.theorem_bound = _square_count_bound(self.flavor, self.sos_norm_value, self.eps)
         self.min_certified_bound = self.theorem_bound
         self.theorem_allowed_rank = strict_cap(self.theorem_bound)
 

@@ -5,11 +5,12 @@ Gram map M |-> sum_ij m_ij v_i* v_j.  `build_constraints` rewrites the fiber
 {G(M) = a} as real-valued trace equations tr(A_l M) = lambda_l over a
 Hermitian basis of the product space.  The A_l depend on the basis alone
 and are built once per basis (`SquareBasis._skeleton`; `square_basis`
-keeps recent bases), the targets and symmetries once per input.  For commutative
-inputs every A_l is real, and their real `block_system`, restricted to the
-block-diagonal matrices that keep the least trace, is what the SDP layer
-iterates on.  In the free flavor the Gram map is a bijection, and
-`GramConstraints.solve_normal` inverts it (`sdp._unique_gram`).
+keeps recent bases), the targets and symmetries once per input.  For
+commutative inputs each A_l is the 0/1 indicator of one product term's
+cells; their `block_system`, restricted to the block-diagonal matrices that
+keep the least trace, is what the SDP layer iterates on.  In the free flavor
+the Gram map is a bijection, and `GramConstraints.solve_normal` inverts it
+(`sdp._unique_gram`).
 """
 
 from __future__ import annotations
@@ -282,7 +283,7 @@ class GramConstraints:
     The A_l are Hermitian with pairwise disjoint supports, or share one
     support pair with purely imaginary overlap ("re" and "im" of one term),
     so the real normal system Re<A_l, A_m> is diagonal for every basis.
-    `vals` is real when every A_l is (commutative bases); then the real part
+    `vals` is 1 throughout when every A_l is real (commutative bases); then the real part
     of a feasible M is feasible with the same trace.  `blocks` partitions the
     basis indices (one block by default) so that some matrix of least trace
     in the fiber is block-diagonal over it; `swaps` are permutations of the
@@ -346,10 +347,14 @@ class BlockSystem:
     """The trace equations restricted to real matrices block-diagonal over `blocks`.
 
     A block-diagonal matrix is one flat real vector: block b (basis indices
-    `index[b]`, size s) row-major at x[offsets[b]:offsets[b] + s*s]; complex
-    A_l are refused.  Blocks are sorted by size, largest first.  The equations
-    that touch only cells between blocks have target 0 and are dropped;
-    `keep` lists the others, in the order of their rows of the full system.
+    `index[b]`, size s) row-major at x[offsets[b]:offsets[b] + s*s], blocks
+    sorted by size, largest first; position p holds the full-matrix cell
+    `cells[p]` = i*D + j of the kept equation `seg[p]`.  A commutative A_l is
+    the 0/1 indicator of one product term's cells, closed under the
+    transpose, so tr(A_l M) is one `bincount` over `seg` and A*(y) one
+    gather; complex or non-unit values are refused.  The equations that
+    touch only cells between blocks have target 0 and are dropped; `keep`
+    lists the others, in the order of their rows of the full system.
 
     The constraints' `swaps` generate a group G that permutes the blocks;
     `orbit[b]` is the first block of the orbit of block b, its
@@ -365,25 +370,21 @@ class BlockSystem:
     def __init__(self, cons: GramConstraints):
         if np.iscomplexobj(cons.vals):
             raise ValueError("the block system is real: complex constraints are refused")
+        if (cons.vals != 1).any():
+            raise ValueError("the block system is 0/1: constraint values other than 1 are refused")
         D = cons.dim
         index = sorted(cons.blocks, key=len, reverse=True)
         sizes = np.array([len(ix) for ix in index], dtype=np.int64)
         offsets = _offsets(sizes)
-        block_of = np.empty(D, dtype=np.int64)
-        pos = np.empty(D, dtype=np.int64)
-        for b, ix in enumerate(index):
-            block_of[ix] = b
-            pos[ix] = np.arange(len(ix))
-        inside = block_of[cons.rows] == block_of[cons.cols]
-        keep = np.unique(cons.seg[inside])
-        if np.isin(cons.seg[~inside], keep).any() or np.delete(cons.targets, keep).any():
+        self.cells = np.concatenate([(ix[:, None] * D + ix).reshape(-1) for ix in index])
+        eq_of_cell = np.full(D * D, -1, dtype=np.int64)
+        eq_of_cell[cons.rows * D + cons.cols] = cons.seg
+        eq = eq_of_cell[self.cells]
+        inside = np.bincount(eq, minlength=cons.k)    # a kept A_l has all its cells inside
+        keep = np.flatnonzero(inside)
+        if (inside[keep] != cons._normal_diag[keep]).any() or cons.targets[inside == 0].any():
             raise ValueError("the constraints do not split over the blocks")
-        b = block_of[cons.rows[inside]]
-        r, c = pos[cons.rows[inside]], pos[cons.cols[inside]]
-        self._adj = offsets[b] + r * sizes[b] + c      # the cell A_l[r, c]
-        self._app = offsets[b] + c * sizes[b] + r      # the cell M[c, r] it meets in tr(A_l M)
-        self.vals = cons.vals[inside]
-        self.seg = np.searchsorted(keep, cons.seg[inside])
+        self.seg = np.searchsorted(keep, eq)
         self.targets = cons.targets[keep]
         self.keep = keep
         self.k_full = cons.k
@@ -392,18 +393,18 @@ class BlockSystem:
         self.index = tuple(index)
         self.offsets = offsets
         self.size = int(offsets[-1])
-        # a kept equation has all its entries inside the blocks, in their order
         self._normal = cons._normal_diag[keep]
-        self.diagonal = np.concatenate(
-            [offsets[b] + np.arange(s) * (s + 1) for b, s in enumerate(sizes)])
+        self.diagonal = np.flatnonzero(self.cells // D == self.cells % D)
         self.projected = list(zip(offsets[:-1].tolist(), sizes.tolist()))
 
         self.orbit = np.arange(len(index))
         self._labels = None
         if cons.swaps:
-            self._merge_orbits(cons.swaps, block_of, pos, sizes)
+            where = np.full(D * D, -1, dtype=np.int64)
+            where[self.cells] = np.arange(self.size)
+            self._merge_orbits(cons.swaps, where)
 
-    def _merge_orbits(self, swaps, block_of, pos, sizes) -> None:
+    def _merge_orbits(self, swaps, where) -> None:
         """Label each cell with its orbit under the group the swaps generate
         together with the transpose.
 
@@ -411,19 +412,16 @@ class BlockSystem:
         (i, j) and (j, i): a swap can carry a cell below one diagonal to a
         cell above another, and `eigh` reads only the lower triangle, so
         without it an asymmetric rounding error would feed back into the
-        iterates and grow.  `first` ends as the lowest flat position in each
-        cell's orbit, which lies in the orbit's first block, its
-        representative.
+        iterates and grow.  A swap permutes the blocks iff `where`, a cell's
+        position or -1 outside the blocks, places every image.  `first` ends
+        as the lowest flat position in each cell's orbit, which lies in the
+        orbit's first block, its representative.
         """
-        ci = np.concatenate([np.repeat(ix, len(ix)) for ix in self.index])
-        cj = np.concatenate([np.tile(ix, len(ix)) for ix in self.index])
-        images = [self.offsets[block_of[cj]] + pos[cj] * sizes[block_of[cj]] + pos[ci]]
+        ci, cj = np.divmod(self.cells, self.dim)
+        images = [where[cj * self.dim + ci]]
         for perm in swaps:
-            pi, pj = perm[ci], perm[cj]
-            b = block_of[pi]
-            image = self.offsets[b] + pos[pi] * sizes[b] + pos[pj]
-            if (block_of[pj] != b).any() or not np.array_equal(
-                    np.sort(image), np.arange(self.size)):
+            image = where[perm[ci] * self.dim + perm[cj]]
+            if (image < 0).any():
                 raise ValueError("the swaps do not permute the blocks")
             images.append(image)
         first = np.arange(self.size)
@@ -438,20 +436,21 @@ class BlockSystem:
         if len(reps) == len(self.index):
             return
         # the representatives stacked into one compact vector
-        cells = np.concatenate([np.arange(self.offsets[r], self.offsets[r + 1]) for r in reps])
+        stacked = np.concatenate([np.arange(self.offsets[r], self.offsets[r + 1]) for r in reps])
         compact = np.empty(self.size, dtype=np.int64)
-        compact[cells] = np.arange(len(cells))
+        compact[stacked] = np.arange(len(stacked))
         _, self._labels = np.unique(first, return_inverse=True)
         self._count = np.bincount(self._labels)
-        self._gather = self._labels[cells]
+        self._gather = self._labels[stacked]
         self._src = compact[first]
-        self.projected = list(zip(_offsets(sizes[reps])[:-1].tolist(), sizes[reps].tolist()))
+        sizes = np.array([len(self.index[r]) for r in reps])
+        self.projected = list(zip(_offsets(sizes)[:-1].tolist(), sizes.tolist()))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.seg, self.vals * x[self._app], len(self.keep))
+        return np.bincount(self.seg, x, len(self.keep))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return np.bincount(self._adj, self.vals * y[self.seg], self.size)
+        return y[self.seg]
 
     def solve_normal(self, rhs: np.ndarray) -> np.ndarray:
         return rhs / self._normal
@@ -517,10 +516,9 @@ class BlockSystem:
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         """The full D x D complex matrix with the blocks of x on their indices."""
-        M = np.zeros((self.dim, self.dim), dtype=complex)
-        for ix, B in zip(self.index, self.split(x)):
-            M[np.ix_(ix, ix)] = B
-        return M
+        M = np.zeros(self.dim * self.dim, dtype=complex)
+        M[self.cells] = x
+        return M.reshape(self.dim, self.dim)
 
     def lift(self, y: np.ndarray) -> np.ndarray:
         """A vector over the kept equations as one over all k, zero on the dropped."""

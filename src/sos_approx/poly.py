@@ -67,6 +67,10 @@ def multiply_terms(flavor: str, s: Term, t: Term) -> Term:
 
 
 def _validate_term(flavor: str, n_vars: int, term) -> Term:
+    term = tuple(term)
+    if any(isinstance(e, bool) or not isinstance(e, numbers.Integral) for e in term):
+        what = "exponents" if flavor == COMMUTATIVE else "symbols"
+        raise ValueError(f"term {term!r}: {what} must be integers")
     term = tuple(int(e) for e in term)
     if flavor == COMMUTATIVE:
         if len(term) != n_vars:
@@ -245,8 +249,9 @@ class Polynomial:
     # -- norms and evaluation ----------------------------------------------
 
     def coeff_two_norm(self) -> float:
-        """Euclidean norm of the coefficient vector."""
-        return math.sqrt(sum(abs(c) ** 2 for c in self._coeffs.values()))
+        """Euclidean norm of the coefficient vector, scaled like `math.hypot` so
+        that no square overflows."""
+        return math.hypot(*(x for c in self._coeffs.values() for x in (c.real, c.imag)))
 
     def evaluate(self, point: Sequence[float]) -> complex:
         """Evaluate at a point of the real unit sphere (commutative only)."""
@@ -469,12 +474,16 @@ def _cross_polytope_lattice(n_vars: int, resolution: int) -> np.ndarray:
     level = 1
     while count(level) < resolution and level < 256:
         level += 1
-    seen: set[tuple[int, ...]] = set()
-    for signs in _iproduct((1, -1), repeat=n_vars):
-        for comp in compositions(level, n_vars):
-            key = tuple(s * w if w else 0 for s, w in zip(signs, comp))
-            seen.add(key)
-    pts = np.array(sorted(seen), dtype=float)
+    # each composition with every sign pattern on its nonzero parts, once
+    keys = []
+    for comp in compositions(level, n_vars):
+        nonzero = [i for i, w in enumerate(comp) if w]
+        for signs in _iproduct((1, -1), repeat=len(nonzero)):
+            key = list(comp)
+            for i, s in zip(nonzero, signs):
+                key[i] *= s
+            keys.append(tuple(key))
+    pts = np.array(sorted(keys), dtype=float)
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 

@@ -485,6 +485,11 @@ def _solve(a: Polynomial, basis: SquareBasis, options: SolverOptions | None,
     """The constraint system of a over the basis and its solve: the zero
     polynomial in 0 steps, a free basis by `_unique_gram`, else `_trace_min`."""
     constraints = build_constraints(a, basis)
+    with np.errstate(over="ignore"):
+        bnorm = float(np.linalg.norm(constraints.targets))
+    if not math.isfinite(bnorm):     # the solve scales by it: refused, not run into NaN
+        raise ValueError("the coefficients are too large to normalize: their 2-norm overflows "
+                         f"(largest real or imaginary part {np.abs(constraints.targets).max():.3e})")
     if not np.any(constraints.targets):
         zero = np.zeros((basis.size, basis.size), dtype=complex)
         return constraints, SdpSolution(zero, 0.0, np.zeros(constraints.k), 0.0, 0.0, 0.0,

@@ -2,17 +2,18 @@
 
 These recompute expected values through routes the library does not take:
 exhaustive grid scans of tiny Gram spectrahedra, direct coefficient sums, the
-free Gram matrix read by splitting words and a cyclic Jacobi eigensolver
-checked against LAPACK.
+free Gram matrix read by splitting words, a cyclic Jacobi eigensolver
+checked against LAPACK and the cross-polytope lattice over every sign vector.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 
 from sos_approx.gram import NotHermitianError, square_basis
 from sos_approx.linalg import NonConvergenceError
-from sos_approx.poly import FREE, FlavorMismatchError
+from sos_approx.poly import FREE, FlavorMismatchError, compositions
 
 
 def min_rank_two_vars_degree_one(a, grid=2001, span=3.0, psd_tol=1e-12,
@@ -135,3 +136,21 @@ def hermitian_from_dict(data: dict) -> np.ndarray:
         if i != j:
             M[j, i] = complex(re, -im)
     return M
+
+
+def cross_polytope_lattice_all_signs(n_vars: int, resolution: int) -> np.ndarray:
+    """The sphere lattice of `poly.sphere_lattice` for n_vars >= 4, by applying
+    all 2^n sign vectors to every composition and dropping repeats."""
+    def count(level: int) -> int:
+        return sum((2 ** k) * math.comb(n_vars, k) * math.comb(level - 1, k - 1)
+                   for k in range(1, min(n_vars, level) + 1))
+
+    level = 1
+    while count(level) < resolution and level < 256:
+        level += 1
+    seen = set()
+    for signs in product((1, -1), repeat=n_vars):
+        for comp in compositions(level, n_vars):
+            seen.add(tuple(s * w if w else 0 for s, w in zip(signs, comp)))
+    pts = np.array(sorted(seen), dtype=float)
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)

@@ -260,6 +260,33 @@ def test_bounds_command(tmp_path, capsys):
                      "--eps", "1.0", "--sos-norm-value", "1.0"]) == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["sos-norm", "--input", "{big}"], "coefficients are too large", id="sos-norm"),
+    pytest.param(["feasible", "--input", "{big}"], "coefficients are too large", id="feasible"),
+    pytest.param(["approx", "--input", "{big}", "--output", "{out}", "--eps", "1e300"],
+                 "coefficients are too large", id="approx"),
+    pytest.param(["bounds", "--input", "{big}", "--eps", "1"], "coefficients are too large",
+                 id="bounds-input"),
+    pytest.param(["bounds", "--flavor", "free", "--n", "3", "--d", "2", "--eps", "1e-300",
+                  "--sos-norm-value", "1e300"], "eps is too small", id="bounds-value"),
+    pytest.param(["approx", "--input", "{free}", "--output", "{out}", "--eps", "1e-200"],
+                 "eps is too small", id="approx-free-bound"),
+])
+def test_overflow_exits_two_naming_the_problem(tmp_path, capsys, argv, message):
+    # coefficients whose 2-norm overflows cannot be normalized for the solve,
+    # and a square-count bound past the float range certifies nothing
+    big = Polynomial(COMMUTATIVE, 2, {(2, 0): 1e308, (0, 2): 1e308})
+    paths = {"big": write_poly(tmp_path, big, "big.json"),
+             "free": write_poly(tmp_path, random_sos(np.random.default_rng(1), FREE, 2, 1, 2)[0],
+                                "free.json"),
+             "out": str(tmp_path / "cert.json")}
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert message in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "cert.json").exists()
+
+
 def test_bounds_command_from_input(tmp_path, capsys):
     path = write_poly(tmp_path, sum_of_monomial_squares(3, 1))
     assert cli.main(["bounds", "--input", path, "--eps", "1.5"]) == 0

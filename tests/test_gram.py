@@ -181,26 +181,58 @@ def test_parity_blocks():
             complex_cons.block_system
 
 
+def _reordered(cons, order):
+    """The constraints with equation m being equation order[m] of cons."""
+    seg = np.argsort(order)[cons.seg]
+    return GramConstraints(cons.basis, tuple(cons.omegas[l] for l in order),
+                           cons.targets[order], cons.rows, cons.cols, cons.vals, seg,
+                           cons.blocks, cons.swaps)
+
+
 def test_block_system_matches_full_constraints(rng):
     # on block-diagonal matrices the block maps are the full maps, with the
-    # dropped equations reading 0
+    # dropped equations reading 0, in any order of the equations
     for a, basis in ((sum_of_monomial_squares(3, 3), square_basis(COMMUTATIVE, 3, 3)),
                      random_sos(rng, COMMUTATIVE, 3, 2, 2)):
-        cons = build_constraints(a, basis)
-        system = cons.block_system
-        x = np.concatenate([random_hermitian(rng, len(ix)).real.reshape(-1)
-                            for ix in system.index])
-        M = system.embed(x)
-        assert np.abs(cons.apply(M) - system.lift(system.apply(x))).max() <= 1e-12
-        y = rng.standard_normal(len(system.keep))
-        assert np.abs(cons.adjoint(system.lift(y)) - system.embed(system.adjoint(y))).max() <= 1e-12
-        assert system.trace(x) == pytest.approx(np.trace(M).real, rel=1e-12)
+        built = build_constraints(a, basis)
+        order = rng.permutation(built.k)
+        for cons in (built, _reordered(built, order)):
+            system = cons.block_system
+            x = np.concatenate([random_hermitian(rng, len(ix)).real.reshape(-1)
+                                for ix in system.index])
+            M = system.embed(x)
+            assert np.abs(cons.apply(M) - system.lift(system.apply(x))).max() <= 1e-12
+            y = rng.standard_normal(len(system.keep))
+            assert np.abs(cons.adjoint(system.lift(y))
+                          - system.embed(system.adjoint(y))).max() <= 1e-12
+            assert system.trace(x) == pytest.approx(np.trace(M).real, rel=1e-12)
+        # the reordered system keeps the orbits and reads each kept
+        # equation's own moment
+        first = built.block_system
+        assert np.array_equal(system.orbit, first.orbit)
+        assert np.array_equal(np.sort(order[system.keep]), first.keep)
+        assert np.array_equal(system.moment_shift[0],
+                              first.lift(first.moment_shift[0])[order[system.keep]])
     # blocks that an equation couples are refused, not solved over
     cons = build_constraints(sum_of_monomial_squares(3, 2), square_basis(COMMUTATIVE, 3, 2))
     coupled = GramConstraints(cons.basis, cons.omegas, cons.targets, cons.rows, cons.cols,
                               cons.vals, cons.seg, (np.arange(3), np.arange(3, 6)))
     with pytest.raises(ValueError, match="split"):
         coupled.block_system
+    # the maps read every A_l as a 0/1 indicator: any other real value is refused
+    scaled = GramConstraints(cons.basis, cons.omegas, cons.targets, cons.rows, cons.cols,
+                             2.0 * cons.vals, cons.seg)
+    with pytest.raises(ValueError, match="values other than 1 are refused"):
+        scaled.block_system
+    # a swap of x^2 and x*y carries the cell (x^2, y^2) of the even block to
+    # (x*y, y^2), between blocks
+    swap = np.arange(cons.dim)
+    i, j = cons.basis.index[(2, 0, 0)], cons.basis.index[(1, 1, 0)]
+    swap[[i, j]] = j, i
+    crossing = GramConstraints(cons.basis, cons.omegas, cons.targets, cons.rows, cons.cols,
+                               cons.vals, cons.seg, cons.blocks, (swap,))
+    with pytest.raises(ValueError, match="the swaps do not permute the blocks"):
+        crossing.block_system
 
 
 def _orbits(cons):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import cross_polytope_lattice_all_signs
 from sos_approx.poly import (
     COMMUTATIVE,
     FREE,
@@ -64,6 +65,10 @@ def test_coeff_two_norm_examples():
     assert p.coeff_two_norm() == pytest.approx(5.0, abs=1e-15)
     q = Polynomial(FREE, 2, {(0, 1): 1.0, (1, 0): 1.0})
     assert q.coeff_two_norm() == pytest.approx(math.sqrt(2), abs=1e-15)
+    # no square overflows: the norm is scaled by the largest part
+    big = Polynomial(FREE, 2, {(0, 1): complex(5e307, 5e307), (1, 0): complex(5e307, -5e307)})
+    assert big.coeff_two_norm() == pytest.approx(1e308, rel=1e-15)
+    assert big.is_hermitian()
 
 
 def test_evaluate_examples():
@@ -153,6 +158,12 @@ def test_sphere_lattice_shapes():
         sphere_lattice(3, 0)
 
 
+def test_sphere_lattice_matches_all_sign_vectors():
+    # signs on the nonzero parts alone give the same points in the same order
+    for n in range(4, 11):
+        assert np.array_equal(sphere_lattice(n, 500), cross_polytope_lattice_all_signs(n, 500))
+
+
 def test_sphere_point_validation():
     as_sphere_point([0.6, 0.8])
     with pytest.raises(ValueError):
@@ -206,6 +217,16 @@ def test_json_malformed_rejected():
 def test_json_refuses_what_it_would_truncate_or_coerce(fields, message):
     with pytest.raises(ValueError, match=message):
         from_json('{"flavor": "commutative", %s}' % fields)
+
+
+def test_constructor_refuses_non_integral_exponents_and_symbols():
+    for flavor, term in ((COMMUTATIVE, (2.9, 0)), (COMMUTATIVE, (2.0, 0)),
+                         (COMMUTATIVE, (True, 1)), (FREE, (0.0, 1)), (FREE, (False,))):
+        with pytest.raises(ValueError, match=r"term \(.*\): (exponents|symbols) must be integers"):
+            Polynomial(flavor, 2, {term: 1.0})
+    p = Polynomial(COMMUTATIVE, 2, {tuple(np.array([2, 0])): 1.0})
+    assert p.coefficient((2, 0)) == 1.0 and all(type(e) is int for e in p.items()[0][0])
+    assert Polynomial(FREE, 2, {tuple(np.array([1, 0], dtype=np.int32)): 1.0}).degree() == 2
 
 
 def test_non_finite_coefficients_rejected():

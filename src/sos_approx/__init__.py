@@ -31,7 +31,6 @@ from .sdp import (
     SdpSolution,
     SolverOptions,
     SolveStatus,
-    dual_bound,
     rank_reduce,
     sos_feasible,
     sos_norm,

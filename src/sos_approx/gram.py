@@ -3,14 +3,15 @@
 A basis v = (v_1, ..., v_D) of the homogeneous degree-d component induces the
 Gram map M |-> sum_ij m_ij v_i* v_j.  `build_constraints` rewrites the fiber
 {G(M) = a} as real-valued trace equations tr(A_l M) = lambda_l over a
-Hermitian basis of the product space.  The A_l depend on the basis alone
-and are built once per basis (`SquareBasis._skeleton`; `square_basis`
-keeps recent bases), the targets and symmetries once per input.  For
-commutative inputs each A_l is the 0/1 indicator of one product term's
-cells; their `block_system`, restricted to the block-diagonal matrices that
-keep the least trace, is what the SDP layer iterates on.  In the free flavor
-the Gram map is a bijection, and `GramConstraints.solve_normal` inverts it
-(`sdp._unique_gram`).
+Hermitian basis of the product space.  Each equation is a product term
+and whether its target is a real or an imaginary part, built once per
+basis (`SquareBasis._skeleton`; `square_basis` keeps recent bases), and its
+A_l is read from the basis's cell map; the targets and symmetries are read
+once per input.  For commutative inputs each A_l is the 0/1 indicator of
+one product term's cells; their `block_system`, restricted to the
+block-diagonal matrices that keep the least trace, is what the SDP layer
+iterates on.  In the free flavor the Gram map is a bijection, and
+`GramConstraints.solve_normal` inverts it (`sdp._unique_gram`).
 """
 
 from __future__ import annotations
@@ -137,52 +138,17 @@ class SquareBasis:
     @cached_property
     def _skeleton(self) -> _Skeleton:
         """The input-independent part of `build_constraints`, shared read-only."""
-        prod_terms, prod_index, cell_to_prod = self._products
-        D = self.size
-        # cells grouped by product term
-        order = np.argsort(cell_to_prod, kind="stable")
-        bounds = np.searchsorted(cell_to_prod[order], np.arange(len(prod_terms) + 1))
-        cell_i, cell_j = np.divmod(order, D)
-
-        conj_of = np.array([prod_index[involute_term(self.flavor, t)]
-                            for t in prod_terms])
-
-        # every A_l is real in the commutative flavor: all its terms are self-conjugate
-        dtype = float if self.flavor == COMMUTATIVE else complex
+        prod_terms, prod_index, _ = self._products
+        conj = np.array([prod_index[involute_term(self.flavor, t)] for t in prod_terms],
+                        dtype=np.int64)
         omegas: list[HermitianBasisElement] = []
         tau: list[int] = []
-        rows_parts, cols_parts, vals_parts, seg_parts = [], [], [], []
-
-        def emit(kind: str, tau_idx: int, idx_list: list[np.ndarray], val_list: list[np.ndarray]):
-            l = len(omegas)
-            omegas.append(HermitianBasisElement(kind, prod_terms[tau_idx]))
-            tau.append(tau_idx)
-            for idx, vals in zip(idx_list, val_list):
-                # A[j, i] entries for cells (i, j): tr(A M) = sum val * m_ij
-                rows_parts.append(cell_j[idx])
-                cols_parts.append(cell_i[idx])
-                vals_parts.append(vals)
-                seg_parts.append(np.full(idx.shape, l, dtype=np.int64))
-
-        for t_idx in range(len(prod_terms)):
-            c_idx = int(conj_of[t_idx])
-            sel = np.arange(bounds[t_idx], bounds[t_idx + 1])
-            if c_idx == t_idx:
-                emit("self", t_idx, [sel], [np.ones(sel.shape, dtype=dtype)])
-            elif t_idx < c_idx:
-                sel_c = np.arange(bounds[c_idx], bounds[c_idx + 1])
-                emit("re", t_idx, [sel, sel_c],
-                     [np.full(sel.shape, 0.5, dtype=complex),
-                      np.full(sel_c.shape, 0.5, dtype=complex)])
-                emit("im", t_idx, [sel, sel_c],
-                     [np.full(sel.shape, -0.5j, dtype=complex),
-                      np.full(sel_c.shape, 0.5j, dtype=complex)])
-
-        skeleton = _Skeleton(
-            tuple(omegas), np.array(tau, dtype=np.int64),
-            np.array([w.kind == "im" for w in omegas], dtype=bool),
-            np.concatenate(rows_parts), np.concatenate(cols_parts),
-            np.concatenate(vals_parts), np.concatenate(seg_parts))
+        for t, c in enumerate(conj.tolist()):
+            kinds = ("self",) if c == t else ("re", "im") if t < c else ()
+            omegas += [HermitianBasisElement(kind, prod_terms[t]) for kind in kinds]
+            tau += [t] * len(kinds)
+        skeleton = _Skeleton(tuple(omegas), np.array(tau, dtype=np.int64),
+                             np.array([w.kind == "im" for w in omegas], dtype=bool), conj)
         for array in skeleton[1:]:
             array.flags.writeable = False
         return skeleton
@@ -190,7 +156,8 @@ class SquareBasis:
 
 # square_basis keeps the bases it built, least recently used dropped first, up
 # to this many cells (D^2) in all: a kept basis holds its product table and
-# skeleton, about 400 bytes a cell for words and 60 for monomials
+# skeleton, about 330 bytes a cell for words and 21 for monomials (tracemalloc,
+# free n=2 d=6 and commutative n=3 d=10), so at most about 22 MB
 _MEMO_CELLS = 1 << 16
 _memo: OrderedDict[tuple[str, int, int], SquareBasis] = OrderedDict()
 
@@ -252,16 +219,13 @@ def gram_map(M: np.ndarray, basis: SquareBasis) -> Polynomial:
 
 class _Skeleton(NamedTuple):
     """`SquareBasis._skeleton`: per equation its Hermitian basis element, the
-    index of its product term tau and whether its target is Im a_tau, and
-    the entries of all A_l."""
+    index of its product term tau and whether its target is Im a_tau; per
+    product term the index of its conjugate."""
 
     omegas: tuple[HermitianBasisElement, ...]
     tau: np.ndarray
     imag: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    seg: np.ndarray
+    conj: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -280,59 +244,84 @@ class HermitianBasisElement:
 class GramConstraints:
     """Trace equations tr(A_l M) = lambda_l encoding G_v(M) = a.
 
-    The A_l are Hermitian with pairwise disjoint supports, or share one
-    support pair with purely imaginary overlap ("re" and "im" of one term),
-    so the real normal system Re<A_l, A_m> is diagonal for every basis.
-    `vals` is 1 throughout when every A_l is real (commutative bases); then the real part
-    of a feasible M is feasible with the same trace.  `blocks` partitions the
-    basis indices (one block by default) so that some matrix of least trace
-    in the fiber is block-diagonal over it; `swaps` are permutations of the
-    basis indices that map the equations and their targets onto themselves
-    (none by default).  `block_system` (commutative bases) is what the solver runs on.
+    Equation l is the pair (product term tau[l], whether its target is
+    Im a_tau); A_l is never stored.  With c_t the coefficient of t in G(M),
+    the sum of m_ij over the cells (i, j) of t, and h_t = (c_t + conj(c_t*))
+    / 2 the Hermitian part, tr(A_l M) is Re h_tau or Im h_tau.  The A_l are
+    Hermitian with pairwise disjoint supports, or share one support pair
+    with purely imaginary overlap ("re" and "im" of one term), so the real
+    normal system Re<A_l, A_m> is diagonal for every basis.  On commutative
+    bases every term is self-conjugate and every A_l real; then the real
+    part of a feasible M is feasible with the same trace.  `blocks`
+    partitions the basis indices (one block by default) so that some matrix
+    of least trace in the fiber is block-diagonal over it; `swaps` are
+    permutations of the basis indices that map the equations and their
+    targets onto themselves (none by default).  `block_system` (commutative
+    bases) is what the solver runs on.
     """
 
     def __init__(self, basis: SquareBasis, omegas: tuple[HermitianBasisElement, ...],
-                 targets: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                 vals: np.ndarray, seg: np.ndarray,
+                 targets: np.ndarray, tau: np.ndarray, imag: np.ndarray,
                  blocks: tuple[np.ndarray, ...] | None = None,
                  swaps: tuple[np.ndarray, ...] = ()):
         self.basis = basis
         self.omegas = omegas
         self.targets = np.asarray(targets, dtype=float)
-        self.rows = rows
-        self.cols = cols
-        self.vals = vals
-        self.seg = seg
+        self.tau = tau
+        self.imag = imag
         self.dim = basis.size
         self.blocks = (np.arange(self.dim),) if blocks is None else blocks
         self.swaps = swaps
+        self._cell_to_prod = basis._products[2]
+        self._conj = basis._skeleton.conj
+        self._real = basis.flavor == COMMUTATIVE     # every term its own conjugate
 
     @property
     def k(self) -> int:
         """Number of real-valued constraints (= dim_C of the product space)."""
         return len(self.omegas)
 
+    @cached_property
+    def _reads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """tr(A_l M) = (c[slot] + sign * c[mirror]) / 2 over c stacked as (Re c,
+        Im c): slot and mirror at the target's part of c_tau and of c_tau*."""
+        part = len(self._conj) * self.imag
+        return self.tau + part, self._conj[self.tau] + part, np.where(self.imag, -1.0, 1.0)
+
     def apply(self, M: np.ndarray) -> np.ndarray:
-        """The vector (tr(A_l M))_l; real for Hermitian M."""
-        contrib = self.vals * M[self.cols, self.rows]
-        return np.bincount(self.seg, weights=contrib.real, minlength=self.k)
+        """The vector (tr(A_l M))_l; real for Hermitian M.  On commutative
+        bases h = Re c, one real `bincount`."""
+        flat, n = M.reshape(-1), len(self._conj)
+        re = np.bincount(self._cell_to_prod, flat.real, n)
+        if self._real:
+            return re[self.tau]
+        c = np.concatenate([re, np.bincount(self._cell_to_prod, flat.imag, n)])
+        slot, mirror, sign = self._reads
+        return (c[slot] + sign * c[mirror]) / 2
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """sum_l y_l A_l for real y; Hermitian by construction, complex for free bases."""
-        D = self.dim
-        cells = self.rows * D + self.cols
-        weights = self.vals * np.asarray(y)[self.seg]
-        M = np.bincount(cells, weights.real, D * D)
-        if np.iscomplexobj(weights):
-            M = M + 1j * np.bincount(cells, weights.imag, D * D)
-        return M.reshape(D, D)
+        """sum_l y_l A_l for real y; Hermitian by construction, complex for free bases.
+        Cell (i, j) holds h_t of its term t, h the transposed reads of `apply`."""
+        n, D = len(self._conj), self.dim
+        cells = self._cell_to_prod.reshape(D, D)
+        if self._real:
+            return np.bincount(self.tau, y, n)[cells]
+        slot, mirror, sign = self._reads
+        h = (np.bincount(slot, y, 2 * n) + np.bincount(mirror, sign * y, 2 * n)) / 2
+        A = np.empty((D, D), dtype=complex)
+        A.real, A.imag = h[:n][cells], h[n:][cells]
+        return A
 
     def residual(self, M: np.ndarray) -> float:
         return float(np.linalg.norm(self.apply(M) - self.targets))
 
     @cached_property
     def _normal_diag(self) -> np.ndarray:
-        return np.bincount(self.seg, weights=np.abs(self.vals) ** 2, minlength=self.k)
+        """||A_l||_F^2: the cell count of tau, or for a conjugate pair a
+        quarter of the counts of tau and tau*."""
+        count = np.bincount(self._cell_to_prod, minlength=len(self._conj)).astype(float)
+        conj = self._conj[self.tau]
+        return np.where(conj == self.tau, count[self.tau], (count[self.tau] + count[conj]) / 4)
 
     def solve_normal(self, rhs: np.ndarray) -> np.ndarray:
         """Solve <A, A*> mu = rhs (the constraint Gram system, diagonal)."""
@@ -349,12 +338,13 @@ class BlockSystem:
     A block-diagonal matrix is one flat real vector: block b (basis indices
     `index[b]`, size s) row-major at x[offsets[b]:offsets[b] + s*s], blocks
     sorted by size, largest first; position p holds the full-matrix cell
-    `cells[p]` = i*D + j of the kept equation `seg[p]`.  A commutative A_l is
-    the 0/1 indicator of one product term's cells, closed under the
-    transpose, so tr(A_l M) is one `bincount` over `seg` and A*(y) one
-    gather; complex or non-unit values are refused.  The equations that
-    touch only cells between blocks have target 0 and are dropped; `keep`
-    lists the others, in the order of their rows of the full system.
+    `cells[p]` = i*D + j of the kept equation `seg[p]`, the one of the cell's
+    product term.  On a commutative basis A_l is the 0/1 indicator of one
+    product term's cells, closed under the transpose, so tr(A_l M) is one
+    `bincount` over `seg` and A*(y) one gather; non-commutative bases are
+    refused.  The equations that touch only cells between blocks have target
+    0 and are dropped; `keep` lists the others, in the order of their rows of
+    the full system.
 
     The constraints' `swaps` generate a group G that permutes the blocks;
     `orbit[b]` is the first block of the orbit of block b, its
@@ -368,18 +358,16 @@ class BlockSystem:
     """
 
     def __init__(self, cons: GramConstraints):
-        if np.iscomplexobj(cons.vals):
-            raise ValueError("the block system is real: complex constraints are refused")
-        if (cons.vals != 1).any():
-            raise ValueError("the block system is 0/1: constraint values other than 1 are refused")
+        if cons.basis.flavor != COMMUTATIVE:
+            raise ValueError("the block system is real: non-commutative bases are refused")
         D = cons.dim
         index = sorted(cons.blocks, key=len, reverse=True)
         sizes = np.array([len(ix) for ix in index], dtype=np.int64)
         offsets = _offsets(sizes)
         self.cells = np.concatenate([(ix[:, None] * D + ix).reshape(-1) for ix in index])
-        eq_of_cell = np.full(D * D, -1, dtype=np.int64)
-        eq_of_cell[cons.rows * D + cons.cols] = cons.seg
-        eq = eq_of_cell[self.cells]
+        eq_of_term = np.full(len(cons._conj), -1, dtype=np.int64)
+        eq_of_term[cons.tau] = np.arange(cons.k)
+        eq = eq_of_term[cons._cell_to_prod[self.cells]]
         inside = np.bincount(eq, minlength=cons.k)    # a kept A_l has all its cells inside
         keep = np.flatnonzero(inside)
         if (inside[keep] != cons._normal_diag[keep]).any() or cons.targets[inside == 0].any():
@@ -611,8 +599,7 @@ def build_constraints(a: Polynomial, basis: SquareBasis) -> GramConstraints:
     lam = coeffs[sk.tau]
     commutative = basis.flavor == COMMUTATIVE
     return GramConstraints(
-        basis, sk.omegas, np.where(sk.imag, lam.imag, lam.real),
-        sk.rows, sk.cols, sk.vals, sk.seg,
+        basis, sk.omegas, np.where(sk.imag, lam.imag, lam.real), sk.tau, sk.imag,
         _parity_blocks(a, basis) if commutative else None,
         _variable_swaps(a, basis) if commutative else ())
 

@@ -527,23 +527,6 @@ def sos_feasible(a: Polynomial, basis: SquareBasis,
                              sol.primal_residual, sol.iterations, constraints)
 
 
-def dual_bound(a: Polynomial, basis: SquareBasis,
-               options: SolverOptions | None = None) -> float:
-    """Optimal value of the dual program: a certified lower bound on the sos-norm.
-
-    The returned functional value is evaluated after scaling the recovered
-    multipliers back into the dual feasible set, so it never overshoots.
-    When a admits a positive definite Gram matrix the bound matches the
-    sos-norm (strong duality).
-    """
-    value, sol = sos_norm(a, basis, options)
-    if sol.status is SolveStatus.INFEASIBLE:
-        return math.inf
-    if sol.status is not SolveStatus.OPTIMAL:
-        raise SolverError("dual bound unavailable: " + sol.message, sol)
-    return max(0.0, sol.dual_objective)
-
-
 # -- rank reduction -------------------------------------------------------------
 
 def rank_reduce(M: np.ndarray, constraints: GramConstraints, target_r: int) -> np.ndarray:
@@ -565,8 +548,7 @@ def rank_reduce(M: np.ndarray, constraints: GramConstraints, target_r: int) -> n
     if constraints.residual(M) > 1e-7 * bscale:
         raise ValueError("matrix does not satisfy the constraints to 1e-7")
     M = linalg.require_hermitian(M)
-    A = np.zeros((k,) + M.shape, dtype=complex)     # the stack of all A_l
-    np.add.at(A, (constraints.seg, constraints.rows, constraints.cols), constraints.vals)
+    A = np.array([constraints.adjoint(e) for e in np.eye(k)], dtype=complex)   # every A_l
     for _ in range(M.shape[0] + 1):
         dec = linalg.clipped_spectrum(M)
         w, V = dec.eigenvalues, dec.eigenvectors

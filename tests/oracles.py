@@ -2,8 +2,9 @@
 
 These recompute expected values through routes the library does not take:
 exhaustive grid scans of tiny Gram spectrahedra, direct coefficient sums, the
-free Gram matrix read by splitting words, a cyclic Jacobi eigensolver
-checked against LAPACK and the cross-polytope lattice over every sign vector.
+free Gram matrix read by splitting words, the dense constraint matrices built
+by multiplying polynomials, a cyclic Jacobi eigensolver checked against
+LAPACK and the cross-polytope lattice over every sign vector.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 
 from sos_approx.gram import NotHermitianError, square_basis
 from sos_approx.linalg import NonConvergenceError
-from sos_approx.poly import FREE, FlavorMismatchError, compositions
+from sos_approx.poly import FREE, FlavorMismatchError, Polynomial, compositions
 
 
 def min_rank_two_vars_degree_one(a, grid=2001, span=3.0, psd_tol=1e-12,
@@ -75,6 +76,31 @@ def free_pythagoras_number(p, d):
     if w.min() < -1e-9 * max(abs(w).max(), 1e-30):
         return None
     return int((w > 1e-9 * max(w.max(), 1e-30)).sum())
+
+
+def constraint_matrices(cons) -> np.ndarray:
+    """The stack of the dense D x D matrices A_l of a constraint system, from
+    the definition of each Hermitian basis element.
+
+    E_tau puts 1 at (j, i) for each cell (i, j) whose product v_i* v_j,
+    multiplied out as polynomials, is tau, so tr(E_tau M) is the coefficient
+    of tau in G(M).  A Hermitian a is the sum of a_tau tau over the
+    self-conjugate tau ("self") and of Re a_tau (tau + tau*) + Im a_tau
+    i(tau - tau*) over the pairs ("re", "im"), so equation l reads Re tr(B M)
+    for B = E_tau, or B = -i E_tau for "im".  On Hermitian M that functional
+    is tr(A_l M) for the Hermitian A_l = (B + B*) / 2.
+    """
+    basis = cons.basis
+    words = [Polynomial(basis.flavor, basis.n_vars, {t: 1.0}) for t in basis.terms]
+    cell_terms = [[(u.involution() * v).items()[0][0] for v in words] for u in words]
+    D = basis.size
+    A = np.zeros((cons.k, D, D), dtype=complex)
+    for l, omega in enumerate(cons.omegas):
+        E = np.array([[float(cell_terms[j][i] == omega.term) for j in range(D)]
+                      for i in range(D)])
+        B = -1j * E if omega.kind == "im" else E.astype(complex)
+        A[l] = (B + B.conj().T) / 2
+    return A
 
 
 def jacobi_eigh(H: np.ndarray, tol: float = 1e-14,

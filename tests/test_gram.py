@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import CHOI_LAM_S, MOTZKIN, ROBINSON, random_hermitian, random_sos
-from oracles import gram_preimage_free
+from oracles import constraint_matrices, gram_preimage_free
 from sos_approx import gram
 from sos_approx.gram import (
     BasisSizeError,
@@ -80,9 +80,10 @@ def test_constraint_skeleton_shared_read_only():
     first = build_constraints(sum_of_monomial_squares(3, 2), basis)
     second = build_constraints(Polynomial(COMMUTATIVE, 3, {(4, 0, 0): 1.0}), basis)
     assert first.omegas is second.omegas
-    for name in ("rows", "cols", "vals", "seg"):
-        array = getattr(first, name)
-        assert array is getattr(second, name) and not array.flags.writeable, name
+    arrays = [(name, getattr(first, name), getattr(second, name)) for name in ("tau", "imag")]
+    arrays.append(("conj", basis._skeleton.conj, square_basis(COMMUTATIVE, 3, 2)._skeleton.conj))
+    for name, array, other in arrays:
+        assert array is other and not array.flags.writeable, name
         with pytest.raises(ValueError):
             array[0] = 0
 
@@ -171,21 +172,16 @@ def test_parity_blocks():
     system = build_constraints(a, basis3).block_system
     assert len(system.index) == 1
     assert len(system.keep) == len(basis3.product_terms)
-    # complex constraints are refused: free inputs, and commutative ones cast
+    # the block system is real: free inputs, whose A_l are complex, are refused
     a, basis4 = random_sos(np.random.default_rng(5), FREE, 2, 2, 2)
-    free = build_constraints(a, basis4)
-    cast = GramConstraints(cons.basis, cons.omegas, cons.targets, cons.rows, cons.cols,
-                           cons.vals.astype(complex), cons.seg)
-    for complex_cons in (free, cast):
-        with pytest.raises(ValueError, match="complex constraints are refused"):
-            complex_cons.block_system
+    with pytest.raises(ValueError, match="non-commutative bases are refused"):
+        build_constraints(a, basis4).block_system
 
 
 def _reordered(cons, order):
     """The constraints with equation m being equation order[m] of cons."""
-    seg = np.argsort(order)[cons.seg]
     return GramConstraints(cons.basis, tuple(cons.omegas[l] for l in order),
-                           cons.targets[order], cons.rows, cons.cols, cons.vals, seg,
+                           cons.targets[order], cons.tau[order], cons.imag[order],
                            cons.blocks, cons.swaps)
 
 
@@ -215,22 +211,17 @@ def test_block_system_matches_full_constraints(rng):
                               first.lift(first.moment_shift[0])[order[system.keep]])
     # blocks that an equation couples are refused, not solved over
     cons = build_constraints(sum_of_monomial_squares(3, 2), square_basis(COMMUTATIVE, 3, 2))
-    coupled = GramConstraints(cons.basis, cons.omegas, cons.targets, cons.rows, cons.cols,
-                              cons.vals, cons.seg, (np.arange(3), np.arange(3, 6)))
+    coupled = GramConstraints(cons.basis, cons.omegas, cons.targets, cons.tau, cons.imag,
+                              (np.arange(3), np.arange(3, 6)))
     with pytest.raises(ValueError, match="split"):
         coupled.block_system
-    # the maps read every A_l as a 0/1 indicator: any other real value is refused
-    scaled = GramConstraints(cons.basis, cons.omegas, cons.targets, cons.rows, cons.cols,
-                             2.0 * cons.vals, cons.seg)
-    with pytest.raises(ValueError, match="values other than 1 are refused"):
-        scaled.block_system
     # a swap of x^2 and x*y carries the cell (x^2, y^2) of the even block to
     # (x*y, y^2), between blocks
     swap = np.arange(cons.dim)
     i, j = cons.basis.index[(2, 0, 0)], cons.basis.index[(1, 1, 0)]
     swap[[i, j]] = j, i
-    crossing = GramConstraints(cons.basis, cons.omegas, cons.targets, cons.rows, cons.cols,
-                               cons.vals, cons.seg, cons.blocks, (swap,))
+    crossing = GramConstraints(cons.basis, cons.omegas, cons.targets, cons.tau, cons.imag,
+                               cons.blocks, (swap,))
     with pytest.raises(ValueError, match="the swaps do not permute the blocks"):
         crossing.block_system
 
@@ -336,8 +327,8 @@ def test_orbit_projection_is_invariant_psd_projection(rng):
                      (Polynomial(COMMUTATIVE, 3, MOTZKIN), square_basis(COMMUTATIVE, 3, 3))):
         cons = build_constraints(a, basis)
         system = cons.block_system
-        full = GramConstraints(cons.basis, cons.omegas, cons.targets, cons.rows, cons.cols,
-                               cons.vals, cons.seg, cons.blocks).block_system
+        full = GramConstraints(cons.basis, cons.omegas, cons.targets, cons.tau, cons.imag,
+                               cons.blocks).block_system
         assert all(map(np.array_equal, full.index, system.index))
         assert (full.orbit == np.arange(len(full.index))).all()
         group = _group(cons.swaps)
@@ -386,10 +377,14 @@ def test_build_constraints_free_counts(rng):
     a, _ = random_sos(rng, FREE, 2, 2, 2)
     cons = build_constraints(a, basis)
     assert cons.k == 2 ** 4  # n^{2d} real constraints
-    # each constraint touches a single cell or a conjugate pair of cells
+    # each constraint touches a single cell (a self-conjugate word) or a
+    # conjugate pair of cells, the cells of tau and tau*
+    cell_to_prod, conj = basis._products[2], basis._skeleton.conj
     for l in range(cons.k):
-        nnz = int((cons.seg == l).sum())
-        assert nnz in (1, 2)
+        tau = cons.tau[l]
+        nnz = int(np.isin(cell_to_prod, (tau, conj[tau])).sum())
+        assert nnz == (1 if conj[tau] == tau else 2)
+        assert np.count_nonzero(cons.adjoint(np.eye(cons.k)[l])) == nnz
 
 
 def test_build_constraints_rejects_bad_inputs():
@@ -442,6 +437,30 @@ def test_adjoint_identity(rng):
                     M = random_hermitian(rng, basis.size)
                     cons = build_constraints(gram_map(M, basis), basis)
                     assert np.abs(cons.apply(M) - cons.targets).max() <= 1e-9, (flavor, n, d, terms)
+
+
+def test_constraint_maps_match_dense_oracle(rng):
+    # apply, adjoint and the normal diagonal against the A_l built from the
+    # definition of each basis element, exactly: integer matrices and
+    # multipliers keep every sum exact.  M is Hermitian (complex on the
+    # monomial bases too), real symmetric, non-Hermitian and the identity
+    for flavor, n, d in ((COMMUTATIVE, 3, 1), (COMMUTATIVE, 3, 2), (COMMUTATIVE, 2, 3),
+                         (FREE, 2, 1), (FREE, 2, 2), (FREE, 3, 2)):
+        canonical = square_basis(flavor, n, d)
+        permuted = tuple(canonical.terms[i] for i in rng.permutation(canonical.size))
+        for terms in (canonical.terms, canonical.terms[::-1], canonical.terms[::2], permuted):
+            basis = SquareBasis(flavor, n, d, terms)
+            D = basis.size
+            cons = build_constraints(Polynomial.zero(flavor, n), basis)
+            A = constraint_matrices(cons)
+            R, S = (rng.integers(-4, 5, (D, D)).astype(float) for _ in range(2))
+            for M in (R + R.T + 1j * (S - S.T), R + R.T, R + 1j * S, np.eye(D)):
+                assert np.array_equal(cons.apply(M), np.einsum("lji,ij->l", A, M).real)
+            y = rng.integers(-4, 5, cons.k).astype(float)
+            adjoint = cons.adjoint(y)
+            assert np.array_equal(adjoint, np.tensordot(y, A, 1)), (flavor, n, d, terms)
+            assert adjoint.dtype == (np.float64 if flavor == COMMUTATIVE else np.complex128)
+            assert np.array_equal(cons._normal_diag, (np.abs(A) ** 2).sum(axis=(1, 2)))
 
 
 def test_apply_adjoint_are_adjoint(rng):

@@ -16,6 +16,7 @@ from conftest import (
     random_sos,
     random_square,
 )
+from oracles import constraint_matrices
 from sos_approx import linalg, sdp
 from sos_approx.approx import approximate, pythagoras_upper_bound
 from sos_approx.gram import GramConstraints, SquareBasis, build_constraints, gram_map, square_basis
@@ -26,7 +27,6 @@ from sos_approx.sdp import (
     SolverError,
     SolverOptions,
     _trace_min,
-    dual_bound,
     parse_config_file,
     rank_reduce,
     sos_feasible,
@@ -120,7 +120,7 @@ def test_indefinite_rejected_with_certificate():
     value, sol = sos_norm(a, basis)
     assert sol.status is SolveStatus.INFEASIBLE and math.isnan(value)
     # the improving ray makes the dual unbounded
-    assert dual_bound(a, basis) == math.inf
+    assert sol.dual_objective == math.inf
 
 
 # nonnegative forms that are not sums of squares
@@ -337,7 +337,7 @@ def test_free_inputs_decided_in_zero_steps():
         for y in (sol.certificate.values, result.certificate.values):
             assert free_farkas_holds(a, basis, y), least
         assert sol.certificate.objective == pytest.approx(least, rel=1e-6)
-        assert dual_bound(a, basis) == math.inf
+        assert sol.dual_objective == math.inf
     a, basis = free_input(-1e-6)
     _, sol = sos_norm(a, basis)
     assert sol.status is SolveStatus.MAX_ITER and sol.iterations == 0
@@ -376,7 +376,9 @@ def test_free_inputs_never_reach_the_loop(monkeypatch, rng):
             assert sos_feasible(a, basis).iterations == 0
     a, basis = random_sos(rng, FREE, 2, 2, 2)
     total = free_trace_oracle(a, basis)
-    assert dual_bound(a, basis) == pytest.approx(total, rel=1e-12)
+    _, sol = sos_norm(a, basis)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.dual_objective == pytest.approx(total, rel=1e-12)
     assert pythagoras_upper_bound(a, basis).residual <= 1e-9
     assert approximate(a, basis, 0.5 * total).error <= 0.5 * total
     # commutative inputs still take the loop
@@ -401,8 +403,7 @@ def test_free_solve_on_reversed_words(rng):
 
 def _dense_reference(cons):
     """The same equations as one real block: the dense symmetric solve."""
-    return GramConstraints(cons.basis, cons.omegas, cons.targets, cons.rows, cons.cols,
-                           cons.vals, cons.seg)
+    return GramConstraints(cons.basis, cons.omegas, cons.targets, cons.tau, cons.imag)
 
 
 def test_block_solve_matches_dense_reference():
@@ -426,8 +427,8 @@ def test_block_solve_matches_dense_reference():
 
 def _unreduced(cons):
     """The same blocks without the variable swaps: one projection per block."""
-    return GramConstraints(cons.basis, cons.omegas, cons.targets, cons.rows, cons.cols,
-                           cons.vals, cons.seg, cons.blocks)
+    return GramConstraints(cons.basis, cons.omegas, cons.targets, cons.tau, cons.imag,
+                           cons.blocks)
 
 
 def test_orbit_solve_matches_unreduced_reference():
@@ -498,8 +499,11 @@ def test_weak_duality_and_pd_strong_duality(rng):
 def test_dual_bound_examples(rng):
     basis = square_basis(COMMUTATIVE, 3, 1)
     p31 = sum_of_monomial_squares(3, 1)
-    assert dual_bound(p31, basis) == pytest.approx(3.0, rel=1e-5)
-    assert dual_bound(Polynomial.zero(COMMUTATIVE, 3), basis) == 0.0
+    _, sol = sos_norm(p31, basis)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.dual_objective == pytest.approx(3.0, rel=1e-5)
+    _, sol = sos_norm(Polynomial.zero(COMMUTATIVE, 3), basis)
+    assert sol.status is SolveStatus.OPTIMAL and sol.dual_objective == 0.0
     # evaluation at sphere points is dual-feasible: |p(s)| <= sos-norm
     a, basis2 = random_sos(rng, COMMUTATIVE, 3, 2, 2)
     value, _ = sos_norm(a, basis2)
@@ -544,14 +548,42 @@ def test_rank_reduce_fixed_point(rng):
     assert np.allclose(M1, M2, atol=1e-9)
 
 
+def test_rank_reduce_complex_witness(rng):
+    # a complex PSD Gram matrix of a real input, reduced to the rank the
+    # hypothesis allows; the residual is read on the dense A_l
+    for n in (2, 3):
+        basis = square_basis(COMMUTATIVE, n, 1)
+        B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        M = B @ B.conj().T
+        cons = build_constraints(gram_map(M, basis), basis)
+        target = n - 1      # k = n(n + 1)/2 <= target^2 + 2 target
+        reduced = rank_reduce(M, cons, target)
+        assert np.abs(reduced.imag).max() > 1e-3
+        assert linalg.numerical_rank(reduced) <= target
+        assert linalg.eig_hermitian(reduced).eigenvalues.min() >= -1e-9 * np.trace(M).real
+        residual = np.einsum("lji,ij->l", constraint_matrices(cons), reduced).real - cons.targets
+        assert np.abs(residual).max() <= 1e-9 * (1 + np.abs(cons.targets).max())
+
+
+class _TraceConstraint:
+    """The one equation tr(M) = target on D x D matrices, which no product
+    term gives: what `rank_reduce` reads of a constraint system."""
+
+    k = 1
+
+    def __init__(self, dim, target):
+        self.dim, self.targets = dim, np.array([float(target)])
+
+    def adjoint(self, y):
+        return y[0] * np.eye(self.dim)
+
+    def residual(self, M):
+        return abs(np.trace(M).real - self.targets[0])
+
+
 def test_rank_reduce_single_trace_constraint():
     # hand-built system: the one constraint tr(M) = 1, target rank 1
-    from sos_approx.gram import GramConstraints, HermitianBasisElement
-    basis = square_basis(COMMUTATIVE, 2, 1)
-    cons = GramConstraints(
-        basis, (HermitianBasisElement("self", (1, 1)),), np.array([1.0]),
-        rows=np.array([0, 1]), cols=np.array([0, 1]),
-        vals=np.array([1.0 + 0j, 1.0 + 0j]), seg=np.array([0, 0]))
+    cons = _TraceConstraint(2, 1.0)
     reduced = rank_reduce(np.eye(2) / 2.0, cons, 1)
     assert linalg.numerical_rank(reduced) == 1
     assert np.trace(reduced).real == pytest.approx(1.0, abs=1e-9)
@@ -578,12 +610,7 @@ def _two_branch_step(lam, delta):
 def test_rank_reduce_nearest_crossing(monkeypatch, lam, direction, kept):
     # one step of rank 2 -> 1 under tr(M) = const along a forced traceless
     # diagonal direction, against the two-branch rule as oracle
-    from sos_approx.gram import HermitianBasisElement
-    basis = square_basis(COMMUTATIVE, 2, 1)
-    cons = GramConstraints(
-        basis, (HermitianBasisElement("self", (1, 1)),), np.array([sum(lam)]),
-        rows=np.array([0, 1]), cols=np.array([0, 1]),
-        vals=np.array([1.0 + 0j, 1.0 + 0j]), seg=np.array([0, 0]))
+    cons = _TraceConstraint(2, sum(lam))
     monkeypatch.setattr(scipy.linalg, "null_space", lambda K: np.array([[*direction, 0.0, 0.0]]).T)
     delta = np.diag(direction) / np.linalg.norm(direction)
     expected = _two_branch_step(np.array(lam), delta)
@@ -645,8 +672,8 @@ def test_max_iter_reported_not_coerced(rng):
     assert "residual" in sol.message
     assert [rec.iteration for rec in sol.trace] == [25, 30]
     assert sol.trace[-1].primal_residual == sol.primal_residual
-    with pytest.raises(SolverError):
-        dual_bound(a, basis, opts)
+    with pytest.raises(SolverError, match="inconclusive"):
+        sos_feasible(a, basis, opts)
     # caps inside, at and just past the opening window on the zero objective
     a, basis = random_sos(np.random.default_rng(3), COMMUTATIVE, 3, 2, 3)
     for cap, checks in ((1, [1]), (10, [10]), (CHECK_EVERY, [25]), (CHECK_EVERY + 1, [25, 26])):
@@ -660,6 +687,18 @@ def test_max_iter_reported_not_coerced(rng):
                       SolverOptions(max_iter=CHECK_EVERY))
     assert sol.status is SolveStatus.INFEASIBLE
     assert sol.iterations == 15
+
+
+# steps of sos_norm on the figure inputs sum_of_monomial_squares(3, d), d=1..12;
+# they are deterministic, so a change to the step map, its start or its stopping
+# rule that moves them on purpose updates them here and says so
+FIGURE_STEPS = (50, 75, 150, 75, 150, 275, 225, 300, 375, 325, 550, 600)
+
+
+def test_figure_step_counts_pinned():
+    steps = tuple(sos_norm(sum_of_monomial_squares(3, d), square_basis(COMMUTATIVE, 3, d))[1]
+                  .iterations for d in range(1, 13))
+    assert steps == FIGURE_STEPS
 
 
 def test_figure_rows_have_no_iteration_cliff():

@@ -25,7 +25,7 @@ from .gram import (
     homogeneous_basis,
     square_basis,
 )
-from .poly import COMMUTATIVE, FREE, FlavorMismatchError, Polynomial, from_dict as poly_from_dict, to_dict as poly_to_dict
+from .poly import COMMUTATIVE, FREE, FlavorMismatchError, Polynomial, _json_number, from_dict as poly_from_dict, to_dict as poly_to_dict
 from .sdp import (
     RankReductionError,
     SolverError,
@@ -135,22 +135,28 @@ class SosCertificate(_Squares):
     @classmethod
     def from_dict(cls, data: dict) -> "SosCertificate":
         """Read a certificate back; ValueError, naming the field, for one whose
-        fields are not finite or disagree with each other."""
+        fields are not numbers of their kind, not finite or disagree with each
+        other."""
+        def number(name: str, value, integer: bool = False):
+            return _json_number(value, f"certificate field {name!r}", integer)
+
         b = data["basis"]
-        basis = square_basis(b["flavor"], int(b["n_vars"]), int(b["degree"]))
-        squares = [np.array([complex(re, im) for re, im in c], dtype=complex)
-                   for c in data["squares"]]
+        basis = square_basis(b["flavor"], number("basis.n_vars", b["n_vars"], True),
+                             number("basis.degree", b["degree"], True))
+        squares = [np.array([complex(number("squares", re), number("squares", im)) for re, im in c],
+                            dtype=complex) for c in data["squares"]]
         p_raw = data["schatten_p"]
         cert = cls(
             input=poly_from_dict(data["input"]),
             approximation=poly_from_dict(data["approximation"]),
             squares=squares, basis=basis,
-            error=float(data["error"]), norm=data["norm"], eps=float(data["eps"]),
-            theoretical_bound=float(data["theoretical_bound"]),
-            allowed_rank=int(data["allowed_rank"]),
-            sos_norm_value=float(data["sos_norm_value"]),
-            schatten_p=math.inf if p_raw == "inf" else float(p_raw),
-            solver_iterations=int(data.get("solver_iterations", 0)))
+            error=number("error", data["error"]), norm=data["norm"],
+            eps=number("eps", data["eps"]),
+            theoretical_bound=number("theoretical_bound", data["theoretical_bound"]),
+            allowed_rank=number("allowed_rank", data["allowed_rank"], True),
+            sos_norm_value=number("sos_norm_value", data["sos_norm_value"]),
+            schatten_p=math.inf if p_raw == "inf" else number("schatten_p", p_raw),
+            solver_iterations=number("solver_iterations", data.get("solver_iterations", 0), True))
         for name in ("error", "eps", "theoretical_bound", "sos_norm_value"):
             if not math.isfinite(getattr(cert, name)):
                 raise ValueError(f"certificate field {name!r} must be finite, got {data[name]!r}")

@@ -3,15 +3,16 @@
 A basis v = (v_1, ..., v_D) of the homogeneous degree-d component induces the
 Gram map M |-> sum_ij m_ij v_i* v_j.  `build_constraints` rewrites the fiber
 {G(M) = a} as real-valued trace equations tr(A_l M) = lambda_l over a
-Hermitian basis of the product space.  Each equation is a product term
-and whether its target is a real or an imaginary part, built once per
-basis (`SquareBasis._skeleton`; `square_basis` keeps recent bases), and its
-A_l is read from the basis's cell map; the targets and symmetries are read
-once per input.  For commutative inputs each A_l is the 0/1 indicator of
-one product term's cells; their `block_system`, restricted to the
-block-diagonal matrices that keep the least trace, is what the SDP layer
-iterates on.  In the free flavor the Gram map is a bijection, and
-`GramConstraints.solve_normal` inverts it (`sdp._unique_gram`).
+Hermitian basis w of the product space.  Equation l is a product term tau
+and whether its target is Re a_tau or Im a_tau; w_l is tau, tau + tau* or
+i(tau - tau*).  The equations and each A_l are read off the basis's product
+table (`SquareBasis._products`, built once per basis; `square_basis` keeps
+recent bases); the targets and symmetries are read once per input.  For
+commutative inputs each A_l is the 0/1 indicator of one product term's
+cells; their `block_system`, restricted to the block-diagonal matrices that
+keep the least trace, is what the SDP layer iterates on.  In the free flavor
+the Gram map is a bijection, and `GramConstraints.solve_normal` inverts it
+(`sdp._unique_gram`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product as _iproduct
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -113,7 +114,13 @@ class SquareBasis:
 
     @cached_property
     def _products(self):
-        """All products v_i* v_j: distinct product terms plus a flat cell map."""
+        """All products v_i* v_j: the distinct product terms, their index, the
+        flat cell map, each term's conjugate, and the equations (tau, imag).
+
+        (v_i* v_j)* = v_j* v_i, so a term's conjugate is the term of the
+        transposed cell.  A self-conjugate term gives one equation, a pair
+        t < t* an "re" and then an "im" equation at t.  The arrays are shared
+        by every constraint system on the basis, and read-only."""
         D = self.size
         prod_index: dict[Term, int] = {}
         prod_terms: list[Term] = []
@@ -129,35 +136,25 @@ class SquareBasis:
                     prod_index[t] = idx
                     prod_terms.append(t)
                 cell_to_prod[i * D + j] = idx
-        return tuple(prod_terms), prod_index, cell_to_prod
+        conj = np.empty(len(prod_terms), dtype=np.int64)
+        conj[cell_to_prod] = cell_to_prod.reshape(D, D).T.ravel()
+        lower = np.flatnonzero(np.arange(len(conj)) <= conj)
+        tau = np.repeat(lower, np.where(conj[lower] == lower, 1, 2))
+        imag = np.zeros(len(tau), dtype=bool)
+        imag[1:] = tau[1:] == tau[:-1]
+        for array in (cell_to_prod, conj, tau, imag):
+            array.flags.writeable = False
+        return tuple(prod_terms), prod_index, cell_to_prod, conj, tau, imag
 
     @property
     def product_terms(self) -> tuple[Term, ...]:
         return self._products[0]
 
-    @cached_property
-    def _skeleton(self) -> _Skeleton:
-        """The input-independent part of `build_constraints`, shared read-only."""
-        prod_terms, prod_index, _ = self._products
-        conj = np.array([prod_index[involute_term(self.flavor, t)] for t in prod_terms],
-                        dtype=np.int64)
-        omegas: list[HermitianBasisElement] = []
-        tau: list[int] = []
-        for t, c in enumerate(conj.tolist()):
-            kinds = ("self",) if c == t else ("re", "im") if t < c else ()
-            omegas += [HermitianBasisElement(kind, prod_terms[t]) for kind in kinds]
-            tau += [t] * len(kinds)
-        skeleton = _Skeleton(tuple(omegas), np.array(tau, dtype=np.int64),
-                             np.array([w.kind == "im" for w in omegas], dtype=bool), conj)
-        for array in skeleton[1:]:
-            array.flags.writeable = False
-        return skeleton
-
 
 # square_basis keeps the bases it built, least recently used dropped first, up
-# to this many cells (D^2) in all: a kept basis holds its product table and
-# skeleton, about 330 bytes a cell for words and 21 for monomials (tracemalloc,
-# free n=2 d=6 and commutative n=3 d=10), so at most about 22 MB
+# to this many cells (D^2) in all: a kept basis holds its product table, about
+# 230 bytes a cell for words and 15 for monomials (tracemalloc, free n=2 d=6
+# and commutative n=3 d=10), so at most about 15 MB
 _MEMO_CELLS = 1 << 16
 _memo: OrderedDict[tuple[str, int, int], SquareBasis] = OrderedDict()
 
@@ -167,7 +164,7 @@ def square_basis(flavor: str, n_vars: int, degree: int,
     """Complete canonical basis of the homogeneous degree-d component.
 
     Recent bases are kept (`_MEMO_CELLS`), so that one object per (flavor,
-    n_vars, degree) builds its product table and constraint skeleton once;
+    n_vars, degree) builds its product table, and with it the equations, once;
     a basis larger than that bound is built anew by every call."""
     _check_flavor(flavor)
     if n_vars < 1:
@@ -203,7 +200,7 @@ def gram_map(M: np.ndarray, basis: SquareBasis) -> Polynomial:
     if M.shape != (D, D):
         raise DimensionMismatchError(
             f"matrix shape {M.shape} does not match basis size {D}")
-    prod_terms, _, cell_to_prod = basis._products
+    prod_terms, _, cell_to_prod = basis._products[:3]
     flat = M.reshape(-1)
     re = np.bincount(cell_to_prod, weights=flat.real, minlength=len(prod_terms))
     im = np.bincount(cell_to_prod, weights=flat.imag, minlength=len(prod_terms))
@@ -217,35 +214,13 @@ def gram_map(M: np.ndarray, basis: SquareBasis) -> Polynomial:
 
 # -- constraint form ----------------------------------------------------------
 
-class _Skeleton(NamedTuple):
-    """`SquareBasis._skeleton`: per equation its Hermitian basis element, the
-    index of its product term tau and whether its target is Im a_tau; per
-    product term the index of its conjugate."""
-
-    omegas: tuple[HermitianBasisElement, ...]
-    tau: np.ndarray
-    imag: np.ndarray
-    conj: np.ndarray
-
-
-@dataclass(frozen=True)
-class HermitianBasisElement:
-    """One element of the Hermitian product basis w.
-
-    kind "self": omega = tau (self-conjugate term).
-    kind "re":   omega = tau + tau*.
-    kind "im":   omega = i(tau - tau*).
-    """
-
-    kind: str
-    term: Term
-
-
 class GramConstraints:
     """Trace equations tr(A_l M) = lambda_l encoding G_v(M) = a.
 
-    Equation l is the pair (product term tau[l], whether its target is
-    Im a_tau); A_l is never stored.  With c_t the coefficient of t in G(M),
+    Equation l is the pair (product term tau[l], imag[l]): its Hermitian
+    basis element w_l is tau if tau is self-conjugate, else tau + tau*
+    (imag false) or i(tau - tau*) (imag true), and its target is Re a_tau or
+    Im a_tau; A_l is never stored.  With c_t the coefficient of t in G(M),
     the sum of m_ij over the cells (i, j) of t, and h_t = (c_t + conj(c_t*))
     / 2 the Hermitian part, tr(A_l M) is Re h_tau or Im h_tau.  The A_l are
     Hermitian with pairwise disjoint supports, or share one support pair
@@ -260,26 +235,23 @@ class GramConstraints:
     bases) is what the solver runs on.
     """
 
-    def __init__(self, basis: SquareBasis, omegas: tuple[HermitianBasisElement, ...],
-                 targets: np.ndarray, tau: np.ndarray, imag: np.ndarray,
-                 blocks: tuple[np.ndarray, ...] | None = None,
+    def __init__(self, basis: SquareBasis, targets: np.ndarray, tau: np.ndarray,
+                 imag: np.ndarray, blocks: tuple[np.ndarray, ...] | None = None,
                  swaps: tuple[np.ndarray, ...] = ()):
         self.basis = basis
-        self.omegas = omegas
         self.targets = np.asarray(targets, dtype=float)
         self.tau = tau
         self.imag = imag
         self.dim = basis.size
         self.blocks = (np.arange(self.dim),) if blocks is None else blocks
         self.swaps = swaps
-        self._cell_to_prod = basis._products[2]
-        self._conj = basis._skeleton.conj
+        self._cell_to_prod, self._conj = basis._products[2:4]
         self._real = basis.flavor == COMMUTATIVE     # every term its own conjugate
 
     @property
     def k(self) -> int:
         """Number of real-valued constraints (= dim_C of the product space)."""
-        return len(self.omegas)
+        return len(self.tau)
 
     @cached_property
     def _reads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -376,7 +348,7 @@ class BlockSystem:
         self.targets = cons.targets[keep]
         self.keep = keep
         self.k_full = cons.k
-        self._omegas = cons.omegas
+        self._terms, self._tau = cons.basis.product_terms, cons.tau
         self.dim = D
         self.index = tuple(index)
         self.offsets = offsets
@@ -498,7 +470,7 @@ class BlockSystem:
         S0 = sum y0_l A_l, moment matrices of independent monomials under a measure
         of full support, so positive definite; lambda_max(S0)."""
         m = [0 if any(e % 2 for e in t) else math.prod(math.prod(range(e - 1, 0, -2)) for e in t)
-             for t in (self._omegas[l].term for l in self.keep)]
+             for t in (self._terms[self._tau[l]] for l in self.keep)]
         y0 = (np.array(m, dtype=object) / max(m)).astype(float)    # exact integers until scaled
         return y0, self.split(self.adjoint(y0)), max(w[0] for w in self.block_eigenvalues(y0))
 
@@ -589,17 +561,16 @@ def build_constraints(a: Polynomial, basis: SquareBasis) -> GramConstraints:
     if a and (not a.is_homogeneous() or a.degree() != 2 * basis.degree):
         raise ValueError(
             f"polynomial must be homogeneous of degree {2 * basis.degree}")
-    prod_index = basis._products[1]
+    _, prod_index, _, _, tau, imag = basis._products
     coeffs = np.zeros(len(prod_index), dtype=complex)
     for t, c in a._coeffs.items():
         if t not in prod_index:
             raise ValueError(f"term {t} lies outside the product space V*V")
         coeffs[prod_index[t]] = c
-    sk = basis._skeleton
-    lam = coeffs[sk.tau]
+    lam = coeffs[tau]
     commutative = basis.flavor == COMMUTATIVE
     return GramConstraints(
-        basis, sk.omegas, np.where(sk.imag, lam.imag, lam.real), sk.tau, sk.imag,
+        basis, np.where(imag, lam.imag, lam.real), tau, imag,
         _parity_blocks(a, basis) if commutative else None,
         _variable_swaps(a, basis) if commutative else ())
 

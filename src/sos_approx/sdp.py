@@ -48,7 +48,7 @@ import scipy.linalg
 
 from . import linalg
 from .gram import BlockSystem, GramConstraints, SquareBasis, build_constraints
-from .poly import FREE, Polynomial
+from .poly import FREE, Polynomial, _json_number
 
 # Residual balancing on scale-free residuals (Wohlberg 2017, arXiv:1704.06209):
 # rho doubles or halves when one relative residual exceeds the other by this
@@ -127,11 +127,14 @@ class SolverOptions:
             if name not in defaults:
                 raise ValueError(f"unknown solver option {key!r}")
             kind = int if isinstance(defaults[name], int) else float
-            try:
-                values[name] = kind(raw)
-            except ValueError:
-                what = "an integer" if kind is int else "a number"
-                raise ValueError(f"solver option {key!r} must be {what}, got {raw!r}") from None
+            if isinstance(raw, str):        # the CLI's and the config file's values
+                try:
+                    raw = kind(raw)
+                except ValueError:
+                    what = "an integer" if kind is int else "a number"
+                    raise ValueError(f"solver option {key!r} must be {what}, got {raw!r}") from None
+            # booleans, and fractions where an integer is due, are refused
+            values[name] = _json_number(raw, f"solver option {key!r}", kind is int)
         return cls(**values)
 
 
@@ -152,7 +155,9 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 @dataclass
 class DualFunctional:
-    """A *-linear functional on the product space, given by its values on w."""
+    """A *-linear functional on the product space, given by its values on the
+    Hermitian basis w: values[l] at w_l, which is tau, tau + tau* or
+    i(tau - tau*) for equation l's pair (tau, imag)."""
 
     values: np.ndarray
     objective: float            # phi(a) = targets . values

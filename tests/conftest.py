@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sos_approx.gram import build_constraints, gram_map, square_basis
+from oracles import hermitian_equations
+from sos_approx.gram import gram_map, square_basis
 from sos_approx.poly import FREE, Polynomial
 from sos_approx.verify import MOTZKIN, ROBINSON, random_hermitian, random_psd, random_sos  # noqa: F401
 
@@ -21,15 +22,16 @@ def free_input(least):
 
 
 def free_farkas_holds(a, basis, y):
-    """Independent check of a free Farkas certificate y.  Its *-linear
-    functional l takes y_l on a self-conjugate word and (y_re -/+ i y_im) / 2 on
-    tau and tau* of a pair; it must be PSD on the moment matrix l(v_i* v_j) of
-    the words and negative at a."""
+    """Independent check of a free Farkas certificate y over the equations of
+    `hermitian_equations`.  Its *-linear functional l takes y_l on a
+    self-conjugate word and (y_re -/+ i y_im) / 2 on tau and tau* of a pair;
+    it must be PSD on the moment matrix l(v_i* v_j) of the words and
+    negative at a."""
     ell: dict = {}
-    for om, value in zip(build_constraints(a, basis).omegas, y):
+    for (tau, kind), value in zip(hermitian_equations(basis), y):
         weight = {"self": (value, 0.0), "re": (value / 2, value / 2),
-                  "im": (-0.5j * value, 0.5j * value)}[om.kind]
-        for term, part in zip((om.term, om.term[::-1]), weight):
+                  "im": (-0.5j * value, 0.5j * value)}[kind]
+        for term, part in zip((tau, tau[::-1]), weight):
             ell[term] = ell.get(term, 0.0) + part
     E = np.array([[ell[u[::-1] + v] for v in basis.terms] for u in basis.terms])
     w = np.linalg.eigvalsh(E)

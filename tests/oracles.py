@@ -78,9 +78,31 @@ def free_pythagoras_number(p, d):
     return int((w > 1e-9 * max(w.max(), 1e-30)).sum())
 
 
+def hermitian_equations(basis) -> list:
+    """Each equation's product term and kind ("self", "re" or "im"), from the
+    definition: the product terms are those of v_i* v_j, multiplied out as
+    polynomials, in the order the cells (i, j) first reach them row by row.
+    A self-conjugate term gives one equation, and a pair tau, tau* an "re"
+    and then an "im" equation at whichever of the two comes first."""
+    words = [Polynomial(basis.flavor, basis.n_vars, {t: 1.0}) for t in basis.terms]
+    first: dict = {}
+    for u in words:
+        for v in words:
+            first.setdefault((u.involution() * v).items()[0][0], len(first))
+    equations = []
+    for t, pos in first.items():
+        conj = Polynomial(basis.flavor, basis.n_vars, {t: 1.0}).involution().items()[0][0]
+        if conj == t:
+            equations.append((t, "self"))
+        elif first[conj] > pos:
+            equations += [(t, "re"), (t, "im")]
+    return equations
+
+
 def constraint_matrices(cons) -> np.ndarray:
-    """The stack of the dense D x D matrices A_l of a constraint system, from
-    the definition of each Hermitian basis element.
+    """The stack of the dense D x D matrices A_l of a built constraint system,
+    from the definition of each Hermitian basis element, in the order of
+    `hermitian_equations`.
 
     E_tau puts 1 at (j, i) for each cell (i, j) whose product v_i* v_j,
     multiplied out as polynomials, is tau, so tr(E_tau M) is the coefficient
@@ -94,11 +116,11 @@ def constraint_matrices(cons) -> np.ndarray:
     words = [Polynomial(basis.flavor, basis.n_vars, {t: 1.0}) for t in basis.terms]
     cell_terms = [[(u.involution() * v).items()[0][0] for v in words] for u in words]
     D = basis.size
-    A = np.zeros((cons.k, D, D), dtype=complex)
-    for l, omega in enumerate(cons.omegas):
-        E = np.array([[float(cell_terms[j][i] == omega.term) for j in range(D)]
-                      for i in range(D)])
-        B = -1j * E if omega.kind == "im" else E.astype(complex)
+    equations = hermitian_equations(basis)
+    A = np.zeros((len(equations), D, D), dtype=complex)
+    for l, (term, kind) in enumerate(equations):
+        E = np.array([[float(cell_terms[j][i] == term) for j in range(D)] for i in range(D)])
+        B = -1j * E if kind == "im" else E.astype(complex)
         A[l] = (B + B.conj().T) / 2
     return A
 

@@ -303,6 +303,17 @@ CERTIFICATE_DEFECTS = {
     "square-too-long": (lambda d: d["squares"][0].append([1.0, 0.0]), "squares"),
     "basis-n-vars": (lambda d: d["basis"].update(n_vars=2), "input"),
     "basis-flavor": (lambda d: d["basis"].update(flavor=FREE), "input"),
+    # numbers of the wrong kind are refused, not truncated or coerced
+    "basis-degree-fraction": (lambda d: d["basis"].update(degree=d["basis"]["degree"] + 0.9),
+                              "basis.degree"),
+    "basis-n-vars-boolean": (lambda d: d["basis"].update(n_vars=True), "basis.n_vars"),
+    "allowed-rank-fraction": (lambda d: d.update(allowed_rank=d["allowed_rank"] + 0.5),
+                              "allowed_rank"),
+    "iterations-string": (lambda d: d.update(solver_iterations=str(d["solver_iterations"])),
+                          "solver_iterations"),
+    "error-string": (lambda d: d.update(error=str(d["error"])), "error"),
+    "eps-boolean": (lambda d: d.update(eps=True), "eps"),
+    "square-entry-string": (lambda d: d["squares"][0][0].__setitem__(0, "1"), "squares"),
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import CHOI_LAM_S, MOTZKIN, ROBINSON, random_hermitian, random_sos
-from oracles import constraint_matrices, gram_preimage_free
+from oracles import constraint_matrices, gram_preimage_free, hermitian_equations
 from sos_approx import gram
 from sos_approx.gram import (
     BasisSizeError,
@@ -20,7 +20,6 @@ from sos_approx.poly import (
     COMMUTATIVE,
     FREE,
     Polynomial,
-    involute_term,
     sphere_lattice,
     sum_of_monomial_squares,
     variables,
@@ -46,8 +45,8 @@ def test_square_basis_cap():
 
 
 def test_square_basis_one_object_per_arguments():
-    # memoized, so a basis's product table and constraint skeleton are built
-    # once; an over-cap call is not cached and raises every time
+    # memoized, so a basis's product table, and with it the equations, is
+    # built once; an over-cap call is not cached and raises every time
     basis = square_basis(COMMUTATIVE, 3, 2)
     assert square_basis(COMMUTATIVE, 3, 2) is basis
     assert square_basis(COMMUTATIVE, n_vars=3, degree=2, max_size=6) is basis
@@ -74,18 +73,35 @@ def test_square_basis_memo_bounded_by_cells():
     assert square_basis(COMMUTATIVE, 3, 2) is kept
 
 
-def test_constraint_skeleton_shared_read_only():
-    # two inputs over one basis share the skeleton's arrays, which no caller may write
+def test_product_table_shared_read_only():
+    # two inputs over one basis share the product table's arrays, which no caller may write
     basis = square_basis(COMMUTATIVE, 3, 2)
+    table = basis._products
+    assert square_basis(COMMUTATIVE, 3, 2)._products is table
     first = build_constraints(sum_of_monomial_squares(3, 2), basis)
     second = build_constraints(Polynomial(COMMUTATIVE, 3, {(4, 0, 0): 1.0}), basis)
-    assert first.omegas is second.omegas
-    arrays = [(name, getattr(first, name), getattr(second, name)) for name in ("tau", "imag")]
-    arrays.append(("conj", basis._skeleton.conj, square_basis(COMMUTATIVE, 3, 2)._skeleton.conj))
-    for name, array, other in arrays:
-        assert array is other and not array.flags.writeable, name
+    for name, array in zip(("_cell_to_prod", "_conj", "tau", "imag"), table[2:]):
+        assert getattr(first, name) is getattr(second, name) is array, name
+        assert not array.flags.writeable, name
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def test_equations_match_definition(rng):
+    # each equation's product term and kind, read off the product table,
+    # against the products multiplied out as polynomials, on canonical,
+    # reversed, subset and permuted bases of both flavors
+    for flavor in (COMMUTATIVE, FREE):
+        for n in (1, 2, 3):
+            for d in (0, 1, 2, 3):
+                canonical = square_basis(flavor, n, d)
+                permuted = tuple(canonical.terms[i] for i in rng.permutation(canonical.size))
+                for terms in (canonical.terms, canonical.terms[::-1], canonical.terms[::2], permuted):
+                    basis = SquareBasis(flavor, n, d, terms)
+                    _, _, _, conj, tau, imag = basis._products
+                    read = [(basis.product_terms[t], "self" if conj[t] == t else "im" if im else "re")
+                            for t, im in zip(tau, imag)]
+                    assert read == hermitian_equations(basis), (flavor, n, d, terms)
 
 
 def test_gram_map_identity_gives_monomial_square_sum():
@@ -135,7 +151,7 @@ def test_build_constraints_p31():
     cons = build_constraints(sum_of_monomial_squares(3, 1), basis)
     assert cons.k == 6
     diag = {t: lam for t, lam in
-            ((om.term, cons.targets[l]) for l, om in enumerate(cons.omegas))}
+            ((basis.product_terms[t], cons.targets[l]) for l, t in enumerate(cons.tau))}
     assert diag[(2, 0, 0)] == 1.0 and diag[(0, 2, 0)] == 1.0 and diag[(0, 0, 2)] == 1.0
     assert diag[(1, 1, 0)] == 0.0 and diag[(1, 0, 1)] == 0.0 and diag[(0, 1, 1)] == 0.0
     for e in np.eye(cons.k):
@@ -180,9 +196,8 @@ def test_parity_blocks():
 
 def _reordered(cons, order):
     """The constraints with equation m being equation order[m] of cons."""
-    return GramConstraints(cons.basis, tuple(cons.omegas[l] for l in order),
-                           cons.targets[order], cons.tau[order], cons.imag[order],
-                           cons.blocks, cons.swaps)
+    return GramConstraints(cons.basis, cons.targets[order], cons.tau[order],
+                           cons.imag[order], cons.blocks, cons.swaps)
 
 
 def test_block_system_matches_full_constraints(rng):
@@ -211,7 +226,7 @@ def test_block_system_matches_full_constraints(rng):
                               first.lift(first.moment_shift[0])[order[system.keep]])
     # blocks that an equation couples are refused, not solved over
     cons = build_constraints(sum_of_monomial_squares(3, 2), square_basis(COMMUTATIVE, 3, 2))
-    coupled = GramConstraints(cons.basis, cons.omegas, cons.targets, cons.tau, cons.imag,
+    coupled = GramConstraints(cons.basis, cons.targets, cons.tau, cons.imag,
                               (np.arange(3), np.arange(3, 6)))
     with pytest.raises(ValueError, match="split"):
         coupled.block_system
@@ -220,7 +235,7 @@ def test_block_system_matches_full_constraints(rng):
     swap = np.arange(cons.dim)
     i, j = cons.basis.index[(2, 0, 0)], cons.basis.index[(1, 1, 0)]
     swap[[i, j]] = j, i
-    crossing = GramConstraints(cons.basis, cons.omegas, cons.targets, cons.tau, cons.imag,
+    crossing = GramConstraints(cons.basis, cons.targets, cons.tau, cons.imag,
                                cons.blocks, (swap,))
     with pytest.raises(ValueError, match="the swaps do not permute the blocks"):
         crossing.block_system
@@ -327,7 +342,7 @@ def test_orbit_projection_is_invariant_psd_projection(rng):
                      (Polynomial(COMMUTATIVE, 3, MOTZKIN), square_basis(COMMUTATIVE, 3, 3))):
         cons = build_constraints(a, basis)
         system = cons.block_system
-        full = GramConstraints(cons.basis, cons.omegas, cons.targets, cons.tau, cons.imag,
+        full = GramConstraints(cons.basis, cons.targets, cons.tau, cons.imag,
                                cons.blocks).block_system
         assert all(map(np.array_equal, full.index, system.index))
         assert (full.orbit == np.arange(len(full.index))).all()
@@ -379,7 +394,7 @@ def test_build_constraints_free_counts(rng):
     assert cons.k == 2 ** 4  # n^{2d} real constraints
     # each constraint touches a single cell (a self-conjugate word) or a
     # conjugate pair of cells, the cells of tau and tau*
-    cell_to_prod, conj = basis._products[2], basis._skeleton.conj
+    cell_to_prod, conj = basis._products[2:4]
     for l in range(cons.k):
         tau = cons.tau[l]
         nnz = int(np.isin(cell_to_prod, (tau, conj[tau])).sum())
@@ -398,15 +413,16 @@ def test_build_constraints_rejects_bad_inputs():
         build_constraints(x1 * x1 + x2, basis)  # inhomogeneous
 
 
-def _omega_polynomial(omega, flavor, n_vars):
-    """The Hermitian basis element: tau, tau + tau* or i(tau - tau*) by its kind."""
-    tau = omega.term
-    if omega.kind == "self":
-        return Polynomial(flavor, n_vars, {tau: 1.0})
-    conj = involute_term(flavor, tau)
-    if omega.kind == "re":
-        return Polynomial(flavor, n_vars, {tau: 1.0, conj: 1.0})
-    return Polynomial(flavor, n_vars, {tau: 1j, conj: -1j})
+def _omega_polynomial(cons, l):
+    """The Hermitian basis element w_l: tau, tau + tau* or i(tau - tau*),
+    read from the equation's tau, imag and the conjugate index."""
+    basis, conj = cons.basis, cons._conj
+    tau, star = (basis.product_terms[t] for t in (cons.tau[l], conj[cons.tau[l]]))
+    if tau == star:
+        return Polynomial(basis.flavor, basis.n_vars, {tau: 1.0})
+    if not cons.imag[l]:
+        return Polynomial(basis.flavor, basis.n_vars, {tau: 1.0, star: 1.0})
+    return Polynomial(basis.flavor, basis.n_vars, {tau: 1j, star: -1j})
 
 
 def test_constraints_reconstruct_gram_map(rng):
@@ -419,7 +435,7 @@ def test_constraints_reconstruct_gram_map(rng):
         y = cons.apply(M)
         recon = Polynomial.zero(flavor, n)
         for l in range(cons.k):
-            recon = recon + float(y[l]) * _omega_polynomial(cons.omegas[l], flavor, n)
+            recon = recon + float(y[l]) * _omega_polynomial(cons, l)
         assert (recon - gram_map(M, basis)).coeff_two_norm() <= 1e-9
 
 
@@ -609,7 +625,8 @@ def test_moment_shift_positive_definite_on_every_block(rng):
         cons = build_constraints(a, square_basis(COMMUTATIVE, a.n_vars, a.degree() // 2))
         system = cons.block_system
         y0, S0, top = system.moment_shift
-        moments = np.array([_gaussian_moment(cons.omegas[l].term) for l in system.keep])
+        moments = np.array([_gaussian_moment(cons.basis.product_terms[cons.tau[l]])
+                            for l in system.keep])
         assert np.array_equal(y0, moments / moments.max())
         assert len(S0) == len(system.index)
         lows, highs = zip(*[(w[0], w[-1]) for w in map(np.linalg.eigvalsh, S0)])

@@ -219,7 +219,7 @@ def _farkas_holds(form, y):
     basis = square_basis(COMMUTATIVE, form.n_vars, form.degree() // 2)
     cons = build_constraints(form, basis)
     assert y.shape == (cons.k,)
-    slot = {om.term: l for l, om in enumerate(cons.omegas)}
+    slot = {basis.product_terms[t]: l for l, t in enumerate(cons.tau)}
     terms = basis.terms
     E = np.array([[y[slot[tuple(p + q for p, q in zip(ti, tj))]] for tj in terms] for ti in terms])
     w = np.linalg.eigvalsh(E)
@@ -403,7 +403,7 @@ def test_free_solve_on_reversed_words(rng):
 
 def _dense_reference(cons):
     """The same equations as one real block: the dense symmetric solve."""
-    return GramConstraints(cons.basis, cons.omegas, cons.targets, cons.tau, cons.imag)
+    return GramConstraints(cons.basis, cons.targets, cons.tau, cons.imag)
 
 
 def test_block_solve_matches_dense_reference():
@@ -427,8 +427,7 @@ def test_block_solve_matches_dense_reference():
 
 def _unreduced(cons):
     """The same blocks without the variable swaps: one projection per block."""
-    return GramConstraints(cons.basis, cons.omegas, cons.targets, cons.tau, cons.imag,
-                           cons.blocks)
+    return GramConstraints(cons.basis, cons.targets, cons.tau, cons.imag, cons.blocks)
 
 
 def test_orbit_solve_matches_unreduced_reference():
@@ -661,6 +660,27 @@ def test_solver_options_rejected(name, value):
         SolverOptions(**{name: value})
     with pytest.raises(ValueError, match=name):
         SolverOptions.from_mapping({name.replace("_", "-"): str(value)})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("max_iter", 2.9),          # was read as 2
+    ("max_iter", True),         # was read as 1
+    ("tol_gap", True),          # was read as 1.0
+    ("tol_primal", False),
+])
+def test_solver_options_mapping_refuses_coercion(name, value):
+    with pytest.raises(ValueError, match=f"solver option '{name}'"):
+        SolverOptions.from_mapping({name: value})
+
+
+def test_solver_options_mapping_reads_strings_and_numbers():
+    # strings, as the CLI and the config file pass them, parse as before;
+    # numbers of the option's kind are taken as they are
+    for data in ({"max-iter": "200", "tol_gap": "1e-5", "tol_primal": "1"},
+                 {"max_iter": 200, "tol_gap": 1e-5, "tol_primal": 1}):
+        opts = SolverOptions.from_mapping(data)
+        assert opts == SolverOptions(tol_primal=1.0, tol_gap=1e-5, max_iter=200), data
+        assert type(opts.tol_primal) is float and type(opts.max_iter) is int
 
 
 def test_max_iter_reported_not_coerced(rng):

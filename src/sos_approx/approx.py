@@ -135,28 +135,43 @@ class SosCertificate(_Squares):
     @classmethod
     def from_dict(cls, data: dict) -> "SosCertificate":
         """Read a certificate back; ValueError, naming the field, for one whose
-        fields are not numbers of their kind, not finite or disagree with each
-        other."""
-        def number(name: str, value, integer: bool = False):
-            return _json_number(value, f"certificate field {name!r}", integer)
+        fields are missing, not numbers of their kind, mis-shaped, not finite
+        or disagree with each other."""
+        def read(name: str):
+            """The value at a dotted field name."""
+            value = data
+            for key in name.split("."):
+                if not isinstance(value, dict) or key not in value:
+                    raise ValueError(f"certificate field {name!r} is missing")
+                value = value[key]
+            return value
 
-        b = data["basis"]
-        basis = square_basis(b["flavor"], number("basis.n_vars", b["n_vars"], True),
-                             number("basis.degree", b["degree"], True))
-        squares = [np.array([complex(number("squares", re), number("squares", im)) for re, im in c],
-                            dtype=complex) for c in data["squares"]]
-        p_raw = data["schatten_p"]
+        def number(name: str, integer: bool = False):
+            return _json_number(read(name), f"certificate field {name!r}", integer)
+
+        def part(value) -> float:
+            return _json_number(value, "certificate field 'squares'")
+
+        basis = square_basis(read("basis.flavor"), number("basis.n_vars", True),
+                             number("basis.degree", True))
+        raw = read("squares")
+        if not (isinstance(raw, list) and all(
+                isinstance(c, list) and all(isinstance(e, list) and len(e) == 2 for e in c)
+                for c in raw)):
+            raise ValueError("certificate field 'squares' must be a list of vectors "
+                             "of [re, im] pairs")
+        squares = [np.array([complex(part(re), part(im)) for re, im in c], dtype=complex)
+                   for c in raw]
+        p_raw = read("schatten_p")
         cert = cls(
-            input=poly_from_dict(data["input"]),
-            approximation=poly_from_dict(data["approximation"]),
-            squares=squares, basis=basis,
-            error=number("error", data["error"]), norm=data["norm"],
-            eps=number("eps", data["eps"]),
-            theoretical_bound=number("theoretical_bound", data["theoretical_bound"]),
-            allowed_rank=number("allowed_rank", data["allowed_rank"], True),
-            sos_norm_value=number("sos_norm_value", data["sos_norm_value"]),
-            schatten_p=math.inf if p_raw == "inf" else number("schatten_p", p_raw),
-            solver_iterations=number("solver_iterations", data.get("solver_iterations", 0), True))
+            input=poly_from_dict(read("input")),
+            approximation=poly_from_dict(read("approximation")),
+            squares=squares, basis=basis, error=number("error"), norm=read("norm"),
+            eps=number("eps"), theoretical_bound=number("theoretical_bound"),
+            allowed_rank=number("allowed_rank", True), sos_norm_value=number("sos_norm_value"),
+            schatten_p=math.inf if p_raw == "inf" else number("schatten_p"),
+            solver_iterations=number("solver_iterations", True)
+            if "solver_iterations" in data else 0)
         for name in ("error", "eps", "theoretical_bound", "sos_norm_value"):
             if not math.isfinite(getattr(cert, name)):
                 raise ValueError(f"certificate field {name!r} must be finite, got {data[name]!r}")

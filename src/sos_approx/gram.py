@@ -36,8 +36,6 @@ from .poly import (
     Term,
     _check_flavor,
     compositions,
-    involute_term,
-    multiply_terms,
     term_sort_key,
 )
 
@@ -117,25 +115,40 @@ class SquareBasis:
         """All products v_i* v_j: the distinct product terms, their index, the
         flat cell map, each term's conjugate, and the equations (tau, imag).
 
-        (v_i* v_j)* = v_j* v_i, so a term's conjugate is the term of the
-        transposed cell.  A self-conjugate term gives one equation, a pair
-        t < t* an "re" and then an "im" equation at t.  The arrays are shared
-        by every constraint system on the basis, and read-only."""
+        With the terms as the integer rows of E, every cell's product is one
+        integer row, built for all cells at once: the exponents E[i] + E[j]
+        of monomials, or the letters of E[i] reversed followed by E[j] for
+        words.  Each row becomes one int64 key, folded in column by column
+        as mixed-radix digits; when the next digit would overflow, the keys
+        are first replaced by their ranks among the distinct keys so far.
+        The terms are numbered in the order their first cell comes, row by
+        row.  (v_i* v_j)* = v_j* v_i, so a term's conjugate is the term of
+        the transposed cell.  A self-conjugate term gives one equation, a
+        pair t < t* an "re" and then an "im" equation at t.  The arrays are
+        shared by every constraint system on the basis, and read-only."""
         D = self.size
-        prod_index: dict[Term, int] = {}
-        prod_terms: list[Term] = []
-        cell_to_prod = np.empty(D * D, dtype=np.int64)
-        invol = [involute_term(self.flavor, t) for t in self.terms]
-        for i in range(D):
-            vi = invol[i]
-            for j in range(D):
-                t = multiply_terms(self.flavor, vi, self.terms[j])
-                idx = prod_index.get(t)
-                if idx is None:
-                    idx = len(prod_terms)
-                    prod_index[t] = idx
-                    prod_terms.append(t)
-                cell_to_prod[i * D + j] = idx
+        width = self.n_vars if self.flavor == COMMUTATIVE else self.degree
+        E = np.array(self.terms, dtype=np.int64).reshape(D, width)
+        if self.flavor == COMMUTATIVE:
+            rows = (E[:, None, :] + E[None, :, :]).reshape(D * D, width)
+        else:
+            rows = np.concatenate([np.broadcast_to(E[:, None, ::-1], (D, D, width)),
+                                   np.broadcast_to(E[None, :, :], (D, D, width))],
+                                  axis=2).reshape(D * D, 2 * width)
+        key, bound = np.zeros(D * D, dtype=np.int64), 1
+        for column in rows.T:
+            radix = int(column.max(initial=0)) + 1
+            if bound * radix > np.iinfo(np.int64).max:
+                distinct, key = np.unique(key, return_inverse=True)
+                key, bound = key.reshape(-1), len(distinct)
+            key, bound = key * radix + column, bound * radix
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        cell_to_prod = rank[inverse.reshape(-1)]
+        prod_terms = tuple(map(tuple, rows[first[order]].tolist()))
+        prod_index = {t: i for i, t in enumerate(prod_terms)}
         conj = np.empty(len(prod_terms), dtype=np.int64)
         conj[cell_to_prod] = cell_to_prod.reshape(D, D).T.ravel()
         lower = np.flatnonzero(np.arange(len(conj)) <= conj)
@@ -144,7 +157,7 @@ class SquareBasis:
         imag[1:] = tau[1:] == tau[:-1]
         for array in (cell_to_prod, conj, tau, imag):
             array.flags.writeable = False
-        return tuple(prod_terms), prod_index, cell_to_prod, conj, tau, imag
+        return prod_terms, prod_index, cell_to_prod, conj, tau, imag
 
     @property
     def product_terms(self) -> tuple[Term, ...]:
@@ -442,10 +455,13 @@ class BlockSystem:
 
         `ranks` (from `rank_hint`, kept by the caller across calls) holds
         for each projected block the number of eigenvalues its previous
-        projection kept, and is updated in place.  A block that kept at most
-        a quarter of them is decomposed for its positive eigenpairs only,
-        the others fully (`linalg.psd_part`).  The hint changes the cost,
-        not the result: both give the projection up to rounding.
+        projection kept, and is updated in place.  It is each block's hint
+        to `linalg.psd_part`, which writes the block's projection straight
+        into the output: a block that kept none or all of them is first
+        tried with one Cholesky factorization, a block that kept at most a
+        quarter of them is decomposed for its positive eigenpairs only, the
+        others fully.  The hint changes the cost, not the result: every
+        route gives the projection up to rounding.
 
         With merged orbits it is the projection onto the invariant PSD
         matrices: each cell is averaged over its orbit (the orthogonal
@@ -459,8 +475,8 @@ class BlockSystem:
             x = (np.bincount(self._labels, x, len(self._count)) / self._count)[self._gather]
         out = np.empty_like(x)
         for b, (o, s) in enumerate(self.projected):
-            P, ranks[b] = linalg.psd_part(x[o:o + s * s].reshape(s, s), 4 * ranks[b] <= s)
-            out[o:o + s * s] = P.reshape(-1)
+            ranks[b] = linalg.psd_part(x[o:o + s * s].reshape(s, s), ranks[b],
+                                       out[o:o + s * s].reshape(s, s))
         return out if self._labels is None else out[self._src]
 
     @cached_property

@@ -2,15 +2,16 @@
 
 The solver is ADMM, a first-order operator splitting: each step projects
 onto the affine subspace {tr(A_l M) = lambda_l} (exactly, through the cached
-constraint Gram system) and onto the PSD cone (one LAPACK
-eigendecomposition per block).  It runs on `GramConstraints.block_system`:
-for commutative inputs every A_l is real, so the iterates are real
-symmetric, and they are block-diagonal over the sign-symmetry classes of the
-basis (Gatermann & Parrilo 2004); free inputs, whose fiber is one matrix, go
-to `_unique_gram` instead.  When swaps of variables that fix the input
-permute the blocks, the cone projection keeps the iterates invariant under
-them and decomposes one block per orbit.  Results are embedded back: the
-full D x D matrix, and duals over all k equations.
+constraint Gram system) and onto the PSD cone (one Cholesky factorization
+or LAPACK eigendecomposition per block).  It runs on
+`GramConstraints.block_system`: for commutative inputs every A_l is real,
+so the iterates are real symmetric, and they are block-diagonal over the
+sign-symmetry classes of the basis (Gatermann & Parrilo 2004); free inputs,
+whose fiber is one matrix, go to `_unique_gram` instead.  When swaps of
+variables that fix the input permute the blocks, the cone projection keeps
+the iterates invariant under them and decomposes one block per orbit.
+Results are embedded back: the full D x D matrix, and duals over all k
+equations.
 
 The same loop detects infeasibility: when the fiber misses the cone, the
 change in the scaled dual between two checks, at one rho, converges to a
@@ -38,7 +39,6 @@ below 1) with a ValueError that names the option.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -57,6 +57,9 @@ from .poly import FREE, Polynomial, _json_number
 _RHO_BALANCE = 5.0
 _OVER_RELAX = 1.6           # over-relaxed ADMM converges only for 0 < alpha < 2
 _TINY = 1e-300
+# below this 2-norm of the targets their squares may be subnormal or zero, so
+# the norm is taken of the targets scaled by the largest of them
+_UNDERFLOW = 1e-150
 CHECK_EVERY = 25            # steps between convergence checks
 # Anderson acceleration (Walker & Ni 2011) of the map T = ANDERSON_STRIDE steps
 # on the state (Z, U), from at most ANDERSON_MEMORY differences; see `_Anderson`
@@ -101,13 +104,14 @@ class SolverOptions:
     max_iter: int = 50_000
 
     def __post_init__(self) -> None:
-        value = self.max_iter
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"solver option 'max_iter' must be an integer >= 1, got {value!r}")
-        for name in ("tol_primal", "tol_gap"):
-            value = getattr(self, name)
+        # booleans, strings, and fractions where an integer is due, are refused
+        for name in ("max_iter", "tol_primal", "tol_gap"):
+            integer = name == "max_iter"
+            value = _json_number(getattr(self, name), f"solver option {name!r}", integer)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"solver option {name!r} must be finite and > 0, got {value!r}")
+                what = "an integer >= 1" if integer else "finite and > 0"
+                raise ValueError(f"solver option {name!r} must be {what}, got {value!r}")
+            setattr(self, name, value)
 
     def residual_tol(self, bnorm: float) -> float:
         """The constraint residual a solution may keep, for targets of norm bnorm."""
@@ -133,8 +137,7 @@ class SolverOptions:
                 except ValueError:
                     what = "an integer" if kind is int else "a number"
                     raise ValueError(f"solver option {key!r} must be {what}, got {raw!r}") from None
-            # booleans, and fractions where an integer is due, are refused
-            values[name] = _json_number(raw, f"solver option {key!r}", kind is int)
+            values[name] = raw
         return cls(**values)
 
 
@@ -351,14 +354,15 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     """ADMM for min <C, M> s.t. tr(A_l M) = lambda_l, M >= 0 (normalized targets).
 
     Setup, one step map T on (Z, U), one check every CHECK_EVERY steps and
-    at the cap, one finish.  The objective C is data: T subtracts C / rho,
-    and C is zero throughout for minimize_trace=False and for the opening
-    window (steps 1..CHECK_EVERY) otherwise, so those steps are exactly a
-    Douglas-Rachford feasibility solve's and test the same Farkas
-    candidates.  If the window's check does not end the solve, it hands
-    over to C = I: Z stays as the warm start, U restarts at zero (the zero
-    objective's dual is no dual of the trace problem), and rho is not
-    balanced.
+    at the cap, one finish.  The objective C is data: C is zero throughout
+    for minimize_trace=False and for the opening window (steps
+    1..CHECK_EVERY) otherwise, so those steps are exactly a Douglas-Rachford
+    feasibility solve's and test the same Farkas candidates.  If the
+    window's check does not end the solve, it hands over to C = I: Z stays
+    as the warm start, U restarts at zero (the zero objective's dual is no
+    dual of the trace problem), and rho is not balanced; from then on T
+    subtracts C / rho.  T's new U is W - Z_new for the point W = Xr + U it
+    projects, which is U + Xr - Z_new to the bit.
 
     A check records a `CheckRecord`, tests the stopping rule (the gap only
     with minimize_trace, which alone has a dual bound), then the Farkas
@@ -376,24 +380,30 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     system = constraints.block_system
     b = system.targets
     bnorm = float(np.linalg.norm(b))
-    s = bnorm if bnorm > 1e-300 else 1.0
+    if bnorm < _UNDERFLOW:      # the squares the norm sums may underflow
+        top = float(np.abs(b).max())
+        bnorm = top * float(np.linalg.norm(b / top))
+    s = bnorm
     bh = b / s
     inv_normal = system.solve_normal(np.ones(len(b)))
     bh_normal = system.solve_normal(bh)
     ranks = system.rank_hint()
     eye = system.identity()
     rho = float(np.linalg.norm(eye) / np.linalg.norm(system.adjoint(bh_normal)))
-    objective = shift = 0.0     # C and C / rho
+    objective = shift = None    # C and C / rho, once the trace objective is on
     n = system.size
 
     def T(Z, U):
         """One over-relaxed step; also returns the affine point X and its multipliers."""
-        V = Z - U - shift
+        V = Z - U
+        if shift is not None:
+            V -= shift
         mu = system.apply(V) * inv_normal - bh_normal
         X = V - system.adjoint(mu)
         Xr = _OVER_RELAX * X + (1.0 - _OVER_RELAX) * Z
-        Z_new = system.psd_part(Xr + U, ranks)
-        return Z_new, U + Xr - Z_new, X, mu
+        W = Xr + U
+        Z_new = system.psd_part(W, ranks)
+        return Z_new, W - Z_new, X, mu
 
     Z = U = U_prev = np.zeros(n)
     y_out, dval, gap = np.zeros(len(b)), 0.0, math.nan
@@ -448,7 +458,8 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
             rho, U = rho * 2.0, U / 2.0
         elif s_rel > _RHO_BALANCE * r_rel and rho > 1e-6:
             rho, U = rho / 2.0, U * 2.0
-        shift = objective / rho
+        if objective is not None:
+            shift = objective / rho
         # taken after a rho change or the hand-over has reset U, so the next
         # difference spans CHECK_EVERY steps of one T
         U_prev = U

@@ -2,9 +2,10 @@
 
 These recompute expected values through routes the library does not take:
 exhaustive grid scans of tiny Gram spectrahedra, direct coefficient sums, the
-free Gram matrix read by splitting words, the dense constraint matrices built
-by multiplying polynomials, a cyclic Jacobi eigensolver checked against
-LAPACK and the cross-polytope lattice over every sign vector.
+free Gram matrix read by splitting words, the product table multiplied out
+cell by cell, the dense constraint matrices built by multiplying
+polynomials, a cyclic Jacobi eigensolver checked against LAPACK and the
+cross-polytope lattice over every sign vector.
 """
 
 import math
@@ -14,7 +15,8 @@ import numpy as np
 
 from sos_approx.gram import NotHermitianError, square_basis
 from sos_approx.linalg import NonConvergenceError
-from sos_approx.poly import FREE, FlavorMismatchError, Polynomial, compositions
+from sos_approx.poly import (FREE, FlavorMismatchError, Polynomial, compositions, involute_term,
+                             multiply_terms)
 
 
 def min_rank_two_vars_degree_one(a, grid=2001, span=3.0, psd_tol=1e-12,
@@ -76,6 +78,27 @@ def free_pythagoras_number(p, d):
     if w.min() < -1e-9 * max(abs(w).max(), 1e-30):
         return None
     return int((w > 1e-9 * max(w.max(), 1e-30)).sum())
+
+
+def product_table(basis) -> tuple:
+    """The product terms, their index and the flat cell map of
+    `SquareBasis._products`, cell by cell: each product v_i* v_j by
+    `poly.multiply_terms`, numbered in the order the cells (i, j) first
+    reach it row by row."""
+    D = basis.size
+    prod_index: dict = {}
+    prod_terms: list = []
+    cell_to_prod = np.empty(D * D, dtype=np.int64)
+    invol = [involute_term(basis.flavor, t) for t in basis.terms]
+    for i in range(D):
+        for j in range(D):
+            t = multiply_terms(basis.flavor, invol[i], basis.terms[j])
+            idx = prod_index.get(t)
+            if idx is None:
+                idx = prod_index[t] = len(prod_terms)
+                prod_terms.append(t)
+            cell_to_prod[i * D + j] = idx
+    return tuple(prod_terms), prod_index, cell_to_prod
 
 
 def hermitian_equations(basis) -> list:

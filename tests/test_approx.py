@@ -314,6 +314,11 @@ CERTIFICATE_DEFECTS = {
     "error-string": (lambda d: d.update(error=str(d["error"])), "error"),
     "eps-boolean": (lambda d: d.update(eps=True), "eps"),
     "square-entry-string": (lambda d: d["squares"][0][0].__setitem__(0, "1"), "squares"),
+    # missing or mis-shaped fields are named too
+    "eps-missing": (lambda d: d.pop("eps"), "eps"),
+    "basis-degree-missing": (lambda d: d["basis"].pop("degree"), "basis.degree"),
+    "square-entry-short": (lambda d: d["squares"][0].__setitem__(0, [1.0]), "squares"),
+    "squares-null": (lambda d: d.update(squares=None), "squares"),
 }
 
 

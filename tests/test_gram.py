@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import CHOI_LAM_S, MOTZKIN, ROBINSON, random_hermitian, random_sos
-from oracles import constraint_matrices, gram_preimage_free, hermitian_equations
+from oracles import constraint_matrices, gram_preimage_free, hermitian_equations, product_table
 from sos_approx import gram
 from sos_approx.gram import (
     BasisSizeError,
@@ -85,6 +85,31 @@ def test_product_table_shared_read_only():
         assert not array.flags.writeable, name
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def test_product_table_matches_cell_loop(rng):
+    # the table built with array operations equals the one multiplied out
+    # cell by cell (the conjugates and equations derived from it are checked
+    # against their definition below), on canonical, reversed, subset and
+    # permuted bases of both flavors, and where a plain mixed-radix key of
+    # the product rows would overflow int64 (3^40 and 5^30 > 2^63; on the
+    # two free words, 34 base-4 digits, whose leading one would drop out of
+    # 64 bits and merge the cells (1, 0) and (0, 0))
+    bases = []
+    for flavor in (COMMUTATIVE, FREE):
+        for n in (1, 2, 3):
+            for d in (0, 1, 2, 3, 4):
+                canonical = square_basis(flavor, n, d)
+                permuted = tuple(canonical.terms[i] for i in rng.permutation(canonical.size))
+                for terms in (canonical.terms, canonical.terms[::-1], canonical.terms[::2], permuted):
+                    bases.append(SquareBasis(flavor, n, d, terms))
+    bases += [square_basis(COMMUTATIVE, 40, 1), square_basis(COMMUTATIVE, 30, 2),
+              SquareBasis(FREE, 4, 17, ((3,) * 17, (3,) * 16 + (0,)))]
+    for basis in bases:
+        terms, index, cell_to_prod = product_table(basis)
+        table = basis._products
+        assert table[:2] == (terms, index), basis
+        assert table[2].dtype == np.int64 and np.array_equal(table[2], cell_to_prod), basis
 
 
 def test_equations_match_definition(rng):

@@ -202,34 +202,68 @@ def eigh_projection(M):
     return (V * np.maximum(w, 0.0)) @ V.conj().T
 
 
+def projected(M, hint):
+    """psd_part's output, written over a NaN-filled array, and the rank."""
+    out = np.full(M.shape, np.nan)
+    rank = psd_part(M, hint, out)
+    return out, rank
+
+
 def test_psd_part(rng, monkeypatch):
-    # both drivers give the projection and its rank at every rank: computing
-    # only the positive eigenpairs changes the cost only
+    # every route gives the projection and its rank at every rank: the hint
+    # changes the cost only (0 and s try a Cholesky factorization first, 1
+    # computes only the positive eigenpairs, s - 1 all of them)
     for s in (8, 13):
+        hints = (0, 1, s - 1, s)
         for positives in sorted({0, 1, s // 4, s // 2, s}):
             M = with_positives(rng, s, positives)
-            for low_rank in (False, True):
-                P, rank = psd_part(M, low_rank)
+            for hint in hints:
+                P, rank = projected(M, hint)
                 assert P.dtype == np.float64 and rank == positives
                 assert np.abs(P - eigh_projection(M)).max() <= 1e-12 * np.abs(M).max()
                 assert np.abs(P - P.T).max() <= 1e-12
-        # off symmetry in the upper triangle, both drivers project the
-        # symmetric completion of the lower one
+        # off symmetry in the upper triangle, the eigendecompositions project
+        # the symmetric completion of the lower one
         M = with_positives(rng, s, 2)
         noisy = M + np.triu(1e-3 * rng.standard_normal((s, s)), 1)
         lower = np.tril(noisy) + np.tril(noisy, -1).T
-        for low_rank in (False, True):
-            P, _ = psd_part(noisy, low_rank)
+        for hint in hints:
+            P, _ = projected(noisy, hint)
             assert np.abs(P - eigh_projection(lower)).max() <= 1e-12 * np.abs(M).max()
+    # the Cholesky routes: a definite block in one factorization, written
+    # exactly (zeros, or the block itself); an indefinite one falls through
+    # to the eigendecomposition
+    calls = []
+
+    def recorded(name):
+        original = getattr(scipy.linalg.lapack, name)
+
+        def driver(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return driver
+
+    for name in ("dsyevr", "dsyevd"):
+        monkeypatch.setattr(scipy.linalg.lapack, name, recorded(name))
+    s = 9
+    for positives, hint, route in ((0, 0, []), (1, 0, ["dsyevr"]),
+                                   (s, s, []), (s - 1, s, ["dsyevd"])):
+        M = with_positives(rng, s, positives)
+        calls.clear()
+        P, rank = projected(M, hint)
+        assert calls == route and rank == positives
+        if not route:
+            assert np.array_equal(P, np.zeros((s, s)) if hint == 0 else M)
+        assert np.abs(P - eigh_projection(M)).max() <= 1e-12 * np.abs(M).max()
     # a LAPACK failure is an error, not a projection
     M = with_positives(rng, 6, 2)
     monkeypatch.setattr(scipy.linalg.lapack, "dsyevd",
                         lambda a, **kw: (np.zeros(6), np.eye(6), 3))
     monkeypatch.setattr(scipy.linalg.lapack, "dsyevr",
                         lambda a, **kw: (np.zeros(6), np.eye(6), 0, None, 7))
-    for low_rank in (False, True):
+    for hint in (0, 1, 5, 6):
         with pytest.raises(NonConvergenceError, match="info="):
-            psd_part(M, low_rank)
+            projected(M, hint)
 
 
 def test_matrix_json_roundtrip(rng):

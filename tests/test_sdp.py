@@ -673,6 +673,16 @@ def test_solver_options_mapping_refuses_coercion(name, value):
         SolverOptions.from_mapping({name: value})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("tol_gap", True),          # was kept as True
+    ("tol_primal", "1e-3"),     # was a TypeError
+])
+def test_solver_options_refuse_wrong_kind(name, value):
+    # the constructor refuses what from_mapping refuses, strings included
+    with pytest.raises(ValueError, match=f"solver option '{name}'"):
+        SolverOptions(**{name: value})
+
+
 def test_solver_options_mapping_reads_strings_and_numbers():
     # strings, as the CLI and the config file pass them, parse as before;
     # numbers of the option's kind are taken as they are
@@ -681,6 +691,23 @@ def test_solver_options_mapping_reads_strings_and_numbers():
         opts = SolverOptions.from_mapping(data)
         assert opts == SolverOptions(tol_primal=1.0, tol_gap=1e-5, max_iter=200), data
         assert type(opts.tol_primal) is float and type(opts.max_iter) is int
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [1e-200, 1e-300])
+def test_tiny_inputs_solved_without_underflow(c):
+    # the targets' 2-norm underflowed to 0 below coefficients of about 1e-154:
+    # a division by zero, then a solve of 75 steps on an infinite rho.  The
+    # reference is at 1e-100, where the tolerances, relative to 1 + |targets|,
+    # are as loose as here
+    def form(c):
+        return Polynomial(COMMUTATIVE, 2, {(2, 0): c, (0, 2): c, (1, 1): 0.5 * c})
+
+    basis = square_basis(COMMUTATIVE, 2, 1)
+    reference = sos_norm(form(1e-100), basis)[0] / 1e-100
+    value, sol = sos_norm(form(c), basis)
+    assert sol.status is SolveStatus.OPTIMAL and sol.iterations == CHECK_EVERY
+    assert abs(value / c - reference) <= 1e-12 * reference
 
 
 def test_max_iter_reported_not_coerced(rng):

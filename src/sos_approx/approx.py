@@ -313,11 +313,11 @@ def pythagoras_upper_bound(a: Polynomial, basis: SquareBasis,
     """Exact decomposition of a with at most ceil(sqrt(dim V*V)) squares.
 
     The feasibility witness, then, for commutative bases, rank reduction
-    over the constraint system.  On a free basis the Gram matrix is unique,
-    so the answer is its rank and no reduction is possible.
+    over the constraint system.  On a free basis each cell is its own word
+    (dim V*V = D^2) and the Gram matrix is unique, so the answer is its rank.
     """
     options = options or SolverOptions()
-    bound = _ceil_sqrt(len(basis.product_terms))
+    bound = _ceil_sqrt(basis.size ** 2 if basis.flavor == FREE else len(basis.product_terms))
     # the witness residual flows straight into the reassembly residual,
     # so ask the feasibility solve for extra digits
     options = replace(options, tol_primal=min(options.tol_primal, 1e-8))

@@ -1,18 +1,15 @@
-"""Square-space bases, the Gram map, and its constraint-matrix form.
+"""Square-space bases, the Gram map, its inverse on words, and its constraint form.
 
 A basis v = (v_1, ..., v_D) of the homogeneous degree-d component induces the
-Gram map M |-> sum_ij m_ij v_i* v_j.  `build_constraints` rewrites the fiber
-{G(M) = a} as real-valued trace equations tr(A_l M) = lambda_l over a
-Hermitian basis w of the product space.  Equation l is a product term tau
-and whether its target is Re a_tau or Im a_tau; w_l is tau, tau + tau* or
-i(tau - tau*).  The equations and each A_l are read off the basis's product
-table (`SquareBasis._products`, built once per basis; `square_basis` keeps
-recent bases); the targets and symmetries are read once per input.  For
-commutative inputs each A_l is the 0/1 indicator of one product term's
-cells; their `block_system`, restricted to the block-diagonal matrices that
-keep the least trace, is what the SDP layer iterates on.  In the free flavor
-the Gram map is a bijection, and `GramConstraints.solve_normal` inverts it
-(`sdp._unique_gram`).
+Gram map M |-> sum_ij m_ij v_i* v_j.  On words (the free flavor) each cell's
+product v_i* v_j is its own word, so the map is a bijection: `free_gram`
+reads the one matrix off the coefficients and `upper_reads` lays out its
+duals.  On monomials `build_constraints` rewrites the fiber {G(M) = a} as
+real trace equations tr(A_l M) = lambda_l, one per product term l of the
+basis's product table (`SquareBasis._products`, built once per basis;
+`square_basis` keeps recent bases); the targets and symmetries are read once
+per input.  Their `block_system`, restricted to the block-diagonal matrices
+that keep the least trace, is what the SDP layer iterates on.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product as _iproduct
 from typing import Iterable
 
@@ -112,29 +109,22 @@ class SquareBasis:
 
     @cached_property
     def _products(self):
-        """All products v_i* v_j: the distinct product terms, their index, the
-        flat cell map, each term's conjugate, and the equations (tau, imag).
+        """All products v_i* v_j of a monomial basis: the distinct product
+        terms, their index, and the flat cell map.
 
         With the terms as the integer rows of E, every cell's product is one
-        integer row, built for all cells at once: the exponents E[i] + E[j]
-        of monomials, or the letters of E[i] reversed followed by E[j] for
-        words.  Each row becomes one int64 key, folded in column by column
-        as mixed-radix digits; when the next digit would overflow, the keys
-        are first replaced by their ranks among the distinct keys so far.
-        The terms are numbered in the order their first cell comes, row by
-        row.  (v_i* v_j)* = v_j* v_i, so a term's conjugate is the term of
-        the transposed cell.  A self-conjugate term gives one equation, a
-        pair t < t* an "re" and then an "im" equation at t.  The arrays are
-        shared by every constraint system on the basis, and read-only."""
-        D = self.size
-        width = self.n_vars if self.flavor == COMMUTATIVE else self.degree
+        integer row E[i] + E[j], built for all cells at once.  Each row
+        becomes one int64 key, folded in column by column as mixed-radix
+        digits; when the next digit would overflow, the keys are first
+        replaced by their ranks among the distinct keys so far.  The terms
+        are numbered in the order their first cell comes, row by row.  The
+        cell map is shared by every constraint system on the basis, and
+        read-only."""
+        if self.flavor != COMMUTATIVE:
+            raise ValueError("a word basis has no product table: each product word is one cell")
+        D, width = self.size, self.n_vars
         E = np.array(self.terms, dtype=np.int64).reshape(D, width)
-        if self.flavor == COMMUTATIVE:
-            rows = (E[:, None, :] + E[None, :, :]).reshape(D * D, width)
-        else:
-            rows = np.concatenate([np.broadcast_to(E[:, None, ::-1], (D, D, width)),
-                                   np.broadcast_to(E[None, :, :], (D, D, width))],
-                                  axis=2).reshape(D * D, 2 * width)
+        rows = (E[:, None, :] + E[None, :, :]).reshape(D * D, width)
         key, bound = np.zeros(D * D, dtype=np.int64), 1
         for column in rows.T:
             radix = int(column.max(initial=0)) + 1
@@ -149,15 +139,8 @@ class SquareBasis:
         cell_to_prod = rank[inverse.reshape(-1)]
         prod_terms = tuple(map(tuple, rows[first[order]].tolist()))
         prod_index = {t: i for i, t in enumerate(prod_terms)}
-        conj = np.empty(len(prod_terms), dtype=np.int64)
-        conj[cell_to_prod] = cell_to_prod.reshape(D, D).T.ravel()
-        lower = np.flatnonzero(np.arange(len(conj)) <= conj)
-        tau = np.repeat(lower, np.where(conj[lower] == lower, 1, 2))
-        imag = np.zeros(len(tau), dtype=bool)
-        imag[1:] = tau[1:] == tau[:-1]
-        for array in (cell_to_prod, conj, tau, imag):
-            array.flags.writeable = False
-        return prod_terms, prod_index, cell_to_prod, conj, tau, imag
+        cell_to_prod.flags.writeable = False
+        return prod_terms, prod_index, cell_to_prod
 
     @property
     def product_terms(self) -> tuple[Term, ...]:
@@ -165,9 +148,10 @@ class SquareBasis:
 
 
 # square_basis keeps the bases it built, least recently used dropped first, up
-# to this many cells (D^2) in all: a kept basis holds its product table, about
-# 230 bytes a cell for words and 15 for monomials (tracemalloc, free n=2 d=6
-# and commutative n=3 d=10), so at most about 15 MB
+# to this many cells (D^2) in all: a kept monomial basis holds its product
+# table, about 17 bytes a cell, and a word basis only its words and their
+# index, about 125 bytes a word (tracemalloc, commutative n=3 d=10 and free
+# n=2 d=6), so at most about 1.1 MB
 _MEMO_CELLS = 1 << 16
 _memo: OrderedDict[tuple[str, int, int], SquareBasis] = OrderedDict()
 
@@ -177,8 +161,8 @@ def square_basis(flavor: str, n_vars: int, degree: int,
     """Complete canonical basis of the homogeneous degree-d component.
 
     Recent bases are kept (`_MEMO_CELLS`), so that one object per (flavor,
-    n_vars, degree) builds its product table, and with it the equations, once;
-    a basis larger than that bound is built anew by every call."""
+    n_vars, degree) builds its product table (monomials) or its word index
+    once; a basis larger than that bound is built anew by every call."""
     _check_flavor(flavor)
     if n_vars < 1:
         raise ValueError("n_vars must be >= 1")
@@ -207,106 +191,112 @@ def homogeneous_basis(p: Polynomial) -> SquareBasis:
 
 
 def gram_map(M: np.ndarray, basis: SquareBasis) -> Polynomial:
-    """The polynomial sum_ij m_ij v_i* v_j; *-linear in M."""
+    """The polynomial sum_ij m_ij v_i* v_j; *-linear in M; on words the inverse of `free_gram`."""
     M = np.asarray(M, dtype=complex)
     D = basis.size
     if M.shape != (D, D):
         raise DimensionMismatchError(
             f"matrix shape {M.shape} does not match basis size {D}")
-    prod_terms, _, cell_to_prod = basis._products[:3]
     flat = M.reshape(-1)
-    re = np.bincount(cell_to_prod, weights=flat.real, minlength=len(prod_terms))
-    im = np.bincount(cell_to_prod, weights=flat.imag, minlength=len(prod_terms))
-    coeffs = {}
-    for idx, term in enumerate(prod_terms):
-        c = complex(re[idx], im[idx])
-        if abs(c) >= COEFF_DROP_TOL:
-            coeffs[term] = c
-    return Polynomial._raw(basis.flavor, basis.n_vars, coeffs)
+    if basis.flavor == COMMUTATIVE:
+        terms, _, cell_to_prod = basis._products
+        values = (np.bincount(cell_to_prod, flat.real, len(terms))
+                  + 1j * np.bincount(cell_to_prod, flat.imag, len(terms)))
+        term = terms.__getitem__
+    else:
+        values, left = flat + 0.0, [t[::-1] for t in basis.terms]     # -0.0 parts read 0.0
+        term = lambda k: left[k // D] + basis.terms[k % D]
+    kept = np.flatnonzero(np.abs(values) >= COEFF_DROP_TOL)
+    return Polynomial._raw(basis.flavor, basis.n_vars,
+                           {term(k): c for k, c in zip(kept.tolist(), values[kept].tolist())})
+
+
+def _word_cells(basis: SquareBasis, words: list[Term]) -> np.ndarray:
+    """The flat cell i*D + j of each product word v_i* v_j of a word basis: v_i
+    is the word's first half reversed, v_j its second (none at another degree)."""
+    index, d, D = basis.index, basis.degree, basis.size
+    try:
+        return np.array([index[w[:d][::-1]] * D + index[w[d:]] for w in words], dtype=np.int64)
+    except KeyError:
+        outside = next(w for w in words if w[:d][::-1] not in index or w[d:] not in index)
+        raise ValueError(f"term {outside} lies outside the product space V*V") from None
+
+
+def free_gram(a: Polynomial, basis: SquareBasis) -> np.ndarray:
+    """The one M with gram_map(M, basis) = a on a word basis; the caller tests it is Hermitian."""
+    if a.flavor != basis.flavor or a.n_vars != basis.n_vars:
+        raise FlavorMismatchError("polynomial and basis live in different algebras")
+    M = np.zeros((basis.size, basis.size), dtype=complex)
+    M.reshape(-1)[_word_cells(basis, list(a._coeffs))] = list(a._coeffs.values())
+    return M
+
+
+@lru_cache(maxsize=16)
+def _upper_layout(D: int) -> np.ndarray:
+    """Where `upper_reads` reads in the flat (Re, Im) view of a D x D complex matrix."""
+    i, j = np.triu_indices(D)
+    where = np.sort(np.concatenate([2 * (i * D + j), 2 * (i * D + j)[i != j] + 1]))
+    where.flags.writeable = False       # shared by every caller
+    return where
+
+
+def upper_reads(M: np.ndarray, off: float = 1.0) -> np.ndarray:
+    """Re tr(A_l M) over the words' Hermitian basis (w_ii; w_ij + w_ji and
+    i(w_ij - w_ji) for i < j): the Hermitian part H of M on and above the
+    diagonal, row by row, as Re H_ii or Re H_ij then Im H_ij; zero parts read
+    0.0.  With off = 2 the latter two are doubled: the y with A*(y) = H."""
+    M = np.asarray(M, dtype=complex)
+    H = (M + M.conj().T) * (off / 2)
+    np.fill_diagonal(H, H.diagonal() / off)
+    return H.reshape(-1).view(float)[_upper_layout(len(H))] + 0.0
 
 
 # -- constraint form ----------------------------------------------------------
 
 class GramConstraints:
-    """Trace equations tr(A_l M) = lambda_l encoding G_v(M) = a.
+    """Trace equations tr(A_l M) = lambda_l encoding G_v(M) = a on a monomial basis.
 
-    Equation l is the pair (product term tau[l], imag[l]): its Hermitian
-    basis element w_l is tau if tau is self-conjugate, else tau + tau*
-    (imag false) or i(tau - tau*) (imag true), and its target is Re a_tau or
-    Im a_tau; A_l is never stored.  With c_t the coefficient of t in G(M),
-    the sum of m_ij over the cells (i, j) of t, and h_t = (c_t + conj(c_t*))
-    / 2 the Hermitian part, tr(A_l M) is Re h_tau or Im h_tau.  The A_l are
-    Hermitian with pairwise disjoint supports, or share one support pair
-    with purely imaginary overlap ("re" and "im" of one term), so the real
-    normal system Re<A_l, A_m> is diagonal for every basis.  On commutative
-    bases every term is self-conjugate and every A_l real; then the real
-    part of a feasible M is feasible with the same trace.  `blocks`
-    partitions the basis indices (one block by default) so that some matrix
-    of least trace in the fiber is block-diagonal over it; `swaps` are
-    permutations of the basis indices that map the equations and their
-    targets onto themselves (none by default).  `block_system` (commutative
-    bases) is what the solver runs on.
+    Equation l is product term l: A_l, never stored, is the 0/1 indicator of
+    its cells, closed under the transpose, and lambda_l = Re a_l.  The
+    supports are disjoint, so the normal system <A_l, A_m> is diagonal (the
+    cell counts), and every A_l is real, so the real part of a feasible M is
+    feasible with the same trace.  `blocks` partitions the basis indices (one
+    block by default) so that some matrix of least trace in the fiber is
+    block-diagonal over it; `swaps` are permutations of the basis indices
+    that map the equations and their targets onto themselves (none by
+    default).  `block_system` is what the solver runs on.
     """
 
-    def __init__(self, basis: SquareBasis, targets: np.ndarray, tau: np.ndarray,
-                 imag: np.ndarray, blocks: tuple[np.ndarray, ...] | None = None,
+    def __init__(self, basis: SquareBasis, targets: np.ndarray,
+                 blocks: tuple[np.ndarray, ...] | None = None,
                  swaps: tuple[np.ndarray, ...] = ()):
         self.basis = basis
         self.targets = np.asarray(targets, dtype=float)
-        self.tau = tau
-        self.imag = imag
         self.dim = basis.size
         self.blocks = (np.arange(self.dim),) if blocks is None else blocks
         self.swaps = swaps
-        self._cell_to_prod, self._conj = basis._products[2:4]
-        self._real = basis.flavor == COMMUTATIVE     # every term its own conjugate
+        self._cell_to_prod = basis._products[2]
 
     @property
     def k(self) -> int:
-        """Number of real-valued constraints (= dim_C of the product space)."""
-        return len(self.tau)
-
-    @cached_property
-    def _reads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """tr(A_l M) = (c[slot] + sign * c[mirror]) / 2 over c stacked as (Re c,
-        Im c): slot and mirror at the target's part of c_tau and of c_tau*."""
-        part = len(self._conj) * self.imag
-        return self.tau + part, self._conj[self.tau] + part, np.where(self.imag, -1.0, 1.0)
+        """Number of real-valued constraints (= the number of product terms)."""
+        return len(self.targets)
 
     def apply(self, M: np.ndarray) -> np.ndarray:
-        """The vector (tr(A_l M))_l; real for Hermitian M.  On commutative
-        bases h = Re c, one real `bincount`."""
-        flat, n = M.reshape(-1), len(self._conj)
-        re = np.bincount(self._cell_to_prod, flat.real, n)
-        if self._real:
-            return re[self.tau]
-        c = np.concatenate([re, np.bincount(self._cell_to_prod, flat.imag, n)])
-        slot, mirror, sign = self._reads
-        return (c[slot] + sign * c[mirror]) / 2
+        """The vector (tr(A_l M))_l, the real part of M summed over each term's cells."""
+        return np.bincount(self._cell_to_prod, M.reshape(-1).real, self.k)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """sum_l y_l A_l for real y; Hermitian by construction, complex for free bases.
-        Cell (i, j) holds h_t of its term t, h the transposed reads of `apply`."""
-        n, D = len(self._conj), self.dim
-        cells = self._cell_to_prod.reshape(D, D)
-        if self._real:
-            return np.bincount(self.tau, y, n)[cells]
-        slot, mirror, sign = self._reads
-        h = (np.bincount(slot, y, 2 * n) + np.bincount(mirror, sign * y, 2 * n)) / 2
-        A = np.empty((D, D), dtype=complex)
-        A.real, A.imag = h[:n][cells], h[n:][cells]
-        return A
+        """sum_l y_l A_l for real y: cell (i, j) holds y at its term."""
+        return y[self._cell_to_prod.reshape(self.dim, self.dim)]
 
     def residual(self, M: np.ndarray) -> float:
         return float(np.linalg.norm(self.apply(M) - self.targets))
 
     @cached_property
     def _normal_diag(self) -> np.ndarray:
-        """||A_l||_F^2: the cell count of tau, or for a conjugate pair a
-        quarter of the counts of tau and tau*."""
-        count = np.bincount(self._cell_to_prod, minlength=len(self._conj)).astype(float)
-        conj = self._conj[self.tau]
-        return np.where(conj == self.tau, count[self.tau], (count[self.tau] + count[conj]) / 4)
+        """||A_l||_F^2: the cell count of term l."""
+        return np.bincount(self._cell_to_prod, minlength=self.k).astype(float)
 
     def solve_normal(self, rhs: np.ndarray) -> np.ndarray:
         """Solve <A, A*> mu = rhs (the constraint Gram system, diagonal)."""
@@ -324,12 +314,11 @@ class BlockSystem:
     `index[b]`, size s) row-major at x[offsets[b]:offsets[b] + s*s], blocks
     sorted by size, largest first; position p holds the full-matrix cell
     `cells[p]` = i*D + j of the kept equation `seg[p]`, the one of the cell's
-    product term.  On a commutative basis A_l is the 0/1 indicator of one
-    product term's cells, closed under the transpose, so tr(A_l M) is one
-    `bincount` over `seg` and A*(y) one gather; non-commutative bases are
-    refused.  The equations that touch only cells between blocks have target
-    0 and are dropped; `keep` lists the others, in the order of their rows of
-    the full system.
+    product term.  A_l is the 0/1 indicator of one product term's cells,
+    closed under the transpose, so tr(A_l M) is one `bincount` over `seg`
+    and A*(y) one gather.  The equations that touch only cells between
+    blocks have target 0 and are dropped; `keep` lists the others, in the
+    order of their rows of the full system.
 
     The constraints' `swaps` generate a group G that permutes the blocks;
     `orbit[b]` is the first block of the orbit of block b, its
@@ -343,16 +332,12 @@ class BlockSystem:
     """
 
     def __init__(self, cons: GramConstraints):
-        if cons.basis.flavor != COMMUTATIVE:
-            raise ValueError("the block system is real: non-commutative bases are refused")
         D = cons.dim
         index = sorted(cons.blocks, key=len, reverse=True)
         sizes = np.array([len(ix) for ix in index], dtype=np.int64)
         offsets = _offsets(sizes)
         self.cells = np.concatenate([(ix[:, None] * D + ix).reshape(-1) for ix in index])
-        eq_of_term = np.full(len(cons._conj), -1, dtype=np.int64)
-        eq_of_term[cons.tau] = np.arange(cons.k)
-        eq = eq_of_term[cons._cell_to_prod[self.cells]]
+        eq = cons._cell_to_prod[self.cells]
         inside = np.bincount(eq, minlength=cons.k)    # a kept A_l has all its cells inside
         keep = np.flatnonzero(inside)
         if (inside[keep] != cons._normal_diag[keep]).any() or cons.targets[inside == 0].any():
@@ -361,7 +346,7 @@ class BlockSystem:
         self.targets = cons.targets[keep]
         self.keep = keep
         self.k_full = cons.k
-        self._terms, self._tau = cons.basis.product_terms, cons.tau
+        self._terms = cons.basis.product_terms
         self.dim = D
         self.index = tuple(index)
         self.offsets = offsets
@@ -486,7 +471,7 @@ class BlockSystem:
         S0 = sum y0_l A_l, moment matrices of independent monomials under a measure
         of full support, so positive definite; lambda_max(S0)."""
         m = [0 if any(e % 2 for e in t) else math.prod(math.prod(range(e - 1, 0, -2)) for e in t)
-             for t in (self._terms[self._tau[l]] for l in self.keep)]
+             for t in (self._terms[l] for l in self.keep)]
         y0 = (np.array(m, dtype=object) / max(m)).astype(float)    # exact integers until scaled
         return y0, self.split(self.adjoint(y0)), max(w[0] for w in self.block_eigenvalues(y0))
 
@@ -563,30 +548,23 @@ def _variable_swaps(a: Polynomial, basis: SquareBasis) -> tuple[np.ndarray, ...]
 
 
 def build_constraints(a: Polynomial, basis: SquareBasis) -> GramConstraints:
-    """Constraint form of the fiber over a: M is a Gram matrix of a iff
-    tr(A_l M) = lambda_l for all l.
-
-    The product basis pairs each non-self-conjugate term tau with tau* into
-    the Hermitian combinations tau + tau* and i(tau - tau*), so every target
-    is real and the constraint count equals dim_C(V*V).
-    """
+    """Constraint form of the fiber over a on a monomial basis: M is a Gram
+    matrix of a iff tr(A_l M) = lambda_l, one equation per product term,
+    lambda_l its coefficient's real part.  A word basis is refused: it has
+    one Gram matrix per input (`free_gram`)."""
     if a.flavor != basis.flavor or a.n_vars != basis.n_vars:
         raise FlavorMismatchError("polynomial and basis live in different algebras")
+    if basis.flavor != COMMUTATIVE:
+        raise ValueError("build_constraints takes a monomial basis (words: free_gram)")
     if not a.is_hermitian():
         raise NotHermitianError("polynomial is not Hermitian")
     if a and (not a.is_homogeneous() or a.degree() != 2 * basis.degree):
         raise ValueError(
             f"polynomial must be homogeneous of degree {2 * basis.degree}")
-    _, prod_index, _, _, tau, imag = basis._products
-    coeffs = np.zeros(len(prod_index), dtype=complex)
+    prod_index = basis._products[1]
+    targets = np.zeros(len(prod_index))
     for t, c in a._coeffs.items():
         if t not in prod_index:
             raise ValueError(f"term {t} lies outside the product space V*V")
-        coeffs[prod_index[t]] = c
-    lam = coeffs[tau]
-    commutative = basis.flavor == COMMUTATIVE
-    return GramConstraints(
-        basis, np.where(imag, lam.imag, lam.real), tau, imag,
-        _parity_blocks(a, basis) if commutative else None,
-        _variable_swaps(a, basis) if commutative else ())
-
+        targets[prod_index[t]] = c.real
+    return GramConstraints(basis, targets, _parity_blocks(a, basis), _variable_swaps(a, basis))

@@ -4,14 +4,13 @@ The solver is ADMM, a first-order operator splitting: each step projects
 onto the affine subspace {tr(A_l M) = lambda_l} (exactly, through the cached
 constraint Gram system) and onto the PSD cone (one Cholesky factorization
 or LAPACK eigendecomposition per block).  It runs on
-`GramConstraints.block_system`: for commutative inputs every A_l is real,
+`GramConstraints.block_system` of a commutative input: every A_l is real,
 so the iterates are real symmetric, and they are block-diagonal over the
-sign-symmetry classes of the basis (Gatermann & Parrilo 2004); free inputs,
-whose fiber is one matrix, go to `_unique_gram` instead.  When swaps of
-variables that fix the input permute the blocks, the cone projection keeps
-the iterates invariant under them and decomposes one block per orbit.
+sign-symmetry classes of the basis (Gatermann & Parrilo 2004).  When swaps
+of variables that fix the input permute the blocks, the cone projection
+keeps the iterates invariant under them and decomposes one block per orbit.
 Results are embedded back: the full D x D matrix, and duals over all k
-equations.
+equations.  Free inputs, whose fiber is one matrix, go to `_unique_gram`.
 
 The same loop detects infeasibility: when the fiber misses the cone, the
 change in the scaled dual between two checks, at one rho, converges to a
@@ -47,8 +46,9 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .gram import BlockSystem, GramConstraints, SquareBasis, build_constraints
-from .poly import FREE, Polynomial, _json_number
+from .gram import (BlockSystem, GramConstraints, NotHermitianError, SquareBasis,
+                   build_constraints, free_gram, upper_reads)
+from .poly import FREE, HERMITIAN_TOL, Polynomial, _json_number
 
 # Residual balancing on scale-free residuals (Wohlberg 2017, arXiv:1704.06209):
 # rho doubles or halves when one relative residual exceeds the other by this
@@ -57,8 +57,7 @@ from .poly import FREE, Polynomial, _json_number
 _RHO_BALANCE = 5.0
 _OVER_RELAX = 1.6           # over-relaxed ADMM converges only for 0 < alpha < 2
 _TINY = 1e-300
-# below this 2-norm of the targets their squares may be subnormal or zero, so
-# the norm is taken of the targets scaled by the largest of them
+# below this 2-norm, or where it overflows, `_norm` scales by the largest entry first
 _UNDERFLOW = 1e-150
 CHECK_EVERY = 25            # steps between convergence checks
 # Anderson acceleration (Walker & Ni 2011) of the map T = ANDERSON_STRIDE steps
@@ -158,9 +157,9 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 @dataclass
 class DualFunctional:
-    """A *-linear functional on the product space, given by its values on the
-    Hermitian basis w: values[l] at w_l, which is tau, tau + tau* or
-    i(tau - tau*) for equation l's pair (tau, imag)."""
+    """A *-linear functional on the product space, given by its values y on a
+    Hermitian basis: on the product terms of a monomial basis; on a word
+    basis laid out by `gram.upper_reads`, with sum_l y_l A_l its moment matrix."""
 
     values: np.ndarray
     objective: float            # phi(a) = targets . values
@@ -201,7 +200,7 @@ class FeasibilityResult:
     certificate: Optional[DualFunctional]
     residual: float
     iterations: int
-    constraints: GramConstraints     # the system solved, for reuse (rank reduction)
+    constraints: Optional[GramConstraints]   # the commutative system, for rank reduction
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -259,12 +258,25 @@ def _certificate_from_gap(system: BlockSystem, v: np.ndarray) -> Optional[DualFu
     return _certified(system.lift(y), w, value, system.targets)
 
 
+def _norm(b: np.ndarray) -> float:
+    """||b||_2; where its squares overflow or underflow, taken of b scaled by
+    max |b|.  ValueError if b is not finite: arithmetic on the input overflowed."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(b))
+    if math.isfinite(norm) and norm >= _UNDERFLOW:
+        return norm
+    top = float(np.abs(b).max(initial=0.0))
+    if not math.isfinite(top):
+        raise ValueError(f"the coefficients are too large: one is {top}")
+    return top * float(np.linalg.norm(b / top)) if top > 0 else 0.0
+
+
 def _certified(y: np.ndarray, w: np.ndarray, value: float,
                targets: np.ndarray) -> Optional[DualFunctional]:
     """y if eigenvalues w of sum y_l A_l and targets . y clear the margins, else None."""
     scale = max(float(np.abs(w).max(initial=0.0)), 1e-30)
     if (w.min() < -_CERTIFICATE_PSD_TOL * scale
-            or value > -_CERTIFICATE_VALUE_TOL * scale * (1.0 + np.linalg.norm(targets))):
+            or value > -_CERTIFICATE_VALUE_TOL * scale * (1.0 + _norm(targets))):
         return None
     return DualFunctional(values=y, objective=value, psd_margin=float(w.min()))
 
@@ -379,11 +391,7 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     """
     system = constraints.block_system
     b = system.targets
-    bnorm = float(np.linalg.norm(b))
-    if bnorm < _UNDERFLOW:      # the squares the norm sums may underflow
-        top = float(np.abs(b).max())
-        bnorm = top * float(np.linalg.norm(b / top))
-    s = bnorm
+    s = bnorm = _norm(b)
     bh = b / s
     inv_normal = system.solve_normal(np.ones(len(b)))
     bh_normal = system.solve_normal(bh)
@@ -471,47 +479,58 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
                    pres, gap, it, trace)
 
 
-def _unique_gram(constraints: GramConstraints, options: SolverOptions,
+def _zero(dim: int, k: int) -> SdpSolution:
+    return SdpSolution(np.zeros((dim, dim), dtype=complex), 0.0, np.zeros(k), 0.0, 0.0, 0.0,
+                       SolveStatus.OPTIMAL, 0, message="zero polynomial")
+
+
+def _unique_gram(a: Polynomial, basis: SquareBasis, options: SolverOptions,
                  minimize_trace: bool = True) -> SdpSolution:
-    """The solve for a free basis, in 0 steps.  Each product term comes from one
-    cell, in any word order, so A* is a bijection: M = A*(solve_normal(targets))
-    is the one Gram matrix.  `optimal` if its PSD part passes the loop's checks
-    (dual A*(y) = I); `infeasible` if the y with A*(y) = v v*, v the eigenvector
-    of lambda_min(M), clears the certificate margins; else `max-iter`."""
-    cons, b = constraints, constraints.targets
-    dec = linalg.eig_hermitian(cons.adjoint(cons.solve_normal(b)))
+    """The solve on a word basis, in 0 steps: `free_gram` reads the one Gram
+    matrix M off a (||M - M*|| = ||a - a*||), taken from its upper triangle.
+    `optimal` if its PSD part passes the loop's checks (dual A*(y) = I);
+    `infeasible` if the y with A*(y) = v v*, v the eigenvector of
+    lambda_min(M), clears the certificate margins; else `max-iter`."""
+    M = free_gram(a, basis)
+    tol = HERMITIAN_TOL * (1.0 + _norm(M))          # first: refuses non-finite M
+    if _norm(M - M.conj().T) > tol:
+        raise NotHermitianError("polynomial is not Hermitian")
+    M = np.triu(M) + np.triu(M, 1).conj().T + 0.0      # + 0.0: no -0.0 parts
+    np.fill_diagonal(M.imag, 0.0)
+    b = upper_reads(M)
+    if not np.any(b):
+        return _zero(basis.size, len(b))
+    dec = linalg.eig_hermitian(M)
     w, v = dec.eigenvalues, dec.eigenvectors[:, -1]
     Z = dec.matrix_from(w > 0)
-    pres, pval = cons.residual(Z), float(np.trace(Z).real)
-    y = cons.solve_normal(cons.apply(np.eye(cons.dim)))
+    pres, pval = _norm(upper_reads(Z) - b), float(np.trace(Z).real)
+    y = upper_reads(np.eye(basis.size), 2.0)
     gap = pval - float(b @ y) if minimize_trace else math.nan
-    converged = options.converged(float(np.linalg.norm(b)), pres, pval, gap)
+    converged = options.converged(_norm(b), pres, pval, gap)
     if not converged:
-        yv = cons.solve_normal(cons.apply(np.outer(v, v.conj())))
-        cert = _certified(yv, linalg.eig_hermitian(cons.adjoint(yv)).eigenvalues,
-                          float(b @ yv), b)
+        V = np.outer(v, v.conj())
+        yv = upper_reads(V, 2.0)
+        cert = _certified(yv, linalg.eig_hermitian(V).eigenvalues, float(b @ yv), b)
         if cert is not None:
-            return _infeasible(cert, cons.dim, pres, 0, [])
+            return _infeasible(cert, basis.size, pres, 0, [])
     why_not = f"unique Gram matrix: least eigenvalue {w[-1]:.3e}, neither PSD nor certified"
     return _finish(converged, why_not, Z, pval, y, float(b @ y), pres, gap, 0, [])
 
 
 def _solve(a: Polynomial, basis: SquareBasis, options: SolverOptions | None,
-           minimize_trace: bool) -> tuple[GramConstraints, SdpSolution]:
-    """The constraint system of a over the basis and its solve: the zero
-    polynomial in 0 steps, a free basis by `_unique_gram`, else `_trace_min`."""
-    constraints = build_constraints(a, basis)
-    with np.errstate(over="ignore"):
-        bnorm = float(np.linalg.norm(constraints.targets))
-    if not math.isfinite(bnorm):     # the solve scales by it: refused, not run into NaN
-        raise ValueError("the coefficients are too large to normalize: their 2-norm overflows "
-                         f"(largest real or imaginary part {np.abs(constraints.targets).max():.3e})")
-    if not np.any(constraints.targets):
-        zero = np.zeros((basis.size, basis.size), dtype=complex)
-        return constraints, SdpSolution(zero, 0.0, np.zeros(constraints.k), 0.0, 0.0, 0.0,
-                                        SolveStatus.OPTIMAL, 0, message="zero polynomial")
-    solve = _unique_gram if basis.flavor == FREE else _trace_min
-    return constraints, solve(constraints, options or SolverOptions(), minimize_trace)
+           minimize_trace: bool) -> tuple[Optional[GramConstraints], SdpSolution]:
+    """The constraint system of a (None on words) and its solve: the zero polynomial
+    in 0 steps, words by `_unique_gram`, else `_trace_min`; an overflowing trace is refused."""
+    options = options or SolverOptions()
+    if basis.flavor == FREE:
+        constraints, sol = None, _unique_gram(a, basis, options, minimize_trace)
+    else:
+        constraints = build_constraints(a, basis)
+        sol = (_trace_min(constraints, options, minimize_trace) if np.any(constraints.targets)
+               else _zero(basis.size, constraints.k))
+    if sol.status is not SolveStatus.INFEASIBLE and not math.isfinite(sol.objective):
+        raise ValueError("the coefficients are too large: their sos-norm overflows")
+    return constraints, sol
 
 
 def sos_norm(a: Polynomial, basis: SquareBasis,
@@ -549,7 +568,7 @@ def rank_reduce(M: np.ndarray, constraints: GramConstraints, target_r: int) -> n
     """Reduce a feasible PSD solution to rank <= target_r, preserving tr(A_l M).
 
     Requires k <= target_r^2 + 2*target_r, where k counts the real-valued
-    constraints after the Hermitian product-basis expansion.  Repeatedly:
+    constraints, one per product term of the monomial basis.  Repeatedly:
     compress to the range space, pick a Hermitian direction orthogonal to all
     compressed constraints (one exists whenever rank^2 > k), and walk to the
     nearest PSD-boundary crossing, which removes at least one eigenvalue.

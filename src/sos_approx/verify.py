@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import approx, linalg, sdp
-from .gram import build_constraints, gram_map, square_basis
+from .gram import build_constraints, free_gram, gram_map, square_basis
 from .poly import COMMUTATIVE, FREE, Polynomial, sphere_lattice, sum_of_monomial_squares, sup_norm_sphere
 
 # nonnegative ternary sextics that are not sums of squares
@@ -101,14 +101,16 @@ def run_property_suite(seed: int, options: sdp.SolverOptions | None = None,
         worst = max(worst, float((-vals.real).max()), float(np.abs(vals.imag).max()))
     record("sos_nonnegative_on_sphere", worst, 1e-9)
 
-    # adjoint identity: a = G(M) gives tr(A_l M) = lambda_l
+    # adjoint identity: a = G(M) gives tr(A_l M) = lambda_l, and free_gram(a) = M on words
     worst = 0.0
     for flavor, n, d in ((COMMUTATIVE, 3, 2), (FREE, 2, 2)):
         basis = square_basis(flavor, n, d)
         for _ in range(10):
             M = random_hermitian(rng, basis.size)
-            cons = build_constraints(gram_map(M, basis), basis)
-            worst = max(worst, float(np.abs(cons.apply(M) - cons.targets).max()))
+            a = gram_map(M, basis)
+            cons = build_constraints(a, basis) if flavor == COMMUTATIVE else None
+            error = free_gram(a, basis) - M if cons is None else cons.apply(M) - cons.targets
+            worst = max(worst, float(np.abs(error).max()))
     record("gram_adjoint_identity", worst, 1e-9)
 
     # the free Gram map puts the cell (u, v) at the word rev(u) v, alone

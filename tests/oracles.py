@@ -122,8 +122,8 @@ def hermitian_equations(basis) -> list:
     return equations
 
 
-def constraint_matrices(cons) -> np.ndarray:
-    """The stack of the dense D x D matrices A_l of a built constraint system,
+def constraint_matrices(basis) -> np.ndarray:
+    """The stack of the dense D x D matrices A_l of the equations over a basis,
     from the definition of each Hermitian basis element, in the order of
     `hermitian_equations`.
 
@@ -135,7 +135,6 @@ def constraint_matrices(cons) -> np.ndarray:
     for B = E_tau, or B = -i E_tau for "im".  On Hermitian M that functional
     is tr(A_l M) for the Hermitian A_l = (B + B*) / 2.
     """
-    basis = cons.basis
     words = [Polynomial(basis.flavor, basis.n_vars, {t: 1.0}) for t in basis.terms]
     cell_terms = [[(u.involution() * v).items()[0][0] for v in words] for u in words]
     D = basis.size

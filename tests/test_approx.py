@@ -77,11 +77,17 @@ def test_approximate_free_fewest_squares_within_eps():
 
 
 def test_approximate_free_rejects_non_sos():
+    # the certificate's layout follows the caller's word order
     z1, z2 = variables(FREE, 2)
     p = z1 * z1 - z2 * z2
     with pytest.raises(NotSosError) as err:
         approximate_free(p, 0.5)
     assert free_farkas_holds(p, square_basis(FREE, 2, 1), err.value.certificate.values)
+    for p, basis in ((p, square_basis(FREE, 2, 1)), free_input(-1e-1)):
+        reversed_words = SquareBasis(FREE, 2, basis.degree, basis.terms[::-1])
+        with pytest.raises(NotSosError) as err:
+            approximate(p, reversed_words, 0.5)
+        assert free_farkas_holds(p, reversed_words, err.value.certificate.values)
 
 
 @pytest.mark.parametrize("lam", [-1e-1, -1e-5, -3e-6, -1e-6, -1e-7, -1e-8, 0.0])

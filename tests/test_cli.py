@@ -273,8 +273,10 @@ def test_bounds_command(tmp_path, capsys):
                  "eps is too small", id="approx-free-bound"),
 ])
 def test_overflow_exits_two_naming_the_problem(tmp_path, capsys, argv, message):
-    # coefficients whose 2-norm overflows cannot be normalized for the solve,
-    # and a square-count bound past the float range certifies nothing
+    # coefficients whose sos-norm, the trace of a Gram matrix, is past the
+    # float range have no value to return (targets whose 2-norm alone
+    # overflows are solved: test_sdp), and a square-count bound past the
+    # float range certifies nothing
     big = Polynomial(COMMUTATIVE, 2, {(2, 0): 1e308, (0, 2): 1e308})
     paths = {"big": write_poly(tmp_path, big, "big.json"),
              "free": write_poly(tmp_path, random_sos(np.random.default_rng(1), FREE, 2, 1, 2)[0],

@@ -19,8 +19,10 @@ from conftest import (
 from oracles import constraint_matrices
 from sos_approx import linalg, sdp
 from sos_approx.approx import approximate, pythagoras_upper_bound
-from sos_approx.gram import GramConstraints, SquareBasis, build_constraints, gram_map, square_basis
-from sos_approx.poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares, variables
+from sos_approx.gram import (GramConstraints, NotHermitianError, SquareBasis, build_constraints,
+                             gram_map, square_basis)
+from sos_approx.poly import (COMMUTATIVE, FREE, HERMITIAN_TOL, Polynomial, sum_of_monomial_squares,
+                             variables)
 from sos_approx.sdp import (
     CHECK_EVERY,
     SolveStatus,
@@ -217,9 +219,8 @@ def _farkas_holds(form, y):
     """Independent check of sum_l y_l A_l >= 0 and targets . y < 0: the A_l of
     a commutative monomial basis put 1 on each cell (i, j) with v_i v_j = tau_l."""
     basis = square_basis(COMMUTATIVE, form.n_vars, form.degree() // 2)
-    cons = build_constraints(form, basis)
-    assert y.shape == (cons.k,)
-    slot = {basis.product_terms[t]: l for l, t in enumerate(cons.tau)}
+    assert y.shape == (len(basis.product_terms),)
+    slot = {t: l for l, t in enumerate(basis.product_terms)}
     terms = basis.terms
     E = np.array([[y[slot[tuple(p + q for p, q in zip(ti, tj))]] for tj in terms] for ti in terms])
     w = np.linalg.eigvalsh(E)
@@ -401,9 +402,69 @@ def test_free_solve_on_reversed_words(rng):
         assert np.abs(witness_r[::-1, ::-1] - witness).max() <= 1e-12 * scale
 
 
+def test_free_solve_builds_no_product_table(rng):
+    # a word basis's Gram matrix is read off the coefficients, cell by cell:
+    # no solve on it builds the product table or a constraint system
+    a, canonical = random_sos(rng, FREE, 2, 2, 2)
+    basis = SquareBasis(FREE, 2, 2, canonical.terms)     # a fresh object, not the memoized one
+    assert sos_norm(a, basis)[1].status is SolveStatus.OPTIMAL
+    feas = sos_feasible(a, basis)
+    assert feas.feasible and feas.constraints is None
+    approximate(a, basis, 0.5 * free_trace_oracle(a, basis))
+    pythagoras_upper_bound(a, basis)
+    assert "_products" not in vars(basis)
+
+
+def test_free_hermitian_test_is_the_polynomial_test(rng):
+    # a - a* just inside and just outside HERMITIAN_TOL (1 + ||a||), on a
+    # diagonal word's imaginary part and on one word of a conjugate pair:
+    # accepted or refused as Polynomial.is_hermitian decides
+    a, basis = random_sos(rng, FREE, 2, 2, 2)
+    tol = HERMITIAN_TOL * (1.0 + a.coeff_two_norm())
+    palindrome, word = (0, 1, 1, 0), (0, 0, 1, 1)
+    for factor, accepted in ((0.9, True), (1.1, False)):
+        # ||a - a*|| is 2 delta on the palindrome and sqrt(2) delta on the pair
+        for bump in (Polynomial(FREE, 2, {palindrome: 0.5j * factor * tol}),
+                     Polynomial(FREE, 2, {word: factor * tol / math.sqrt(2.0)})):
+            b = a + bump
+            assert b.is_hermitian() is accepted
+            if accepted:
+                value, sol = sos_norm(b, basis)
+                assert sol.status is SolveStatus.OPTIMAL
+                assert value == pytest.approx(free_trace_oracle(a, basis), rel=1e-9)
+            else:
+                with pytest.raises(NotHermitianError):
+                    sos_norm(b, basis)
+                with pytest.raises(NotHermitianError):
+                    sos_feasible(b, basis)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_inputs_solved_without_overflow(rng):
+    # targets whose 2-norm overflows (1e200 squared) were refused; they are
+    # solved in the steps of the unit-scale input, to its value times the scale
+    a, basis = random_sos(rng, COMMUTATIVE, 3, 2, 2)
+    cases = [(a, basis), random_sos(rng, FREE, 2, 2, 2),
+             (Polynomial(COMMUTATIVE, 3, MOTZKIN), square_basis(COMMUTATIVE, 3, 3))]
+    for a, basis in cases:
+        value, sol = sos_norm(a, basis)
+        big_value, big = sos_norm(1e200 * a, basis)
+        assert (big.status, big.iterations) == (sol.status, sol.iterations), a.flavor
+        if sol.status is SolveStatus.INFEASIBLE:
+            assert math.isnan(big_value) and _farkas_holds(1e200 * a, big.certificate.values)
+        else:
+            assert sol.status is SolveStatus.OPTIMAL
+            assert abs(big_value / 1e200 - value) <= SolverOptions().tol_gap * (1.0 + value)
+        feasible = sos_feasible(1e200 * a, basis)
+        assert feasible.feasible is (sol.status is SolveStatus.OPTIMAL)
+    # coefficients that overflowed to infinity are refused, not solved
+    with pytest.raises(ValueError, match="too large"):
+        sos_norm(1e300 * (1e300 * cases[1][0]), cases[1][1])
+
+
 def _dense_reference(cons):
     """The same equations as one real block: the dense symmetric solve."""
-    return GramConstraints(cons.basis, cons.targets, cons.tau, cons.imag)
+    return GramConstraints(cons.basis, cons.targets)
 
 
 def test_block_solve_matches_dense_reference():
@@ -427,7 +488,7 @@ def test_block_solve_matches_dense_reference():
 
 def _unreduced(cons):
     """The same blocks without the variable swaps: one projection per block."""
-    return GramConstraints(cons.basis, cons.targets, cons.tau, cons.imag, cons.blocks)
+    return GramConstraints(cons.basis, cons.targets, cons.blocks)
 
 
 def test_orbit_solve_matches_unreduced_reference():
@@ -560,7 +621,7 @@ def test_rank_reduce_complex_witness(rng):
         assert np.abs(reduced.imag).max() > 1e-3
         assert linalg.numerical_rank(reduced) <= target
         assert linalg.eig_hermitian(reduced).eigenvalues.min() >= -1e-9 * np.trace(M).real
-        residual = np.einsum("lji,ij->l", constraint_matrices(cons), reduced).real - cons.targets
+        residual = np.einsum("lji,ij->l", constraint_matrices(basis), reduced).real - cons.targets
         assert np.abs(residual).max() <= 1e-9 * (1 + np.abs(cons.targets).max())
 
 

@@ -262,7 +262,11 @@ def approximate(a: Polynomial, basis: SquareBasis, eps: float,
     w = dec.eigenvalues
     bound = _square_count_bound(basis.flavor, value, eps - r)
     if free:
-        norm, dropped = COEFF_2_NORM, np.sqrt(np.cumsum((w ** 2)[::-1])[::-1])   # ||w[k:]||_2
+        # ||w[k:]||_2, taken of w scaled by a power of two near w[0] so that
+        # no square overflows or underflows; the scaling is exact
+        e = math.frexp(w[0])[1]
+        tails = np.sqrt(np.cumsum((np.ldexp(w, -e) ** 2)[::-1])[::-1])
+        norm, dropped = COEFF_2_NORM, np.ldexp(tails, e)
     else:
         norm, dropped = SUP_SPHERE, w
     keep = linalg.count_above(dropped, eps - r, strict_cap(bound))

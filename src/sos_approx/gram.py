@@ -191,12 +191,15 @@ def homogeneous_basis(p: Polynomial) -> SquareBasis:
 
 
 def gram_map(M: np.ndarray, basis: SquareBasis) -> Polynomial:
-    """The polynomial sum_ij m_ij v_i* v_j; *-linear in M; on words the inverse of `free_gram`."""
+    """The polynomial sum_ij m_ij v_i* v_j; *-linear in M; on words the inverse
+    of `free_gram`.  M must be finite: a NaN entry would be dropped as zero."""
     M = np.asarray(M, dtype=complex)
     D = basis.size
     if M.shape != (D, D):
         raise DimensionMismatchError(
             f"matrix shape {M.shape} does not match basis size {D}")
+    if not np.isfinite(M).all():
+        raise ValueError("gram_map takes a finite matrix")
     flat = M.reshape(-1)
     if basis.flavor == COMMUTATIVE:
         terms, _, cell_to_prod = basis._products
@@ -325,17 +328,17 @@ class BlockSystem:
     representative.  Some matrix of least trace is invariant under G
     (Gatermann & Parrilo 2004), and an invariant matrix is fixed by its
     representatives: every other block is a permuted copy of one.  When G
-    merges blocks, `psd_part` projects onto the invariant PSD matrices with
-    one eigendecomposition per orbit instead of one per block.  The blocks
-    it decomposes, all of them or the representatives, are `projected`:
-    (offset, size) in the vector it decomposes.
+    merges blocks, `psd_part` projects an invariant matrix with one
+    eigendecomposition per orbit instead of one per block.  The blocks it
+    decomposes, all of them or the representatives, are `projected`:
+    (offset, size) in the block vector itself.
     """
 
     def __init__(self, cons: GramConstraints):
         D = cons.dim
         index = sorted(cons.blocks, key=len, reverse=True)
         sizes = np.array([len(ix) for ix in index], dtype=np.int64)
-        offsets = _offsets(sizes)
+        offsets = np.concatenate([[0], np.cumsum(sizes ** 2)])
         self.cells = np.concatenate([(ix[:, None] * D + ix).reshape(-1) for ix in index])
         eq = cons._cell_to_prod[self.cells]
         inside = np.bincount(eq, minlength=cons.k)    # a kept A_l has all its cells inside
@@ -356,24 +359,25 @@ class BlockSystem:
         self.projected = list(zip(offsets[:-1].tolist(), sizes.tolist()))
 
         self.orbit = np.arange(len(index))
-        self._labels = None
+        self._first = None
         if cons.swaps:
             where = np.full(D * D, -1, dtype=np.int64)
             where[self.cells] = np.arange(self.size)
             self._merge_orbits(cons.swaps, where)
 
     def _merge_orbits(self, swaps, where) -> None:
-        """Label each cell with its orbit under the group the swaps generate
-        together with the transpose.
+        """Find each cell's orbit under the group the swaps generate together
+        with the transpose, as `_first`: the lowest flat position in it.
 
         A swap maps cell (i, j) to (perm[i], perm[j]).  The transpose joins
         (i, j) and (j, i): a swap can carry a cell below one diagonal to a
-        cell above another, and `eigh` reads only the lower triangle, so
+        cell above another, and LAPACK reads only the lower triangle, so
         without it an asymmetric rounding error would feed back into the
         iterates and grow.  A swap permutes the blocks iff `where`, a cell's
-        position or -1 outside the blocks, places every image.  `first` ends
-        as the lowest flat position in each cell's orbit, which lies in the
-        orbit's first block, its representative.
+        position or -1 outside the blocks, places every image.  A cell's
+        orbit meets every block of its block's orbit, so its lowest position
+        lies in the first of them, the representative; only the
+        representatives are then `projected`.
         """
         ci, cj = np.divmod(self.cells, self.dim)
         images = [where[cj * self.dim + ci]]
@@ -391,18 +395,9 @@ class BlockSystem:
                 break
         self.orbit = np.searchsorted(self.offsets, first[self.offsets[:-1]], side="right") - 1
         reps = np.flatnonzero(self.orbit == np.arange(len(self.index)))
-        if len(reps) == len(self.index):
-            return
-        # the representatives stacked into one compact vector
-        stacked = np.concatenate([np.arange(self.offsets[r], self.offsets[r + 1]) for r in reps])
-        compact = np.empty(self.size, dtype=np.int64)
-        compact[stacked] = np.arange(len(stacked))
-        _, self._labels = np.unique(first, return_inverse=True)
-        self._count = np.bincount(self._labels)
-        self._gather = self._labels[stacked]
-        self._src = compact[first]
-        sizes = np.array([len(self.index[r]) for r in reps])
-        self.projected = list(zip(_offsets(sizes)[:-1].tolist(), sizes.tolist()))
+        if len(reps) < len(self.index):
+            self._first = first
+            self.projected = [self.projected[r] for r in reps]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.seg, x, len(self.keep))
@@ -448,21 +443,21 @@ class BlockSystem:
         others fully.  The hint changes the cost, not the result: every
         route gives the projection up to rounding.
 
-        With merged orbits it is the projection onto the invariant PSD
-        matrices: each cell is averaged over its orbit (the orthogonal
-        projection onto the invariant matrices), only the representative
-        blocks are projected, and every cell copies its orbit's value back
-        from them.  G acts by conjugation with permutation matrices, which
-        commutes with the PSD projection, so the projected average is
-        invariant and is the nearest invariant PSD matrix.
+        With merged orbits x must be invariant under G, up to rounding:
+        only the representative blocks are projected, and every cell copies
+        its value back from the first cell of its orbit.  G acts by
+        conjugation with permutation matrices, which commutes with the PSD
+        projection, so on an invariant x every other block's projection is
+        the permuted copy of its representative's; the copy-back also makes
+        the output exactly invariant and symmetric.  The solver's iterates
+        are such inputs: they start at zero, every affine map of the loop
+        commutes with G, and every projection it makes is exactly invariant.
         """
-        if self._labels is not None:
-            x = (np.bincount(self._labels, x, len(self._count)) / self._count)[self._gather]
         out = np.empty_like(x)
         for b, (o, s) in enumerate(self.projected):
             ranks[b] = linalg.psd_part(x[o:o + s * s].reshape(s, s), ranks[b],
                                        out[o:o + s * s].reshape(s, s))
-        return out if self._labels is None else out[self._src]
+        return out if self._first is None else out[self._first]
 
     @cached_property
     def moment_shift(self) -> tuple[np.ndarray, list[np.ndarray], float]:
@@ -486,11 +481,6 @@ class BlockSystem:
         out = np.zeros(self.k_full)
         out[self.keep] = y
         return out
-
-
-def _offsets(sizes: np.ndarray) -> np.ndarray:
-    """Flat offsets of square blocks of these sizes laid end to end, and the end."""
-    return np.concatenate([[0], np.cumsum(sizes ** 2)])
 
 
 def _parity_blocks(a: Polynomial, basis: SquareBasis) -> tuple[np.ndarray, ...]:

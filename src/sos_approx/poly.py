@@ -184,7 +184,16 @@ class Polynomial:
 
     @staticmethod
     def _cleaned(coeffs: dict) -> dict:
-        return {t: c for t, c in coeffs.items() if abs(c) >= COEFF_DROP_TOL}
+        """The coefficients of an arithmetic result without those below
+        COEFF_DROP_TOL, rounding left by cancellation.  A coefficient that is
+        not finite (the arithmetic overflowed) raises ValueError: dropped as
+        NaN or kept as inf, it would change the polynomial silently."""
+        kept = {t: c for t, c in coeffs.items() if COEFF_DROP_TOL <= abs(c) < math.inf}
+        if len(kept) < len(coeffs):
+            for t, c in coeffs.items():
+                if not cmath.isfinite(c):
+                    raise ValueError(f"the coefficients are too large: term {t} overflows to {c}")
+        return kept
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):

@@ -76,6 +76,26 @@ def test_approximate_free_fewest_squares_within_eps():
     assert not cert.verify()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_free_tails_at_extreme_scales():
+    # the dropped tails ||w[k:]||_2 keep the unit-scale square counts and
+    # errors where the squares of w leave the float range: they overflow
+    # past about 1e154 and underflow below about 1e-162
+    a, basis = random_sos(np.random.default_rng(3), FREE, 2, 1, 2)
+    trace = free_trace_oracle(a, basis)
+    for fraction in (0.9, 0.3, 0.05):       # 0, 1 and 2 squares
+        unit = approximate(a, basis, fraction * trace)
+        for scale in (1e200, 1e-170):
+            # built with the constructor: scalar products below
+            # COEFF_DROP_TOL would be dropped
+            p = Polynomial(FREE, 2, {t: c * scale for t, c in a.items()})
+            cert = approximate(p, basis, fraction * scale * trace)
+            assert cert.rank == unit.rank, (fraction, scale)
+            assert cert.error / scale == pytest.approx(unit.error, rel=1e-12)
+            if scale > 1:
+                assert not cert.verify()
+
+
 def test_approximate_free_rejects_non_sos():
     # the certificate's layout follows the caller's word order
     z1, z2 = variables(FREE, 2)

@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import os
 import stat
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import MOTZKIN, free_input, random_sos
 from sos_approx import cli, linalg
 from sos_approx.approx import SosCertificate
-from sos_approx.poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares, to_json, variables
+from sos_approx.gram import square_basis
+from sos_approx.poly import (COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares, to_dict,
+                             to_json, variables)
 
 
 def write_poly(tmp_path, p, name="poly.json"):
@@ -433,3 +439,74 @@ def test_verify_rejects_resolution_below_one(tmp_path, capsys, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: --resolution must be an integer >= 1, got {value}" in captured.err
+
+
+# flag values at and past the ends of the float range, beside ordinary ones
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e-16, 1.0, 1e300, 1.7e308]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def cli_polynomials(draw):
+    """(JSON form, scale): a sum of random squares or random terms of
+    degree 0, 2 or 4, its coefficients scaled by 10^-300..10^300."""
+    flavor = draw(st.sampled_from([COMMUTATIVE, FREE]))
+    n = draw(st.integers(1, 6 if flavor == COMMUTATIVE else 3))
+    d = draw(st.sampled_from([0, 1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        p = random_sos(rng, flavor, n, d, draw(st.integers(1, 3)))[0]
+    else:
+        terms = square_basis(flavor, n, 2 * d).terms
+        picked = rng.choice(len(terms), size=min(len(terms), 6), replace=False)
+        c = rng.standard_normal(len(picked)) + 1j * rng.standard_normal(len(picked))
+        p = Polynomial(flavor, n, {terms[k]: v for k, v in zip(picked, c)})
+        if draw(st.booleans()):
+            p = p + p.involution()
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    data = to_dict(p)
+    for entry in data["terms"]:
+        entry["re"], entry["im"] = entry["re"] * scale, entry["im"] * scale
+    return data, scale
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True)
+# a free square whose Gram eigenvalue squared overflows
+@example(poly=({"flavor": "free", "n_vars": 1,
+                "terms": [{"term": "z1 z1", "re": 2.032604358438004e+176, "im": 0.0}]}, 1e176),
+         command="approx", eps=("absolute", 3.118999338313038e+210), tolerances=[None, None],
+         max_iter=50, resolution=0)
+@given(poly=cli_polynomials(),
+       command=st.sampled_from(["sos-norm", "approx", "feasible", "bounds"]),
+       eps=st.one_of(st.tuples(st.just("absolute"), EXTREME_FLOATS),
+                     st.tuples(st.just("relative"), st.floats(-30, 30))),
+       tolerances=st.lists(st.one_of(st.none(), EXTREME_FLOATS), min_size=2, max_size=2),
+       max_iter=st.integers(1, 50),
+       resolution=st.integers(0, 50))
+def test_cli_boundary_property(poly, command, eps, tolerances, max_iter, resolution):
+    # whatever the input's scale and the flags, every command exits 0-4 with
+    # no exception or traceback
+    data, scale = poly
+    kind, eps = eps
+    if kind == "relative":      # 10^-30..10^30 times the coefficients' scale
+        eps = scale * 10.0 ** eps
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "poly.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        argv = [command, "--input", path, f"--max-iter={max_iter}"]
+        argv += [f"{flag}={value!r}" for flag, value in zip(("--tol-primal", "--tol-gap"),
+                                                             tolerances) if value is not None]
+        if command in ("approx", "bounds"):
+            argv.append(f"--eps={eps!r}")
+        if command == "approx":
+            argv += ["--output", os.path.join(tmp, "cert.json"), f"--resolution={resolution}"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    # exit 1, a failed verification, can come from approx alone, which must
+    # not refuse the certificate it wrote
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -186,6 +186,19 @@ def test_gram_map_dimension_mismatch():
         gram_map(np.eye(4), basis)
 
 
+def test_gram_map_refuses_non_finite_matrices():
+    # a NaN cell would be dropped as zero, and the map would return a
+    # smaller polynomial than the matrix says
+    for basis in (square_basis(FREE, 2, 1), square_basis(COMMUTATIVE, 2, 1)):
+        for value in (math.nan, math.inf):
+            M = np.eye(2)
+            M[1, 0] = value
+            with pytest.raises(ValueError, match="finite"):
+                gram_map(M, basis)
+            with pytest.raises(ValueError, match="finite"):
+                gram_map(np.full((2, 2), value), basis)
+
+
 def test_build_constraints_p31():
     basis = square_basis(COMMUTATIVE, 3, 1)
     cons = build_constraints(sum_of_monomial_squares(3, 1), basis)
@@ -357,8 +370,9 @@ def _eigh_projection(system, x):
 
 
 def test_orbit_projection_is_invariant_psd_projection(rng):
-    # on an input that is not invariant, the reduced projection is the full
-    # one applied to the average of the input over the symmetry group
+    # on an invariant input, the average `mean` of a random x over the
+    # symmetry group, the merged projection is the unmerged one, and it is
+    # exactly invariant, symmetric and PSD
     invariant = []
     for a, basis in ((sum_of_monomial_squares(3, 4), square_basis(COMMUTATIVE, 3, 4)),
                      (Polynomial(COMMUTATIVE, 3, MOTZKIN), square_basis(COMMUTATIVE, 3, 3))):
@@ -373,7 +387,7 @@ def test_orbit_projection_is_invariant_psd_projection(rng):
                             for ix in system.index])
         M = system.embed(x).real
         mean = sum(M[np.ix_(g, g)] for g in group) / len(group)
-        out = system.embed(system.psd_part(x, system.rank_hint())).real
+        out = system.embed(system.psd_part(_flat(system, mean), system.rank_hint())).real
         reference = full.embed(full.psd_part(_flat(full, mean), full.rank_hint())).real
         assert np.abs(out - reference).max() <= 1e-12
         for g in group:

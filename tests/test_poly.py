@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_sos
 from oracles import cross_polytope_lattice_all_signs
 from sos_approx.poly import (
     COMMUTATIVE,
@@ -246,6 +247,26 @@ def test_zero_coefficients_dropped_after_arithmetic():
     q = p - p
     assert not q
     assert len((x1 + 1e-15 * x2) - x1) == 0  # below the arithmetic drop threshold
+
+
+def test_overflowed_arithmetic_refused():
+    # a coefficient that overflows is refused by every operation, not dropped
+    # as a NaN (leaving a smaller or zero polynomial) or kept as inf
+    a = random_sos(np.random.default_rng(1), FREE, 2, 1, 2)[0]
+    big = Polynomial(FREE, 2, {(0, 1): 1e308, (1, 0): 1e308})
+    for overflow in (lambda: math.inf * a, lambda: 1e300 * (math.inf * a),
+                     lambda: (1e200 * a) * (1e200 * a), lambda: big + big,
+                     lambda: big.collapse(),
+                     lambda: Polynomial(COMMUTATIVE, 2, {(2, 0): 1e308}).differentiate(0)):
+        with pytest.raises(ValueError, match="too large"):
+            overflow()
+    # finite results keep the drop rule and their bits
+    assert (a + a)._coeffs == {t: c + c for t, c in a.items()}
+    product = {}
+    for t1, c1 in a._coeffs.items():
+        for t2, c2 in a._coeffs.items():
+            product[t1 + t2] = product.get(t1 + t2, 0.0) + c1 * c2
+    assert (a * a)._coeffs == {t: c for t, c in product.items() if abs(c) >= 1e-14}
 
 
 small_complex = st.complex_numbers(allow_nan=False, allow_infinity=False,

@@ -3,8 +3,8 @@
 Every certificate comes from `approximate`: explicit squares, the achieved
 error in a declared norm, and the theoretical square count the truncation
 argument guarantees.  `sdp.sos_norm` gives the Gram matrix (read in closed
-form on a word basis, trace-minimal on a monomial one), and one rule
-truncates it on every basis: keep the fewest leading eigenpairs whose
+form on a word basis, trace-minimal on a monomial one), and `linalg`'s one
+rule truncates it on every basis: keep the fewest leading eigenpairs whose
 dropped part, carried to the polynomial with constant 1, fits in eps.
 """
 
@@ -39,6 +39,7 @@ from .sdp import (
 COEFF_2_NORM = "coeff-2-norm"
 SUP_SPHERE = "sup-sphere"
 SCHATTEN_P = {COEFF_2_NORM: 2.0, SUP_SPHERE: math.inf}     # the norm each is truncated in
+_FLAVOR_NORM = {FREE: COEFF_2_NORM, COMMUTATIVE: SUP_SPHERE}     # the norm each certifies in
 SQUARE_CUTOFF_REL = 1e-14     # kept eigenvalues at most this times the top give no square
 
 
@@ -214,28 +215,15 @@ def _assemble(a: Polynomial, basis: SquareBasis, canonical: SquareBasis, dec, ke
         schatten_p=SCHATTEN_P[norm], solver_iterations=iterations)
 
 
-def _square_count_bound(flavor: str, value: float, room: float) -> float:
-    """The bound `approximate` certifies on the number of squares, for sos-norm
-    `value` and an error budget `room`: value/room in the sphere sup-norm
-    (operator norm 1) on commutative inputs, its square in the coefficient
-    2-norm on free ones.  ValueError, naming eps, where it overflows."""
-    ratio = value / room
-    bound = ratio if flavor == COMMUTATIVE else ratio * ratio
-    if not math.isfinite(bound):
-        raise ValueError(f"eps is too small for sos-norm {value!r}: the bound on the "
-                         "number of squares overflows")
-    return bound
-
-
 def approximate(a: Polynomial, basis: SquareBasis, eps: float,
                 options: SolverOptions | None = None) -> SosCertificate:
     """Approximate a by a short sum of squares within eps.
 
     The Gram matrix of `sdp.sos_norm` keeps its fewest leading eigenpairs k
     whose certified error dropped[k] + r fits in eps, r the solve's residual:
-    on words dropped[k] = ||w[k:]||_2, the exact coefficient 2-norm error; on
-    monomials dropped[k] = w[k], a bound on the sphere sup-norm error.  Any
-    basis of distinct degree-d terms certifies (`gram.SquareBasis`).
+    on words the Schatten tail ||w[k:]||_2, the exact coefficient 2-norm
+    error; on monomials ||w[k:]||_inf = w[k], a bound on the sphere sup-norm
+    error.  Any basis of distinct degree-d terms certifies (`gram.SquareBasis`).
     """
     linalg.require_eps(eps)
     # the certificate is written over the canonical basis, so its size cap
@@ -259,18 +247,11 @@ def approximate(a: Polynomial, basis: SquareBasis, eps: float,
     r = residual.coeff_two_norm() if free else sum(abs(c) for _, c in residual.items())
     if r >= eps:
         raise SolverError(f"solver residual {r:.3e} leaves no room for eps {eps:.3e}", sol)
-    w = dec.eigenvalues
-    bound = _square_count_bound(basis.flavor, value, eps - r)
-    if free:
-        # ||w[k:]||_2, taken of w scaled by a power of two near w[0] so that
-        # no square overflows or underflows; the scaling is exact
-        e = math.frexp(w[0])[1]
-        tails = np.sqrt(np.cumsum((np.ldexp(w, -e) ** 2)[::-1])[::-1])
-        norm, dropped = COEFF_2_NORM, np.ldexp(tails, e)
-    else:
-        norm, dropped = SUP_SPHERE, w
+    norm = _FLAVOR_NORM[basis.flavor]
+    bound = linalg.square_count_bound(value, eps - r, SCHATTEN_P[norm])
+    dropped = linalg.schatten_tails(dec.eigenvalues, SCHATTEN_P[norm])
     keep = linalg.count_above(dropped, eps - r, strict_cap(bound))
-    error = (float(dropped[keep]) if keep < len(w) else 0.0) + r
+    error = (float(dropped[keep]) if keep < len(dropped) else 0.0) + r
     return _assemble(a, basis, canonical, dec, keep, error, norm, eps, bound, value,
                      sol.iterations)
 
@@ -364,7 +345,8 @@ class BoundReport:
         self.dim_vv = basis_size(self.flavor, self.n_vars, 2 * self.degree)
         self.general_bound = self.dim_v
         self.sqrt_dim_bound = _ceil_sqrt(self.dim_vv)
-        self.theorem_bound = _square_count_bound(self.flavor, self.sos_norm_value, self.eps)
+        self.theorem_bound = linalg.square_count_bound(
+            self.sos_norm_value, self.eps, SCHATTEN_P[_FLAVOR_NORM[self.flavor]])
         self.min_certified_bound = self.theorem_bound
         self.theorem_allowed_rank = strict_cap(self.theorem_bound)
 

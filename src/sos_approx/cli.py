@@ -191,6 +191,8 @@ def cmd_feasible(args: argparse.Namespace) -> int:
     else:
         report["certificate"] = _certificate_dict(result.certificate)
     _emit(args, report)
+    if not result.feasible:
+        print("infeasible: not a sum of squares from the homogeneous basis", file=sys.stderr)
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 

@@ -1,5 +1,8 @@
 """Hermitian eigendecomposition, Schatten norms, PSD checks, spectral truncation.
 
+One truncation rule, here and in `approx`: `count_above(schatten_tails(w, p),
+eps, strict_cap(square_count_bound(tr, eps, p)))` leading eigenpairs are kept.
+
 Eigendecompositions go through LAPACK, via numpy or, for the solver, directly
 through scipy: here, in `psd_part` (`dpotrf`, `dsyevr`, `dsyevd`),
 `eig_hermitian(vectors=False)` (`dsyevd`, `zheevd`) and `pencil_top`
@@ -90,18 +93,11 @@ def eig_hermitian(M: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
 
 
 def schatten_norm(M: np.ndarray, p: float) -> float:
-    """(sum |lambda_i|^p)^(1/p) for Hermitian M; max |lambda_i| at p = inf."""
+    """(sum |lambda_i|^p)^(1/p), max at p = inf, for Hermitian M: the first tail."""
     if not (p > 1):
         raise ValueError(f"Schatten p-norm requires p > 1, got {p}")
-    w = eig_hermitian(M).eigenvalues
-    a = np.abs(w)
-    if math.isinf(p):
-        return float(a.max(initial=0.0))
-    if not a.any():
-        return 0.0
-    # normalize by the top eigenvalue to dodge overflow for large p
-    amax = a.max()
-    return float(amax * ((a / amax) ** p).sum() ** (1.0 / p))
+    a = np.sort(np.abs(eig_hermitian(M).eigenvalues))[::-1]
+    return float(schatten_tails(a, p)[0]) if len(a) else 0.0
 
 
 def clipped_spectrum(M: np.ndarray) -> SpectralDecomposition:
@@ -130,34 +126,54 @@ def strict_cap(bound: float) -> int:
 
     "fewer than bound" bounds become this integer cap; -1 means even zero
     squares are not covered by the bound (only possible for bound <= 0).
+    A bound past the float range, which only too small an eps makes, is refused.
     """
+    if not math.isfinite(bound):
+        raise ValueError("eps is too small: the bound on the number of squares overflows")
     snapped = round(bound)
     if abs(bound - snapped) <= 1e-9 * max(1.0, abs(snapped)):
         bound = float(snapped)
     return math.ceil(bound) - 1
 
 
-def truncation_count(trace: float, eps: float, p: float) -> int:
-    """Number of leading eigenvalues the rank-reduction proof keeps (p < inf).
+def square_count_bound(trace: float, eps: float, p: float) -> float:
+    """(trace/eps)^(p/(p-1)), trace/eps at p = inf, inf past the float range:
+    the truncation rule keeps fewer eigenpairs than this.  At p = 2 it is the
+    one product ratio * ratio, which `ratio ** 2.0` can miss in the last bit."""
+    ratio = trace / eps
+    if math.isinf(p):
+        return ratio
+    if p == 2:
+        return ratio * ratio
+    try:
+        return ratio ** (p / (p - 1.0))
+    except OverflowError:
+        return math.inf
 
-    The exact integer k with k < (trace/eps)^(p/(p-1)) <= k + 1, computed in
-    the log domain; values within 1e-9 of an integer are snapped before the
-    strict comparison so float fuzz never violates the strict rank bound.
-    """
-    require_eps(eps)
-    if not (p > 1) or math.isinf(p):
-        raise ValueError("truncation_count applies to 1 < p < inf")
-    if trace <= 0:
-        return 0
-    log_x = (p / (p - 1.0)) * (math.log(trace) - math.log(eps))
-    if log_x > 100:          # far beyond any representable dimension
-        return 2 ** 63 - 1
-    return max(0, strict_cap(math.exp(log_x)))
+
+def schatten_tails(w: np.ndarray, p: float) -> np.ndarray:
+    """||w[k:]||_p for every k, of descending w >= 0; w itself at p = inf.
+    At p = 2 the squares are of w scaled exactly by a power of two near w[0],
+    the bits `approximate`'s certificates rest on, unless a nonzero w[k] below
+    2^-500 w[0] may underflow.  Else tail k is m ||(w[k], tail k+1) / m||_p,
+    m the larger: no power overflows, one is 1, and tail k >= w[k]."""
+    if math.isinf(p) or not len(w) or not w[0] > 0:
+        return w
+    if p == 2 and w[np.count_nonzero(w) - 1] >= 2.0 ** -500 * w[0]:
+        e = math.frexp(w[0])[1]
+        return np.ldexp(np.sqrt(np.cumsum((np.ldexp(w, -e) ** 2)[::-1])[::-1]), e)
+    tails, t = np.empty(len(w)), 0.0
+    for k in range(len(w) - 1, -1, -1):
+        m = max(float(w[k]), t)
+        t = m * ((w[k] / m) ** p + (t / m) ** p) ** (1.0 / p) if m else 0.0
+        tails[k] = t
+    return tails
 
 
 def count_above(values: np.ndarray, eps: float, cap: int) -> int:
     """Leading entries of the descending `values` to keep at threshold eps.
 
+    On Schatten tails, the fewest eigenpairs whose dropped tail fits.
     Entries strictly above eps, with a 1e-12 relative guard: eigenvalues
     sitting exactly on the threshold (e.g. lambda_1 = tr for a rank-one
     matrix at eps = tr) must not survive on account of rounding, since
@@ -173,25 +189,21 @@ def count_above(values: np.ndarray, eps: float, cap: int) -> int:
 
 
 def truncate_rank(M: np.ndarray, eps: float, p: float) -> np.ndarray:
-    """Best-rank spectral truncation M' with ||M - M'||_p <= eps.
+    """Least-rank spectral truncation M' with ||M - M'||_p <= eps.
 
-    Keeps the proof's exact eigenvalue count: for p < inf the largest k with
-    k + 1 >= (tr(M)/eps)^(p/(p-1)); for p = inf all eigenvalues above eps.
-    The result is PSD and its rank is strictly below (tr(M)/eps)^(p/(p-1))
-    (resp. tr(M)/eps).
+    Keeps the fewest leading eigenpairs whose dropped Schatten-p tail fits
+    in eps, a PSD result of rank strictly below (tr(M)/eps)^(p/(p-1)) (resp.
+    tr(M)/eps); a bound past the float range caps nothing.
     """
     require_eps(eps)
     if not (p > 1):
         raise ValueError(f"requires p > 1, got {p}")
     dec = clipped_spectrum(M)
     w = dec.eigenvalues
-    if math.isinf(p):
-        k = count_above(w, eps, strict_cap(float(w.sum()) / eps))
-    else:
-        k = truncation_count(float(w.sum()), eps, p)
-    keep = np.zeros(len(w), dtype=bool)
-    keep[:min(k, len(w))] = True
-    return dec.matrix_from(keep)
+    # a cap past len(w) caps nothing; the clamp keeps strict_cap from refusing inf
+    bound = min(square_count_bound(float(w.sum()), eps, p), len(w) + 1.0)
+    k = count_above(schatten_tails(w, p), eps, strict_cap(bound))
+    return dec.matrix_from(np.arange(len(w)) < k)
 
 
 def low_rank_factor(M: np.ndarray) -> list[np.ndarray]:

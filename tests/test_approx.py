@@ -478,8 +478,6 @@ def test_eps_must_be_finite_and_positive(monkeypatch):
             bound_report(COMMUTATIVE, 3, 2, eps, 1.0)
         with pytest.raises(ValueError, match=message):
             linalg.truncate_rank(np.eye(2), eps, 2.0)
-        with pytest.raises(ValueError, match=message):
-            linalg.truncation_count(2.0, eps, 2.0)
     assert solves == []
     for value in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="sos_norm_value must be a finite number >= 0"):

@@ -216,15 +216,19 @@ def test_approx_infeasible_no_partial_file(tmp_path):
         assert not out.exists()
 
 
-def test_feasible_command(tmp_path, rng):
+def test_feasible_command(tmp_path, rng, capsys):
     a, _ = random_sos(rng, COMMUTATIVE, 3, 1, 2)
     assert cli.main(["feasible", "--input", write_poly(tmp_path, a)]) == 0
     x1, x2 = variables(COMMUTATIVE, 2)
     out = tmp_path / "f.json"
+    capsys.readouterr()
     code = cli.main(["feasible", "--input",
                      write_poly(tmp_path, x1 * x1 - x2 * x2, "bad.json"),
                      "--output", str(out)])
     assert code == 3
+    # after the report, as sos-norm and bounds do
+    assert capsys.readouterr().err == \
+        "infeasible: not a sum of squares from the homogeneous basis\n"
     report = json.loads(out.read_text())
     assert report["feasible"] is False
     assert report["certificate"]["objective"] < 0
@@ -478,6 +482,12 @@ def cli_polynomials(draw):
                 "terms": [{"term": "z1 z1", "re": 2.032604358438004e+176, "im": 0.0}]}, 1e176),
          command="approx", eps=("absolute", 3.118999338313038e+210), tolerances=[None, None],
          max_iter=50, resolution=0)
+# a form that is not a sum of squares, refused by feasible
+@example(poly=({"flavor": "commutative", "n_vars": 2,
+                "terms": [{"term": [2, 0], "re": 1.0, "im": 0.0},
+                          {"term": [0, 2], "re": -1.0, "im": 0.0}]}, 1.0),
+         command="feasible", eps=("absolute", 1.0), tolerances=[None, None],
+         max_iter=50, resolution=0)
 @given(poly=cli_polynomials(),
        command=st.sampled_from(["sos-norm", "approx", "feasible", "bounds"]),
        eps=st.one_of(st.tuples(st.just("absolute"), EXTREME_FLOATS),
@@ -510,3 +520,5 @@ def test_cli_boundary_property(poly, command, eps, tolerances, max_iter, resolut
     # not refuse the certificate it wrote
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    # every refusal says why
+    assert code == 0 or err.getvalue().strip(), (argv, code)

@@ -18,8 +18,8 @@ from sos_approx.linalg import (
     psd_part,
     require_hermitian,
     schatten_norm,
+    schatten_tails,
     truncate_rank,
-    truncation_count,
 )
 from sos_approx.poly import COMMUTATIVE
 
@@ -91,15 +91,31 @@ def test_schatten_monotone_in_p(rng):
         assert all(a >= b - 1e-10 for a, b in zip(values, values[1:]))
 
 
-def test_truncation_count_proof_choice():
-    # exact integer k with k < (tr/eps)^(p/(p-1)) <= k+1
-    assert truncation_count(10.0, 1.0, 2.0) == 99     # (10)^2 = 100 -> k = 99
-    assert truncation_count(10.0, 5.0, 2.0) == 3      # 4 -> 3
-    assert truncation_count(10.0, 10.0, 2.0) == 0
-    assert truncation_count(10.0, 20.0, 2.0) == 0
-    assert truncation_count(0.0, 1.0, 2.0) == 0
-    # huge exponents stay finite
-    assert truncation_count(2.0, 1.0, 1.0 + 1e-9) > 10 ** 18
+def _scaled_norm(v, p):
+    # the p-norm of v taken of v / max(v), whose largest power is 1
+    m = float(np.max(v, initial=0.0))
+    return m * float(np.linalg.norm(v / m, p)) if m else 0.0
+
+
+def test_schatten_tails_where_powers_underflow(rng):
+    assert schatten_norm(np.eye(4), 1100) == pytest.approx(4 ** (1 / 1100), rel=1e-14)
+    for spread in (1, 30, 300):
+        w = np.sort(10.0 ** rng.uniform(-spread, spread, 40))[::-1]
+        w[-5:] = 0.0
+        for p in (1.5, 2.0, 4.0, 20.0, 1100.0):
+            tails = schatten_tails(w, p)
+            ref = [_scaled_norm(w[k:], p) for k in range(len(w))]
+            assert np.allclose(tails, ref, rtol=1e-12, atol=0.0), (spread, p)
+    # each kept count is the least whose dropped tail fits, where the scaled
+    # powers of the dropped eigenvalues underflow
+    for w, eps, p in [(np.ones(2), 0.5, 1100.0), (np.array([1.0, 1e-17]), 1e-18, 20.0),
+                      (np.array([1.0] + [1e-17] * 100), 1.1e-17, 20.0),
+                      (np.array([1.0] + [1e-170] * 100), 2e-170, 2.0)]:
+        kept = np.abs(np.diag(truncate_rank(np.diag(w), eps, p)))
+        k = int(np.count_nonzero(kept))
+        assert np.array_equal(kept[:k], w[:k]), (p, eps)
+        assert _scaled_norm(w[k:], p) <= eps, (p, eps, k)
+        assert k == 0 or _scaled_norm(w[k - 1:], p) > eps, (p, eps, k)
 
 
 def test_truncate_rank_spec_example():
@@ -126,6 +142,42 @@ def test_truncate_rank_random_bounds(rng):
         Mp = truncate_rank(M, 0.1 * tr, 2.0)
         assert numerical_rank(Mp, 1e-13) < 100  # (tr/eps)^2
         assert schatten_norm(M - Mp, 2.0) <= 0.1 * tr * (1 + 1e-12)
+
+
+def test_truncate_rank_least_rank(rng):
+    # the fewest leading eigenpairs whose dropped Schatten-p tail fits in eps,
+    # never more than the proof's count, the largest k < (tr/eps)^(p/(p-1))
+    # (at p = inf, the eigenvalues above eps)
+    for _ in range(20):
+        dim = int(rng.integers(2, 31))
+        M = random_psd(rng, dim, int(rng.integers(1, dim + 1)))
+        w = np.maximum(eig_hermitian(M).eigenvalues, 0.0)
+        tr = float(w.sum())
+        for p in (2.0, 4.0, math.inf):
+            def tail(k):
+                return float(np.linalg.norm(w[k:], p)) if k < dim else 0.0
+            for frac in (0.01, 0.1, 1.0):
+                eps = frac * tr
+                k = numerical_rank(truncate_rank(M, eps, p), 1e-12)
+                assert tail(k) <= eps * (1 + 1e-10), (dim, p, frac, k)
+                assert k == 0 or tail(k - 1) > eps, (dim, p, frac, k)
+                if math.isinf(p):
+                    proof = int((w > eps).sum())
+                else:
+                    proof = math.ceil((tr / eps) ** (p / (p - 1)) - 1e-9) - 1
+                assert k <= proof, (dim, p, frac, k, proof)
+
+
+def test_truncate_rank_past_the_float_range():
+    # a square-count bound past the float range caps nothing: at p = inf
+    # tr/eps overflows, near p = 1 the exponent p/(p-1) is about 1e9
+    M = np.diag([1e300, 1e299])
+    for p in (math.inf, 2.0):
+        assert np.allclose(truncate_rank(M, 1e-300, p), M, rtol=1e-12, atol=0.0)
+    M = np.diag([2.0, 1.0])
+    Mp = truncate_rank(M, 1.5, 1.0 + 1e-9)
+    assert np.allclose(Mp, np.diag([2.0, 0.0]), atol=1e-12)
+    assert schatten_norm(M - Mp, 1.0 + 1e-9) <= 1.5
 
 
 def test_truncate_rank_rejects():

@@ -18,14 +18,9 @@ import numpy as np
 
 from . import linalg
 from .linalg import strict_cap
-from .gram import (
-    SquareBasis,
-    basis_size,
-    gram_map,
-    homogeneous_basis,
-    square_basis,
-)
-from .poly import COMMUTATIVE, FREE, FlavorMismatchError, Polynomial, _json_number, from_dict as poly_from_dict, to_dict as poly_to_dict
+from .gram import (SquareBasis, basis_size, coefficients, gram_map, homogeneous_basis, products,
+                   square_basis)
+from .poly import COMMUTATIVE, FREE, FlavorMismatchError, Polynomial, _json_number, from_dict as poly_from_dict, sphere_lattice, to_dict as poly_to_dict
 from .sdp import (
     RankReductionError,
     SolverError,
@@ -54,19 +49,14 @@ class NotSosError(ValueError):
 class _Squares:
     """Squares q_i stored as coefficient vectors over `basis`, and their sum."""
 
-    def square_polynomials(self) -> list[Polynomial]:
-        out = []
-        for c in self.squares:
-            coeffs = {t: v for t, v in zip(self.basis.terms, c) if v != 0}
-            out.append(Polynomial(self.basis.flavor, self.basis.n_vars, coeffs))
-        return out
+    def gram(self) -> np.ndarray:
+        """S* S, S the squares as rows: the Gram matrix of sum_i q_i* q_i."""
+        S = np.array(self.squares, dtype=complex).reshape(-1, self.basis.size)
+        return S.conj().T @ S
 
     def reassembled(self) -> Polynomial:
         """sum_i q_i* q_i."""
-        total = Polynomial.zero(self.basis.flavor, self.basis.n_vars)
-        for q in self.square_polynomials():
-            total = total + q.involution() * q
-        return total
+        return gram_map(self.gram(), self.basis)
 
 
 @dataclass
@@ -91,10 +81,13 @@ class SosCertificate(_Squares):
         return len(self.squares)
 
     def verify(self, sample_points: int = 0) -> list[str]:
-        """Re-check every certificate invariant; returns a list of violations."""
+        """Re-check every certificate invariant; returns a list of violations.
+        Polynomials are compared over the product space, with nothing dropped."""
         problems = []
+        approximation = coefficients(self.approximation, self.basis)
+        gap = coefficients(self.input, self.basis) - approximation
         anorm = self.input.coeff_two_norm()
-        resid = (self.reassembled() - self.approximation).coeff_two_norm()
+        resid = linalg.two_norm(products(self.gram(), self.basis) - approximation)
         # every test is "not within": a NaN fails it
         if not resid <= 1e-8 * (1.0 + anorm):
             problems.append(f"squares do not reassemble the approximation: {resid:.3e}")
@@ -104,16 +97,16 @@ class SosCertificate(_Squares):
         if not self.error <= self.eps * (1.0 + 1e-12) + 1e-15:
             problems.append(f"declared error {self.error} exceeds eps {self.eps}")
         if self.norm == COEFF_2_NORM:
-            measured = (self.input - self.approximation).coeff_two_norm()
+            measured = linalg.two_norm(gap)
             if not measured <= self.error * (1.0 + 1e-9) + 1e-12:
                 problems.append(
                     f"coefficient error {measured:.3e} exceeds declared {self.error:.3e}")
         elif self.norm != SUP_SPHERE:
             problems.append(f"unknown norm {self.norm!r}")
         elif sample_points:
-            from .poly import sphere_lattice
             pts = sphere_lattice(self.basis.n_vars, sample_points)
-            diff = self.input - self.approximation
+            diff = Polynomial(COMMUTATIVE, self.basis.n_vars,
+                              dict(zip(self.basis.product_terms, gap)))
             emp = float(np.abs(diff.evaluate_batch(pts)).max(initial=0.0))
             if not emp <= self.error * (1.0 + 1e-9) + 1e-9:
                 problems.append(
@@ -177,16 +170,18 @@ class SosCertificate(_Squares):
             if not math.isfinite(getattr(cert, name)):
                 raise ValueError(f"certificate field {name!r} must be finite, got {data[name]!r}")
 
-        def in_basis_algebra(p: Polynomial) -> bool:
-            return (p.flavor, p.n_vars) == (basis.flavor, basis.n_vars)
+        def in_product_space(p: Polynomial) -> bool:     # the space `verify` compares in
+            return ((p.flavor, p.n_vars) == (basis.flavor, basis.n_vars) and p.is_homogeneous()
+                    and (not p or p.degree() == 2 * basis.degree))
 
+        space = "in the basis's algebra, of twice its degree"
         for name, ok, want in (
                 ("norm", cert.norm in SCHATTEN_P, f"one of {', '.join(SCHATTEN_P)}"),
                 ("schatten_p", cert.schatten_p == SCHATTEN_P.get(cert.norm), "that of the norm"),
                 ("allowed_rank", cert.allowed_rank == strict_cap(cert.theoretical_bound),
                  "the cap of theoretical_bound"),
-                ("input", in_basis_algebra(cert.input), "in the basis's algebra"),
-                ("approximation", in_basis_algebra(cert.approximation), "in the basis's algebra"),
+                ("input", in_product_space(cert.input), space),
+                ("approximation", in_product_space(cert.approximation), space),
                 ("squares", all(len(c) == basis.size for c in squares),
                  f"vectors of the basis size {basis.size}")):
             if not ok:
@@ -206,13 +201,19 @@ def _assemble(a: Polynomial, basis: SquareBasis, canonical: SquareBasis, dec, ke
     top = w[0] if len(w) else 0.0
     squares = [np.sqrt(w[i]) * V[:, i] for i in range(min(keep, len(w)))
                if w[i] > SQUARE_CUTOFF_REL * max(top, 1e-300)]
-    kept = np.zeros(len(w), dtype=bool)
-    kept[:keep] = True
+    truncated = dec.matrix_from(np.arange(len(w)) < keep)
     return SosCertificate(
-        input=a, approximation=gram_map(dec.matrix_from(kept), basis), squares=squares,
+        input=a, approximation=gram_map(truncated, basis), squares=squares,
         basis=canonical, error=error, norm=norm, eps=eps, theoretical_bound=bound,
         allowed_rank=strict_cap(bound), sos_norm_value=sos_value,
         schatten_p=SCHATTEN_P[norm], solver_iterations=iterations)
+
+
+def _allowed_rank(bound: float) -> int:
+    """The cap of a certified bound; one past the float range (too small an eps) is refused."""
+    if not math.isfinite(bound):
+        raise ValueError("eps is too small: the bound on the number of squares overflows")
+    return strict_cap(bound)
 
 
 def approximate(a: Polynomial, basis: SquareBasis, eps: float,
@@ -238,19 +239,19 @@ def approximate(a: Polynomial, basis: SquareBasis, eps: float,
     if sol.status is not SolveStatus.OPTIMAL:
         raise SolverError("sos-norm solve failed: " + sol.message, sol)
     dec = linalg.clipped_spectrum(sol.matrix)
-    # the declared error must cover the residual a - gram_map(M) the solver
-    # leaves: in the coefficient 2-norm for free inputs; on the unit sphere
-    # every monomial is at most 1 in modulus, so the coefficient 1-norm
-    # bounds its sup for commutative ones
-    residual = a - gram_map(dec.reconstruct(), basis)
-    free = basis.flavor == FREE
-    r = residual.coeff_two_norm() if free else sum(abs(c) for _, c in residual.items())
+    # the declared error covers the residual a - gram_map(M) the solver leaves,
+    # read with nothing dropped: its coefficient 2-norm for free inputs; on the
+    # unit sphere every monomial is at most 1 in modulus, so the 1-norm bounds
+    # its sup for commutative ones.  Too small an eps is refused first.
+    residual = coefficients(a, basis) - products(dec.reconstruct(), basis)
+    r = linalg.two_norm(residual) if basis.flavor == FREE else float(np.abs(residual).sum())
+    norm = _FLAVOR_NORM[basis.flavor]
+    bound = linalg.square_count_bound(value, eps - r if r < eps else eps, SCHATTEN_P[norm])
+    cap = _allowed_rank(bound)
     if r >= eps:
         raise SolverError(f"solver residual {r:.3e} leaves no room for eps {eps:.3e}", sol)
-    norm = _FLAVOR_NORM[basis.flavor]
-    bound = linalg.square_count_bound(value, eps - r, SCHATTEN_P[norm])
     dropped = linalg.schatten_tails(dec.eigenvalues, SCHATTEN_P[norm])
-    keep = linalg.count_above(dropped, eps - r, strict_cap(bound))
+    keep = linalg.count_above(dropped, eps - r, cap)
     error = (float(dropped[keep]) if keep < len(dropped) else 0.0) + r
     return _assemble(a, basis, canonical, dec, keep, error, norm, eps, bound, value,
                      sol.iterations)
@@ -348,7 +349,7 @@ class BoundReport:
         self.theorem_bound = linalg.square_count_bound(
             self.sos_norm_value, self.eps, SCHATTEN_P[_FLAVOR_NORM[self.flavor]])
         self.min_certified_bound = self.theorem_bound
-        self.theorem_allowed_rank = strict_cap(self.theorem_bound)
+        self.theorem_allowed_rank = _allowed_rank(self.theorem_bound)
 
     to_dict = asdict
 

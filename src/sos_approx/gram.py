@@ -1,24 +1,27 @@
 """Square-space bases, the Gram map, its inverse on words, and its constraint form.
 
 A basis v = (v_1, ..., v_D) of the homogeneous degree-d component induces the
-Gram map M |-> sum_ij m_ij v_i* v_j.  On words (the free flavor) each cell's
-product v_i* v_j is its own word, so the map is a bijection: `free_gram`
-reads the one matrix off the coefficients and `upper_reads` lays out its
-duals.  On monomials `build_constraints` rewrites the fiber {G(M) = a} as
-real trace equations tr(A_l M) = lambda_l, one per product term l of the
-basis's product table (`SquareBasis._products`, built once per basis;
-`square_basis` keeps recent bases); the targets and symmetries are read once
-per input.  Their `block_system`, restricted to the block-diagonal matrices
-that keep the least trace, is what the SDP layer iterates on.
+Gram map M |-> sum_ij m_ij v_i* v_j.  A polynomial (`coefficients`) and a
+matrix (`products`) are read into one space, the span of the products v_i*
+v_j, with nothing dropped.  On words (the free flavor) each cell's product
+is its own word, so the map is a bijection: `free_gram` reads the one
+matrix off the coefficients and `upper_reads` lays out its duals.  On
+monomials `build_constraints` rewrites the fiber {G(M) = a} as real trace
+equations tr(A_l M) = lambda_l, one per product term l of the basis's
+product table (`SquareBasis._products`, built once per basis; `square_basis`
+keeps recent bases); the targets and symmetries are read once per input.
+Their `block_system`, restricted to the block-diagonal matrices that keep
+the least trace, is what the SDP layer iterates on.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product as _iproduct
+from itertools import combinations, compress, product as _iproduct, starmap
 from typing import Iterable
 
 import numpy as np
@@ -26,7 +29,6 @@ import numpy as np
 from . import linalg
 from .poly import (
     COMMUTATIVE,
-    COEFF_DROP_TOL,
     DimensionMismatchError,
     FlavorMismatchError,
     Polynomial,
@@ -190,48 +192,61 @@ def homogeneous_basis(p: Polynomial) -> SquareBasis:
     return square_basis(p.flavor, p.n_vars, p.degree() // 2)
 
 
-def gram_map(M: np.ndarray, basis: SquareBasis) -> Polynomial:
-    """The polynomial sum_ij m_ij v_i* v_j; *-linear in M; on words the inverse
-    of `free_gram`.  M must be finite: a NaN entry would be dropped as zero."""
+def coefficients(p: Polynomial, basis: SquareBasis) -> np.ndarray:
+    """p's coefficients over the product space: one per product term on monomials
+    (`product_terms`), one per flat cell i*D + j, the word v_i* v_j, on words.
+    ValueError naming a term outside the space."""
+    if p.flavor != basis.flavor or p.n_vars != basis.n_vars:
+        raise FlavorMismatchError("polynomial and basis live in different algebras")
+    if basis.flavor == COMMUTATIVE:
+        size, locate = len(basis.product_terms), basis._products[1].__getitem__
+    else:
+        index, d, D = basis.index, basis.degree, basis.size
+        rows = {t[::-1]: i * D for t, i in index.items()}      # the first half is v_i reversed
+        size, locate = D * D, lambda w: rows[w[:d]] + index[w[d:]]
+    where = []
+    for t in p._coeffs:
+        try:
+            where.append(locate(t))
+        except KeyError:
+            raise ValueError(f"term {t} lies outside the product space V*V") from None
+    out = np.zeros(size, dtype=complex)
+    out[where] = list(p._coeffs.values())
+    return out
+
+
+def products(M: np.ndarray, basis: SquareBasis) -> np.ndarray:
+    """The coefficients of sum_ij m_ij v_i* v_j over the product space (see
+    `coefficients`), nothing dropped; *-linear in M.  M must be finite."""
     M = np.asarray(M, dtype=complex)
-    D = basis.size
-    if M.shape != (D, D):
+    if M.shape != (basis.size, basis.size):
         raise DimensionMismatchError(
-            f"matrix shape {M.shape} does not match basis size {D}")
+            f"matrix shape {M.shape} does not match basis size {basis.size}")
     if not np.isfinite(M).all():
         raise ValueError("gram_map takes a finite matrix")
     flat = M.reshape(-1)
+    if basis.flavor != COMMUTATIVE:
+        return flat + 0.0       # a copy, whose -0.0 parts read 0.0
+    cell_to_prod, k = basis._products[2], len(basis.product_terms)
+    return np.bincount(cell_to_prod, flat.real, k) + 1j * np.bincount(cell_to_prod, flat.imag, k)
+
+
+def gram_map(M: np.ndarray, basis: SquareBasis) -> Polynomial:
+    """The polynomial sum_ij m_ij v_i* v_j: `products` with its terms named,
+    exact zeros dropped; on words the inverse of `free_gram`."""
+    values = products(M, basis)
+    kept = values != 0
     if basis.flavor == COMMUTATIVE:
-        terms, _, cell_to_prod = basis._products
-        values = (np.bincount(cell_to_prod, flat.real, len(terms))
-                  + 1j * np.bincount(cell_to_prod, flat.imag, len(terms)))
-        term = terms.__getitem__
-    else:
-        values, left = flat + 0.0, [t[::-1] for t in basis.terms]     # -0.0 parts read 0.0
-        term = lambda k: left[k // D] + basis.terms[k % D]
-    kept = np.flatnonzero(np.abs(values) >= COEFF_DROP_TOL)
-    return Polynomial._raw(basis.flavor, basis.n_vars,
-                           {term(k): c for k, c in zip(kept.tolist(), values[kept].tolist())})
-
-
-def _word_cells(basis: SquareBasis, words: list[Term]) -> np.ndarray:
-    """The flat cell i*D + j of each product word v_i* v_j of a word basis: v_i
-    is the word's first half reversed, v_j its second (none at another degree)."""
-    index, d, D = basis.index, basis.degree, basis.size
-    try:
-        return np.array([index[w[:d][::-1]] * D + index[w[d:]] for w in words], dtype=np.int64)
-    except KeyError:
-        outside = next(w for w in words if w[:d][::-1] not in index or w[d:] not in index)
-        raise ValueError(f"term {outside} lies outside the product space V*V") from None
+        names = compress(basis.product_terms, kept.tolist())
+    else:       # the cells row by row, v_i* v_j named v_i reversed followed by v_j
+        cells = _iproduct([t[::-1] for t in basis.terms], basis.terms)
+        names = starmap(operator.add, compress(cells, kept.tolist()))
+    return Polynomial._raw(basis.flavor, basis.n_vars, dict(zip(names, values[kept].tolist())))
 
 
 def free_gram(a: Polynomial, basis: SquareBasis) -> np.ndarray:
     """The one M with gram_map(M, basis) = a on a word basis; the caller tests it is Hermitian."""
-    if a.flavor != basis.flavor or a.n_vars != basis.n_vars:
-        raise FlavorMismatchError("polynomial and basis live in different algebras")
-    M = np.zeros((basis.size, basis.size), dtype=complex)
-    M.reshape(-1)[_word_cells(basis, list(a._coeffs))] = list(a._coeffs.values())
-    return M
+    return coefficients(a, basis).reshape(basis.size, basis.size)
 
 
 @lru_cache(maxsize=16)
@@ -551,10 +566,5 @@ def build_constraints(a: Polynomial, basis: SquareBasis) -> GramConstraints:
     if a and (not a.is_homogeneous() or a.degree() != 2 * basis.degree):
         raise ValueError(
             f"polynomial must be homogeneous of degree {2 * basis.degree}")
-    prod_index = basis._products[1]
-    targets = np.zeros(len(prod_index))
-    for t, c in a._coeffs.items():
-        if t not in prod_index:
-            raise ValueError(f"term {t} lies outside the product space V*V")
-        targets[prod_index[t]] = c.real
-    return GramConstraints(basis, targets, _parity_blocks(a, basis), _variable_swaps(a, basis))
+    return GramConstraints(basis, coefficients(a, basis).real, _parity_blocks(a, basis),
+                           _variable_swaps(a, basis))

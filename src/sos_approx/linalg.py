@@ -25,6 +25,8 @@ import scipy
 PSD_NOISE_REL = 1e-6
 RANK_CUTOFF_REL = 1e-10
 HERMITIAN_TOL = 1e-10       # ||M - M*||_max relative to max(1, ||M||_max)
+# below this 2-norm, or where it overflows, `two_norm` scales by the largest entry first
+_UNDERFLOW = 1e-150
 
 
 class NotPsdError(ValueError):
@@ -92,6 +94,19 @@ def eig_hermitian(M: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
     return SpectralDecomposition(w[order].astype(float), np.ascontiguousarray(V[:, order]))
 
 
+def two_norm(b: np.ndarray) -> float:
+    """||b||_2; where its squares overflow or underflow, taken of b scaled by
+    max |b|.  ValueError if b is not finite: arithmetic on the input overflowed."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(b))
+    if math.isfinite(norm) and norm >= _UNDERFLOW:
+        return norm
+    top = float(np.abs(b).max(initial=0.0))
+    if not math.isfinite(top):
+        raise ValueError(f"the coefficients are too large: one is {top}")
+    return top * float(np.linalg.norm(b / top)) if top > 0 else 0.0
+
+
 def schatten_norm(M: np.ndarray, p: float) -> float:
     """(sum |lambda_i|^p)^(1/p), max at p = inf, for Hermitian M: the first tail."""
     if not (p > 1):
@@ -121,15 +136,15 @@ def require_eps(eps: float) -> None:
         raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
 
 
-def strict_cap(bound: float) -> int:
+def strict_cap(bound: float) -> int | float:
     """Largest integer strictly below `bound` (values snapped to nearby integers).
 
     "fewer than bound" bounds become this integer cap; -1 means even zero
     squares are not covered by the bound (only possible for bound <= 0).
-    A bound past the float range, which only too small an eps makes, is refused.
+    A bound past the float range caps nothing (callers that certify refuse it).
     """
-    if not math.isfinite(bound):
-        raise ValueError("eps is too small: the bound on the number of squares overflows")
+    if math.isinf(bound):
+        return bound
     snapped = round(bound)
     if abs(bound - snapped) <= 1e-9 * max(1.0, abs(snapped)):
         bound = float(snapped)
@@ -200,9 +215,8 @@ def truncate_rank(M: np.ndarray, eps: float, p: float) -> np.ndarray:
         raise ValueError(f"requires p > 1, got {p}")
     dec = clipped_spectrum(M)
     w = dec.eigenvalues
-    # a cap past len(w) caps nothing; the clamp keeps strict_cap from refusing inf
-    bound = min(square_count_bound(float(w.sum()), eps, p), len(w) + 1.0)
-    k = count_above(schatten_tails(w, p), eps, strict_cap(bound))
+    cap = strict_cap(square_count_bound(float(w.sum()), eps, p))
+    k = count_above(schatten_tails(w, p), eps, cap)
     return dec.matrix_from(np.arange(len(w)) < k)
 
 

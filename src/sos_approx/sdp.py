@@ -57,8 +57,6 @@ from .poly import FREE, HERMITIAN_TOL, Polynomial, _json_number
 _RHO_BALANCE = 5.0
 _OVER_RELAX = 1.6           # over-relaxed ADMM converges only for 0 < alpha < 2
 _TINY = 1e-300
-# below this 2-norm, or where it overflows, `_norm` scales by the largest entry first
-_UNDERFLOW = 1e-150
 CHECK_EVERY = 25            # steps between convergence checks
 # Anderson acceleration (Walker & Ni 2011) of the map T = ANDERSON_STRIDE steps
 # on the state (Z, U), from at most ANDERSON_MEMORY differences; see `_Anderson`
@@ -258,25 +256,12 @@ def _certificate_from_gap(system: BlockSystem, v: np.ndarray) -> Optional[DualFu
     return _certified(system.lift(y), w, value, system.targets)
 
 
-def _norm(b: np.ndarray) -> float:
-    """||b||_2; where its squares overflow or underflow, taken of b scaled by
-    max |b|.  ValueError if b is not finite: arithmetic on the input overflowed."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(b))
-    if math.isfinite(norm) and norm >= _UNDERFLOW:
-        return norm
-    top = float(np.abs(b).max(initial=0.0))
-    if not math.isfinite(top):
-        raise ValueError(f"the coefficients are too large: one is {top}")
-    return top * float(np.linalg.norm(b / top)) if top > 0 else 0.0
-
-
 def _certified(y: np.ndarray, w: np.ndarray, value: float,
                targets: np.ndarray) -> Optional[DualFunctional]:
     """y if eigenvalues w of sum y_l A_l and targets . y clear the margins, else None."""
     scale = max(float(np.abs(w).max(initial=0.0)), 1e-30)
     if (w.min() < -_CERTIFICATE_PSD_TOL * scale
-            or value > -_CERTIFICATE_VALUE_TOL * scale * (1.0 + _norm(targets))):
+            or value > -_CERTIFICATE_VALUE_TOL * scale * (1.0 + linalg.two_norm(targets))):
         return None
     return DualFunctional(values=y, objective=value, psd_margin=float(w.min()))
 
@@ -391,7 +376,7 @@ def _trace_min(constraints: GramConstraints, options: SolverOptions,
     """
     system = constraints.block_system
     b = system.targets
-    s = bnorm = _norm(b)
+    s = bnorm = linalg.two_norm(b)
     bh = b / s
     inv_normal = system.solve_normal(np.ones(len(b)))
     bh_normal = system.solve_normal(bh)
@@ -492,8 +477,8 @@ def _unique_gram(a: Polynomial, basis: SquareBasis, options: SolverOptions,
     `infeasible` if the y with A*(y) = v v*, v the eigenvector of
     lambda_min(M), clears the certificate margins; else `max-iter`."""
     M = free_gram(a, basis)
-    tol = HERMITIAN_TOL * (1.0 + _norm(M))          # first: refuses non-finite M
-    if _norm(M - M.conj().T) > tol:
+    tol = HERMITIAN_TOL * (1.0 + linalg.two_norm(M))    # first: refuses non-finite M
+    if linalg.two_norm(M - M.conj().T) > tol:
         raise NotHermitianError("polynomial is not Hermitian")
     M = np.triu(M) + np.triu(M, 1).conj().T + 0.0      # + 0.0: no -0.0 parts
     np.fill_diagonal(M.imag, 0.0)
@@ -503,10 +488,10 @@ def _unique_gram(a: Polynomial, basis: SquareBasis, options: SolverOptions,
     dec = linalg.eig_hermitian(M)
     w, v = dec.eigenvalues, dec.eigenvectors[:, -1]
     Z = dec.matrix_from(w > 0)
-    pres, pval = _norm(upper_reads(Z) - b), float(np.trace(Z).real)
+    pres, pval = linalg.two_norm(upper_reads(Z) - b), float(np.trace(Z).real)
     y = upper_reads(np.eye(basis.size), 2.0)
     gap = pval - float(b @ y) if minimize_trace else math.nan
-    converged = options.converged(_norm(b), pres, pval, gap)
+    converged = options.converged(linalg.two_norm(b), pres, pval, gap)
     if not converged:
         V = np.outer(v, v.conj())
         yv = upper_reads(V, 2.0)

@@ -4,8 +4,9 @@ These recompute expected values through routes the library does not take:
 exhaustive grid scans of tiny Gram spectrahedra, direct coefficient sums, the
 free Gram matrix read by splitting words, the product table multiplied out
 cell by cell, the dense constraint matrices built by multiplying
-polynomials, a cyclic Jacobi eigensolver checked against LAPACK and the
-cross-polytope lattice over every sign vector.
+polynomials, the residual of a Gram matrix summed cell by cell, a cyclic
+Jacobi eigensolver checked against LAPACK and the cross-polytope lattice
+over every sign vector.
 """
 
 import math
@@ -224,3 +225,20 @@ def cross_polytope_lattice_all_signs(n_vars: int, resolution: int) -> np.ndarray
             seen.add(tuple(s * w if w else 0 for s, w in zip(signs, comp)))
     pts = np.array(sorted(seen), dtype=float)
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def gram_residual(a, basis, P, norm: str) -> float:
+    """The residual a - sum_ij P_ij v_i* v_j, nothing dropped: each cell's
+    product multiplied out with `poly.multiply_terms`, summed in plain Python
+    cell by cell, row by row; its coefficient 2-norm for norm
+    "coeff-2-norm", else its coefficient 1-norm."""
+    sums: dict = {}
+    for i, u in enumerate(basis.terms):
+        for j, v in enumerate(basis.terms):
+            t = multiply_terms(basis.flavor, involute_term(basis.flavor, u), v)
+            sums[t] = sums.get(t, 0j) + complex(P[i, j])
+    terms = set(sums) | {t for t, _ in a.items()}
+    residual = [complex(a.coefficient(t)) - sums.get(t, 0j) for t in terms]
+    if norm == "coeff-2-norm":
+        return math.hypot(*(x for c in residual for x in (c.real, c.imag)))
+    return math.fsum(abs(c) for c in residual)

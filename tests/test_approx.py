@@ -2,13 +2,16 @@ import json
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import free_farkas_holds, free_input, free_trace_oracle, random_sos, random_square
-from oracles import free_pythagoras_number, gram_preimage_free, min_rank_two_vars_degree_one
+from oracles import (free_pythagoras_number, gram_preimage_free, gram_residual,
+                     min_rank_two_vars_degree_one)
 from sos_approx import approx as approx_module, linalg
 from sos_approx.approx import (
     NotSosError,
@@ -24,6 +27,7 @@ from sos_approx.gram import (
     BasisSizeError,
     SquareBasis,
     gram_map,
+    homogeneous_basis,
     square_basis,
 )
 from sos_approx.poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares, variables
@@ -92,8 +96,9 @@ def test_free_tails_at_extreme_scales():
             cert = approximate(p, basis, fraction * scale * trace)
             assert cert.rank == unit.rank, (fraction, scale)
             assert cert.error / scale == pytest.approx(unit.error, rel=1e-12)
-            if scale > 1:
-                assert not cert.verify()
+            # nothing is dropped under the scale: the squares show
+            assert bool(cert.approximation) == (cert.rank > 0)
+            assert not cert.verify()
 
 
 def test_approximate_free_rejects_non_sos():
@@ -126,7 +131,12 @@ def test_approximate_free_near_psd_gram(lam):
     else:
         cert = approximate_free(a, 0.5)
         assert cert.rank == 3
-        assert cert.error == pytest.approx(-lam, rel=1e-6, abs=1e-15)
+        if lam:
+            assert cert.error == pytest.approx(-lam, rel=1e-6, abs=1e-15)
+        else:
+            # a PSD matrix leaves the solve's residual alone, undropped: 6e-15
+            P = linalg.clipped_spectrum(sos_norm(a, basis)[1].matrix).reconstruct()
+            assert cert.error == pytest.approx(gram_residual(a, basis, P, cert.norm), rel=1e-12)
         assert cert.verify() == []
 
 
@@ -329,6 +339,8 @@ CERTIFICATE_DEFECTS = {
     "square-too-long": (lambda d: d["squares"][0].append([1.0, 0.0]), "squares"),
     "basis-n-vars": (lambda d: d["basis"].update(n_vars=2), "input"),
     "basis-flavor": (lambda d: d["basis"].update(flavor=FREE), "input"),
+    # a term outside the product space the certificate is checked in
+    "input-other-degree": (lambda d: d["input"]["terms"][0].update(term=[4, 0, 0]), "input"),
     # numbers of the wrong kind are refused, not truncated or coerced
     "basis-degree-fraction": (lambda d: d["basis"].update(degree=d["basis"]["degree"] + 0.9),
                               "basis.degree"),
@@ -378,6 +390,50 @@ def test_certificate_soundness_randomized(rng):
                 cert = approximate(a, basis, 0.35 * value)
             assert not cert.verify(sample_points=500), (flavor, d)
             assert cert.rank <= max(cert.allowed_rank, 0)
+
+
+def _seeded_certificate_inputs(monkeypatch, tmp_path):
+    """(input, eps) of the CI's 90 seeded certificates (seeds 0..4, r = 1..3,
+    commutative n=3 d=2 and free n=2 d=2, eps 0.05, 0.3 and 0.9 x sos-norm)
+    whose solve converges, then of the approx ops of the certify benchmark
+    at seeds 1, 2 and 3, as `perfbench/workloads.certify_ops` draws them."""
+    inputs = []
+    for seed in range(5):
+        for flavor, n in ((COMMUTATIVE, 3), (FREE, 2)):
+            for r in (1, 2, 3):
+                a, basis = random_sos(np.random.default_rng(seed), flavor, n, 2, r)
+                value, sol = sos_norm(a, basis)
+                if sol.status is SolveStatus.OPTIMAL:
+                    inputs += [(a, frac * value) for frac in (0.05, 0.3, 0.9)]
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import workloads
+
+    def op(kind, flavor, n, coeffs, eps, *rest):
+        inputs.append((Polynomial(flavor, n, coeffs), eps))
+        return SimpleNamespace()
+
+    monkeypatch.setattr(workloads, "_cli_op", op)
+    for seed in (1, 2, 3):
+        workloads.certify_ops(seed, 100, str(tmp_path))
+    return inputs
+
+
+def test_declared_error_covers_the_undropped_residual(monkeypatch, tmp_path):
+    # the declared error is at least the residual a - gram_map(P) that the
+    # solve leaves, P the PSD part of its matrix, read by the dense oracle
+    # with nothing dropped, plus the dropped tail ||w[k:]||_p, k the square
+    # count; 1e-12 relative is the rounding of the norms' sums
+    inputs = _seeded_certificate_inputs(monkeypatch, tmp_path)
+    assert len(inputs) == 87 + 3 * 200
+    for a, eps in inputs:
+        basis = homogeneous_basis(a)
+        cert = approximate(a, basis, eps)
+        dec = linalg.clipped_spectrum(sos_norm(a, basis)[1].matrix)
+        residual = gram_residual(a, basis, dec.reconstruct(), cert.norm)
+        tails = linalg.schatten_tails(dec.eigenvalues, cert.schatten_p)
+        dropped = tails[cert.rank] if cert.rank < len(tails) else 0.0
+        assert cert.error >= (residual + dropped) * (1.0 - 1e-12), (a, eps)
+        assert cert.verify() == [], (a, eps)
 
 
 def test_pythagoras_commutative_bound(rng):

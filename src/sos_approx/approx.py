@@ -88,17 +88,17 @@ class SosCertificate(_Squares):
         gap = coefficients(self.input, self.basis) - approximation
         anorm = self.input.coeff_two_norm()
         resid = linalg.two_norm(products(self.gram(), self.basis) - approximation)
-        # every test is "not within": a NaN fails it
-        if not resid <= 1e-8 * (1.0 + anorm):
+        # every test is "not within": a NaN fails it; slacks scale with eps or the input
+        if not resid <= 1e-8 * anorm:
             problems.append(f"squares do not reassemble the approximation: {resid:.3e}")
         if self.rank > 0 and not self.rank < self.theoretical_bound:
             problems.append(
                 f"square count {self.rank} not below bound {self.theoretical_bound}")
-        if not self.error <= self.eps * (1.0 + 1e-12) + 1e-15:
+        if not self.error <= self.eps * (1.0 + 1e-12):
             problems.append(f"declared error {self.error} exceeds eps {self.eps}")
         if self.norm == COEFF_2_NORM:
             measured = linalg.two_norm(gap)
-            if not measured <= self.error * (1.0 + 1e-9) + 1e-12:
+            if not measured <= self.error * (1.0 + 1e-9) + 1e-14 * anorm:
                 problems.append(
                     f"coefficient error {measured:.3e} exceeds declared {self.error:.3e}")
         elif self.norm != SUP_SPHERE:
@@ -108,7 +108,7 @@ class SosCertificate(_Squares):
             diff = Polynomial(COMMUTATIVE, self.basis.n_vars,
                               dict(zip(self.basis.product_terms, gap)))
             emp = float(np.abs(diff.evaluate_batch(pts)).max(initial=0.0))
-            if not emp <= self.error * (1.0 + 1e-9) + 1e-9:
+            if not emp <= self.error * (1.0 + 1e-9) + 1e-11 * anorm:
                 problems.append(
                     f"sampled sphere error {emp:.3e} exceeds certified {self.error:.3e}")
         return problems

@@ -187,7 +187,7 @@ def cmd_feasible(args: argparse.Namespace) -> int:
     report: dict = {"feasible": result.feasible, "iterations": result.iterations,
                     "residual": result.residual}
     if result.feasible:
-        report["witness"] = linalg.hermitian_to_dict(result.witness, drop_tol=1e-12)
+        report["witness"] = linalg.hermitian_to_dict(result.witness)
     else:
         report["certificate"] = _certificate_dict(result.certificate)
     _emit(args, report)

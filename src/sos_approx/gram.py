@@ -29,6 +29,7 @@ import numpy as np
 from . import linalg
 from .poly import (
     COMMUTATIVE,
+    HERMITIAN_TOL,
     DimensionMismatchError,
     FlavorMismatchError,
     Polynomial,
@@ -245,8 +246,18 @@ def gram_map(M: np.ndarray, basis: SquareBasis) -> Polynomial:
 
 
 def free_gram(a: Polynomial, basis: SquareBasis) -> np.ndarray:
-    """The one M with gram_map(M, basis) = a on a word basis; the caller tests it is Hermitian."""
+    """The one M with gram_map(M, basis) = a on a word basis (`hermitian_read` tests it)."""
     return coefficients(a, basis).reshape(basis.size, basis.size)
+
+
+def hermitian_read(a: Polynomial, basis: SquareBasis) -> np.ndarray:
+    """The read x of a that its solve takes (`coefficients` on monomials,
+    `free_gram` on words); NotHermitianError unless ||x - x*|| <= HERMITIAN_TOL
+    ||x||, x* its conjugate (transpose), with no floor: 2^k a gets a's verdict."""
+    x = coefficients(a, basis) if basis.flavor == COMMUTATIVE else free_gram(a, basis)
+    if linalg.two_norm(x - x.conj().T) > HERMITIAN_TOL * linalg.two_norm(x):
+        raise NotHermitianError("polynomial is not Hermitian")
+    return x
 
 
 @lru_cache(maxsize=16)
@@ -561,10 +572,8 @@ def build_constraints(a: Polynomial, basis: SquareBasis) -> GramConstraints:
         raise FlavorMismatchError("polynomial and basis live in different algebras")
     if basis.flavor != COMMUTATIVE:
         raise ValueError("build_constraints takes a monomial basis (words: free_gram)")
-    if not a.is_hermitian():
-        raise NotHermitianError("polynomial is not Hermitian")
     if a and (not a.is_homogeneous() or a.degree() != 2 * basis.degree):
         raise ValueError(
             f"polynomial must be homogeneous of degree {2 * basis.degree}")
-    return GramConstraints(basis, coefficients(a, basis).real, _parity_blocks(a, basis),
+    return GramConstraints(basis, hermitian_read(a, basis).real, _parity_blocks(a, basis),
                            _variable_swaps(a, basis))

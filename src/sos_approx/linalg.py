@@ -42,7 +42,9 @@ class NonConvergenceError(RuntimeError):
 
 
 def require_hermitian(M: np.ndarray) -> np.ndarray:
-    """Validate that M is Hermitian within tolerance and return (M + M*)/2."""
+    """Validate that M is Hermitian within tolerance and return (M + M*)/2.  The
+    floor of 1 stays (inputs are `gram.hermitian_read`'s): a difference such as
+    `schatten_norm(M - Mp)`'s is asymmetric relative to M, not to M - Mp."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
@@ -291,12 +293,8 @@ def pencil_top(A: np.ndarray, B: np.ndarray) -> float:
 
 # -- shared JSON coordinate schema for Hermitian matrices ----------------------
 
-def hermitian_to_dict(M: np.ndarray, drop_tol: float = 0.0) -> dict:
+def hermitian_to_dict(M: np.ndarray) -> dict:
     M = np.asarray(M, dtype=complex)
-    entries = []
-    for i in range(M.shape[0]):
-        for j in range(i, M.shape[1]):
-            v = M[i, j]
-            if abs(v) > drop_tol or (i == j and v != 0):
-                entries.append([i, j, v.real, v.imag])
+    entries = [[i, j, v.real, v.imag] for i in range(M.shape[0])
+               for j in range(i, M.shape[1]) if (v := M[i, j]) != 0]
     return {"dim": int(M.shape[0]), "hermitian": True, "entries": entries}

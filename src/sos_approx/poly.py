@@ -22,11 +22,8 @@ import numpy as np
 COMMUTATIVE = "commutative"
 FREE = "free"
 
-# |c| below this is dropped after arithmetic; construction only drops exact zeros
-# so that JSON round-trips are exact for any double-representable coefficient.
-COEFF_DROP_TOL = 1e-14
 SPHERE_TOL = 1e-12
-HERMITIAN_TOL = 1e-12       # ||p - p*|| relative to 1 + ||p|| (coefficient 2-norm)
+HERMITIAN_TOL = 1e-12       # ||p - p*|| relative to ||p|| (coefficient 2-norm)
 ASCENT_STEPS = 400          # gradient steps of `sup_norm_sphere`
 
 Term = tuple
@@ -169,8 +166,7 @@ class Polynomial:
         return len(degs) <= 1
 
     def is_hermitian(self) -> bool:
-        diff = self - self.involution()
-        return diff.coeff_two_norm() <= HERMITIAN_TOL * (1.0 + self.coeff_two_norm())
+        return (self - self.involution()).coeff_two_norm() <= HERMITIAN_TOL * self.coeff_two_norm()
 
     # -- algebra -----------------------------------------------------------
 
@@ -184,11 +180,11 @@ class Polynomial:
 
     @staticmethod
     def _cleaned(coeffs: dict) -> dict:
-        """The coefficients of an arithmetic result without those below
-        COEFF_DROP_TOL, rounding left by cancellation.  A coefficient that is
-        not finite (the arithmetic overflowed) raises ValueError: dropped as
-        NaN or kept as inf, it would change the polynomial silently."""
-        kept = {t: c for t, c in coeffs.items() if COEFF_DROP_TOL <= abs(c) < math.inf}
+        """The coefficients of an arithmetic result without its exact zeros, so
+        that 2^k p keeps the terms of p.  A coefficient that is not finite (the
+        arithmetic overflowed) raises ValueError: dropped as NaN or kept as
+        inf, it would change the polynomial silently."""
+        kept = {t: c for t, c in coeffs.items() if c != 0 and cmath.isfinite(c)}
         if len(kept) < len(coeffs):
             for t, c in coeffs.items():
                 if not cmath.isfinite(c):

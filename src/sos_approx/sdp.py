@@ -46,9 +46,9 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .gram import (BlockSystem, GramConstraints, NotHermitianError, SquareBasis,
-                   build_constraints, free_gram, upper_reads)
-from .poly import FREE, HERMITIAN_TOL, Polynomial, _json_number
+from .gram import (BlockSystem, GramConstraints, SquareBasis, build_constraints,
+                   hermitian_read, upper_reads)
+from .poly import FREE, Polynomial, _json_number
 
 # Residual balancing on scale-free residuals (Wohlberg 2017, arXiv:1704.06209):
 # rho doubles or halves when one relative residual exceeds the other by this
@@ -471,15 +471,12 @@ def _zero(dim: int, k: int) -> SdpSolution:
 
 def _unique_gram(a: Polynomial, basis: SquareBasis, options: SolverOptions,
                  minimize_trace: bool = True) -> SdpSolution:
-    """The solve on a word basis, in 0 steps: `free_gram` reads the one Gram
-    matrix M off a (||M - M*|| = ||a - a*||), taken from its upper triangle.
+    """The solve on a word basis, in 0 steps: `hermitian_read` reads the one
+    Gram matrix M off a and tests it, taken from its upper triangle.
     `optimal` if its PSD part passes the loop's checks (dual A*(y) = I);
     `infeasible` if the y with A*(y) = v v*, v the eigenvector of
     lambda_min(M), clears the certificate margins; else `max-iter`."""
-    M = free_gram(a, basis)
-    tol = HERMITIAN_TOL * (1.0 + linalg.two_norm(M))    # first: refuses non-finite M
-    if linalg.two_norm(M - M.conj().T) > tol:
-        raise NotHermitianError("polynomial is not Hermitian")
+    M = hermitian_read(a, basis)
     M = np.triu(M) + np.triu(M, 1).conj().T + 0.0      # + 0.0: no -0.0 parts
     np.fill_diagonal(M.imag, 0.0)
     b = upper_reads(M)
@@ -601,7 +598,7 @@ def rank_reduce(M: np.ndarray, constraints: GramConstraints, target_r: int) -> n
         # eigenvalue omega: first at the largest |omega| (of a tie, at t > 0)
         omega = scipy.linalg.eigh(delta, np.diag(lam), eigvals_only=True)
         top = omega[np.argmax(np.abs(omega))]
-        if abs(top) <= 1e-14:
+        if abs(top) * lam[0] <= 1e-14:      # omega scales as 1 / lam: scale-free
             raise RankReductionError(
                 f"direction produces no boundary crossing at rank {r}",
                 dec.matrix_from(live), r)

@@ -90,15 +90,17 @@ def test_free_tails_at_extreme_scales():
     for fraction in (0.9, 0.3, 0.05):       # 0, 1 and 2 squares
         unit = approximate(a, basis, fraction * trace)
         for scale in (1e200, 1e-170):
-            # built with the constructor: scalar products below
-            # COEFF_DROP_TOL would be dropped
-            p = Polynomial(FREE, 2, {t: c * scale for t, c in a.items()})
+            p = scale * a       # a scalar product keeps every nonzero term
             cert = approximate(p, basis, fraction * scale * trace)
             assert cert.rank == unit.rank, (fraction, scale)
             assert cert.error / scale == pytest.approx(unit.error, rel=1e-12)
             # nothing is dropped under the scale: the squares show
             assert bool(cert.approximation) == (cert.rank > 0)
             assert not cert.verify()
+            # verify's slacks are relative to the input: emptied, the
+            # certificate claims zero error for a nonzero input and fails
+            emptied = replace(cert, approximation=Polynomial.zero(FREE, 2), squares=[], error=0.0)
+            assert any("coefficient error" in problem for problem in emptied.verify())
 
 
 def test_approximate_free_rejects_non_sos():
@@ -443,6 +445,17 @@ def test_pythagoras_commutative_bound(rng):
         assert w.bound == 4  # ceil(sqrt(15))
         assert 1 <= w.count <= 4
         assert w.residual <= 1e-6
+
+
+def test_pythagoras_reduction_at_large_scale():
+    # the boundary-crossing test of rank reduction is relative to the
+    # eigenvalues it walks on: at 2^50 it reaches the bound as at unit scale
+    for seed in (1, 2, 3):
+        a, basis = random_sos(np.random.default_rng(seed), COMMUTATIVE, 3, 2, 5)
+        for k in (0, 50, 60, 200):
+            w = pythagoras_upper_bound(2.0 ** k * a, basis)
+            assert (w.count, w.bound, w.message) == (4, 4, ""), (seed, k)
+            assert w.residual <= 1e-9 * 2.0 ** k
 
 
 def test_pythagoras_free_is_unique_gram_rank(rng):

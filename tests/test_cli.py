@@ -237,6 +237,30 @@ def test_feasible_command(tmp_path, rng, capsys):
     thin_path = write_poly(tmp_path, thin, "thin.json")
     assert cli.main(["feasible", "--input", thin_path]) == 0
     assert cli.main(["feasible", "--input", thin_path, "--max-iter", "25"]) == 4
+    # no entry of the witness is dropped for its size
+    a, _ = random_sos(np.random.default_rng(1), COMMUTATIVE, 3, 2, 3)
+    for scale in (1.0, 1e-13):
+        path = write_poly(tmp_path, scale * a, "scaled.json")
+        assert cli.main(["feasible", "--input", path, "--output", str(out)]) == 0
+        assert len(json.loads(out.read_text())["witness"]["entries"]) == 21, scale
+
+
+@pytest.mark.parametrize("command", ["sos-norm", "feasible", "approx"])
+def test_inputs_not_hermitian_relative_to_their_size_exit_two(tmp_path, capsys, command):
+    # their parts a - a* are below 1e-12 in absolute terms, but not relative
+    # to the input: anti-Hermitian, an imaginary part 7e-10 of the input's
+    # size, and a free word whose reverse is missing
+    inputs = (Polynomial(COMMUTATIVE, 2, {(2, 0): 1e-15j}),
+              Polynomial(COMMUTATIVE, 2, {(2, 0): 1e-3, (0, 2): 1e-3, (1, 1): 5e-13j}),
+              Polynomial(FREE, 2, {(0, 1): 1e-14}))
+    for i, p in enumerate(inputs):
+        argv = [command, "--input", write_poly(tmp_path, p, f"p{i}.json")]
+        if command == "approx":
+            argv += ["--output", str(tmp_path / "cert.json"), "--eps", "1e-20"]
+        assert cli.main(argv) == 2, p
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: polynomial is not Hermitian\n"
+    assert not (tmp_path / "cert.json").exists()
 
 
 def test_bounds_command(tmp_path, capsys):

@@ -246,7 +246,10 @@ def test_zero_coefficients_dropped_after_arithmetic():
     p = x1 + x2
     q = p - p
     assert not q
-    assert len((x1 + 1e-15 * x2) - x1) == 0  # below the arithmetic drop threshold
+    # only exact zeros are dropped: a small term is kept, at any scale
+    assert ((x1 + 1e-15 * x2) - x1)._coeffs == {(0, 1): 1e-15}
+    assert (1e-20 * p)._coeffs == {(1, 0): 1e-20, (0, 1): 1e-20}
+    assert ((1e-7 * x1) * (1e-7 * x1))._coeffs == {(2, 0): 1e-7 * 1e-7}
 
 
 def test_overflowed_arithmetic_refused():
@@ -260,13 +263,13 @@ def test_overflowed_arithmetic_refused():
                      lambda: Polynomial(COMMUTATIVE, 2, {(2, 0): 1e308}).differentiate(0)):
         with pytest.raises(ValueError, match="too large"):
             overflow()
-    # finite results keep the drop rule and their bits
+    # finite results keep their bits, and every nonzero term
     assert (a + a)._coeffs == {t: c + c for t, c in a.items()}
     product = {}
     for t1, c1 in a._coeffs.items():
         for t2, c2 in a._coeffs.items():
             product[t1 + t2] = product.get(t1 + t2, 0.0) + c1 * c2
-    assert (a * a)._coeffs == {t: c for t, c in product.items() if abs(c) >= 1e-14}
+    assert (a * a)._coeffs == {t: c for t, c in product.items() if c != 0}
 
 
 small_complex = st.complex_numbers(allow_nan=False, allow_infinity=False,

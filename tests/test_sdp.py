@@ -416,11 +416,11 @@ def test_free_solve_builds_no_product_table(rng):
 
 
 def test_free_hermitian_test_is_the_polynomial_test(rng):
-    # a - a* just inside and just outside HERMITIAN_TOL (1 + ||a||), on a
-    # diagonal word's imaginary part and on one word of a conjugate pair:
-    # accepted or refused as Polynomial.is_hermitian decides
+    # a - a* just inside and just outside HERMITIAN_TOL ||a||, on a diagonal
+    # word's imaginary part and on one word of a conjugate pair: accepted or
+    # refused as Polynomial.is_hermitian decides
     a, basis = random_sos(rng, FREE, 2, 2, 2)
-    tol = HERMITIAN_TOL * (1.0 + a.coeff_two_norm())
+    tol = HERMITIAN_TOL * a.coeff_two_norm()
     palindrome, word = (0, 1, 1, 0), (0, 0, 1, 1)
     for factor, accepted in ((0.9, True), (1.1, False)):
         # ||a - a*|| is 2 delta on the palindrome and sqrt(2) delta on the pair

@@ -23,7 +23,6 @@ from .gram import (
 from .linalg import (
     SpectralDecomposition,
     eig_hermitian,
-    low_rank_factor,
     schatten_norm,
     truncate_rank,
 )

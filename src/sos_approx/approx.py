@@ -35,7 +35,6 @@ COEFF_2_NORM = "coeff-2-norm"
 SUP_SPHERE = "sup-sphere"
 SCHATTEN_P = {COEFF_2_NORM: 2.0, SUP_SPHERE: math.inf}     # the norm each is truncated in
 _FLAVOR_NORM = {FREE: COEFF_2_NORM, COMMUTATIVE: SUP_SPHERE}     # the norm each certifies in
-SQUARE_CUTOFF_REL = 1e-14     # kept eigenvalues at most this times the top give no square
 
 
 class NotSosError(ValueError):
@@ -183,27 +182,33 @@ class SosCertificate(_Squares):
                 ("input", in_product_space(cert.input), space),
                 ("approximation", in_product_space(cert.approximation), space),
                 ("squares", all(len(c) == basis.size for c in squares),
-                 f"vectors of the basis size {basis.size}")):
+                 f"vectors of the basis size {basis.size}"),
+                ("squares", all(np.isfinite(c).all() for c in squares), "finite")):
             if not ok:
                 raise ValueError(f"certificate field {name!r} must be {want}")
         return cert
 
 
+def _squares(dec: linalg.SpectralDecomposition, count: int) -> np.ndarray:
+    """The rows sqrt(w_i) conj(v_i) of the first `count` eigenpairs with w_i > 0:
+    S with S* S = sum_i w_i v_i v_i*, the Gram matrix of sum_i q_i* q_i, q_i
+    with coefficients row i.  Only exact zeros give no square."""
+    w, V = dec.eigenvalues[:count], dec.eigenvectors[:, :count]
+    live = w > 0
+    return (np.sqrt(w[live]) * V[:, live].conj()).T
+
+
 def _assemble(a: Polynomial, basis: SquareBasis, canonical: SquareBasis, dec, keep: int,
               error: float, norm: str, eps: float, bound: float, sos_value: float,
               iterations: int) -> SosCertificate:
-    # gram_map(c c*) = q* q for q with coefficients conj(c), so certificates
-    # store the conjugated factors, over the canonical basis: each entry at
+    # the approximation is the sum of the squares, read on the caller's basis;
+    # certificates store the squares over the canonical basis: each entry at
     # the canonical position of the caller's term, zero elsewhere
-    w = dec.eigenvalues
-    V = np.zeros((canonical.size, len(w)), dtype=complex)
-    V[[canonical.index[t] for t in basis.terms]] = dec.eigenvectors.conj()
-    top = w[0] if len(w) else 0.0
-    squares = [np.sqrt(w[i]) * V[:, i] for i in range(min(keep, len(w)))
-               if w[i] > SQUARE_CUTOFF_REL * max(top, 1e-300)]
-    truncated = dec.matrix_from(np.arange(len(w)) < keep)
+    S = _squares(dec, keep)
+    squares = np.zeros((len(S), canonical.size), dtype=complex)
+    squares[:, [canonical.index[t] for t in basis.terms]] = S
     return SosCertificate(
-        input=a, approximation=gram_map(truncated, basis), squares=squares,
+        input=a, approximation=gram_map(S.conj().T @ S, basis), squares=list(squares),
         basis=canonical, error=error, norm=norm, eps=eps, theoretical_bound=bound,
         allowed_rank=strict_cap(bound), sos_norm_value=sos_value,
         schatten_p=SCHATTEN_P[norm], solver_iterations=iterations)
@@ -318,9 +323,11 @@ def pythagoras_upper_bound(a: Polynomial, basis: SquareBasis,
         except RankReductionError as exc:
             M0 = exc.matrix
             message = f"rank reduction stalled at rank {exc.achieved_rank}: {exc}"
-    squares = [c.conj() for c in linalg.low_rank_factor(M0)]
+    dec = linalg.clipped_spectrum(M0)
+    w = dec.eigenvalues
+    squares = list(_squares(dec, np.count_nonzero(w > linalg.RANK_CUTOFF_REL * w[0])))
     witness = PythagorasWitness(len(squares), squares, basis, bound, 0.0, message)
-    witness.residual = (witness.reassembled() - a).coeff_two_norm()
+    witness.residual = linalg.two_norm(coefficients(a, basis) - products(witness.gram(), basis))
     return witness
 
 

@@ -29,7 +29,6 @@ import numpy as np
 from . import linalg
 from .poly import (
     COMMUTATIVE,
-    HERMITIAN_TOL,
     DimensionMismatchError,
     FlavorMismatchError,
     Polynomial,
@@ -159,8 +158,7 @@ _MEMO_CELLS = 1 << 16
 _memo: OrderedDict[tuple[str, int, int], SquareBasis] = OrderedDict()
 
 
-def square_basis(flavor: str, n_vars: int, degree: int,
-                 max_size: int = DEFAULT_BASIS_CAP) -> SquareBasis:
+def square_basis(flavor: str, n_vars: int, degree: int) -> SquareBasis:
     """Complete canonical basis of the homogeneous degree-d component.
 
     Recent bases are kept (`_MEMO_CELLS`), so that one object per (flavor,
@@ -172,9 +170,9 @@ def square_basis(flavor: str, n_vars: int, degree: int,
     if degree < 0:
         raise ValueError("degree must be >= 0")
     size = basis_size(flavor, n_vars, degree)
-    if size > max_size:
+    if size > DEFAULT_BASIS_CAP:
         raise BasisSizeError(
-            f"basis would have {size} entries, exceeding the cap of {max_size}")
+            f"basis would have {size} entries, exceeding the cap of {DEFAULT_BASIS_CAP}")
     key = (flavor, n_vars, degree)
     basis = _memo.pop(key, None)
     if basis is None:
@@ -248,6 +246,9 @@ def gram_map(M: np.ndarray, basis: SquareBasis) -> Polynomial:
 def free_gram(a: Polynomial, basis: SquareBasis) -> np.ndarray:
     """The one M with gram_map(M, basis) = a on a word basis (`hermitian_read` tests it)."""
     return coefficients(a, basis).reshape(basis.size, basis.size)
+
+
+HERMITIAN_TOL = 1e-12       # ||x - x*|| relative to ||x||, x a polynomial's read
 
 
 def hermitian_read(a: Polynomial, basis: SquareBasis) -> np.ndarray:

@@ -23,8 +23,8 @@ import scipy
 # negative eigenvalues above this (relative) magnitude mean genuine indefiniteness;
 # below it they are solver noise and get clipped to zero
 PSD_NOISE_REL = 1e-6
-RANK_CUTOFF_REL = 1e-10
-HERMITIAN_TOL = 1e-10       # ||M - M*||_max relative to max(1, ||M||_max)
+RANK_CUTOFF_REL = 1e-9      # the one rank cut (numerical_rank, rank_reduce, witness squares)
+HERMITIAN_ENTRY_TOL = 1e-10     # ||M - M*||_max relative to max(1, ||M||_max)
 # below this 2-norm, or where it overflows, `two_norm` scales by the largest entry first
 _UNDERFLOW = 1e-150
 
@@ -49,7 +49,7 @@ def require_hermitian(M: np.ndarray) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     scale = max(1.0, float(np.abs(M).max(initial=0.0)))
-    if float(np.abs(M - M.conj().T).max(initial=0.0)) > HERMITIAN_TOL * scale:
+    if float(np.abs(M - M.conj().T).max(initial=0.0)) > HERMITIAN_ENTRY_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return (M + M.conj().T) / 2.0
 
@@ -222,17 +222,7 @@ def truncate_rank(M: np.ndarray, eps: float, p: float) -> np.ndarray:
     return dec.matrix_from(np.arange(len(w)) < k)
 
 
-def low_rank_factor(M: np.ndarray) -> list[np.ndarray]:
-    """Vectors c_i = sqrt(lambda_i) v_i with sum c_i c_i* = M (numerical rank many)."""
-    dec = clipped_spectrum(M)
-    w, V = dec.eigenvalues, dec.eigenvectors
-    if len(w) == 0 or w[0] <= 0.0:
-        return []
-    cut = RANK_CUTOFF_REL * w[0]
-    return [np.sqrt(w[i]) * V[:, i] for i in range(len(w)) if w[i] > cut]
-
-
-def numerical_rank(M: np.ndarray, cutoff_rel: float = 1e-9) -> int:
+def numerical_rank(M: np.ndarray, cutoff_rel: float = RANK_CUTOFF_REL) -> int:
     """Eigenvalue count above cutoff_rel * lambda_max."""
     w = eig_hermitian(M).eigenvalues
     if len(w) == 0 or w[0] <= 0:

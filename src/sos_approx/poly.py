@@ -23,7 +23,6 @@ COMMUTATIVE = "commutative"
 FREE = "free"
 
 SPHERE_TOL = 1e-12
-HERMITIAN_TOL = 1e-12       # ||p - p*|| relative to ||p|| (coefficient 2-norm)
 ASCENT_STEPS = 400          # gradient steps of `sup_norm_sphere`
 
 Term = tuple
@@ -164,9 +163,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degs = {term_degree(self.flavor, t) for t in self._coeffs}
         return len(degs) <= 1
-
-    def is_hermitian(self) -> bool:
-        return (self - self.involution()).coeff_two_norm() <= HERMITIAN_TOL * self.coeff_two_norm()
 
     # -- algebra -----------------------------------------------------------
 

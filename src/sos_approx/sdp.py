@@ -571,8 +571,7 @@ def rank_reduce(M: np.ndarray, constraints: GramConstraints, target_r: int) -> n
         w, V = dec.eigenvalues, dec.eigenvectors
         if len(w) == 0 or w[0] <= 0:
             return np.zeros_like(M)
-        cut = 1e-9 * w[0]
-        live = w > cut
+        live = w > linalg.RANK_CUTOFF_REL * w[0]
         r = int(live.sum())
         if r <= target_r:
             out = M if bool(live.all()) else dec.matrix_from(live)

@@ -2,11 +2,11 @@
 
 These recompute expected values through routes the library does not take:
 exhaustive grid scans of tiny Gram spectrahedra, direct coefficient sums, the
-free Gram matrix read by splitting words, the product table multiplied out
-cell by cell, the dense constraint matrices built by multiplying
-polynomials, the residual of a Gram matrix summed cell by cell, a cyclic
-Jacobi eigensolver checked against LAPACK and the cross-polytope lattice
-over every sign vector.
+Hermitian verdict by polynomial subtraction, the free Gram matrix read by
+splitting words, the product table multiplied out cell by cell, the dense
+constraint matrices built by multiplying polynomials, the residual of a Gram
+matrix summed cell by cell, a cyclic Jacobi eigensolver checked against
+LAPACK and the cross-polytope lattice over every sign vector.
 """
 
 import math
@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from sos_approx.gram import NotHermitianError, square_basis
+from sos_approx.gram import HERMITIAN_TOL, NotHermitianError, square_basis
 from sos_approx.linalg import NonConvergenceError
 from sos_approx.poly import (FREE, FlavorMismatchError, Polynomial, compositions, involute_term,
                              multiply_terms)
@@ -48,6 +48,12 @@ def min_rank_two_vars_degree_one(a, grid=2001, span=3.0, psd_tol=1e-12,
     return best
 
 
+def is_hermitian(p) -> bool:
+    """||p - p*|| <= HERMITIAN_TOL ||p||, by polynomial arithmetic over the
+    terms: the reference verdict that `gram.hermitian_read` must share."""
+    return (p - p.involution()).coeff_two_norm() <= HERMITIAN_TOL * p.coeff_two_norm()
+
+
 def gram_preimage_free(p, d: int) -> np.ndarray:
     """The unique Gram matrix of a free homogeneous degree-2d polynomial.
 
@@ -57,7 +63,7 @@ def gram_preimage_free(p, d: int) -> np.ndarray:
     """
     if p.flavor != FREE:
         raise FlavorMismatchError("gram_preimage_free takes a free polynomial")
-    if not p.is_hermitian():
+    if not is_hermitian(p):
         raise NotHermitianError("polynomial is not Hermitian")
     basis = square_basis(FREE, p.n_vars, d)
     D = basis.size

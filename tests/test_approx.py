@@ -26,8 +26,10 @@ from sos_approx.approx import (
 from sos_approx.gram import (
     BasisSizeError,
     SquareBasis,
+    coefficients,
     gram_map,
     homogeneous_basis,
+    products,
     square_basis,
 )
 from sos_approx.poly import COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares, variables
@@ -372,6 +374,49 @@ def test_certificate_reread_refuses_malformed_fields(defect):
         SosCertificate.from_dict(data)
 
 
+@pytest.mark.parametrize("flavor, n", [(COMMUTATIVE, 3), (FREE, 2)])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_certificate_reread_refuses_non_finite_squares(flavor, n, value):
+    # json reads NaN and Infinity: the re-read names the field, where
+    # verify() would otherwise fail inside the Gram map
+    a, basis = random_sos(np.random.default_rng(3), flavor, n, 1, 2)
+    data = approximate(a, basis, 0.3 * sos_norm(a, basis)[0]).to_dict()
+    data["squares"][0][0][1] = value
+    text = json.dumps(data)
+    assert json.dumps(value) in text
+    with pytest.raises(ValueError, match="certificate field 'squares' must be finite"):
+        SosCertificate.from_dict(json.loads(text))
+
+
+def test_certificate_approximation_is_the_sum_of_its_squares():
+    # the declared approximation is the Gram map of the squares' S* S, bit for bit
+    for seed in range(10):
+        for flavor, n in ((COMMUTATIVE, 3), (FREE, 2)):
+            a, basis = random_sos(np.random.default_rng(seed), flavor, n, 2, 3)
+            cert = approximate(a, basis, 0.3 * sos_norm(a, basis)[0])
+            assert cert.rank > 0 and cert.approximation == cert.reassembled(), (seed, flavor)
+
+
+def test_certified_numbers_pass_no_polynomial_arithmetic(monkeypatch):
+    # approximate, pythagoras_upper_bound and verify read what they certify
+    # in the Gram space: with Polynomial +, - and unary - refused they still
+    # run, on inputs built before the refusal
+    cases = [random_sos(np.random.default_rng(seed), flavor, n, 2, 3)
+             for seed, (flavor, n) in enumerate(((COMMUTATIVE, 3), (COMMUTATIVE, 2), (FREE, 2)))]
+    values = [sos_norm(a, basis)[0] for a, basis in cases]
+
+    def refused(*args):
+        raise AssertionError("polynomial arithmetic under a certified number")
+
+    for name in ("__add__", "__sub__", "__neg__"):
+        monkeypatch.setattr(Polynomial, name, refused)
+    for (a, basis), value in zip(cases, values):
+        cert = approximate(a, basis, 0.3 * value)
+        assert cert.verify(sample_points=200) == [], basis
+        w = pythagoras_upper_bound(a, basis)
+        assert w.count <= w.bound and w.residual <= 1e-8 * a.coeff_two_norm(), basis
+
+
 def test_certificate_verify_fails_on_nan_and_unknown_fields():
     cert = SosCertificate.from_dict(_sphere_certificate_dict())
     for changes in ({"error": math.nan}, {"eps": math.nan, "error": math.nan},
@@ -498,7 +543,7 @@ def test_pythagoras_rank_reduction_fallback(monkeypatch):
     assert w.message == ("rank reduction stalled at rank 6: "
                          "no constraint-orthogonal direction at rank 6")
     assert w.residual <= 1e-8
-    assert (w.reassembled() - a).coeff_two_norm() == w.residual
+    assert linalg.two_norm(coefficients(a, basis) - products(w.gram(), basis)) == w.residual
 
 
 def test_pythagoras_count_never_beats_brute_force(rng):

@@ -40,24 +40,29 @@ def test_square_basis_degree_one_ordering():
     assert basis.terms == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def test_square_basis_cap():
+def test_square_basis_cap(monkeypatch):
     with pytest.raises(BasisSizeError):
         square_basis(FREE, 10, 6)  # 10^6 entries
-    square_basis(FREE, 10, 6, max_size=10 ** 6)
+    monkeypatch.setattr(gram, "DEFAULT_BASIS_CAP", 10 ** 6)
+    square_basis(FREE, 10, 6)
 
 
-def test_square_basis_one_object_per_arguments():
+def test_square_basis_one_object_per_arguments(monkeypatch):
     # memoized, so a basis's product table, and with it the equations, is
     # built once; an over-cap call is not cached and raises every time
     basis = square_basis(COMMUTATIVE, 3, 2)
     assert square_basis(COMMUTATIVE, 3, 2) is basis
-    assert square_basis(COMMUTATIVE, n_vars=3, degree=2, max_size=6) is basis
+    assert square_basis(COMMUTATIVE, n_vars=3, degree=2) is basis
     assert square_basis(FREE, 2, 2) is square_basis(FREE, 2, 2) is not square_basis(FREE, 2, 3)
     for _ in range(3):
         with pytest.raises(BasisSizeError):
             square_basis(FREE, 10, 6)
+    monkeypatch.setattr(gram, "DEFAULT_BASIS_CAP", 6)      # the basis's size
+    assert square_basis(COMMUTATIVE, 3, 2) is basis
+    monkeypatch.setattr(gram, "DEFAULT_BASIS_CAP", 5)
+    for _ in range(3):
         with pytest.raises(BasisSizeError):
-            square_basis(COMMUTATIVE, 3, 2, max_size=5)
+            square_basis(COMMUTATIVE, 3, 2)
 
 
 def test_square_basis_memo_bounded_by_cells():

@@ -6,14 +6,12 @@ import scipy.linalg
 
 from conftest import random_hermitian, random_psd
 from oracles import hermitian_from_dict, jacobi_eigh
-from sos_approx.gram import gram_map, square_basis
 from sos_approx.linalg import (
     NonConvergenceError,
     NotPsdError,
     clipped_spectrum,
     eig_hermitian,
     hermitian_to_dict,
-    low_rank_factor,
     numerical_rank,
     psd_part,
     require_hermitian,
@@ -21,7 +19,6 @@ from sos_approx.linalg import (
     schatten_tails,
     truncate_rank,
 )
-from sos_approx.poly import COMMUTATIVE
 
 
 def test_eig_diagonal_descending():
@@ -217,28 +214,6 @@ def test_weyl_trace_bound(rng):
         tr = w.sum()
         for k in range(len(w)):
             assert w[k] <= tr / (k + 1) + 1e-12
-
-
-def test_low_rank_factor_examples(rng):
-    vecs = low_rank_factor(np.eye(3))
-    assert len(vecs) == 3
-    assert np.allclose(sum(np.outer(c, c.conj()) for c in vecs), np.eye(3))
-    vecs = low_rank_factor(np.diag([4.0, 0.0]))
-    assert len(vecs) == 1
-    assert np.allclose(vecs[0], [2.0, 0.0])
-    A = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
-    M = A @ A.conj().T
-    vecs = low_rank_factor(M)
-    assert len(vecs) == 2
-    scale = max(1.0, np.linalg.norm(M, 2))
-    assert np.linalg.norm(sum(np.outer(c, c.conj()) for c in vecs) - M, 2) <= 1e-8 * scale
-
-
-def test_low_rank_factor_reassembles_gram_map(rng):
-    basis = square_basis(COMMUTATIVE, 3, 2)
-    M = random_psd(rng, basis.size, rank=3)
-    total = sum(np.outer(c, c.conj()) for c in low_rank_factor(M))
-    assert (gram_map(total, basis) - gram_map(M, basis)).coeff_two_norm() <= 1e-8
 
 
 def with_positives(rng, s, positives):

@@ -16,10 +16,12 @@ import math
 import numpy as np
 
 from conftest import CHOI_LAM_S, MOTZKIN, ROBINSON, free_trace_oracle, random_sos
+from oracles import is_hermitian
 from sos_approx import cli
 from sos_approx.approx import approximate
-from sos_approx.gram import NotHermitianError, build_constraints, hermitian_read, homogeneous_basis
-from sos_approx.poly import (COMMUTATIVE, FREE, HERMITIAN_TOL, Polynomial, sum_of_monomial_squares,
+from sos_approx.gram import (HERMITIAN_TOL, NotHermitianError, build_constraints, hermitian_read,
+                             homogeneous_basis)
+from sos_approx.poly import (COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares,
                              to_json)
 
 _draw = np.random.default_rng(37).choice(np.arange(1, 150), size=18, replace=False)
@@ -39,13 +41,13 @@ def _free_inputs():
 
 
 def _hermitian(p) -> bool:
-    """The boundary's verdict, which `Polynomial.is_hermitian` must share."""
+    """The boundary's verdict, which the reference `oracles.is_hermitian` must share."""
     try:
         hermitian_read(p, homogeneous_basis(p))
         verdict = True
     except NotHermitianError:
         verdict = False
-    assert p.is_hermitian() is verdict
+    assert is_hermitian(p) is verdict
     return verdict
 
 

@@ -16,12 +16,12 @@ from conftest import (
     random_sos,
     random_square,
 )
-from oracles import constraint_matrices
+from oracles import constraint_matrices, is_hermitian
 from sos_approx import linalg, sdp
 from sos_approx.approx import approximate, pythagoras_upper_bound
-from sos_approx.gram import (GramConstraints, NotHermitianError, SquareBasis, build_constraints,
-                             gram_map, square_basis)
-from sos_approx.poly import (COMMUTATIVE, FREE, HERMITIAN_TOL, Polynomial, sum_of_monomial_squares,
+from sos_approx.gram import (HERMITIAN_TOL, GramConstraints, NotHermitianError, SquareBasis,
+                             build_constraints, gram_map, square_basis)
+from sos_approx.poly import (COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares,
                              variables)
 from sos_approx.sdp import (
     CHECK_EVERY,
@@ -418,7 +418,7 @@ def test_free_solve_builds_no_product_table(rng):
 def test_free_hermitian_test_is_the_polynomial_test(rng):
     # a - a* just inside and just outside HERMITIAN_TOL ||a||, on a diagonal
     # word's imaginary part and on one word of a conjugate pair: accepted or
-    # refused as Polynomial.is_hermitian decides
+    # refused as the reference oracles.is_hermitian decides
     a, basis = random_sos(rng, FREE, 2, 2, 2)
     tol = HERMITIAN_TOL * a.coeff_two_norm()
     palindrome, word = (0, 1, 1, 0), (0, 0, 1, 1)
@@ -427,7 +427,7 @@ def test_free_hermitian_test_is_the_polynomial_test(rng):
         for bump in (Polynomial(FREE, 2, {palindrome: 0.5j * factor * tol}),
                      Polynomial(FREE, 2, {word: factor * tol / math.sqrt(2.0)})):
             b = a + bump
-            assert b.is_hermitian() is accepted
+            assert is_hermitian(b) is accepted
             if accepted:
                 value, sol = sos_norm(b, basis)
                 assert sol.status is SolveStatus.OPTIMAL

@@ -5,8 +5,11 @@ eps, strict_cap(square_count_bound(tr, eps, p)))` leading eigenpairs are kept.
 
 Eigendecompositions go through LAPACK, via numpy or, for the solver, directly
 through scipy: here, in `psd_part` (`dpotrf`, `dsyevr`, `dsyevd`),
-`eig_hermitian(vectors=False)` (`dsyevd`, `zheevd`) and `pencil_top`
-(`dsygvd`), only.  The tests check eigh against a cyclic Jacobi solver.
+`eig_hermitian(vectors=False)` (`dsyevd`, `zheevd`), `pencil_top`
+(`dsygvd`), `pencil_eigenvalues` and `null_space`, only.  Each reaches
+scipy.linalg through `_scipy_linalg`, which imports it at the first call, so
+a process that never solves a commutative SDP never loads it.  The tests
+check eigh against a cyclic Jacobi solver.
 """
 
 from __future__ import annotations
@@ -15,10 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.linalg is loaded by sdp and reached as scipy.linalg.lapack at call
-# time: importing it here, ahead of the rest of the package, made importing
-# the package about 35 ms (7%) slower on a 2-vCPU VM
-import scipy
 
 # negative eigenvalues above this (relative) magnitude mean genuine indefiniteness;
 # below it they are solver noise and get clipped to zero
@@ -27,6 +26,19 @@ RANK_CUTOFF_REL = 1e-9      # the one rank cut (numerical_rank, rank_reduce, wit
 HERMITIAN_ENTRY_TOL = 1e-10     # ||M - M*||_max relative to max(1, ||M||_max)
 # below this 2-norm, or where it overflows, `two_norm` scales by the largest entry first
 _UNDERFLOW = 1e-150
+_SCIPY_LINALG = None        # scipy.linalg once `_scipy_linalg` has imported it
+
+
+def _scipy_linalg():
+    """scipy.linalg, imported at the first call and kept: importing it took
+    0.26 s of the 0.44 s a fresh process spent importing the package and its
+    CLI (2-vCPU x86-64 VM).  Callers read its functions as attributes at
+    call time, so a monkeypatch of them is seen."""
+    global _SCIPY_LINALG
+    if _SCIPY_LINALG is None:
+        import scipy.linalg
+        _SCIPY_LINALG = scipy.linalg
+    return _SCIPY_LINALG
 
 
 class NotPsdError(ValueError):
@@ -82,7 +94,8 @@ def eig_hermitian(M: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
     not validated, real M stays real, and LAPACK reads its lower triangle.
     """
     if not vectors:
-        evd = scipy.linalg.lapack.zheevd if M.dtype.kind == "c" else scipy.linalg.lapack.dsyevd
+        lapack = _scipy_linalg().lapack
+        evd = lapack.zheevd if M.dtype.kind == "c" else lapack.dsyevd
         w, _, info = evd(M, compute_v=0, lower=1)
         if info != 0:
             raise NonConvergenceError(f"LAPACK eigensolver failed with info={info}")
@@ -253,7 +266,7 @@ def psd_part(M: np.ndarray, hint: int, out: np.ndarray) -> int:
     Cholesky factorization takes 4-17% of the time of `dsyevd` at sizes
     6..45.
     """
-    lapack = scipy.linalg.lapack
+    lapack = _scipy_linalg().lapack
     s = len(M)
     if hint in (0, s):
         if lapack.dpotrf(-M if hint == 0 else M, lower=1)[1] == 0:
@@ -275,10 +288,21 @@ def psd_part(M: np.ndarray, hint: int, out: np.ndarray) -> int:
 def pencil_top(A: np.ndarray, B: np.ndarray) -> float:
     """The top eigenvalue of the symmetric pencil (A, B), B positive definite;
     LinAlgError when LAPACK cannot factor B."""
-    w, _, info = scipy.linalg.lapack.dsygvd(A, B, jobz="N", uplo="L")
+    w, _, info = _scipy_linalg().lapack.dsygvd(A, B, jobz="N", uplo="L")
     if info:
         raise np.linalg.LinAlgError(f"dsygvd failed with info {info}")
     return w[-1]
+
+
+def pencil_eigenvalues(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The eigenvalues, ascending, of the Hermitian pencil (A, B), B positive
+    definite (`scipy.linalg.eigh`)."""
+    return _scipy_linalg().eigh(A, B, eigvals_only=True)
+
+
+def null_space(K: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the null space of K (`scipy.linalg.null_space`)."""
+    return _scipy_linalg().null_space(K)
 
 
 # -- shared JSON coordinate schema for Hermitian matrices ----------------------

@@ -14,6 +14,7 @@ import cmath
 import json
 import math
 import numbers
+import re
 from itertools import product as _iproduct
 from typing import Iterable, Mapping, Sequence
 
@@ -64,10 +65,11 @@ def multiply_terms(flavor: str, s: Term, t: Term) -> Term:
 
 def _validate_term(flavor: str, n_vars: int, term) -> Term:
     term = tuple(term)
-    if any(isinstance(e, bool) or not isinstance(e, numbers.Integral) for e in term):
-        what = "exponents" if flavor == COMMUTATIVE else "symbols"
-        raise ValueError(f"term {term!r}: {what} must be integers")
-    term = tuple(int(e) for e in term)
+    if not all(type(e) is int for e in term):     # what `json` reads: no ABC check
+        if any(isinstance(e, bool) or not isinstance(e, numbers.Integral) for e in term):
+            what = "exponents" if flavor == COMMUTATIVE else "symbols"
+            raise ValueError(f"term {term!r}: {what} must be integers")
+        term = tuple(int(e) for e in term)
     if flavor == COMMUTATIVE:
         if len(term) != n_vars:
             raise DimensionMismatchError(
@@ -364,6 +366,10 @@ def to_dict(p: Polynomial) -> dict:
 def _json_number(value, what: str, integer: bool = False):
     """A number field of the JSON form, refusing booleans and, where an
     integer is due, fractions (rather than truncating them)."""
+    if type(value) is int:          # what `json` reads: decided without the ABCs
+        return value if integer else float(value)
+    if type(value) is float and not integer:
+        return value
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{what} must be {'an integer' if integer else 'a number'}, "
@@ -405,14 +411,17 @@ def from_dict(data: Mapping) -> Polynomial:
 
 
 def _parse_word(text: str, n_vars: int, pos: int) -> Term:
+    """The word of `text`: each token is z<k>, k in 1..n_vars written as a
+    plain ASCII decimal ("z1", never "z01", "z+1" or "z0_1")."""
     symbols = []
     for tok in text.split():
-        if not tok.startswith("z"):
+        m = re.fullmatch(r"z(0|[1-9][0-9]*)", tok)
+        if m is None:
             raise ValueError(f"terms[{pos}]: bad symbol {tok!r}, expected z<k>")
-        try:
-            k = int(tok[1:])
-        except ValueError:
-            raise ValueError(f"terms[{pos}]: bad symbol {tok!r}, expected z<k>") from None
+        digits = m.group(1)
+        # a decimal longer than n_vars's is above it (and may be longer
+        # than int() reads)
+        k = int(digits) if len(digits) <= len(str(n_vars)) else 0
         if not 1 <= k <= n_vars:
             raise ValueError(f"terms[{pos}]: symbol {tok!r} outside z1..z{n_vars}")
         symbols.append(k - 1)

@@ -29,7 +29,8 @@ against the dual residual relative to the dual norm.  Safeguarded Anderson
 acceleration (`_Anderson`) extrapolates the state (Z, U) of the map of
 `ANDERSON_STRIDE` steps.  Each convergence check, every `CHECK_EVERY`
 steps, is kept in `SdpSolution.trace`.  The LAPACK calls of the cone
-projection, the checks and the certificate repair go through `linalg`.
+projection, the checks, the certificate repair and the rank reduction go
+through `linalg`.
 `SolverOptions` holds the stopping rule only and rejects values the loop
 cannot run with (non-finite or non-positive tolerances, an iteration cap
 below 1) with a ValueError that names the option.
@@ -43,7 +44,6 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .gram import (BlockSystem, GramConstraints, SquareBasis, build_constraints,
@@ -587,7 +587,7 @@ def rank_reduce(M: np.ndarray, constraints: GramConstraints, target_r: int) -> n
         iu = np.triu_indices(r, k=1)
         upper = math.sqrt(2.0) * B[:, iu[0], iu[1]]
         K = np.concatenate([np.diagonal(B, axis1=1, axis2=2).real, upper.real, upper.imag], axis=1)
-        null = scipy.linalg.null_space(K)
+        null = linalg.null_space(K)
         if null.shape[1] == 0:
             raise RankReductionError(
                 f"no constraint-orthogonal direction at rank {r}", dec.matrix_from(live), r)
@@ -595,7 +595,7 @@ def rank_reduce(M: np.ndarray, constraints: GramConstraints, target_r: int) -> n
         delta /= np.linalg.norm(delta)
         # diag(lam) + t*delta meets the boundary at t = -1/omega for each pencil
         # eigenvalue omega: first at the largest |omega| (of a tie, at t > 0)
-        omega = scipy.linalg.eigh(delta, np.diag(lam), eigvals_only=True)
+        omega = linalg.pencil_eigenvalues(delta, np.diag(lam))
         top = omega[np.argmax(np.abs(omega))]
         if abs(top) * lam[0] <= 1e-14:      # omega scales as 1 / lam: scale-free
             raise RankReductionError(

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -546,3 +548,51 @@ def test_cli_boundary_property(poly, command, eps, tolerances, max_iter, resolut
     assert "Traceback" not in err.getvalue()
     # every refusal says why
     assert code == 0 or err.getvalue().strip(), (argv, code)
+
+
+# run in a fresh interpreter: the free commands, bounds, a usage error and
+# --help must not load scipy.linalg; a commutative solve loads it and prints
+_FRESH_PROCESS = """
+import contextlib, io, json, sys
+import sos_approx, sos_approx.cli
+from sos_approx import cli
+loaded = [("import", "scipy.linalg" in sys.modules)]
+free, commutative, out = json.loads(sys.argv[1])
+for argv in (["approx", "--input", free, "--eps", "0.5", "--output", out],
+             ["sos-norm", "--input", free], ["feasible", "--input", free],
+             ["bounds", "--flavor", "free", "--n", "2", "--d", "2", "--eps", "0.5",
+              "--sos-norm-value", "3.0"],
+             ["bounds", "--flavor", "commutative", "--n", "3", "--d", "2", "--eps", "1.0",
+              "--sos-norm-value", "3.0"],
+             ["approx", "--input", free, "--eps", "0", "--output", out], ["--help"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    loaded.append((argv[0], code, "scipy.linalg" in sys.modules))
+report = io.StringIO()
+with contextlib.redirect_stdout(report):
+    code = cli.main(["sos-norm", "--input", commutative])
+loaded.append(("sos-norm", code, "scipy.linalg" in sys.modules))
+print(json.dumps({"loaded": loaded, "report": report.getvalue()}))
+"""
+
+
+def test_fresh_process_loads_lapack_at_its_first_solve(tmp_path, rng, capsys):
+    free = write_poly(tmp_path, random_sos(rng, FREE, 2, 2, 2)[0], "free.json")
+    commutative = write_poly(tmp_path, random_sos(rng, COMMUTATIVE, 3, 2, 2)[0], "c.json")
+    env = {k: v for k, v in os.environ.items() if k != "SOS_APPROX_CONFIG"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS,
+         json.dumps([free, commutative, str(tmp_path / "cert.json")])],
+        capture_output=True, text=True, timeout=300, env=env, check=True)
+    result = json.loads(done.stdout)
+    assert result["loaded"] == [
+        ["import", False], ["approx", 0, False], ["sos-norm", 0, False],
+        ["feasible", 0, False], ["bounds", 0, False], ["bounds", 0, False],
+        ["approx", 2, False], ["--help", 0, False], ["sos-norm", 0, True]]
+    # the solve after the first-use import prints what an in-process run prints
+    assert cli.main(["sos-norm", "--input", commutative]) == 0
+    assert result["report"] == capsys.readouterr().out

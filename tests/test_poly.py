@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,63 @@ def test_json_malformed_rejected():
 def test_json_refuses_what_it_would_truncate_or_coerce(fields, message):
     with pytest.raises(ValueError, match=message):
         from_json('{"flavor": "commutative", %s}' % fields)
+
+
+@pytest.mark.parametrize("token", ["z+1", "z0_1", "z01", "z\u0661", "z", "z1.0", "x1"])
+def test_json_word_symbols_are_z_and_a_plain_decimal(token):
+    # int() reads all of these but "z", "z1.0" and "x1" as 1
+    with pytest.raises(ValueError, match=re.escape(f"terms[1]: bad symbol '{token}', expected z<k>")):
+        from_json('{"flavor": "free", "n_vars": 2, "terms": [{"term": "z1", "re": 1}, '
+                  '{"term": "z2 %s", "re": 1}]}' % token)
+
+
+def test_json_word_symbols_outside_the_variables():
+    # a decimal longer than int() reads is outside too
+    for token, n_vars in (("z0", 2), ("z3", 2), ("z1" + "0" * 5000, 12)):
+        with pytest.raises(ValueError, match=r"symbol 'z[0-9]+' outside z1..z%d" % n_vars):
+            from_json('{"flavor": "free", "n_vars": %d, "terms": [{"term": "%s", "re": 1}]}'
+                      % (n_vars, token))
+
+
+def test_json_rereads_every_token_it_writes():
+    for n_vars in (1, 9, 10, 12, 101):
+        p = Polynomial(FREE, n_vars, {tuple(range(n_vars)): 1.0, tuple(range(n_vars))[::-1]: 2.0})
+        assert from_json(to_json(p)) == p
+
+
+@pytest.mark.parametrize("terms, n_vars, error, message", [
+    pytest.param('[{"term": [2], "re": 1}]', 2, DimensionMismatchError,
+                 r"monomial \(2,\) has 1 exponents, expected 2", id="length"),
+    pytest.param('[{"term": [2, -1], "re": 1}]', 2, ValueError,
+                 r"negative exponent in monomial \(2, -1\)", id="negative"),
+    pytest.param('[{"term": [2], "re": NaN}]', 2, ValueError,
+                 r"coefficient \(nan\+0j\) of term \(2,\) is not finite", id="non-finite-first"),
+    pytest.param('[{"term": [2], "re": 1}]', 0, ValueError, "n_vars must be >= 1", id="n-vars"),
+    # a later term's parse error is raised before an earlier term's check
+    pytest.param('[{"term": [2], "re": 1}, {"term": [0.5, 0], "re": 1}]', 2, ValueError,
+                 r"terms\[1\]: exponent must be an integer", id="parse-first"),
+])
+def test_json_reader_raises_the_constructors_errors(terms, n_vars, error, message):
+    text = '{"flavor": "commutative", "n_vars": %d, "terms": %s}' % (n_vars, terms)
+    with pytest.raises(error, match=message):
+        from_json(text)
+    # the constructor, given the parsed terms, raises the same
+    data = json.loads(text)
+    if all(type(e) is int for t in data["terms"] for e in t["term"]):
+        with pytest.raises(error, match=message):
+            Polynomial(COMMUTATIVE, n_vars, {tuple(t["term"]): t["re"] for t in data["terms"]})
+
+
+def test_json_reader_keeps_what_the_constructor_keeps():
+    # zero coefficients are dropped before their terms are checked, as the
+    # constructor drops them; the terms and numbers kept are plain ints and complex
+    text = ('{"flavor": "commutative", "n_vars": 2, "terms": [{"term": [2, 0], "re": 3}, '
+            '{"term": [1], "re": 0, "im": -0.0}, {"term": [0, 2], "re": 0.5, "im": 2}]}')
+    p = from_json(text)
+    assert p == Polynomial(COMMUTATIVE, 2, {(2, 0): 3, (1,): 0, (0, 2): 0.5 + 2j})
+    assert p.items() == [((2, 0), 3 + 0j), ((0, 2), 0.5 + 2j)]
+    assert all(type(e) is int for term, _ in p.items() for e in term)
+    assert all(type(c) is complex for _, c in p.items())
 
 
 def test_constructor_refuses_non_integral_exponents_and_symbols():

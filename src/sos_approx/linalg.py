@@ -5,11 +5,11 @@ eps, strict_cap(square_count_bound(tr, eps, p)))` leading eigenpairs are kept.
 
 Eigendecompositions go through LAPACK, via numpy or, for the solver, directly
 through scipy: here, in `psd_part` (`dpotrf`, `dsyevr`, `dsyevd`),
-`eig_hermitian(vectors=False)` (`dsyevd`, `zheevd`), `pencil_top`
-(`dsygvd`), `pencil_eigenvalues` and `null_space`, only.  Each reaches
-scipy.linalg through `_scipy_linalg`, which imports it at the first call, so
-a process that never solves a commutative SDP never loads it.  The tests
-check eigh against a cyclic Jacobi solver.
+`eig_hermitian(vectors=False)` (`dsyevd`, `zheevd`) and `pencil_top`
+(`dsygvd`), only.  Each reaches scipy.linalg through `_scipy_linalg`, which
+imports it at the first call, so a process that never solves a commutative
+SDP never loads it.  Nothing forms an SVD, rank reduction included.  The
+tests check eigh against a cyclic Jacobi solver.
 """
 
 from __future__ import annotations
@@ -292,17 +292,6 @@ def pencil_top(A: np.ndarray, B: np.ndarray) -> float:
     if info:
         raise np.linalg.LinAlgError(f"dsygvd failed with info {info}")
     return w[-1]
-
-
-def pencil_eigenvalues(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The eigenvalues, ascending, of the Hermitian pencil (A, B), B positive
-    definite (`scipy.linalg.eigh`)."""
-    return _scipy_linalg().eigh(A, B, eigvals_only=True)
-
-
-def null_space(K: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the null space of K (`scipy.linalg.null_space`)."""
-    return _scipy_linalg().null_space(K)
 
 
 # -- shared JSON coordinate schema for Hermitian matrices ----------------------

@@ -364,17 +364,19 @@ def to_dict(p: Polynomial) -> dict:
 
 
 def _json_number(value, what: str, integer: bool = False):
-    """A number field of the JSON form, refusing booleans and, where an
-    integer is due, fractions (rather than truncating them)."""
-    if type(value) is int:          # what `json` reads: decided without the ABCs
-        return value if integer else float(value)
-    if type(value) is float and not integer:
+    """A number field of the JSON form, refusing booleans, numbers too large
+    for a float and, where an integer is due, fractions (rather than
+    truncating them)."""
+    if type(value) is (int if integer else float):      # what `json` reads: no ABCs
         return value
     kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, kind)):
         raise ValueError(f"{what} must be {'an integer' if integer else 'a number'}, "
                          f"got {json.dumps(value, default=repr)}")
-    return int(value) if integer else float(value)
+    try:
+        return int(value) if integer else float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
 
 
 def from_dict(data: Mapping) -> Polynomial:

@@ -29,8 +29,7 @@ against the dual residual relative to the dual norm.  Safeguarded Anderson
 acceleration (`_Anderson`) extrapolates the state (Z, U) of the map of
 `ANDERSON_STRIDE` steps.  Each convergence check, every `CHECK_EVERY`
 steps, is kept in `SdpSolution.trace`.  The LAPACK calls of the cone
-projection, the checks, the certificate repair and the rank reduction go
-through `linalg`.
+projection, the checks and the certificate repair go through `linalg`.
 `SolverOptions` holds the stopping rule only and rejects values the loop
 cannot run with (non-finite or non-positive tolerances, an iteration cap
 below 1) with a ValueError that names the option.
@@ -550,10 +549,11 @@ def rank_reduce(M: np.ndarray, constraints: GramConstraints, target_r: int) -> n
     """Reduce a feasible PSD solution to rank <= target_r, preserving tr(A_l M).
 
     Requires k <= target_r^2 + 2*target_r, where k counts the real-valued
-    constraints, one per product term of the monomial basis.  Repeatedly:
-    compress to the range space, pick a Hermitian direction orthogonal to all
-    compressed constraints (one exists whenever rank^2 > k), and walk to the
-    nearest PSD-boundary crossing, which removes at least one eigenvalue.
+    constraints, one per product term of the monomial basis.  M is decomposed
+    once, to V diag(lam) V*; each step walks from the r x r core diag(lam)
+    along a direction orthogonal to every V* A_l V (one exists whenever
+    r^2 > k) to the nearest PSD-boundary crossing, which removes at least one
+    eigenvalue, and turns V and the V* A_l V by the new core's eigenvectors.
     """
     k = constraints.k
     if target_r < 0:
@@ -564,56 +564,63 @@ def rank_reduce(M: np.ndarray, constraints: GramConstraints, target_r: int) -> n
     bscale = 1.0 + float(np.linalg.norm(constraints.targets))
     if constraints.residual(M) > 1e-7 * bscale:
         raise ValueError("matrix does not satisfy the constraints to 1e-7")
-    M = linalg.require_hermitian(M)
+    dec = linalg.clipped_spectrum(M)
+    V, lam = dec.eigenvectors, dec.eigenvalues
     A = np.array([constraints.adjoint(e) for e in np.eye(k)], dtype=complex)   # every A_l
-    for _ in range(M.shape[0] + 1):
-        dec = linalg.clipped_spectrum(M)
-        w, V = dec.eigenvalues, dec.eigenvectors
-        if len(w) == 0 or w[0] <= 0:
-            return np.zeros_like(M)
-        live = w > linalg.RANK_CUTOFF_REL * w[0]
-        r = int(live.sum())
+    B = V.conj().T @ A @ V
+    for _ in range(len(lam) + 1):
+        live = lam > linalg.RANK_CUTOFF_REL * lam.max(initial=0.0)
+        V, lam, B, r = V[:, live], lam[live], B[:, live][:, :, live], int(live.sum())
         if r <= target_r:
-            out = M if bool(live.all()) else dec.matrix_from(live)
+            out = (V * lam) @ V.conj().T
             if constraints.residual(out) > 1e-6 * bscale:
-                raise RankReductionError(
-                    "constraints drifted during reduction", out, r)
+                raise RankReductionError("constraints drifted during reduction", out, r)
             return out
-        Vr = V[:, live]
-        lam = w[live]
-        # the compressed constraints Vr* A_l Vr as rows of the isometry
-        # Her_r -> R^{r^2} (Frobenius inner product to the dot product)
-        B = Vr.conj().T @ A @ Vr
+        # the compressed constraints as rows of the isometry Her_r -> R^{r^2}
+        # (Frobenius inner product to the dot product)
         iu = np.triu_indices(r, k=1)
         upper = math.sqrt(2.0) * B[:, iu[0], iu[1]]
-        K = np.concatenate([np.diagonal(B, axis1=1, axis2=2).real, upper.real, upper.imag], axis=1)
-        null = linalg.null_space(K)
-        if null.shape[1] == 0:
+        x = _constraint_orthogonal(np.concatenate(
+            [np.diagonal(B, axis1=1, axis2=2).real, upper.real, upper.imag], axis=1))
+        if x is None:
             raise RankReductionError(
-                f"no constraint-orthogonal direction at rank {r}", dec.matrix_from(live), r)
-        delta = _real_vec_to_herm(null[:, 0], r)
+                f"no constraint-orthogonal direction at rank {r}", (V * lam) @ V.conj().T, r)
+        delta = np.diag(x[:r]).astype(complex)
+        delta[iu] = (x[r:r + len(iu[0])] + 1j * x[r + len(iu[0]):]) / math.sqrt(2.0)
+        delta += np.triu(delta, 1).conj().T
         delta /= np.linalg.norm(delta)
-        # diag(lam) + t*delta meets the boundary at t = -1/omega for each pencil
-        # eigenvalue omega: first at the largest |omega| (of a tie, at t > 0)
-        omega = linalg.pencil_eigenvalues(delta, np.diag(lam))
+        # diag(lam) + t*delta meets the boundary at t = -1/omega for each
+        # omega: first at the largest |omega| (of a tie, at t > 0)
+        omega = _crossing_rates(lam, delta)
         top = omega[np.argmax(np.abs(omega))]
         if abs(top) * lam[0] <= 1e-14:      # omega scales as 1 / lam: scale-free
             raise RankReductionError(
-                f"direction produces no boundary crossing at rank {r}",
-                dec.matrix_from(live), r)
-        core = np.diag(lam).astype(complex) + (-1.0 / top) * delta
-        M = Vr @ core @ Vr.conj().T
-        M = (M + M.conj().T) / 2.0
-    raise RankReductionError("rank reduction did not terminate", M,
-                             linalg.numerical_rank(M))
+                f"direction produces no boundary crossing at rank {r}", (V * lam) @ V.conj().T, r)
+        core = linalg.clipped_spectrum(np.diag(lam) + (-1.0 / top) * delta)
+        Q, lam = core.eigenvectors, core.eigenvalues
+        V, B = V @ Q, Q.conj().T @ B @ Q
+    raise RankReductionError("rank reduction did not terminate", (V * lam) @ V.conj().T, len(lam))
 
 
-def _real_vec_to_herm(vec: np.ndarray, r: int) -> np.ndarray:
-    iu = np.triu_indices(r, k=1)
-    m = len(iu[0])
-    H = np.zeros((r, r), dtype=complex)
-    H[np.diag_indices(r)] = vec[:r]
-    upper = (vec[r:r + m] + 1j * vec[r + m:r + 2 * m]) / math.sqrt(2.0)
-    H[iu] = upper
-    H[(iu[1], iu[0])] = upper.conj()
-    return H
+def _constraint_orthogonal(K: np.ndarray) -> np.ndarray | None:
+    """A nonzero x with K x = 0 to rounding, or None if the rows of K span R^m:
+    a Gaussian vector seeded by m = K.shape[1] (so by the rank), less its
+    projection on the row space of K read from one eigendecomposition of K K^T."""
+    s, U = np.linalg.eigh(K @ K.T)
+    norm, keep = math.sqrt(max(s[-1], 0.0)), s > 1e-12 * s[-1]
+    if keep.sum() >= K.shape[1]:
+        return None
+    U, s = U[:, keep], s[keep]
+    x = np.random.default_rng(K.shape[1]).standard_normal(K.shape[1])
+    for _ in range(2):      # again while ||K x|| > 1e-12 ||K||_2 ||x||
+        Kx = K @ x
+        if np.linalg.norm(Kx) <= 1e-12 * norm * np.linalg.norm(x):
+            break
+        x -= K.T @ (U @ ((U.T @ Kx) / s))
+    return x
+
+
+def _crossing_rates(lam: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """The eigenvalues, ascending, of the pencil (delta, diag(lam)), lam > 0."""
+    root = 1.0 / np.sqrt(lam)
+    return np.linalg.eigvalsh(root[:, None] * delta * root)

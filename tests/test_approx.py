@@ -7,12 +7,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import free_farkas_holds, free_input, free_trace_oracle, random_sos, random_square
 from oracles import (free_pythagoras_number, gram_preimage_free, gram_residual,
                      min_rank_two_vars_degree_one)
-from sos_approx import approx as approx_module, linalg
+from sos_approx import approx as approx_module, linalg, sdp
 from sos_approx.approx import (
     NotSosError,
     SosCertificate,
@@ -355,6 +354,7 @@ CERTIFICATE_DEFECTS = {
                           "solver_iterations"),
     "error-string": (lambda d: d.update(error=str(d["error"])), "error"),
     "eps-boolean": (lambda d: d.update(eps=True), "eps"),
+    "eps-huge-integer": (lambda d: d.update(eps=10 ** 400), "eps"),
     "square-entry-string": (lambda d: d["squares"][0][0].__setitem__(0, "1"), "squares"),
     # missing or mis-shaped fields are named too
     "eps-missing": (lambda d: d.pop("eps"), "eps"),
@@ -492,6 +492,17 @@ def test_pythagoras_commutative_bound(rng):
         assert w.residual <= 1e-6
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_pythagoras_witness_sweep(d):
+    # every seeded witness reaches its bound and reproduces its input
+    for seed in range(3):
+        for r in (3, 5):
+            a, basis = random_sos(np.random.default_rng(100 * d + 10 * seed + r), COMMUTATIVE, 3, d, r)
+            w = pythagoras_upper_bound(a, basis)
+            assert (w.count, w.message) == (w.bound, ""), (seed, r)
+            assert w.residual <= 1e-8 * max(1.0, linalg.two_norm(coefficients(a, basis))), (seed, r)
+
+
 def test_pythagoras_reduction_at_large_scale():
     # the boundary-crossing test of rank reduction is relative to the
     # eigenvalues it walks on: at 2^50 it reaches the bound as at unit scale
@@ -536,7 +547,7 @@ def test_pythagoras_free_on_reversed_words():
 def test_pythagoras_rank_reduction_fallback(monkeypatch):
     # with no constraint-orthogonal direction the reduction stalls at once:
     # the witness keeps the feasible matrix it had, above the bound, and says so
-    monkeypatch.setattr(scipy.linalg, "null_space", lambda K: np.zeros((K.shape[1], 0)))
+    monkeypatch.setattr(sdp, "_constraint_orthogonal", lambda K: None)
     a, basis = random_sos(np.random.default_rng(20240901), COMMUTATIVE, 3, 2, 4)
     w = pythagoras_upper_bound(a, basis)
     assert (w.count, w.bound) == (6, 4)

@@ -117,7 +117,8 @@ def test_malformed_json_fields_exit_two_naming_them(tmp_path, capsys):
     for terms, message in (
             ('[{"term": [2.9, 0], "re": 1}]', "terms[0]: exponent must be an integer"),
             ('[{"term": [2, 0], "re": 1, "im": null}]', "terms[0]: im must be a number"),
-            ('{"t": {"term": [2, 0], "re": 1}}', "terms must be a list")):
+            ('{"t": {"term": [2, 0], "re": 1}}', "terms must be a list"),
+            ('[{"term": [2, 0], "re": 1%s}]' % ("0" * 400), "terms[0]: re is too large for a float")):
         path = tmp_path / "malformed.json"
         path.write_text('{"flavor": "commutative", "n_vars": 2, "terms": %s}' % terms)
         assert cli.main(["sos-norm", "--input", str(path)]) == 2
@@ -480,7 +481,8 @@ EXTREME_FLOATS = st.one_of(
 @st.composite
 def cli_polynomials(draw):
     """(JSON form, scale): a sum of random squares or random terms of
-    degree 0, 2 or 4, its coefficients scaled by 10^-300..10^300."""
+    degree 0, 2 or 4, its coefficients scaled by 10^-300..10^300, the
+    first maybe written as the integer 10^300..10^400."""
     flavor = draw(st.sampled_from([COMMUTATIVE, FREE]))
     n = draw(st.integers(1, 6 if flavor == COMMUTATIVE else 3))
     d = draw(st.sampled_from([0, 1, 2]))
@@ -498,6 +500,9 @@ def cli_polynomials(draw):
     data = to_dict(p)
     for entry in data["terms"]:
         entry["re"], entry["im"] = entry["re"] * scale, entry["im"] * scale
+    digits = draw(st.one_of(st.none(), st.integers(300, 400)))
+    if digits is not None and data["terms"]:     # past 308, too large for a float
+        data["terms"][0]["re"] = 10 ** digits
     return data, scale
 
 
@@ -507,6 +512,11 @@ def cli_polynomials(draw):
 @example(poly=({"flavor": "free", "n_vars": 1,
                 "terms": [{"term": "z1 z1", "re": 2.032604358438004e+176, "im": 0.0}]}, 1e176),
          command="approx", eps=("absolute", 3.118999338313038e+210), tolerances=[None, None],
+         max_iter=50, resolution=0)
+# an integer coefficient too large for a float
+@example(poly=({"flavor": "commutative", "n_vars": 2,
+                "terms": [{"term": [2, 0], "re": 10 ** 400, "im": 0.0}]}, 1.0),
+         command="sos-norm", eps=("absolute", 1.0), tolerances=[None, None],
          max_iter=50, resolution=0)
 # a form that is not a sum of squares, refused by feasible
 @example(poly=({"flavor": "commutative", "n_vars": 2,

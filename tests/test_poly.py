@@ -211,6 +211,8 @@ def test_json_malformed_rejected():
                  r"terms\[0\]: re must be a number, got true", id="coefficient-boolean"),
     pytest.param('"n_vars": 2, "terms": [{"term": [2, 0], "re": 1, "im": null}]',
                  r"terms\[0\]: im must be a number, got null", id="im-null"),
+    pytest.param('"n_vars": 2, "terms": [{"term": [2, 0], "re": 1%s}]' % ("0" * 400),
+                 r"terms\[0\]: re is too large for a float", id="coefficient-huge-integer"),
     pytest.param('"n_vars": 2, "terms": {"t": {"term": [2, 0], "re": 1}}',
                  "terms must be a list", id="terms-object"),
     pytest.param('"n_vars": 2, "terms": [[2, 0]]', r"terms\[0\] must be an object",

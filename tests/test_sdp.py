@@ -671,12 +671,51 @@ def test_rank_reduce_nearest_crossing(monkeypatch, lam, direction, kept):
     # one step of rank 2 -> 1 under tr(M) = const along a forced traceless
     # diagonal direction, against the two-branch rule as oracle
     cons = _TraceConstraint(2, sum(lam))
-    monkeypatch.setattr(scipy.linalg, "null_space", lambda K: np.array([[*direction, 0.0, 0.0]]).T)
+    monkeypatch.setattr(sdp, "_constraint_orthogonal", lambda K: np.array([*direction, 0.0, 0.0]))
     delta = np.diag(direction) / np.linalg.norm(direction)
     expected = _two_branch_step(np.array(lam), delta)
     reduced = rank_reduce(np.diag(lam), cons, 1)
     assert np.abs(reduced - expected).max() <= 1e-12
     assert np.flatnonzero(np.abs(np.diag(reduced)) > 1e-12).tolist() == [kept]
+
+
+@pytest.mark.parametrize("k, r", [(1, 2), (5, 3), (15, 5), (40, 7), (153, 13)])
+def test_constraint_orthogonal_direction(k, r):
+    # a nonzero direction in the null space of seeded K with r^2 > k, to
+    # 1e-12 of ||K||_2, whether or not K has full row rank
+    rng = np.random.default_rng(10 * k + r)
+    for K in (rng.standard_normal((k, r * r)),
+              rng.standard_normal((k, 2)) @ rng.standard_normal((2, r * r))):
+        x = sdp._constraint_orthogonal(K)
+        assert np.linalg.norm(x) > 0
+        assert np.linalg.norm(K @ x) <= 1e-12 * np.linalg.norm(K, 2) * np.linalg.norm(x)
+    # rows that span every direction leave none
+    assert sdp._constraint_orthogonal(rng.standard_normal((r * r + 1, r * r))) is None
+
+
+def test_rank_reduce_stalls_on_a_full_row_space(monkeypatch, rng):
+    # rows that span every direction reach the stall branch, which keeps the
+    # feasible matrix it had
+    a, basis = random_sos(rng, COMMUTATIVE, 3, 2, 4)
+    feas = sos_feasible(a, basis)
+    direction = sdp._constraint_orthogonal
+    monkeypatch.setattr(sdp, "_constraint_orthogonal",
+                        lambda K: direction(np.vstack([K, np.eye(K.shape[1])])))
+    with pytest.raises(sdp.RankReductionError, match="^no constraint-orthogonal direction at rank 6$") as err:
+        rank_reduce(feas.witness, feas.constraints, 4)
+    assert err.value.achieved_rank == 6
+    assert feas.constraints.residual(err.value.matrix) <= 1e-7 * (1 + np.linalg.norm(feas.constraints.targets))
+
+
+def test_crossing_rates_match_the_pencil(rng):
+    # the scaled core's eigenvalues against the generalized eigensolver
+    for r in (1, 2, 5, 12):
+        lam = np.sort(10.0 ** rng.uniform(-4, 2, r))[::-1]
+        G = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        delta = (G + G.conj().T) / 2.0
+        expected = scipy.linalg.eigh(delta, np.diag(lam), eigvals_only=True)
+        got = sdp._crossing_rates(lam, delta)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_rank_reduce_hypothesis_violation(rng):
@@ -728,6 +767,7 @@ def test_solver_options_rejected(name, value):
     ("max_iter", True),         # was read as 1
     ("tol_gap", True),          # was read as 1.0
     ("tol_primal", False),
+    pytest.param("tol_gap", 10 ** 400, id="tol_gap-huge-integer"),     # was an OverflowError
 ])
 def test_solver_options_mapping_refuses_coercion(name, value):
     with pytest.raises(ValueError, match=f"solver option '{name}'"):

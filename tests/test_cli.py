@@ -367,6 +367,10 @@ def test_figure_command_deterministic(tmp_path):
     assert float(row2[2]) == pytest.approx(math.sqrt(15), abs=1e-12)
 
 
+def test_figure_rows_up_to_d16_converge(tmp_path):
+    assert cli.main(["figure", "--d-max", "16", "--output", str(tmp_path / "fig.csv")]) == 0
+
+
 def test_figure_failed_rows_exit_solver(tmp_path, capsys):
     # a starved solver fails every row: the CSV is still written, with nan
     # values, and the exit code says that the solver did not converge

@@ -6,15 +6,20 @@ eps, strict_cap(square_count_bound(tr, eps, p)))` leading eigenpairs are kept.
 Eigendecompositions go through LAPACK, via numpy or, for the solver, directly
 through scipy: here, in `psd_part` (`dpotrf`, `dsyevr`, `dsyevd`),
 `eig_hermitian(vectors=False)` (`dsyevd`, `zheevd`) and `pencil_top`
-(`dsygvd`), only.  Each reaches scipy.linalg through `_scipy_linalg`, which
-imports it at the first call, so a process that never solves a commutative
-SDP never loads it.  Nothing forms an SVD, rank reduction included.  The
-tests check eigh against a cyclic Jacobi solver.
+(`dsygvd`), only.  Each reads its routine from `_lapack`, which at the first
+call loads scipy's compiled LAPACK module by itself, without the
+scipy.linalg package, so a process that never solves a commutative SDP loads
+neither, and one that does adds 2.2 MB of memory where the package adds 26.
+Nothing forms an SVD, rank reduction included.  The tests check eigh against
+a cyclic Jacobi solver.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,19 +31,43 @@ RANK_CUTOFF_REL = 1e-9      # the one rank cut (numerical_rank, rank_reduce, wit
 HERMITIAN_ENTRY_TOL = 1e-10     # ||M - M*||_max relative to max(1, ||M||_max)
 # below this 2-norm, or where it overflows, `two_norm` scales by the largest entry first
 _UNDERFLOW = 1e-150
-_SCIPY_LINALG = None        # scipy.linalg once `_scipy_linalg` has imported it
+_LAPACK = None        # scipy's compiled LAPACK module once `_lapack` has loaded it
 
 
-def _scipy_linalg():
-    """scipy.linalg, imported at the first call and kept: importing it took
-    0.26 s of the 0.44 s a fresh process spent importing the package and its
-    CLI (2-vCPU x86-64 VM).  Callers read its functions as attributes at
-    call time, so a monkeypatch of them is seen."""
-    global _SCIPY_LINALG
-    if _SCIPY_LINALG is None:
-        import scipy.linalg
-        _SCIPY_LINALG = scipy.linalg
-    return _SCIPY_LINALG
+def _flapack_path() -> str:
+    """`<scipy>/linalg/_flapack<suffix>` for the first extension suffix that
+    exists, found without executing scipy; FileNotFoundError if none does."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        raise FileNotFoundError("scipy is not installed as a package")
+    stem = os.path.join(os.path.dirname(spec.origin), "linalg", "_flapack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            return stem + suffix
+    raise FileNotFoundError(f"no compiled LAPACK module at {stem}")
+
+
+def _lapack():
+    """scipy's compiled LAPACK module, `scipy.linalg._flapack`, loaded by
+    itself at the first call and kept.  Its functions are the objects that
+    `scipy.linalg.lapack` exposes, whichever is loaded first, but loading the
+    one extension took 6 ms and 2.2 MB where importing scipy.linalg took
+    0.23 s and 26 MB (medians of 6 processes, 2-vCPU x86-64 VM, scipy
+    1.17.1).  Where the file is missing or fails to load, scipy.linalg is
+    imported and its `lapack` returned.  Callers read its functions as
+    attributes at call time, so a monkeypatch of them is seen."""
+    global _LAPACK
+    if _LAPACK is None:
+        try:
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack",
+                                                          _flapack_path())
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except (ImportError, OSError):
+            import scipy.linalg
+            module = scipy.linalg.lapack
+        _LAPACK = module
+    return _LAPACK
 
 
 class NotPsdError(ValueError):
@@ -94,7 +123,7 @@ def eig_hermitian(M: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
     not validated, real M stays real, and LAPACK reads its lower triangle.
     """
     if not vectors:
-        lapack = _scipy_linalg().lapack
+        lapack = _lapack()
         evd = lapack.zheevd if M.dtype.kind == "c" else lapack.dsyevd
         w, _, info = evd(M, compute_v=0, lower=1)
         if info != 0:
@@ -266,7 +295,7 @@ def psd_part(M: np.ndarray, hint: int, out: np.ndarray) -> int:
     Cholesky factorization takes 4-17% of the time of `dsyevd` at sizes
     6..45.
     """
-    lapack = _scipy_linalg().lapack
+    lapack = _lapack()
     s = len(M)
     if hint in (0, s):
         if lapack.dpotrf(-M if hint == 0 else M, lower=1)[1] == 0:
@@ -288,7 +317,7 @@ def psd_part(M: np.ndarray, hint: int, out: np.ndarray) -> int:
 def pencil_top(A: np.ndarray, B: np.ndarray) -> float:
     """The top eigenvalue of the symmetric pencil (A, B), B positive definite;
     LinAlgError when LAPACK cannot factor B."""
-    w, _, info = _scipy_linalg().lapack.dsygvd(A, B, jobz="N", uplo="L")
+    w, _, info = _lapack().dsygvd(A, B, jobz="N", uplo="L")
     if info:
         raise np.linalg.LinAlgError(f"dsygvd failed with info {info}")
     return w[-1]

@@ -564,12 +564,12 @@ def test_cli_boundary_property(poly, command, eps, tolerances, max_iter, resolut
     assert code == 0 or err.getvalue().strip(), (argv, code)
 
 
-# run in a fresh interpreter: the free commands, bounds, a usage error and
-# --help must not load scipy.linalg; a commutative solve loads it and prints
+# run in a fresh interpreter: no command imports the scipy.linalg package, not
+# even a commutative solve, which loads scipy's compiled LAPACK module by itself
 _FRESH_PROCESS = """
 import contextlib, io, json, sys
 import sos_approx, sos_approx.cli
-from sos_approx import cli
+from sos_approx import cli, linalg
 loaded = [("import", "scipy.linalg" in sys.modules)]
 free, commutative, out = json.loads(sys.argv[1])
 for argv in (["approx", "--input", free, "--eps", "0.5", "--output", out],
@@ -589,11 +589,11 @@ report = io.StringIO()
 with contextlib.redirect_stdout(report):
     code = cli.main(["sos-norm", "--input", commutative])
 loaded.append(("sos-norm", code, "scipy.linalg" in sys.modules))
-print(json.dumps({"loaded": loaded, "report": report.getvalue()}))
+print(json.dumps({"loaded": loaded, "lapack": linalg._LAPACK.__name__, "report": report.getvalue()}))
 """
 
 
-def test_fresh_process_loads_lapack_at_its_first_solve(tmp_path, rng, capsys):
+def test_fresh_process_never_imports_scipy_linalg(tmp_path, rng, capsys):
     free = write_poly(tmp_path, random_sos(rng, FREE, 2, 2, 2)[0], "free.json")
     commutative = write_poly(tmp_path, random_sos(rng, COMMUTATIVE, 3, 2, 2)[0], "c.json")
     env = {k: v for k, v in os.environ.items() if k != "SOS_APPROX_CONFIG"}
@@ -606,7 +606,9 @@ def test_fresh_process_loads_lapack_at_its_first_solve(tmp_path, rng, capsys):
     assert result["loaded"] == [
         ["import", False], ["approx", 0, False], ["sos-norm", 0, False],
         ["feasible", 0, False], ["bounds", 0, False], ["bounds", 0, False],
-        ["approx", 2, False], ["--help", 0, False], ["sos-norm", 0, True]]
-    # the solve after the first-use import prints what an in-process run prints
+        ["approx", 2, False], ["--help", 0, False], ["sos-norm", 0, False]]
+    # the commutative solve loaded the compiled module itself, not the package's
+    # fallback, and printed what an in-process run prints
+    assert result["lapack"] == "scipy.linalg._flapack"
     assert cli.main(["sos-norm", "--input", commutative]) == 0
     assert result["report"] == capsys.readouterr().out

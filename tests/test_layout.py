@@ -30,7 +30,8 @@ RULES = [
      ("verify.py", "residual = cert.reassembled() - a"),
      ("approx.py", "keep = np.count_nonzero(w > linalg.RANK_CUTOFF_REL * w[0])")),
     # LAPACK is loaded at the first solve that needs it: linalg.py alone names scipy
-    # (`grep -w`), and imports it inside its gateway `_scipy_linalg`, never at module level
+    # (`grep -w`), and only its gateway `_lapack` imports scipy.linalg, as its fallback
+    # inside the function, never at module level
     ("scipy-named-in-linalg", r"\bscipy\b", "linalg.py",
      ("sdp.py", "w = scipy.linalg.eigh(M, eigvals_only=True)"), ("sdp.py", 'blas = "scipy_openblas"')),
     ("scipy-imported-in-a-function", r"^(import|from) +scipy", None,

@@ -1,11 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import random_hermitian, random_psd
 from oracles import hermitian_from_dict, jacobi_eigh
+from sos_approx import linalg
+from sos_approx.gram import square_basis
 from sos_approx.linalg import (
     NonConvergenceError,
     NotPsdError,
@@ -19,6 +24,8 @@ from sos_approx.linalg import (
     schatten_tails,
     truncate_rank,
 )
+from sos_approx.poly import COMMUTATIVE, sum_of_monomial_squares
+from sos_approx.sdp import sos_norm
 
 
 def test_eig_diagonal_descending():
@@ -261,9 +268,10 @@ def test_psd_part(rng, monkeypatch):
     # exactly (zeros, or the block itself); an indefinite one falls through
     # to the eigendecomposition
     calls = []
+    lapack = linalg._lapack()
 
     def recorded(name):
-        original = getattr(scipy.linalg.lapack, name)
+        original = getattr(lapack, name)
 
         def driver(*args, **kwargs):
             calls.append(name)
@@ -271,7 +279,7 @@ def test_psd_part(rng, monkeypatch):
         return driver
 
     for name in ("dsyevr", "dsyevd"):
-        monkeypatch.setattr(scipy.linalg.lapack, name, recorded(name))
+        monkeypatch.setattr(lapack, name, recorded(name))
     s = 9
     for positives, hint, route in ((0, 0, []), (1, 0, ["dsyevr"]),
                                    (s, s, []), (s - 1, s, ["dsyevd"])):
@@ -284,13 +292,81 @@ def test_psd_part(rng, monkeypatch):
         assert np.abs(P - eigh_projection(M)).max() <= 1e-12 * np.abs(M).max()
     # a LAPACK failure is an error, not a projection
     M = with_positives(rng, 6, 2)
-    monkeypatch.setattr(scipy.linalg.lapack, "dsyevd",
+    monkeypatch.setattr(lapack, "dsyevd",
                         lambda a, **kw: (np.zeros(6), np.eye(6), 3))
-    monkeypatch.setattr(scipy.linalg.lapack, "dsyevr",
+    monkeypatch.setattr(lapack, "dsyevr",
                         lambda a, **kw: (np.zeros(6), np.eye(6), 0, None, 7))
     for hint in (0, 1, 5, 6):
         with pytest.raises(NonConvergenceError, match="info="):
             projected(M, hint)
+
+
+# the five LAPACK routines the library calls, all through `linalg._lapack`
+ROUTINES = ("dpotrf", "dsyevr", "dsyevd", "zheevd", "dsygvd")
+
+# in a fresh interpreter, the gateway and the scipy.linalg package in the order of
+# argv[1]; its functions must be scipy.linalg.lapack's, whichever loads first
+_IDENTITY = """
+import json, sys
+from sos_approx import linalg
+if sys.argv[1] == "package first":
+    import scipy.linalg
+lapack = linalg._lapack()
+alone = "scipy.linalg" not in sys.modules
+import scipy.linalg
+print(json.dumps({"module": lapack.__name__, "alone": alone,
+                  "same": [getattr(lapack, name) is getattr(scipy.linalg.lapack, name)
+                           for name in json.loads(sys.argv[2])]}))
+"""
+
+# in a fresh interpreter where the compiled module cannot be located: the gateway
+# falls back to scipy.linalg.lapack, and the figure rows d=1..6 are solved through it
+_FALLBACK = """
+import json
+from sos_approx import linalg
+from sos_approx.gram import square_basis
+from sos_approx.poly import COMMUTATIVE, sum_of_monomial_squares
+from sos_approx.sdp import sos_norm
+
+
+def nowhere():
+    raise FileNotFoundError("no compiled LAPACK module")
+
+
+linalg._flapack_path = nowhere
+lapack = linalg._lapack()
+import scipy.linalg
+rows = [sos_norm(sum_of_monomial_squares(3, d), square_basis(COMMUTATIVE, 3, d))
+        for d in range(1, 7)]
+print(json.dumps({"fallback": lapack is scipy.linalg.lapack,
+                  "rows": [[value.hex(), sol.iterations] for value, sol in rows]}))
+"""
+
+
+def run_fresh(script, *args):
+    """The JSON that `script` prints, run in a fresh interpreter on the library's sources."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(linalg.__file__)))
+    done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, timeout=300, env=env, check=True)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("order", ["gateway first", "package first"])
+def test_lapack_gateway_shares_scipy_functions(order):
+    result = run_fresh(_IDENTITY, order, json.dumps(ROUTINES))
+    assert result["module"] == "scipy.linalg._flapack"
+    assert result["same"] == [True] * len(ROUTINES)
+    # loaded first, the gateway imports no package
+    assert result["alone"] is (order == "gateway first")
+
+
+def test_lapack_gateway_falls_back_to_scipy_linalg():
+    result = run_fresh(_FALLBACK)
+    assert result["fallback"]
+    assert linalg._lapack().__name__ == "scipy.linalg._flapack"
+    rows = [sos_norm(sum_of_monomial_squares(3, d), square_basis(COMMUTATIVE, 3, d))
+            for d in range(1, 7)]
+    assert result["rows"] == [[value.hex(), sol.iterations] for value, sol in rows]
 
 
 def test_matrix_json_roundtrip(rng):

@@ -295,7 +295,7 @@ def test_unfactorable_shift_leaves_plain_candidates(monkeypatch):
         # LAPACK's info n + i: the leading minor of order i of b is not positive definite
         return np.zeros(len(a)), a, len(a) + 1
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dsygvd", fail)
+    monkeypatch.setattr(linalg._lapack(), "dsygvd", fail)
     _, sol = sos_norm(form, basis)
     assert sol.status is SolveStatus.INFEASIBLE and sol.iterations > CHECK_EVERY
     assert _farkas_holds(form, sol.certificate.values)

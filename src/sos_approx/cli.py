@@ -302,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--output", required=True, help="certificate JSON file")
     pa.add_argument("--eps", type=float, required=True)
     pa.add_argument("--resolution", type=int, default=2000,
-                    help="sphere sample size for certificate re-check; 0 skips it")
+                    help="at least this many sphere points for the certificate "
+                         "re-check (n >= 4 rounds up to a full lattice level); 0 skips it")
     pa.set_defaults(func=cmd_approx)
 
     pf = sub.add_parser("feasible", parents=[solver],

@@ -25,6 +25,9 @@ FREE = "free"
 
 SPHERE_TOL = 1e-12
 ASCENT_STEPS = 400          # gradient steps of `sup_norm_sphere`
+# cells (rows x columns) in one chunk of `evaluate_batch`: float temporaries
+# of 32 KiB and complex ones of 64 KiB stay below glibc's 128 KiB mmap threshold
+EVAL_CHUNK_CELLS = 4096
 
 Term = tuple
 
@@ -262,24 +265,38 @@ class Polynomial:
         return complex(self.evaluate_batch(s[None, :])[0])
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation at rows of `points` (no sphere check)."""
+        """Vectorized evaluation at rows of `points` (no sphere check), in
+        chunks of EVAL_CHUNK_CELLS rows x terms (or powers, if more), and of at
+        least two rows.  Freeing a temporary above glibc's mmap threshold
+        raises that threshold, so later temporaries would grow a heap that
+        keeps its size.  Each value has the bits of the unchunked evaluation."""
         if self.flavor != COMMUTATIVE:
             raise FlavorMismatchError("evaluation is defined for the commutative flavor")
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.n_vars:
             raise DimensionMismatchError(
                 f"points must have shape (m, {self.n_vars})")
+        m = points.shape[0]
         if not self._coeffs:
-            return np.zeros(points.shape[0], dtype=complex)
-        terms = np.array(list(self._coeffs.keys()), dtype=np.int64)
+            return np.zeros(m, dtype=complex)
+        # a contiguous row of exponents per variable, for the gathers
+        exponents = np.array(list(self._coeffs), dtype=np.int64).T.copy()
         coeffs = np.array(list(self._coeffs.values()), dtype=complex)
-        # each variable raised once to every power it takes in a term, gathered
-        # by exponent and multiplied in variable order: (m, nterms)
-        powers = np.arange(terms.max() + 1)
-        values = (points[:, 0, None] ** powers)[:, terms[:, 0]]
-        for i in range(1, self.n_vars):
-            values = values * (points[:, i, None] ** powers)[:, terms[:, i]]
-        return values @ coeffs
+        powers = np.arange(exponents.max() + 1)
+        out = np.empty(m, dtype=complex)
+        rows = max(2, EVAL_CHUNK_CELLS // max(len(coeffs), len(powers)))
+        for lo in range(0, m, rows):
+            # numpy multiplies one row by a dot product, whose bits differ from
+            # the matrix-vector product's: a one-row tail starts a row early
+            lo = max(0, min(lo, m - 2))
+            chunk = points[lo:lo + rows]
+            # each variable raised once to every power it takes in a term,
+            # gathered by exponent and multiplied in variable order
+            values = np.take(chunk[:, 0, None] ** powers, exponents[0], axis=1)
+            for i in range(1, self.n_vars):
+                values *= np.take(chunk[:, i, None] ** powers, exponents[i], axis=1)
+            np.matmul(values, coeffs, out=out[lo:lo + len(chunk)])
+        return out
 
     def differentiate(self, index: int) -> "Polynomial":
         """Partial derivative with respect to x_{index+1} (commutative only)."""
@@ -392,6 +409,7 @@ def from_dict(data: Mapping) -> Polynomial:
     if not isinstance(raw_terms, list):
         raise ValueError("terms must be a list of term objects")
     coeffs: dict[Term, complex] = {}
+    symbols: dict[str, int] = {}        # each distinct word token, read once
     for i, entry in enumerate(raw_terms):
         if not isinstance(entry, Mapping) or "term" not in entry or "re" not in entry:
             raise ValueError(f"terms[{i}] must be an object with 'term' and 're'")
@@ -403,7 +421,7 @@ def from_dict(data: Mapping) -> Polynomial:
         else:
             if not isinstance(enc, str):
                 raise ValueError(f"terms[{i}]: free term must be a word string like 'z1 z2'")
-            term = _parse_word(enc, n_vars, i)
+            term = _parse_word(enc, n_vars, i, symbols)
         c = complex(_json_number(entry["re"], f"terms[{i}]: re"),
                     _json_number(entry.get("im", 0.0), f"terms[{i}]: im"))
         if term in coeffs:
@@ -412,22 +430,27 @@ def from_dict(data: Mapping) -> Polynomial:
     return Polynomial(flavor, n_vars, coeffs)
 
 
-def _parse_word(text: str, n_vars: int, pos: int) -> Term:
+def _parse_word(text: str, n_vars: int, pos: int, symbols: dict[str, int]) -> Term:
     """The word of `text`: each token is z<k>, k in 1..n_vars written as a
-    plain ASCII decimal ("z1", never "z01", "z+1" or "z0_1")."""
-    symbols = []
+    plain ASCII decimal ("z1", never "z01", "z+1" or "z0_1").  `symbols`
+    holds the tokens read so far and their symbols; a token not in it is
+    read, or refused, here and added."""
+    word = []
     for tok in text.split():
-        m = re.fullmatch(r"z(0|[1-9][0-9]*)", tok)
-        if m is None:
-            raise ValueError(f"terms[{pos}]: bad symbol {tok!r}, expected z<k>")
-        digits = m.group(1)
-        # a decimal longer than n_vars's is above it (and may be longer
-        # than int() reads)
-        k = int(digits) if len(digits) <= len(str(n_vars)) else 0
-        if not 1 <= k <= n_vars:
-            raise ValueError(f"terms[{pos}]: symbol {tok!r} outside z1..z{n_vars}")
-        symbols.append(k - 1)
-    return tuple(symbols)
+        s = symbols.get(tok)
+        if s is None:
+            m = re.fullmatch(r"z(0|[1-9][0-9]*)", tok)
+            if m is None:
+                raise ValueError(f"terms[{pos}]: bad symbol {tok!r}, expected z<k>")
+            digits = m.group(1)
+            # a decimal longer than n_vars's is above it (and may be longer
+            # than int() reads)
+            k = int(digits) if len(digits) <= len(str(n_vars)) else 0
+            if not 1 <= k <= n_vars:
+                raise ValueError(f"terms[{pos}]: symbol {tok!r} outside z1..z{n_vars}")
+            s = symbols[tok] = k - 1
+        word.append(s)
+    return tuple(word)
 
 
 def to_json(p: Polynomial, indent: int | None = None) -> str:

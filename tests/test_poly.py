@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from conftest import random_sos
 from oracles import cross_polytope_lattice_all_signs, is_hermitian
 from sos_approx.poly import (
     COMMUTATIVE,
+    EVAL_CHUNK_CELLS,
     FREE,
     DimensionMismatchError,
     FlavorMismatchError,
     Polynomial,
     as_sphere_point,
+    compositions,
     from_json,
     sphere_lattice,
     sum_of_monomial_squares,
@@ -85,12 +88,14 @@ def test_evaluate_examples():
     assert Polynomial.zero(COMMUTATIVE, 2).evaluate([0.6, 0.8]) == 0.0
 
 
-def test_evaluate_batch_matches_broadcast_powers():
-    # the power table gives the bits of the broadcast formula, kept here as
-    # the oracle, on polynomials of 2-28 terms of every degree up to d.  A
-    # one-term univariate polynomial is left out: numpy takes its size-one
-    # exponent array as a scalar and squares by multiplying, which can
-    # differ from pow in the last bit
+def _random_form(n, d):
+    # every term of degree 2d in n variables, seeded complex coefficients
+    rng = np.random.default_rng(n)
+    return Polynomial(COMMUTATIVE, n, {t: complex(*rng.standard_normal(2))
+                                       for t in compositions(2 * d, n)})
+
+
+def _evaluation_cases():
     for seed in range(32):
         rng = np.random.default_rng(seed)
         n, d = 1 + seed % 4, 1 + seed // 8
@@ -98,11 +103,46 @@ def test_evaluate_batch_matches_broadcast_powers():
         size = int(rng.integers(2, min(len(support), 28) + 1))
         picked = rng.choice(len(support), size, replace=False)
         p = Polynomial(COMMUTATIVE, n, {support[i]: complex(*rng.standard_normal(2)) for i in picked})
-        points = rng.standard_normal((2000, n))
+        yield (seed, n, d), p, rng.standard_normal((2000, n))
+    # point counts around one chunk of rows, and 715 terms over 6,800 points
+    for n, d in ((3, 3), (10, 2)):
+        p = _random_form(n, d)
+        rows = EVAL_CHUNK_CELLS // len(p)
+        rng = np.random.default_rng(0)
+        for count in (0, 1, 2, rows - 1, rows, rows + 1, 2 * rows + 1):
+            yield (n, d, count), p, rng.standard_normal((count, n))
+    yield (10, 2, "lattice"), _random_form(10, 2), sphere_lattice(10, 2000)
+
+
+def test_evaluate_batch_matches_broadcast_powers():
+    # the power table gives the bits of the broadcast formula, kept here as
+    # the oracle, on polynomials of 2-28 terms of every degree up to d, at
+    # point counts either side of a chunk's, and on 715 terms.  A one-term
+    # univariate polynomial is left out: numpy takes its size-one exponent
+    # array as a scalar and squares by multiplying, which can differ from
+    # pow in the last bit.  The oracle's products are built 256 points at a
+    # time (each is elementwise) and multiplied by the coefficients at once
+    for case, p, points in _evaluation_cases():
         terms = np.array(list(p._coeffs), dtype=np.int64)
         coeffs = np.array(list(p._coeffs.values()))
-        expected = (points[:, None, :] ** terms[None, :, :]).prod(axis=2) @ coeffs
-        assert np.array_equal(p.evaluate_batch(points), expected), (seed, n, d)
+        products = np.empty((len(points), len(terms)))
+        for lo in range(0, len(points), 256):
+            products[lo:lo + 256] = (points[lo:lo + 256, None, :] ** terms[None, :, :]).prod(axis=2)
+        expected = products @ coeffs
+        assert np.array_equal(p.evaluate_batch(points), expected), case
+
+
+def test_evaluate_batch_memory_is_bounded():
+    # chunks keep 715 terms over 6,800 points in a few pages; whole arrays
+    # of values took 117 MB traced
+    p, points = _random_form(10, 2), sphere_lattice(10, 2000)
+    tracemalloc.start()
+    try:
+        p.evaluate_batch(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 def test_evaluate_rejects_free_and_bad_points():
@@ -232,7 +272,9 @@ def test_json_word_symbols_are_z_and_a_plain_decimal(token):
 
 
 def test_json_word_symbols_outside_the_variables():
-    # a decimal longer than int() reads is outside too
+    # a decimal longer than int() reads is outside too; a token read in one
+    # polynomial is read again in the next, against its own variables
+    assert from_json('{"flavor": "free", "n_vars": 3, "terms": [{"term": "z3 z3", "re": 1}]}')
     for token, n_vars in (("z0", 2), ("z3", 2), ("z1" + "0" * 5000, 12)):
         with pytest.raises(ValueError, match=r"symbol 'z[0-9]+' outside z1..z%d" % n_vars):
             from_json('{"flavor": "free", "n_vars": %d, "terms": [{"term": "%s", "re": 1}]}'

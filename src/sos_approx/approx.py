@@ -313,13 +313,13 @@ def pythagoras_upper_bound(a: Polynomial, basis: SquareBasis,
     # so ask the feasibility solve for extra digits
     options = replace(options, tol_primal=min(options.tol_primal, 1e-8))
     feas = sos_feasible(a, basis, options)
-    if not feas:
+    if not feas.feasible:
         raise NotSosError("input is not a sum of squares from this basis",
                           certificate=feas.certificate)
-    M0, message = feas.witness, "free Gram matrix is unique; rank cannot be reduced"
+    M0, message = feas.matrix, "free Gram matrix is unique; rank cannot be reduced"
     if basis.flavor != FREE:
         try:
-            M0, message = rank_reduce(feas.witness, feas.constraints, bound), ""
+            M0, message = rank_reduce(feas.matrix, feas.constraints, bound), ""
         except RankReductionError as exc:
             M0 = exc.matrix
             message = f"rank reduction stalled at rank {exc.achieved_rank}: {exc}"
@@ -342,20 +342,16 @@ class BoundReport:
     sos_norm_value: float
     dim_v: int = field(init=False)
     dim_vv: int = field(init=False)
-    general_bound: int = field(init=False)
     sqrt_dim_bound: int = field(init=False)
     theorem_bound: float = field(init=False)
     theorem_allowed_rank: int = field(init=False)
-    min_certified_bound: float = field(init=False)
 
     def __post_init__(self):
         self.dim_v = basis_size(self.flavor, self.n_vars, self.degree)
         self.dim_vv = basis_size(self.flavor, self.n_vars, 2 * self.degree)
-        self.general_bound = self.dim_v
         self.sqrt_dim_bound = _ceil_sqrt(self.dim_vv)
         self.theorem_bound = linalg.square_count_bound(
             self.sos_norm_value, self.eps, SCHATTEN_P[_FLAVOR_NORM[self.flavor]])
-        self.min_certified_bound = self.theorem_bound
         self.theorem_allowed_rank = _allowed_rank(self.theorem_bound)
 
     to_dict = asdict

@@ -35,19 +35,24 @@ FIGURE_HEADER = "d,sos_norm,sqrt_dim_bound,identity_trace"
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """text into path by a temp file and a rename; a path that cannot be
+    written is a usage error, raised after the solve that made text."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     umask = os.umask(0)
     os.umask(umask)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         # mkstemp creates the file 0600; give it the mode open() would
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise CliError(EXIT_USAGE, f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -57,6 +62,8 @@ def _load_polynomial(path: str) -> Polynomial:
             data = json.load(fh)
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_USAGE, f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_USAGE,
                        f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
@@ -185,9 +192,9 @@ def cmd_feasible(args: argparse.Namespace) -> int:
     options = solver_options(args)
     result = sdp.sos_feasible(p, basis, options)
     report: dict = {"feasible": result.feasible, "iterations": result.iterations,
-                    "residual": result.residual}
+                    "residual": result.primal_residual}
     if result.feasible:
-        report["witness"] = linalg.hermitian_to_dict(result.witness)
+        report["witness"] = linalg.hermitian_to_dict(result.matrix)
     else:
         report["certificate"] = _certificate_dict(result.certificate)
     _emit(args, report)

@@ -399,11 +399,13 @@ def _json_number(value, what: str, integer: bool = False):
 def from_dict(data: Mapping) -> Polynomial:
     """The polynomial of the JSON form; ValueError, naming the field, for a
     malformed one."""
+    if not isinstance(data, Mapping):
+        raise ValueError("a polynomial is a JSON object with 'flavor', 'n_vars' and 'terms'")
     try:
         flavor = data["flavor"]
         n_vars = _json_number(data["n_vars"], "n_vars", integer=True)
         raw_terms = data["terms"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"malformed polynomial object: missing {exc}") from exc
     _check_flavor(flavor)
     if not isinstance(raw_terms, list):

@@ -185,22 +185,14 @@ class SdpSolution:
     gap: float
     status: SolveStatus
     iterations: int
-    message: str = ""
+    message: str = ""           # why not optimal; "" when optimal ("zero polynomial" for 0)
     certificate: Optional[DualFunctional] = None
     trace: list[CheckRecord] = field(default_factory=list)
+    constraints: Optional[GramConstraints] = None   # the commutative system, for rank reduction
 
-
-@dataclass
-class FeasibilityResult:
-    feasible: bool
-    witness: Optional[np.ndarray]
-    certificate: Optional[DualFunctional]
-    residual: float
-    iterations: int
-    constraints: Optional[GramConstraints]   # the commutative system, for rank reduction
-
-    def __bool__(self) -> bool:
-        return self.feasible
+    @property
+    def feasible(self) -> bool:
+        return self.status is SolveStatus.OPTIMAL
 
 
 def _dual_shifted(system: BlockSystem, targets: np.ndarray,
@@ -499,19 +491,20 @@ def _unique_gram(a: Polynomial, basis: SquareBasis, options: SolverOptions,
 
 
 def _solve(a: Polynomial, basis: SquareBasis, options: SolverOptions | None,
-           minimize_trace: bool) -> tuple[Optional[GramConstraints], SdpSolution]:
-    """The constraint system of a (None on words) and its solve: the zero polynomial
+           minimize_trace: bool) -> SdpSolution:
+    """The solve of a, with its constraint system on a monomial basis: the zero polynomial
     in 0 steps, words by `_unique_gram`, else `_trace_min`; an overflowing trace is refused."""
     options = options or SolverOptions()
     if basis.flavor == FREE:
-        constraints, sol = None, _unique_gram(a, basis, options, minimize_trace)
+        sol = _unique_gram(a, basis, options, minimize_trace)
     else:
         constraints = build_constraints(a, basis)
         sol = (_trace_min(constraints, options, minimize_trace) if np.any(constraints.targets)
                else _zero(basis.size, constraints.k))
+        sol.constraints = constraints
     if sol.status is not SolveStatus.INFEASIBLE and not math.isfinite(sol.objective):
         raise ValueError("the coefficients are too large: their sos-norm overflows")
-    return constraints, sol
+    return sol
 
 
 def sos_norm(a: Polynomial, basis: SquareBasis,
@@ -524,23 +517,21 @@ def sos_norm(a: Polynomial, basis: SquareBasis,
     squares from this basis (value is NaN, certificate attached); MAX_ITER is
     reported with residuals, never silently coerced.
     """
-    sol = _solve(a, basis, options, True)[1]
+    sol = _solve(a, basis, options, True)
     return sol.objective, sol
 
 
 def sos_feasible(a: Polynomial, basis: SquareBasis,
-                 options: SolverOptions | None = None) -> FeasibilityResult:
+                 options: SolverOptions | None = None) -> SdpSolution:
     """Membership test for the cone of Hermitian squares over the basis.
 
-    True comes with a PSD Gram witness, False with a separating functional;
-    an unresolved solve raises SolverError instead of guessing.
+    `feasible` comes with a PSD Gram witness in `matrix`, else with a separating
+    functional; an unresolved solve raises SolverError instead of guessing.
     """
-    constraints, sol = _solve(a, basis, options, False)
+    sol = _solve(a, basis, options, False)
     if sol.status is SolveStatus.MAX_ITER:
         raise SolverError(f"feasibility test inconclusive: {sol.message}", sol)
-    feasible = sol.status is SolveStatus.OPTIMAL
-    return FeasibilityResult(feasible, sol.matrix if feasible else None, sol.certificate,
-                             sol.primal_residual, sol.iterations, constraints)
+    return sol
 
 
 # -- rank reduction -------------------------------------------------------------

@@ -577,7 +577,6 @@ def test_pythagoras_count_never_beats_brute_force(rng):
 def test_bound_report_examples():
     r = bound_report(COMMUTATIVE, 3, 2, eps=1.0, sos_norm_value=3.0)
     assert (r.dim_v, r.dim_vv, r.sqrt_dim_bound) == (6, 15, 4)
-    assert r.general_bound == 6
     r = bound_report(FREE, 2, 3, eps=1.0, sos_norm_value=8.0)
     assert (r.dim_v, r.dim_vv, r.sqrt_dim_bound) == (8, 64, 8)
     # boundary: eps equal to the sos-norm makes the strict cap vanish
@@ -629,4 +628,4 @@ def test_bound_report_free_min_certified():
     cert = approximate_free(gram_map(np.eye(9), square_basis(FREE, 3, 2)), 2.0)
     r = bound_report(FREE, 3, 2, 2.0, 9.0)
     assert cert.rank == 5 and cert.theoretical_bound == pytest.approx(20.25)
-    assert r.min_certified_bound == pytest.approx(cert.theoretical_bound)
+    assert r.theorem_bound == pytest.approx(cert.theoretical_bound)

@@ -272,6 +272,10 @@ def test_bounds_command(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["dim_vv"] == 15 and report["sqrt_dim_bound"] == 4
+    # dim_v and theorem_bound, under no second name
+    assert sorted(report) == ["degree", "dim_v", "dim_vv", "eps", "flavor", "n_vars",
+                              "sos_norm_value", "sqrt_dim_bound", "theorem_allowed_rank",
+                              "theorem_bound"]
     # the report carries the given value, not --d
     assert report["sos_norm_value"] == 3.0 and report["theorem_bound"] == 3.0
     assert cli.main(["bounds", "--eps", "1.0"]) == 2
@@ -425,6 +429,53 @@ def test_output_file_mode_follows_umask(tmp_path):
     finally:
         os.umask(old)
     assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+
+# each command with a writable --output, the same input for every one
+OUTPUT_COMMANDS = {
+    "sos-norm": ["--input", "{poly}"],
+    "approx": ["--input", "{poly}", "--eps", "0.5", "--resolution", "0"],
+    "feasible": ["--input", "{poly}"],
+    "bounds": ["--flavor", "commutative", "--n", "3", "--d", "2", "--eps", "1.0",
+               "--sos-norm-value", "3.0"],
+    "figure": ["--d-max", "1"],
+    "verify": ["--resolution", "1"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "existing-directory"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_unwritable_output_exits_two_naming_it(tmp_path, capsys, monkeypatch, command, where):
+    # the write comes after the solve, so a bad path is a usage error, not a
+    # failed verification, and its temp file is removed; verify's own checks
+    # are not under test here, only its write
+    monkeypatch.setattr("sos_approx.verify.run_property_suite", lambda *args, **kw: [("x", True, "")])
+    poly = write_poly(tmp_path, sum_of_monomial_squares(3, 1))
+    if where == "missing-directory":
+        out = tmp_path / "missing" / "out"
+    else:
+        out = tmp_path / "out"
+        out.mkdir()
+    argv = [command] + [arg.format(poly=poly) for arg in OUTPUT_COMMANDS[command]]
+    assert cli.main(argv + ["--output", str(out)]) == 2
+    reason = "No such file or directory" if where == "missing-directory" else "Is a directory"
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+    assert not list(tmp_path.rglob(".tmp-*"))
+    assert out.is_dir() == (where == "existing-directory")
+
+
+def test_unreadable_input_names_the_problem(tmp_path, capsys):
+    # a file that is not UTF-8 names its path; JSON that is no object says what a polynomial is
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff{}")
+    assert cli.main(["feasible", "--input", str(latin)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {latin}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+    array = tmp_path / "array.json"
+    array.write_text(json.dumps([to_dict(sum_of_monomial_squares(2, 1))]))
+    assert cli.main(["feasible", "--input", str(array)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {array}: a polynomial is a JSON object with 'flavor', 'n_vars' and 'terms'\n")
 
 
 def test_config_file_and_flag_override(tmp_path, monkeypatch, rng, capsys):

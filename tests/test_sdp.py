@@ -84,7 +84,7 @@ def test_zero_polynomial():
     value, sol = sos_norm(Polynomial.zero(COMMUTATIVE, 2), basis)
     assert value == 0.0 and sol.status is SolveStatus.OPTIMAL
     feas = sos_feasible(Polynomial.zero(COMMUTATIVE, 2), basis)
-    assert feas and not feas.witness.any()
+    assert feas.feasible and not feas.matrix.any()
 
 
 def test_free_oracle_match(rng):
@@ -103,8 +103,8 @@ def test_feasible_monomial_square_sums():
         result = sos_feasible(p, basis)
         assert result.feasible
         cons = build_constraints(p, basis)
-        assert cons.residual(result.witness) <= 1e-6
-        assert linalg.eig_hermitian(result.witness).eigenvalues.min() >= -1e-10
+        assert cons.residual(result.matrix) <= 1e-6
+        assert linalg.eig_hermitian(result.matrix).eigenvalues.min() >= -1e-10
 
 
 def test_indefinite_rejected_with_certificate():
@@ -144,12 +144,42 @@ def test_non_sos_forms_certified_within_step_bounds():
         assert sol.iterations == steps, (coeffs, sol.iterations)
         assert sol.trace[-1].iteration == sol.iterations
         result = sos_feasible(form, basis)
-        assert not result.feasible and result.witness is None
+        assert not result.feasible and not result.matrix.any()
         assert result.iterations == steps, (coeffs, result.iterations)
         for y in (sol.certificate.values, result.certificate.values):
             w = np.linalg.eigvalsh(cons.adjoint(y))
             assert w.min() >= -1e-8 * np.abs(w).max()
             assert cons.targets @ y < 0
+
+
+def test_feasibility_returns_the_solves_solution():
+    # sos_feasible hands back the solve's own result, status, message and
+    # trace included; a commutative solve carries the system it solved
+    z1, z2 = variables(FREE, 2)
+    cases = (
+        (sum_of_monomial_squares(3, 2), square_basis(COMMUTATIVE, 3, 2), SolveStatus.OPTIMAL),
+        (Polynomial(COMMUTATIVE, 3, MOTZKIN), square_basis(COMMUTATIVE, 3, 3),
+         SolveStatus.INFEASIBLE),
+        (*random_sos(np.random.default_rng(2), FREE, 2, 2, 2), SolveStatus.OPTIMAL),
+        (z1 * z1 - z2 * z2, square_basis(FREE, 2, 1), SolveStatus.INFEASIBLE),
+        (Polynomial.zero(FREE, 2), square_basis(FREE, 2, 1), SolveStatus.OPTIMAL),
+    )
+    for a, basis, status in cases:
+        sol = sos_feasible(a, basis)
+        assert isinstance(sol, sdp.SdpSolution) and sol.status is status, (a, basis)
+        assert sol.feasible == (sol.status is SolveStatus.OPTIMAL)
+        if sol.feasible:
+            assert sol.message == ("" if a else "zero polynomial")
+            assert sol.certificate is None
+        else:
+            assert sol.message.startswith("not a sum of squares from this basis;")
+            assert sol.certificate is not None and not sol.matrix.any()
+        assert (sol.constraints is None) == (basis.flavor == FREE)
+        if basis.flavor == FREE:
+            assert sol.trace == [] and sol.iterations == 0
+        else:
+            assert sol.iterations > 0 and sol.trace[-1].iteration == sol.iterations
+            assert sol.constraints.k == build_constraints(a, basis).k
 
 
 def test_certifying_probe_is_traced():
@@ -355,7 +385,7 @@ def test_free_inputs_decided_in_zero_steps():
         assert sol.dual_objective == pytest.approx(9.0 + least, rel=1e-12)
         result = sos_feasible(a, basis)
         assert result.feasible and result.iterations == 0
-        assert _witness_holds(a, basis, result.witness)
+        assert _witness_holds(a, basis, result.matrix)
 
 
 def test_free_inputs_never_reach_the_loop(monkeypatch, rng):
@@ -397,8 +427,8 @@ def test_free_solve_on_reversed_words(rng):
         assert value_r == pytest.approx(value, rel=1e-12)
         scale = np.abs(sol.matrix).max()
         assert np.abs(sol_r.matrix[::-1, ::-1] - sol.matrix).max() <= 1e-12 * scale
-        witness = sos_feasible(a, basis).witness
-        witness_r = sos_feasible(a, reversed_basis).witness
+        witness = sos_feasible(a, basis).matrix
+        witness_r = sos_feasible(a, reversed_basis).matrix
         assert np.abs(witness_r[::-1, ::-1] - witness).max() <= 1e-12 * scale
 
 
@@ -527,9 +557,9 @@ def test_feasible_thin_intersections():
         a, basis = random_sos(np.random.default_rng(seed), COMMUTATIVE, n, d, 1)
         result = sos_feasible(a, basis)
         assert result.feasible, (seed, n, d)
-        residual = (gram_map(result.witness, basis) - a).coeff_two_norm()
+        residual = (gram_map(result.matrix, basis) - a).coeff_two_norm()
         assert residual <= 1e-6 * (1 + a.coeff_two_norm())
-        w = np.linalg.eigvalsh(result.witness)
+        w = np.linalg.eigvalsh(result.matrix)
         assert w.min() >= -1e-8 * np.abs(w).max()
     # a starved solve is inconclusive, never a guess
     a, basis = random_sos(np.random.default_rng(3), COMMUTATIVE, 3, 2, 1)
@@ -593,7 +623,7 @@ def test_rank_reduce_p32_constraints(rng):
     cons = build_constraints(a, basis)
     assert cons.k == 15
     result = sos_feasible(a, basis)
-    M0 = rank_reduce(result.witness, cons, 4)
+    M0 = rank_reduce(result.matrix, cons, 4)
     assert linalg.numerical_rank(M0) <= 4
     assert cons.residual(M0) <= 1e-6 * (1 + np.linalg.norm(cons.targets))
     assert linalg.eig_hermitian(M0).eigenvalues.min() >= -1e-9 * (1 + np.trace(M0).real)
@@ -603,7 +633,7 @@ def test_rank_reduce_fixed_point(rng):
     a, basis = random_sos(rng, COMMUTATIVE, 3, 1, 1)
     cons = build_constraints(a, basis)
     result = sos_feasible(a, basis)
-    M1 = rank_reduce(result.witness, cons, 3)
+    M1 = rank_reduce(result.matrix, cons, 3)
     M2 = rank_reduce(M1, cons, 3)
     assert np.allclose(M1, M2, atol=1e-9)
 
@@ -702,7 +732,7 @@ def test_rank_reduce_stalls_on_a_full_row_space(monkeypatch, rng):
     monkeypatch.setattr(sdp, "_constraint_orthogonal",
                         lambda K: direction(np.vstack([K, np.eye(K.shape[1])])))
     with pytest.raises(sdp.RankReductionError, match="^no constraint-orthogonal direction at rank 6$") as err:
-        rank_reduce(feas.witness, feas.constraints, 4)
+        rank_reduce(feas.matrix, feas.constraints, 4)
     assert err.value.achieved_rank == 6
     assert feas.constraints.residual(err.value.matrix) <= 1e-7 * (1 + np.linalg.norm(feas.constraints.targets))
 
@@ -725,7 +755,7 @@ def test_rank_reduce_hypothesis_violation(rng):
     # the result carries the system it solved, for rank reduction to reuse
     assert feas.constraints.k == cons.k and np.array_equal(feas.constraints.targets, cons.targets)
     with pytest.raises(ValueError):
-        rank_reduce(feas.witness, feas.constraints, 2)  # 15 > 2^2 + 2*2
+        rank_reduce(feas.matrix, feas.constraints, 2)  # 15 > 2^2 + 2*2
 
 
 def test_rank_reduce_requires_feasible_start(rng):

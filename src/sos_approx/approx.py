@@ -10,9 +10,11 @@ dropped part, carried to the polynomial with constant 1, fits in eps.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import IO
 
 import numpy as np
 
@@ -122,8 +124,17 @@ class SosCertificate(_Squares):
                    schatten_p="inf" if math.isinf(self.schatten_p) else self.schatten_p)
         return out
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def dump(self, fh: IO[str]) -> None:
+        """`to_json`'s text and a newline into the text file fh, encoded as it
+        is written rather than built whole first."""
+        json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+    def to_json(self) -> str:
+        """The text `dump` writes, without its final newline."""
+        out = io.StringIO()
+        self.dump(out)
+        return out.getvalue().removesuffix("\n")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SosCertificate":

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from typing import IO, Callable
 
 from . import approx as approx_mod
 from . import linalg, poly, sdp
@@ -34,9 +35,10 @@ CONFIG_ENV = "SOS_APPROX_CONFIG"
 FIGURE_HEADER = "d,sos_norm,sqrt_dim_bound,identity_trace"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """text into path by a temp file and a rename; a path that cannot be
-    written is a usage error, raised after the solve that made text."""
+def _atomic_write(path: str, write: Callable[[IO[str]], object]) -> None:
+    """Fill path by write(fh), fh a temp file beside it that a rename puts in
+    its place, so a failed write leaves neither; a path that cannot be written
+    is a usage error, raised after the solve that made the content."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     umask = os.umask(0)
     os.umask(umask)
@@ -44,7 +46,7 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
         # mkstemp creates the file 0600; give it the mode open() would
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
@@ -140,7 +142,7 @@ def _emit(args: argparse.Namespace, report: dict) -> None:
     text = json.dumps(_finite(report), indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if getattr(args, "output", None):
-        _atomic_write(args.output, text + "\n")
+        _atomic_write(args.output, lambda fh: fh.write(text + "\n"))
 
 
 def _certificate_dict(cert: sdp.DualFunctional) -> dict:
@@ -164,10 +166,13 @@ def cmd_approx(args: argparse.Namespace) -> int:
     p = _load_polynomial(args.input)
     options = solver_options(args)
     cert = approx_mod.approximate(p, homogeneous_basis(p), args.eps, options)
-    _atomic_write(args.output, cert.to_json() + "\n")
+    _atomic_write(args.output, cert.dump)
+    # the file alone is checked and summarized: the input and the certificate
+    # in memory go before it is read back (JSON floats read back exactly)
+    del p, cert
     with open(args.output, "r", encoding="utf-8") as fh:
-        reread = approx_mod.SosCertificate.from_dict(json.load(fh))
-    problems = reread.verify(sample_points=args.resolution)
+        cert = approx_mod.SosCertificate.from_dict(json.load(fh))
+    problems = cert.verify(sample_points=args.resolution)
     summary = {
         "squares": cert.rank,
         "allowed_rank": cert.allowed_rank,
@@ -258,7 +263,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         lines.append(f"{d},{value!r},{bound!r},{basis_size(COMMUTATIVE, n, d)}")
     text = "\n".join(lines) + "\n"
     if args.output:
-        _atomic_write(args.output, text)
+        _atomic_write(args.output, lambda fh: fh.write(text))
     else:
         sys.stdout.write(text)
     for failure in failures:
@@ -278,7 +283,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     if getattr(args, "output", None):
-        _atomic_write(args.output, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _atomic_write(args.output,
+                      lambda fh: fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n"))
     return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_VERIFY_FAILED
 
 

@@ -15,8 +15,8 @@ import json
 import math
 import numbers
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import product as _iproduct
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -370,12 +370,13 @@ def compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
 #  "terms": [{"term": [e1,...,en] | "z1 z2 z1", "re": a, "im": b}]}
 
 def to_dict(p: Polynomial) -> dict:
+    names = [f"z{s + 1}" for s in range(p.n_vars)]      # each word symbol, named once
     terms = []
     for term, c in p.items():
         if p.flavor == COMMUTATIVE:
             enc: object = list(term)
         else:
-            enc = " ".join(f"z{s + 1}" for s in term)
+            enc = " ".join([names[s] for s in term])
         terms.append({"term": enc, "re": c.real, "im": c.imag})
     return {"flavor": p.flavor, "n_vars": p.n_vars, "terms": terms}
 

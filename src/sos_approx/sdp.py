@@ -95,8 +95,8 @@ class RankReductionError(RuntimeError):
 class SolverOptions:
     """The solver's stopping rule; all overridable from config/CLI."""
 
-    tol_primal: float = 1e-7        # constraint residual, relative to 1 + |targets|
-    tol_gap: float = 1e-6           # duality gap, relative to 1 + |objective|
+    tol_primal: float = 1e-7        # constraint residual, relative to |targets|
+    tol_gap: float = 1e-6           # duality gap, relative to |objective|
     max_iter: int = 50_000
 
     def __post_init__(self) -> None:
@@ -111,12 +111,12 @@ class SolverOptions:
 
     def residual_tol(self, bnorm: float) -> float:
         """The constraint residual a solution may keep, for targets of norm bnorm."""
-        return self.tol_primal * (1.0 + bnorm)
+        return self.tol_primal * bnorm
 
     def converged(self, bnorm: float, pres: float, pval: float, gap: float) -> bool:
         """The stopping rule of every solve; a NaN gap (no objective) is not tested."""
         return pres <= self.residual_tol(bnorm) and (
-            math.isnan(gap) or abs(gap) <= self.tol_gap * (1.0 + abs(pval)))
+            math.isnan(gap) or abs(gap) <= self.tol_gap * abs(pval))
 
     @classmethod
     def from_mapping(cls, data: dict) -> "SolverOptions":
@@ -252,7 +252,7 @@ def _certified(y: np.ndarray, w: np.ndarray, value: float,
     """y if eigenvalues w of sum y_l A_l and targets . y clear the margins, else None."""
     scale = max(float(np.abs(w).max(initial=0.0)), 1e-30)
     if (w.min() < -_CERTIFICATE_PSD_TOL * scale
-            or value > -_CERTIFICATE_VALUE_TOL * scale * (1.0 + linalg.two_norm(targets))):
+            or value > -_CERTIFICATE_VALUE_TOL * scale * linalg.two_norm(targets)):
         return None
     return DualFunctional(values=y, objective=value, psd_margin=float(w.min()))
 
@@ -552,7 +552,7 @@ def rank_reduce(M: np.ndarray, constraints: GramConstraints, target_r: int) -> n
     if k > target_r * target_r + 2 * target_r:
         raise ValueError(
             f"rank-reduction hypothesis violated: k={k} > r^2+2r={target_r * target_r + 2 * target_r}")
-    bscale = 1.0 + float(np.linalg.norm(constraints.targets))
+    bscale = linalg.two_norm(constraints.targets)
     if constraints.residual(M) > 1e-7 * bscale:
         raise ValueError("matrix does not satisfy the constraints to 1e-7")
     dec = linalg.clipped_spectrum(M)

@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import MOTZKIN, free_input, random_sos
 from sos_approx import cli, linalg
-from sos_approx.approx import SosCertificate
-from sos_approx.gram import square_basis
+from sos_approx.approx import SosCertificate, approximate
+from sos_approx.gram import build_constraints, square_basis
 from sos_approx.poly import (COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares, to_dict,
                              to_json, variables)
 
@@ -219,6 +220,63 @@ def test_approx_infeasible_no_partial_file(tmp_path):
         assert not out.exists()
 
 
+def test_approx_file_is_the_certificate_json(tmp_path, rng, capsys):
+    # the file is streamed, byte for byte the text of to_json; stdout is read
+    # back from it and equals the certificate in memory
+    for name, (a, basis) in (("c", random_sos(rng, COMMUTATIVE, 3, 2, 3)),
+                             ("f", random_sos(rng, FREE, 2, 2, 3))):
+        out = tmp_path / f"{name}.cert.json"
+        assert cli.main(["approx", "--input", write_poly(tmp_path, a, f"{name}.json"),
+                         "--eps", "0.5", "--output", str(out)]) == 0
+        cert = approximate(a, basis, 0.5)
+        assert out.read_bytes() == (cert.to_json() + "\n").encode()
+        summary = json.loads(capsys.readouterr().out)
+        assert summary == {"squares": cert.rank, "allowed_rank": cert.allowed_rank,
+                           "error": cert.error, "norm": cert.norm, "eps": cert.eps,
+                           "sos_norm_value": cert.sos_norm_value, "output": str(out),
+                           "verified": True}, name
+
+
+def test_failed_write_leaves_no_file(tmp_path, rng, monkeypatch):
+    # a writer that raises after writing part of its text leaves neither the
+    # temp file nor the destination
+    out = tmp_path / "out.json"
+
+    def write(fh):
+        fh.write("{")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        cli._atomic_write(str(out), write)
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+    # so does a certificate whose encoding fails after its first fields: the
+    # last key in sorted order cannot be encoded
+    monkeypatch.setattr(SosCertificate, "to_dict",
+                        lambda self: {"eps": self.eps, "zz": object()})
+    a, _ = random_sos(rng, COMMUTATIVE, 3, 1, 2)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli.main(["approx", "--input", write_poly(tmp_path, a), "--eps", "1.0",
+                  "--output", str(out)])
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
+def test_approx_memory_is_a_few_certificates(tmp_path, capsys):
+    # the certificate is encoded into its file as it is written, and the
+    # input and certificate are dropped before the file is read back: the
+    # peak traced memory stays within 6 times the file (10 when the text was
+    # built whole and the copies held)
+    a, _ = random_sos(np.random.default_rng(1), FREE, 3, 4, 3)
+    path, out = write_poly(tmp_path, a), tmp_path / "cert.json"
+    del a
+    tracemalloc.start()
+    try:
+        assert cli.main(["approx", "--input", path, "--eps", "1.0", "--output", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * out.stat().st_size, (peak, out.stat().st_size)
+
+
 def test_feasible_command(tmp_path, rng, capsys):
     a, _ = random_sos(rng, COMMUTATIVE, 3, 1, 2)
     assert cli.main(["feasible", "--input", write_poly(tmp_path, a)]) == 0
@@ -246,6 +304,29 @@ def test_feasible_command(tmp_path, rng, capsys):
         path = write_poly(tmp_path, scale * a, "scaled.json")
         assert cli.main(["feasible", "--input", path, "--output", str(out)]) == 0
         assert len(json.loads(out.read_text())["witness"]["entries"]) == 21, scale
+
+
+def test_non_sos_form_below_unit_scale_is_refused(tmp_path, capsys):
+    # Motzkin's form times 2^-20 (coefficients about 1e-6) was called a sum of
+    # squares after 25 steps, by a stopping rule with an absolute floor; it is
+    # refused as at unit scale, in the same steps, with a certificate that
+    # checks against the scaled form
+    steps = []
+    for scale in (1.0, 2.0 ** -20):
+        p = scale * Polynomial(COMMUTATIVE, 3, MOTZKIN)
+        path, out = write_poly(tmp_path, p), tmp_path / "f.json"
+        assert cli.main(["feasible", "--input", path, "--output", str(out)]) == 3
+        report = json.loads(out.read_text())
+        assert report["feasible"] is False
+        y = np.array(report["certificate"]["values"])
+        cons = build_constraints(p, square_basis(COMMUTATIVE, 3, 3))
+        w = np.linalg.eigvalsh(cons.adjoint(y))
+        assert w.min() >= -1e-8 * np.abs(w).max() and cons.targets @ y < 0
+        steps.append(report["iterations"])
+        assert cli.main(["sos-norm", "--input", path]) == 3
+        assert cli.main(["approx", "--input", path, "--eps", "1e-7", "--output", str(out)]) == 3
+    assert steps == [15, 15]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["sos-norm", "feasible", "approx"])

@@ -1,12 +1,16 @@
 """Layout rules over the library's sources: each names a pattern that one module
 alone may match, or none.  A new rule is one row of RULES."""
 
+import ast
 import pathlib
 import re
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sos_approx"
+
+# a file opened for writing, by mode or by a helper that creates one
+WRITE_OPEN = r"""open\([^)]*["'][wax]|mkstemp|NamedTemporaryFile|\.write_(text|bytes)\("""
 
 # (name, regex searched anywhere in a line as `grep -E` does, the one module allowed
 # to match or None, a planted (module, line) it must flag, and one it must let through)
@@ -36,6 +40,12 @@ RULES = [
      ("sdp.py", "w = scipy.linalg.eigh(M, eigvals_only=True)"), ("sdp.py", 'blas = "scipy_openblas"')),
     ("scipy-imported-in-a-function", r"^(import|from) +scipy", None,
      ("linalg.py", "import scipy.linalg"), ("linalg.py", "        import scipy.linalg")),
+    # the library writes no file: cli.py alone opens one for writing, in
+    # _atomic_write (test_files_are_written_through_atomic_write), and the
+    # certificate encodes into the handle it is given
+    ("files-written-by-cli", WRITE_OPEN, "cli.py",
+     ("approx.py", 'with open(path, "w", encoding="utf-8") as fh:'),
+     ("sdp.py", 'with open(path, "r", encoding="utf-8") as fh:')),
     # rank reduction steps on the witness's r x r core: no module forms a full SVD
     # or names the generalized eigensolver
     ("no-full-svd", r"null_space|pencil_eigenvalues|svd\(", None,
@@ -65,3 +75,12 @@ def test_layout_rule_flags_its_planted_line(name, pattern, allowed, flagged, pas
     module, line = flagged
     assert violations(pattern, allowed, {module: line}) == [f"src/sos_approx/{module}:1: {line}"]
     assert violations(pattern, allowed, dict([passed])) == []
+
+
+def test_files_are_written_through_atomic_write():
+    text = (SRC / "cli.py").read_text(encoding="utf-8")
+    [writer] = [node for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.FunctionDef) and node.name == "_atomic_write"]
+    lines = [number for number, line in enumerate(text.splitlines(), 1)
+             if re.search(WRITE_OPEN, line)]
+    assert lines and all(writer.lineno <= n <= writer.end_lineno for n in lines), lines

@@ -5,15 +5,17 @@ subnormals, so a rule with no absolute floor decides 2^k a exactly as it
 decides a.  One seeded draw of even k in [-300, 300], with both ends, checks
 the zero rule (scalar products keep their terms, `feasible` writes every
 nonzero witness entry) and the Hermitian rule (the same verdict at every k,
-the same constraint targets up to the factor 2^k).  Below unit scale the
-commutative solve itself is not yet equivariant: its stopping rule has an
-absolute floor, so `feasible` values are compared there on free inputs only.
+the same constraint targets up to the factor 2^k).  The solves' stopping
+rule and certificate margins are relative too, so `sos_norm` and
+`sos_feasible` answer 2^k a with 2^k times their answer for a, in the same
+steps.
 """
 
 import json
 import math
 
 import numpy as np
+import pytest
 
 from conftest import CHOI_LAM_S, MOTZKIN, ROBINSON, free_trace_oracle, random_sos
 from oracles import is_hermitian
@@ -23,6 +25,7 @@ from sos_approx.gram import (HERMITIAN_TOL, NotHermitianError, build_constraints
                              homogeneous_basis)
 from sos_approx.poly import (COMMUTATIVE, FREE, Polynomial, sum_of_monomial_squares,
                              to_json)
+from sos_approx.sdp import sos_feasible, sos_norm
 
 _draw = np.random.default_rng(37).choice(np.arange(1, 150), size=18, replace=False)
 KS = sorted([-300, 300] + [2 * int(k) * sign for k, sign in zip(_draw, (1, -1) * 9)])
@@ -118,9 +121,8 @@ def test_feasible_witness_scales(tmp_path, capsys):
             scaled_steps, scaled = _feasible_entries(tmp_path, s * a)
             # every nonzero entry is written, whatever its size
             assert [e[:2] for e in scaled] == [e[:2] for e in entries], k
-            if a.flavor == FREE or k > 0:
-                assert scaled_steps == steps
-                assert scaled == [[i, j, s * re, s * im] for i, j, re, im in entries], k
+            assert scaled_steps == steps
+            assert scaled == [[i, j, s * re, s * im] for i, j, re, im in entries], k
     capsys.readouterr()
 
 
@@ -141,3 +143,47 @@ def test_free_approximate_is_equivariant():
                     and cert.approximation._coeffs
                     == {t: s * c for t, c in unit.approximation._coeffs.items()})
     assert cases == 120 and failures == 0
+
+
+# k for the solver property: both ends, and pairs about unit scale
+SOLVE_KS = (-300, -100, -40, -10, 10, 40, 100, 300)
+
+
+def _solver_inputs():
+    """The named non-SOS forms, `figure` d=1..6, and seeded sums of squares:
+    a sweep input that the absolute floors stopped one check early at unit
+    scale, one whose value they let come out 33% high below 1e-8, a third
+    commutative one and a free one."""
+    swapped = {(e[1], e[0], e[2]): c for e, c in CHOI_LAM_S.items()}     # x <-> y
+    forms = [Polynomial(COMMUTATIVE, 3, f) for f in (MOTZKIN, CHOI_LAM_S, swapped, ROBINSON)]
+    sums = [random_sos(np.random.default_rng(seed), flavor, n, d, r)[0]
+            for seed, flavor, n, d, r in ((1, COMMUTATIVE, 2, 3, 3), (7, COMMUTATIVE, 3, 3, 3),
+                                          (12, COMMUTATIVE, 3, 3, 2), (2, FREE, 2, 2, 2))]
+    return forms + [sum_of_monomial_squares(3, d) for d in range(1, 7)] + sums
+
+
+def _same(x: float, y: float) -> bool:
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+@pytest.mark.parametrize("solve", [lambda a, b: sos_norm(a, b)[1], sos_feasible],
+                         ids=["sos_norm", "sos_feasible"])
+def test_solves_are_equivariant(solve):
+    """The solve of 2^k a is that of a times 2^k: the same status and steps,
+    value and Gram matrix exactly 2^k times, and the same Farkas functional."""
+    failures, cases = [], 0
+    for i, a in enumerate(_solver_inputs()):
+        basis = homogeneous_basis(a)
+        unit = solve(a, basis)
+        for k in SOLVE_KS:
+            s = 2.0 ** k
+            sol = solve(s * a, basis)
+            cases += 1
+            if not (sol.status is unit.status and sol.iterations == unit.iterations
+                    and _same(sol.objective, s * unit.objective)
+                    and np.array_equal(sol.matrix, s * unit.matrix)
+                    and (sol.certificate is None) == (unit.certificate is None)
+                    and (sol.certificate is None
+                         or np.array_equal(sol.certificate.values, unit.certificate.values))):
+                failures.append((i, k, sol.status.value, sol.iterations, unit.iterations))
+    assert cases == 112 and not failures, failures

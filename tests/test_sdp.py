@@ -829,15 +829,15 @@ def test_solver_options_mapping_reads_strings_and_numbers():
 def test_tiny_inputs_solved_without_underflow(c):
     # the targets' 2-norm underflowed to 0 below coefficients of about 1e-154:
     # a division by zero, then a solve of 75 steps on an infinite rho.  The
-    # reference is at 1e-100, where the tolerances, relative to 1 + |targets|,
-    # are as loose as here
+    # tolerances are relative to |targets|, so the solve takes the steps of
+    # the same form at unit scale
     def form(c):
         return Polynomial(COMMUTATIVE, 2, {(2, 0): c, (0, 2): c, (1, 1): 0.5 * c})
 
     basis = square_basis(COMMUTATIVE, 2, 1)
-    reference = sos_norm(form(1e-100), basis)[0] / 1e-100
+    reference, unit = sos_norm(form(1.0), basis)
     value, sol = sos_norm(form(c), basis)
-    assert sol.status is SolveStatus.OPTIMAL and sol.iterations == CHECK_EVERY
+    assert sol.status is SolveStatus.OPTIMAL and sol.iterations == unit.iterations
     assert abs(value / c - reference) <= 1e-12 * reference
 
 
